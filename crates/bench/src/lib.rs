@@ -2,7 +2,7 @@
 //!
 //! The experiment harness: one bench target per table/figure of the
 //! paper's evaluation, each printing `paper | measured` rows. Run all of
-//! them with `cargo bench`; see `EXPERIMENTS.md` for the recorded results.
+//! them with `cargo bench`.
 //!
 //! | target | paper claim |
 //! |---|---|

@@ -44,25 +44,91 @@ impl Codec for XorDelta {
         out.extend_from_slice(input);
         // Only full words participate; trailing remainder stays verbatim.
         let full = input.len() - input.len() % w;
-        for i in w..full {
-            out[i] = input[i] ^ input[i - w];
+        if full <= w {
+            return;
+        }
+        // Every output byte is `input[i] ^ input[i - w]`, so the words
+        // carry no dependency on each other: XOR the input against itself
+        // shifted by one word, eight bytes at a time whatever `w` is.
+        let mut dst = out[w..full].chunks_exact_mut(8);
+        let mut lag = input[..full - w].chunks_exact(8);
+        for (d, p) in (&mut dst).zip(&mut lag) {
+            let x = u64::from_ne_bytes((&*d).try_into().expect("chunk is 8 bytes"))
+                ^ u64::from_ne_bytes(p.try_into().expect("chunk is 8 bytes"));
+            d.copy_from_slice(&x.to_ne_bytes());
+        }
+        for (d, p) in dst.into_remainder().iter_mut().zip(lag.remainder()) {
+            *d ^= p;
         }
     }
 
     fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let w = self.width;
+        let mut out = Vec::new();
+        self.decode_into(input, &mut out)?;
+        Ok(out)
+    }
+
+    fn decode_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+        out.clear();
+        out.extend_from_slice(input);
+        with_width!(self.width, accumulate(out));
+        Ok(())
+    }
+}
+
+/// A `W`-byte element (`W` ≤ 16) as an integer, zero-extended.
+pub(crate) fn word_of<const W: usize>(elem: &[u8; W]) -> u128 {
+    let mut bytes = [0u8; 16];
+    bytes[..W].copy_from_slice(elem);
+    u128::from_le_bytes(bytes)
+}
+
+/// Inverse of [`word_of`].
+pub(crate) fn bytes_of<const W: usize>(word: u128) -> [u8; W] {
+    word.to_le_bytes()[..W].try_into().expect("W is at most 16")
+}
+
+/// Running XOR over whole `W`-byte words, in place: the decode direction,
+/// where each word needs the decoded word before it, so the chain is one
+/// register XOR per word.
+fn accumulate<const W: usize>(data: &mut [u8]) {
+    let mut acc = 0u128;
+    for word in data.chunks_exact_mut(W) {
+        let word: &mut [u8; W] = word.try_into().expect("chunk is W bytes");
+        acc ^= word_of(word);
+        *word = bytes_of(acc);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod oracle {
+    //! The byte-at-a-time loops the kernels replaced, kept as the
+    //! reference the kernels are tested against.
+
+    pub(crate) fn encode(w: usize, input: &[u8]) -> Vec<u8> {
+        let mut out = input.to_vec();
+        let full = input.len() - input.len() % w;
+        for i in w..full {
+            out[i] = input[i] ^ input[i - w];
+        }
+        out
+    }
+
+    pub(crate) fn decode(w: usize, input: &[u8]) -> Vec<u8> {
         let mut out = input.to_vec();
         let full = input.len() - input.len() % w;
         for i in w..full {
             out[i] ^= out[i - w]; // forward pass accumulates
         }
-        Ok(out)
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{byte_streams, CASES};
+    use proptest::prelude::*;
 
     fn roundtrip(width: usize, data: &[u8]) {
         let c = XorDelta::new(width);
@@ -121,5 +187,18 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn zero_width_rejected() {
         let _ = XorDelta::new(0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+        #[test]
+        fn kernels_equal_the_scalar_oracle(data in byte_streams(), width in 1usize..=16) {
+            let c = XorDelta::new(width);
+            let enc = oracle::encode(width, &data);
+            prop_assert_eq!(&c.encode(&data), &enc);
+            prop_assert_eq!(&c.decode(&enc).unwrap(), &oracle::decode(width, &enc));
+            prop_assert_eq!(c.decode(&enc).unwrap(), data);
+        }
     }
 }

@@ -5,12 +5,25 @@
 //! [`Pipeline`] type resolves such a spec into a chain of codecs; encoding
 //! applies them left to right, decoding right to left.
 
+use crate::shuffle::DeltaShuffle;
 use crate::{Codec, CodecError, Lzss, Rle, Shuffle, XorDelta};
 
 /// An ordered chain of codecs acting as one codec.
 pub struct Pipeline {
+    /// What runs: the spec's stages, with each adjacent
+    /// `xor-deltaN,shuffleN` pair of equal width held as one fused stage.
     stages: Vec<Box<dyn Codec>>,
+    /// Stages the spec names, fused or not.
+    len: usize,
     spec: String,
+}
+
+/// One parsed spec token.
+enum Stage {
+    Rle,
+    Lzss,
+    XorDelta(usize),
+    Shuffle(usize),
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -30,56 +43,62 @@ impl Pipeline {
     /// * `xor-deltaN` — XOR-with-predecessor over N-byte words,
     /// * `xor-delta` — shorthand for `xor-delta8`.
     pub fn from_spec(spec: &str) -> Result<Self, CodecError> {
-        let mut stages: Vec<Box<dyn Codec>> = Vec::new();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            stages.push(Self::stage(token)?);
-        }
-        if stages.is_empty() {
+        let tokens = spec
+            .split(',')
+            .map(str::trim)
+            .filter(|token| !token.is_empty())
+            .map(Self::stage)
+            .collect::<Result<Vec<Stage>, CodecError>>()?;
+        if tokens.is_empty() {
             return Err(CodecError::new(format!("empty pipeline spec '{spec}'")));
+        }
+        let mut stages: Vec<Box<dyn Codec>> = Vec::with_capacity(tokens.len());
+        let mut rest = tokens.as_slice();
+        while let [first, tail @ ..] = rest {
+            rest = tail;
+            stages.push(match (first, tail.first()) {
+                (&Stage::XorDelta(width), Some(&Stage::Shuffle(w))) if w == width => {
+                    rest = &tail[1..];
+                    Box::new(DeltaShuffle { width })
+                }
+                (Stage::Rle, _) => Box::new(Rle),
+                (Stage::Lzss, _) => Box::new(Lzss),
+                (&Stage::XorDelta(width), _) => Box::new(XorDelta::new(width)),
+                (&Stage::Shuffle(width), _) => Box::new(Shuffle::new(width)),
+            });
         }
         Ok(Pipeline {
             stages,
+            len: tokens.len(),
             spec: spec.to_string(),
         })
     }
 
-    fn stage(token: &str) -> Result<Box<dyn Codec>, CodecError> {
+    fn stage(token: &str) -> Result<Stage, CodecError> {
+        let width = |digits: &str| {
+            let w: usize = digits
+                .parse()
+                .map_err(|_| CodecError::new(format!("bad width in '{token}'")))?;
+            if !(1..=16).contains(&w) {
+                return Err(CodecError::new(format!(
+                    "width {w} out of range in '{token}'"
+                )));
+            }
+            Ok(w)
+        };
         if token == "rle" {
-            return Ok(Box::new(Rle));
+            Ok(Stage::Rle)
+        } else if token == "lzss" {
+            Ok(Stage::Lzss)
+        } else if token == "xor-delta" {
+            Ok(Stage::XorDelta(8))
+        } else if let Some(digits) = token.strip_prefix("xor-delta") {
+            width(digits).map(Stage::XorDelta)
+        } else if let Some(digits) = token.strip_prefix("shuffle") {
+            width(digits).map(Stage::Shuffle)
+        } else {
+            Err(CodecError::new(format!("unknown codec '{token}'")))
         }
-        if token == "lzss" {
-            return Ok(Box::new(Lzss));
-        }
-        if token == "xor-delta" {
-            return Ok(Box::new(XorDelta::new(8)));
-        }
-        if let Some(w) = token.strip_prefix("xor-delta") {
-            let w: usize = w
-                .parse()
-                .map_err(|_| CodecError::new(format!("bad width in '{token}'")))?;
-            if !(1..=16).contains(&w) {
-                return Err(CodecError::new(format!(
-                    "width {w} out of range in '{token}'"
-                )));
-            }
-            return Ok(Box::new(XorDelta::new(w)));
-        }
-        if let Some(w) = token.strip_prefix("shuffle") {
-            let w: usize = w
-                .parse()
-                .map_err(|_| CodecError::new(format!("bad width in '{token}'")))?;
-            if !(1..=16).contains(&w) {
-                return Err(CodecError::new(format!(
-                    "width {w} out of range in '{token}'"
-                )));
-            }
-            return Ok(Box::new(Shuffle::new(w)));
-        }
-        Err(CodecError::new(format!("unknown codec '{token}'")))
     }
 
     /// The spec string this pipeline was built from.
@@ -87,9 +106,9 @@ impl Pipeline {
         &self.spec
     }
 
-    /// Number of stages.
+    /// Number of stages the spec names.
     pub fn len(&self) -> usize {
-        self.stages.len()
+        self.len
     }
 
     /// Whether the pipeline has no stages (never true after `from_spec`).
@@ -119,30 +138,39 @@ impl Pipeline {
     /// keep the dedicated core's compression stage allocation-free
     /// (observable through [`EncodeScratch::grows`]).
     pub fn encode_with<'a>(&self, input: &[u8], scratch: &'a mut EncodeScratch) -> &'a [u8] {
-        let cap_before = scratch.a.capacity() + scratch.b.capacity();
-        self.stages[0].encode_into(input, &mut scratch.a);
-        let mut in_a = true;
-        for stage in &self.stages[1..] {
-            if in_a {
-                stage.encode_into(&scratch.a, &mut scratch.b);
-            } else {
-                stage.encode_into(&scratch.b, &mut scratch.a);
-            }
-            in_a = !in_a;
-        }
+        let cap_before = scratch.capacity_bytes();
+        scratch
+            .ping_pong(input, self.stages.iter(), |stage, src, dst| {
+                stage.encode_into(src, dst);
+                Ok(())
+            })
+            .expect("encoding cannot fail");
         scratch.encodes += 1;
-        if scratch.a.capacity() + scratch.b.capacity() > cap_before {
+        if scratch.capacity_bytes() > cap_before {
             scratch.grows += 1;
         }
-        if in_a {
-            &scratch.a
-        } else {
-            &scratch.b
-        }
+        scratch.result()
+    }
+
+    /// Decode through caller-owned scratch buffers, as
+    /// [`Pipeline::encode_with`] encodes: the result is a slice into
+    /// `scratch`, and a reader that decodes chunk after chunk through one
+    /// scratch (`h5lite`'s `FileReader`) allocates nothing per chunk once
+    /// the buffers have grown.
+    pub fn decode_with<'a>(
+        &self,
+        input: &[u8],
+        scratch: &'a mut EncodeScratch,
+    ) -> Result<&'a [u8], CodecError> {
+        scratch.ping_pong(input, self.stages.iter().rev(), |stage, src, dst| {
+            stage.decode_into(src, dst)
+        })?;
+        Ok(scratch.result())
     }
 }
 
-/// Reusable ping-pong buffers for [`Pipeline::encode_with`].
+/// Reusable ping-pong buffers for [`Pipeline::encode_with`] and
+/// [`Pipeline::decode_with`].
 ///
 /// Keep one per (variable, pipeline) and the encode path stops allocating
 /// once the buffers have grown to the working-set size; the counters let
@@ -151,6 +179,8 @@ impl Pipeline {
 pub struct EncodeScratch {
     a: Vec<u8>,
     b: Vec<u8>,
+    /// Which buffer the last call left its result in.
+    in_a: bool,
     grows: u64,
     encodes: u64,
 }
@@ -159,6 +189,41 @@ impl EncodeScratch {
     /// Empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Run `stages` over `input`: the first writes `a`, every later one
+    /// reads the buffer its predecessor wrote and writes the other. The
+    /// roles are fixed by position, so across calls with one pipeline each
+    /// buffer always receives the same stages and keeps the capacity they
+    /// need.
+    fn ping_pong<'s>(
+        &mut self,
+        input: &[u8],
+        mut stages: impl Iterator<Item = &'s Box<dyn Codec>>,
+        apply: impl Fn(&dyn Codec, &[u8], &mut Vec<u8>) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        let first = stages.next().expect("from_spec rejects an empty pipeline");
+        apply(first.as_ref(), input, &mut self.a)?;
+        self.in_a = true;
+        for stage in stages {
+            let (src, dst) = if self.in_a {
+                (&self.a, &mut self.b)
+            } else {
+                (&self.b, &mut self.a)
+            };
+            apply(stage.as_ref(), src, dst)?;
+            self.in_a = !self.in_a;
+        }
+        Ok(())
+    }
+
+    /// What the last [`EncodeScratch::ping_pong`] produced.
+    fn result(&mut self) -> &mut Vec<u8> {
+        if self.in_a {
+            &mut self.a
+        } else {
+            &mut self.b
+        }
     }
 
     /// Total encodes performed through this scratch.
@@ -246,19 +311,15 @@ impl Codec for Pipeline {
     }
 
     fn encode(&self, input: &[u8]) -> Vec<u8> {
-        let mut data = input.to_vec();
-        for stage in &self.stages {
-            data = stage.encode(&data);
-        }
-        data
+        let mut scratch = EncodeScratch::new();
+        self.encode_with(input, &mut scratch);
+        std::mem::take(scratch.result())
     }
 
     fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut data = input.to_vec();
-        for stage in self.stages.iter().rev() {
-            data = stage.decode(&data)?;
-        }
-        Ok(data)
+        let mut scratch = EncodeScratch::new();
+        self.decode_with(input, &mut scratch)?;
+        Ok(std::mem::take(scratch.result()))
     }
 }
 
@@ -393,6 +454,81 @@ mod tests {
         assert_eq!(scratch.grows(), grows, "steady state must not reallocate");
         assert_eq!(scratch.capacity_bytes(), cap);
         assert!(scratch.encodes() >= 20);
+    }
+
+    #[test]
+    fn equal_width_delta_shuffle_pairs_fuse_and_nothing_else_changes() {
+        // (spec, stages that run)
+        for (spec, runs) in [
+            ("xor-delta8,shuffle8,rle", 2),
+            ("xor-delta, shuffle8", 1),
+            ("xor-delta4,shuffle4,xor-delta4,shuffle4", 2),
+            ("rle,xor-delta3,shuffle3,lzss", 3),
+            ("xor-delta8,shuffle4,rle", 3),
+            ("shuffle8,xor-delta8,rle", 3),
+            ("xor-delta8,rle,shuffle8", 3),
+        ] {
+            let p = Pipeline::from_spec(spec).unwrap();
+            assert_eq!(p.stages.len(), runs, "spec {spec}");
+            assert_eq!(p.spec(), spec);
+            assert_eq!(p.name(), spec);
+            assert_eq!(p.len(), spec.split(',').count(), "spec {spec}");
+
+            // The bytes are those of the named stages run one by one.
+            let data = smooth_field(300);
+            let data = &data[..data.len() - 3];
+            let mut unfused = data.to_vec();
+            for token in spec.split(',') {
+                unfused = Pipeline::from_spec(token).unwrap().encode(&unfused);
+            }
+            assert_eq!(p.encode(data), unfused, "spec {spec}");
+            assert_eq!(p.decode(&unfused).unwrap(), data, "spec {spec}");
+        }
+    }
+
+    #[test]
+    fn decode_with_reuses_the_scratch() {
+        let p = Pipeline::from_spec("xor-delta8,shuffle8,rle").unwrap();
+        let blocks = [cm1_like_field(4 * 1024), smooth_field(4 * 1024)];
+        let mut scratch = EncodeScratch::new();
+        let packed: Vec<Vec<u8>> = blocks.iter().map(|b| p.encode(b)).collect();
+        assert_eq!(p.decode_with(&packed[0], &mut scratch).unwrap(), blocks[0]);
+        let cap = scratch.capacity_bytes();
+        for _ in 0..4 {
+            for (enc, raw) in packed.iter().zip(&blocks) {
+                assert_eq!(p.decode_with(enc, &mut scratch).unwrap(), raw);
+            }
+        }
+        assert_eq!(
+            scratch.capacity_bytes(),
+            cap,
+            "same-sized blocks: no growth"
+        );
+        assert!(p.decode_with(&[128], &mut scratch).is_err());
+    }
+
+    #[test]
+    fn scratch_is_sized_once_even_as_data_gets_less_compressible() {
+        let p = Pipeline::from_spec("xor-delta8,shuffle8,rle").unwrap();
+        let mut scratch = EncodeScratch::new();
+        let n = 8 * 1024;
+        let constant: Vec<u8> = std::iter::repeat_n(300.0f64.to_le_bytes(), n)
+            .flatten()
+            .collect();
+        let _ = p.encode_with(&constant, &mut scratch);
+        assert_eq!(scratch.grows(), 1);
+        let noise: Vec<u8> = (0..8 * n as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for data in [&cm1_like_field(n), &smooth_field(n), &noise, &constant] {
+            let enc = p.encode_with(data, &mut scratch).to_vec();
+            assert_eq!(&p.decode(&enc).unwrap(), data);
+        }
+        assert_eq!(
+            scratch.grows(),
+            1,
+            "the first encode reserved the worst case"
+        );
     }
 
     #[test]

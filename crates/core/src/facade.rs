@@ -103,24 +103,59 @@ pub(crate) fn check_layout(cfg: &Configuration, var: VarId, got: usize) -> Damar
     Ok(())
 }
 
-/// FNV-1a hash of one published block (variable, iteration, 0-based
-/// client index, payload bytes). Blocks arrive at the dedicated core in a
-/// scheduling-dependent order, so world-level digests combine per-block
-/// hashes with a wrapping sum — order-independent, identical across
-/// worlds when and only when the same blocks arrived.
+/// Hash of one published block: variable, iteration, 0-based client
+/// index, payload length and every payload byte, each at its position.
+/// Blocks arrive at the dedicated core in a scheduling-dependent order,
+/// so world-level digests combine per-block hashes with a wrapping sum —
+/// order-independent, identical across worlds when and only when the same
+/// blocks arrived.
+///
+/// The dedicated core pays this for every byte it receives, so the payload
+/// is read a `u64` at a time into four independent multiply-rotate lanes
+/// (word `i` goes to lane `i % 4`; the multiplies of different lanes
+/// overlap) that are folded together at the end. Every step is a bijection
+/// of the lane for a fixed word and of the word for a fixed lane, so
+/// changing any one field or any one word always changes the result; the
+/// rotate moves a difference in a word's top bit to where the next
+/// multiply spreads it, so two such flips do not cancel. The value is
+/// defined by this function alone and is comparable only between runs of
+/// the same build.
 pub(crate) fn block_digest(var: u64, iteration: u64, client: u64, data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in [var, iteration, client] {
-        for b in word.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    const SEEDS: [u64; 4] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    fn mix(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(MUL).rotate_left(29)
+    }
+    fn word(bytes: &[u8]) -> u64 {
+        let mut w = [0u8; 8];
+        w[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(w)
+    }
+
+    let header = [var, iteration, client, data.len() as u64];
+    let mut lanes: [u64; 4] = std::array::from_fn(|k| mix(SEEDS[k], header[k]));
+    let mut stripes = data.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, bytes) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = mix(*lane, word(bytes));
         }
     }
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+    // At most three whole words and one partial word, zero-padded: the
+    // length in the header tells padding from payload.
+    for (lane, bytes) in lanes.iter_mut().zip(stripes.remainder().chunks(8)) {
+        *lane = mix(*lane, word(bytes));
     }
-    h
+    let mut h = lanes.into_iter().fold(0, mix);
+    // Final avalanche, so that the wrapping sum over blocks mixes bits of
+    // every position.
+    h ^= h >> 32;
+    h = h.wrapping_mul(MUL);
+    h ^ (h >> 29)
 }
 
 // ---------------------------------------------------------------------------
@@ -709,7 +744,9 @@ pub struct SimReport {
     /// *completed* iteration (variable, iteration, client, payload) —
     /// byte-identical data across worlds produces equal digests. Blocks
     /// of iterations that never complete (a client skips
-    /// `end_iteration`) are excluded on both backends.
+    /// `end_iteration`) are excluded on both backends. The hash function
+    /// is internal: compare the value only between runs (or worlds) of the
+    /// same build, never against a stored constant.
     pub data_digest: u64,
     /// World ranks of clients that died mid-run and were survived in
     /// degraded mode (ascending; requires the process world with
@@ -1095,6 +1132,53 @@ mod tests {
         assert_ne!(a, block_digest(0, 1, 0, &[1, 2, 4]), "payload matters");
         assert_ne!(a, block_digest(0, 2, 0, &[1, 2, 3]), "iteration matters");
         assert_ne!(a, block_digest(0, 1, 1, &[1, 2, 3]), "client matters");
+        assert_ne!(a, block_digest(1, 1, 0, &[1, 2, 3]), "variable matters");
+    }
+
+    #[test]
+    fn block_digest_sees_every_bit_at_its_position() {
+        // Two 32-byte stripes, three whole words and a 5-byte tail.
+        let data: Vec<u8> = (0..93u32).map(|i| (i * 37 + 11) as u8).collect();
+        let base = block_digest(2, 7, 1, &data);
+        let mut seen = std::collections::HashSet::from([base]);
+        // Head, middle of a stripe, last whole word, tail bytes.
+        for byte in [0, 1, 7, 8, 31, 32, 45, 63, 64, 80, 87, 88, 90, 92] {
+            for bit in 0..8 {
+                let mut flipped = data.clone();
+                flipped[byte] ^= 1 << bit;
+                assert!(
+                    seen.insert(block_digest(2, 7, 1, &flipped)),
+                    "flip of bit {bit} in byte {byte} collides"
+                );
+            }
+        }
+        // The same two words in the other order: within a lane (words 0
+        // and 4), across lanes (0 and 1), and a stripe word with a
+        // remainder word (1 and 9).
+        for (a, b) in [(0, 4), (0, 1), (1, 9)] {
+            let mut swapped = data.clone();
+            for k in 0..8 {
+                swapped.swap(8 * a + k, 8 * b + k);
+            }
+            assert!(
+                seen.insert(block_digest(2, 7, 1, &swapped)),
+                "swap of words {a} and {b} collides"
+            );
+        }
+        // Top-bit flips of two words of one lane must not cancel.
+        let mut signs = data.clone();
+        signs[7] ^= 0x80;
+        signs[39] ^= 0x80;
+        assert!(seen.insert(block_digest(2, 7, 1, &signs)));
+    }
+
+    #[test]
+    fn block_digest_tells_zero_payloads_apart_by_length() {
+        let zeros = [0u8; 40];
+        let digests: std::collections::HashSet<u64> = (0..=40)
+            .map(|n| block_digest(0, 0, 0, &zeros[..n]))
+            .collect();
+        assert_eq!(digests.len(), 41);
     }
 
     #[test]

@@ -167,13 +167,18 @@ fn stalled_subscriber_never_stalls_end_iteration() {
         "end_iteration stalled behind a dead subscriber: {worst:?}"
     );
 
-    // Wait until the dedicated core has published everything it will.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while node.serve_stats().unwrap().iterations_published < 61 {
-        assert!(Instant::now() < deadline, "publishes did not complete");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let stats = node.serve_stats().unwrap();
+    // Wait until the dedicated core has published everything it will
+    // (`publishes` is bumped after the fan-out, so the drop counters of
+    // every counted publish are final).
+    let published = |n: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while node.serve_stats().unwrap().publishes < n {
+            assert!(Instant::now() < deadline, "publishes did not complete");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        node.serve_stats().unwrap()
+    };
+    let stats = published(61);
     assert!(
         stats.frames_dropped > 0,
         "overflow must drop, got {stats:?}"
@@ -183,39 +188,58 @@ fn stalled_subscriber_never_stalls_end_iteration() {
         "publish must stay wait-free: {stats:?}"
     );
 
-    // Resume: drain while fresh iterations keep arriving; the first
-    // frame of the resumed stream is a LAG notice, and after it only
-    // whole iterations are delivered. The tiny queue may overflow again
+    // Resume: read while fresh iterations keep arriving. The stall left a
+    // drop gap behind (closed already, or closed by the first iteration
+    // that fits the queue again), so a LAG notice precedes the resumed
+    // stream, and after it only whole iterations are delivered. Every
+    // wait is on a protocol event: an iteration the server queued whole
+    // (the drop counter did not move) is read up to its ITER-END, which
+    // the stream delivers after everything queued before it; one it
+    // dropped has nothing to wait for. The tiny queue may overflow again
     // while draining, so further LAG/resume cycles are legitimate.
     let mut lags: Vec<(u64, u64)> = Vec::new();
     let mut resumed: BTreeMap<(u64, String, u64), Vec<u8>> = BTreeMap::new();
     let mut ends = Vec::new();
-    'outer: for it in 61..=120u64 {
+    let mut record = |event: SubscriberEvent| match event {
+        SubscriberEvent::Lag {
+            dropped_frames,
+            resume_iteration,
+        } => lags.push((dropped_frames, resume_iteration)),
+        SubscriberEvent::Data {
+            variable,
+            iteration,
+            source,
+            bytes,
+        } => {
+            resumed.insert((iteration, variable, source), bytes);
+        }
+        SubscriberEvent::IterationEnd { iteration, .. } => ends.push(iteration),
+        other => panic!("unexpected event: {other:?}"),
+    };
+    let hang_guard = Instant::now() + Duration::from_secs(60);
+    let mut it = 60u64;
+    let mut delivered = 0;
+    while delivered < 3 {
+        assert!(Instant::now() < hang_guard, "queue never drained");
+        it += 1;
+        let dropped_before = node.serve_stats().unwrap().frames_dropped;
         client.write("u", it, &field("u", it)).unwrap();
         client.write("v", it, &field("v", it)).unwrap();
         client.end_iteration(it).unwrap();
-        loop {
-            match sub.try_next().expect("stream healthy") {
-                None => break,
-                Some(SubscriberEvent::Lag {
-                    dropped_frames,
-                    resume_iteration,
-                }) => lags.push((dropped_frames, resume_iteration)),
-                Some(SubscriberEvent::Data {
-                    variable,
-                    iteration,
-                    source,
-                    bytes,
-                }) => {
-                    resumed.insert((iteration, variable, source), bytes);
+        if published(it + 1).frames_dropped == dropped_before {
+            loop {
+                let event = sub.next_event().expect("stream healthy");
+                let done = matches!(event, SubscriberEvent::IterationEnd { iteration, .. } if iteration == it);
+                record(event);
+                if done {
+                    break;
                 }
-                Some(SubscriberEvent::IterationEnd { iteration, .. }) => {
-                    ends.push(iteration);
-                    if !lags.is_empty() && ends.len() >= 3 {
-                        break 'outer;
-                    }
-                }
-                Some(other) => panic!("unexpected event: {other:?}"),
+            }
+            delivered += 1;
+        } else {
+            // Keep the socket drained so the server's queue can empty.
+            while let Some(event) = sub.try_next().expect("stream healthy") {
+                record(event);
             }
         }
     }

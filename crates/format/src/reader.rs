@@ -3,7 +3,7 @@
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-use codec::{Codec, Pipeline};
+use codec::{EncodeScratch, Pipeline};
 
 use crate::dtype::H5Pod;
 use crate::error::{H5Error, H5Result};
@@ -14,6 +14,11 @@ use crate::{MAGIC, TRAILER_MAGIC, VERSION};
 pub struct FileReader<R: Read + Seek> {
     r: R,
     meta: FileMeta,
+    /// Stored bytes of the extent being read, and the codec's decode
+    /// buffers: kept across extents and reads, so a chunked dataset costs
+    /// no allocation per chunk.
+    stored: Vec<u8>,
+    scratch: EncodeScratch,
 }
 
 impl FileReader<std::io::BufReader<std::fs::File>> {
@@ -61,7 +66,12 @@ impl<R: Read + Seek> FileReader<R> {
         let mut footer = vec![0u8; footer_len as usize];
         r.read_exact(&mut footer)?;
         let meta = FileMeta::decode(&footer)?;
-        Ok(FileReader { r, meta })
+        Ok(FileReader {
+            r,
+            meta,
+            stored: Vec::new(),
+            scratch: EncodeScratch::new(),
+        })
     }
 
     /// The file's metadata tree.
@@ -87,6 +97,26 @@ impl<R: Read + Seek> FileReader<R> {
     /// Immediate children of a group: `(name, is_dataset)`.
     pub fn list(&self, group: &str) -> Vec<(String, bool)> {
         self.meta.list(group)
+    }
+
+    /// Append the decoded bytes of the extent `[offset, +len)`, which the
+    /// caller has checked against the file size, to `out`.
+    fn read_extent(
+        &mut self,
+        (offset, len): (u64, u64),
+        pipeline: Option<&Pipeline>,
+        out: &mut Vec<u8>,
+    ) -> H5Result<()> {
+        self.r.seek(SeekFrom::Start(offset))?;
+        let Some(p) = pipeline else {
+            let start = out.len();
+            out.resize(start + len as usize, 0);
+            return Ok(self.r.read_exact(&mut out[start..])?);
+        };
+        self.stored.resize(len as usize, 0);
+        self.r.read_exact(&mut self.stored)?;
+        out.extend_from_slice(p.decode_with(&self.stored, &mut self.scratch)?);
+        Ok(())
     }
 
     /// Read and decompress a dataset's full contents as bytes.
@@ -121,14 +151,8 @@ impl<R: Read + Seek> FileReader<R> {
             )));
         }
         let mut out = Vec::with_capacity(ds.byte_size() as usize);
-        for (offset, len) in extents {
-            self.r.seek(SeekFrom::Start(offset))?;
-            let mut stored = vec![0u8; len as usize];
-            self.r.read_exact(&mut stored)?;
-            match &pipeline {
-                Some(p) => out.extend_from_slice(&p.decode(&stored)?),
-                None => out.extend_from_slice(&stored),
-            }
+        for extent in extents {
+            self.read_extent(extent, pipeline.as_ref(), &mut out)?;
         }
         if out.len() as u64 != ds.byte_size() {
             return Err(H5Error::Corrupt(format!(
@@ -251,13 +275,7 @@ impl<R: Read + Seek> FileReader<R> {
                             "dataset '{path}' chunk extent exceeds the file"
                         )));
                     }
-                    self.r.seek(SeekFrom::Start(offset))?;
-                    let mut stored = vec![0u8; len as usize];
-                    self.r.read_exact(&mut stored)?;
-                    match &pipeline {
-                        Some(p) => assembled.extend_from_slice(&p.decode(&stored)?),
-                        None => assembled.extend_from_slice(&stored),
-                    }
+                    self.read_extent((offset, len), pipeline.as_ref(), &mut assembled)?;
                 }
                 // Trim to the requested window inside the assembled chunks.
                 let skip = (row_start - first_chunk as u64 * rows_per_chunk) * row_bytes;
