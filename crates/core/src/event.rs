@@ -63,6 +63,14 @@ pub enum Event {
         /// Finalizing client id.
         source: usize,
     },
+    /// The client crashed (posted on its behalf by whoever detected the
+    /// death — the process world's heartbeat mesh): it counts as having
+    /// ended every staged and every future iteration, so the survivors'
+    /// iterations keep completing.
+    ClientDied {
+        /// Dead client id.
+        source: usize,
+    },
 }
 
 impl Event {
@@ -72,7 +80,8 @@ impl Event {
             Event::Write { source, .. }
             | Event::EndIteration { source, .. }
             | Event::Signal { source, .. }
-            | Event::ClientFinalize { source } => *source,
+            | Event::ClientFinalize { source }
+            | Event::ClientDied { source } => *source,
         }
     }
 
@@ -83,6 +92,7 @@ impl Event {
             Event::EndIteration { .. } => "end-iteration",
             Event::Signal { .. } => "signal",
             Event::ClientFinalize { .. } => "finalize",
+            Event::ClientDied { .. } => "died",
         }
     }
 }

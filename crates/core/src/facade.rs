@@ -10,7 +10,7 @@
 //!
 //! * [`SimHandle`] — the paper-shaped trait, implemented by the
 //!   thread-mode [`DamarisClient`] and the process-mode
-//!   [`ProcessHandle`];
+//!   [`ProcessClient`];
 //! * [`Damaris`] — the enum-dispatched handle applications hold, so a
 //!   simulation is written exactly once as
 //!   `fn simulate<H: SimHandle>(h: &mut H)` (or directly against
@@ -36,9 +36,9 @@ use mini_mpi::World;
 
 use crate::client::{ClientStats, DamarisClient, WriteStatus};
 use crate::error::{DamarisError, DamarisResult};
-use crate::node::DamarisNode;
-use crate::plugins::{FnPlugin, Plugin, ServeSink, StorageSink};
-use crate::process::{DigestSink, ProcessHandle, ProcessServer, ProcessSink, DEDICATED_RANK};
+use crate::node::{DamarisNode, NodeReport};
+use crate::plugins::{FnPlugin, Plugin};
+use crate::process::{ProcessClient, ProcessServer, DEDICATED_RANK};
 
 // ---------------------------------------------------------------------------
 // Shared validation (used by both backends)
@@ -185,7 +185,7 @@ pub trait SimWriter {
 /// API; simulation code written against this trait (or the
 /// enum-dispatched [`Damaris`]) runs unmodified whether the dedicated
 /// core is a thread ([`DamarisClient`]) or a separate OS process
-/// ([`ProcessHandle`]).
+/// ([`ProcessClient`]).
 pub trait SimHandle {
     /// Backend-specific zero-copy writer returned by [`SimHandle::alloc`].
     type Writer: SimWriter;
@@ -396,7 +396,7 @@ enum DamarisInner<'a> {
     Threads(DamarisClient),
     // Boxed: the process client embeds its stats histogram (~700 bytes),
     // which would bloat every thread-mode handle.
-    Processes(Box<ProcessHandle<'a>>),
+    Processes(Box<ProcessClient<'a>>),
 }
 
 /// The unified client handle applications hold: one of the two backends
@@ -423,9 +423,9 @@ impl<'a> Damaris<'a> {
     }
 
     /// Wrap a process-mode client rank of an existing socket world.
-    pub fn processes(handle: ProcessHandle<'a>) -> Self {
+    pub fn processes(client: ProcessClient<'a>) -> Self {
         Damaris {
-            inner: DamarisInner::Processes(Box::new(handle)),
+            inner: DamarisInner::Processes(Box::new(client)),
             finalized: false,
         }
     }
@@ -482,9 +482,8 @@ impl<'a> Damaris<'a> {
             .launch(sim)
     }
 
-    /// Start configuring a launch: attach custom plugins (thread world)
-    /// and sink factories (process world) before running the simulation.
-    /// See [`Launcher`].
+    /// Start configuring a launch: attach custom plugins before running
+    /// the simulation. See [`Launcher`].
     pub fn launcher(cfg: Configuration, program: &str) -> Launcher {
         Launcher {
             cfg,
@@ -492,31 +491,23 @@ impl<'a> Damaris<'a> {
             input: Vec::new(),
             test_harness: false,
             plugins: Vec::new(),
-            sinks: Vec::new(),
         }
     }
 }
 
-/// A factory producing one process-mode sink per launch (the dedicated
-/// core may live in a re-executed child, so sinks travel as closures that
-/// build them there, not as instances).
-type SinkFactory = Box<dyn Fn() -> Box<dyn ProcessSink> + Send + Sync>;
-
 /// Configured [`Damaris::launch`]: the one construction point extended
-/// with custom data-management services for either world.
+/// with custom data-management services.
 ///
-/// * [`Launcher::with_plugin`] registers a [`Plugin`] on the thread-mode
-///   node — the dedicated-core services of `<world kind="threads"/>`.
-/// * [`Launcher::with_sink`] registers a [`ProcessSink`] factory fanned
-///   out on the process-mode dedicated core (rank 0 of
-///   `<world kind="processes"/>`). Factories, not instances: the
-///   dedicated core is a re-executed child, which rebuilds this
-///   `Launcher` identically and constructs the sink there.
-///
-/// Whichever set does not match `<world kind="…"/>` is ignored, so one
-/// call site can carry both and run unmodified on either world. A
-/// declared `<store>` wires the storage pipeline automatically in both
-/// worlds — no builder call needed.
+/// [`Launcher::with_plugin`] registers a [`Plugin`] on the dedicated core
+/// of whichever world `<world kind="…"/>` names — a thread of this process,
+/// or rank 0 of the spawned process world. A process world re-executes
+/// this binary once per rank, and every rank rebuilds this `Launcher` (and
+/// with it the plugin instance) from the same call site; only rank 0's
+/// instance is registered and called, so whatever a plugin learns lives in
+/// that process — hand results out through files or the plugin's own
+/// channel, not through state the launching process reads back. A declared
+/// `<store>` or `<serve>` wires the storage pipeline or the streaming tier
+/// automatically in both worlds — no builder call needed.
 ///
 /// ```no_run
 /// use damaris_core::prelude::*;
@@ -525,7 +516,6 @@ type SinkFactory = Box<dyn Fn() -> Box<dyn ProcessSink> + Send + Sync>;
 /// let cfg = Configuration::from_str("<simulation name=\"s\"/>").unwrap();
 /// let report = Damaris::launcher(cfg, "my-sim")
 ///     .with_plugin(Arc::new(StatsPlugin::new()))
-///     .with_sink(StatsSink::default)
 ///     .launch(|h, _| {
 ///         h.finalize().unwrap();
 ///         Vec::new()
@@ -539,7 +529,6 @@ pub struct Launcher {
     input: Vec<u8>,
     test_harness: bool,
     plugins: Vec<Arc<dyn Plugin>>,
-    sinks: Vec<SinkFactory>,
 }
 
 impl Launcher {
@@ -558,24 +547,10 @@ impl Launcher {
         self
     }
 
-    /// Register a data-management plugin on the thread-mode node
-    /// (replaces any auto-registered built-in of the same name; ignored
-    /// by process worlds).
+    /// Register a data-management plugin on the dedicated core, in either
+    /// world (replaces any auto-registered built-in of the same name).
     pub fn with_plugin(mut self, plugin: Arc<dyn Plugin>) -> Self {
         self.plugins.push(plugin);
-        self
-    }
-
-    /// Register a sink factory for the process-mode dedicated core; every
-    /// registered sink sees each block and iteration boundary, after the
-    /// built-in digest (and storage, when `<store>` is declared). Ignored
-    /// by thread worlds.
-    pub fn with_sink<S, G>(mut self, make: G) -> Self
-    where
-        S: ProcessSink + 'static,
-        G: Fn() -> S + Send + Sync + 'static,
-    {
-        self.sinks.push(Box::new(move || Box::new(make())));
         self
     }
 
@@ -594,7 +569,7 @@ impl Launcher {
                 &self.program,
                 &self.input,
                 self.test_harness,
-                &self.sinks,
+                &self.plugins,
                 sim,
             ),
         }
@@ -756,6 +731,29 @@ pub struct SimReport {
     /// Whether the run completed in degraded mode (at least one client
     /// died and the dedicated core closed its staged iterations).
     pub degraded: bool,
+    /// Error messages of plugins that failed during the run, storage and
+    /// streaming included (collected on the dedicated core, never fatal to
+    /// the launch) — empty on a clean run, in both worlds.
+    pub plugin_errors: Vec<String>,
+}
+
+impl SimReport {
+    /// What the dedicated side of either world reports, plus the launch's
+    /// own digest; `outputs` are filled in by whoever collects them.
+    fn new(report: NodeReport, data_digest: u64) -> Self {
+        SimReport {
+            outputs: Vec::new(),
+            iterations_completed: report.iterations_completed,
+            skipped_client_iterations: report.skipped_client_iterations,
+            signals_delivered: report.signals_delivered,
+            blocks_received: report.blocks_received,
+            bytes_received: report.bytes_received,
+            data_digest,
+            degraded: !report.dead_ranks.is_empty(),
+            dead_ranks: report.dead_ranks,
+            plugin_errors: report.plugin_errors,
+        }
+    }
 }
 
 fn encode_wire(cfg: &Configuration, input: &[u8]) -> Vec<u8> {
@@ -774,22 +772,21 @@ fn decode_wire(wire: &[u8]) -> (Configuration, &[u8]) {
     (cfg, &wire[8 + len..])
 }
 
-fn launch_threads<F>(
-    cfg: Configuration,
-    input: &[u8],
+/// Register a launch's plugins through `register` — the caller's, then
+/// the launcher's own `__launch-digest`, which folds every block of a
+/// completed iteration into the returned cell ([`SimReport::data_digest`]).
+/// Both worlds go through here, so they register the same set in the same
+/// order.
+fn register_launch_plugins(
     plugins: &[Arc<dyn Plugin>],
-    sim: F,
-) -> DamarisResult<SimReport>
-where
-    F: Fn(&mut Damaris<'_>, &[u8]) -> Vec<u8> + Send + Sync,
-{
-    let node = DamarisNode::builder().config(cfg).build()?;
+    register: impl Fn(Arc<dyn Plugin>),
+) -> Arc<AtomicU64> {
     for plugin in plugins {
-        node.register_plugin(plugin.clone());
+        register(plugin.clone());
     }
     let digest = Arc::new(AtomicU64::new(0));
     let d = digest.clone();
-    node.register_plugin(Arc::new(FnPlugin::new("__launch-digest", move |ctx| {
+    register(Arc::new(FnPlugin::new("__launch-digest", move |ctx| {
         let mut sum = 0u64;
         for b in ctx.blocks {
             sum = sum.wrapping_add(block_digest(
@@ -802,6 +799,20 @@ where
         d.fetch_add(sum, Ordering::Relaxed);
         Ok(())
     })));
+    digest
+}
+
+fn launch_threads<F>(
+    cfg: Configuration,
+    input: &[u8],
+    plugins: &[Arc<dyn Plugin>],
+    sim: F,
+) -> DamarisResult<SimReport>
+where
+    F: Fn(&mut Damaris<'_>, &[u8]) -> Vec<u8> + Send + Sync,
+{
+    let node = DamarisNode::builder().config(cfg).build()?;
+    let digest = register_launch_plugins(plugins, |p| node.register_plugin(p));
     let sim = &sim;
     let outputs: Vec<Vec<u8>> = std::thread::scope(|scope| {
         let handles: Vec<_> = node
@@ -826,66 +837,67 @@ where
     let report = node.shutdown()?;
     Ok(SimReport {
         outputs,
-        iterations_completed: report.iterations_completed,
-        skipped_client_iterations: report.skipped_client_iterations,
-        signals_delivered: report.signals_delivered,
-        blocks_received: report.blocks_received,
-        bytes_received: report.bytes_received,
-        data_digest: digest.load(Ordering::Relaxed),
-        dead_ranks: Vec::new(),
-        degraded: false,
+        ..SimReport::new(report, digest.load(Ordering::Relaxed))
     })
 }
 
-/// Fans every server callback out to the built-in digest, the optional
-/// storage pipeline, the optional streaming tier, and any user sinks, in
-/// that order.
-struct FanoutSink<'a> {
-    digest: &'a mut DigestSink,
-    storage: Option<&'a mut StorageSink>,
-    serve: Option<&'a mut ServeSink>,
-    extras: &'a mut [Box<dyn ProcessSink>],
+/// A [`SimReport`] without its `outputs`, as the dedicated rank's result
+/// bytes: the counters, the digest and the dead ranks as `u64` words, then
+/// the plugin errors as length-prefixed UTF-8.
+fn encode_report(report: &SimReport) -> Vec<u8> {
+    let mut words = vec![
+        report.iterations_completed,
+        report.skipped_client_iterations,
+        report.signals_delivered,
+        report.blocks_received,
+        report.bytes_received,
+        report.data_digest,
+        report.dead_ranks.len() as u64,
+    ];
+    words.extend(report.dead_ranks.iter().map(|&r| r as u64));
+    words.push(report.plugin_errors.len() as u64);
+    let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    for error in &report.plugin_errors {
+        bytes.extend((error.len() as u64).to_le_bytes());
+        bytes.extend(error.as_bytes());
+    }
+    bytes
 }
 
-impl ProcessSink for FanoutSink<'_> {
-    fn on_block(&mut self, var: VarId, iteration: u64, source: usize, data: &[u8]) {
-        self.digest.on_block(var, iteration, source, data);
-        if let Some(s) = self.storage.as_mut() {
-            s.on_block(var, iteration, source, data);
-        }
-        if let Some(s) = self.serve.as_mut() {
-            s.on_block(var, iteration, source, data);
-        }
-        for e in self.extras.iter_mut() {
-            e.on_block(var, iteration, source, data);
-        }
+/// Inverse of [`encode_report`]; `None` when the bytes are not one.
+fn decode_report(mut bytes: &[u8]) -> Option<SimReport> {
+    fn take<'a>(bytes: &mut &'a [u8], n: u64) -> Option<&'a [u8]> {
+        let (head, rest) = bytes.split_at_checked(usize::try_from(n).ok()?)?;
+        *bytes = rest;
+        Some(head)
     }
-
-    fn on_iteration_complete(&mut self, iteration: u64) {
-        self.digest.on_iteration_complete(iteration);
-        if let Some(s) = self.storage.as_mut() {
-            s.on_iteration_complete(iteration);
-        }
-        if let Some(s) = self.serve.as_mut() {
-            s.on_iteration_complete(iteration);
-        }
-        for e in self.extras.iter_mut() {
-            e.on_iteration_complete(iteration);
-        }
+    fn word(bytes: &mut &[u8]) -> Option<u64> {
+        Some(u64::from_le_bytes(take(bytes, 8)?.try_into().ok()?))
     }
-
-    fn on_signal(&mut self, event: damaris_xml::EventId, iteration: u64, source: usize) {
-        self.digest.on_signal(event, iteration, source);
-        if let Some(s) = self.storage.as_mut() {
-            s.on_signal(event, iteration, source);
-        }
-        if let Some(s) = self.serve.as_mut() {
-            s.on_signal(event, iteration, source);
-        }
-        for e in self.extras.iter_mut() {
-            e.on_signal(event, iteration, source);
-        }
+    let b = &mut bytes;
+    let [iterations_completed, skipped_client_iterations, signals_delivered, blocks_received, bytes_received, data_digest] =
+        [word(b)?, word(b)?, word(b)?, word(b)?, word(b)?, word(b)?];
+    let mut dead_ranks = Vec::new();
+    for _ in 0..word(b)? {
+        dead_ranks.push(usize::try_from(word(b)?).ok()?);
     }
+    let mut plugin_errors = Vec::new();
+    for _ in 0..word(b)? {
+        let len = word(b)?;
+        plugin_errors.push(String::from_utf8(take(b, len)?.to_vec()).ok()?);
+    }
+    bytes.is_empty().then_some(SimReport {
+        outputs: Vec::new(),
+        iterations_completed,
+        skipped_client_iterations,
+        signals_delivered,
+        blocks_received,
+        bytes_received,
+        data_digest,
+        degraded: !dead_ranks.is_empty(),
+        dead_ranks,
+        plugin_errors,
+    })
 }
 
 fn launch_processes<F>(
@@ -893,7 +905,7 @@ fn launch_processes<F>(
     program: &str,
     input: &[u8],
     test_harness: bool,
-    sinks: &[SinkFactory],
+    plugins: &[Arc<dyn Plugin>],
     sim: F,
 ) -> DamarisResult<SimReport>
 where
@@ -905,64 +917,22 @@ where
         // All rank behaviour derives from the wire bytes: in a
         // re-executed child the surrounding scope's captures (cfg,
         // input) may belong to a *different* invocation of the caller.
-        // (The sink factories are safe to use: the child re-executes the
-        // same call site, reconstructing an identical `Launcher`.)
+        // (The plugins are safe to use: the child re-executes the same
+        // call site, reconstructing an identical `Launcher`.)
         let (cfg, input) = decode_wire(wire);
         let dir = World::spawn_dir().expect("rank runs inside a spawned world");
         if comm.rank() == DEDICATED_RANK {
-            // A declared <store> wires the storage pipeline onto the
-            // dedicated core, exactly like the thread world's
-            // auto-registered StoragePlugin (node id 0; files land in
-            // the spawn dir unless <store path> says otherwise).
-            let mut storage = if cfg.architecture.store.is_some() {
-                Some(StorageSink::new(&cfg, 0, &dir).expect("storage pipeline starts"))
-            } else {
-                None
-            };
-            // A declared <serve> runs the streaming tier on the dedicated
-            // rank, mirroring the thread world's ServePlugin.
-            let mut serve = if cfg.architecture.serve.is_some() {
-                Some(ServeSink::new(&cfg, &dir).expect("streaming tier starts"))
-            } else {
-                None
-            };
+            // The thread world's node, on a rank of its own: the same
+            // built-ins for the same configuration (node id 0; files land
+            // in the spawn dir unless <store path> says otherwise), then
+            // the same launch plugins.
             let server = ProcessServer::new(comm, cfg, &dir).expect("dedicated core starts");
-            let mut sink = DigestSink::default();
-            let mut extras: Vec<Box<dyn ProcessSink>> = sinks.iter().map(|f| f()).collect();
-            let mut fanout = FanoutSink {
-                digest: &mut sink,
-                storage: storage.as_mut(),
-                serve: serve.as_mut(),
-                extras: &mut extras,
-            };
-            let report = server
-                .serve(comm, &mut fanout)
-                .expect("dedicated core serves");
-            if let Some(mut s) = storage {
-                s.finish().expect("storage pipeline finishes");
-                assert!(
-                    s.errors().is_empty(),
-                    "storage pipeline errors: {:?}",
-                    s.errors()
-                );
-            }
-            if let Some(mut s) = serve {
-                s.finish();
-            }
-            let mut words = vec![
-                report.iterations_completed,
-                report.skipped_client_iterations,
-                report.signals_delivered,
-                report.blocks_received,
-                report.bytes_received,
-                sink.digest(),
-                report.dead_ranks.len() as u64,
-            ];
-            words.extend(report.dead_ranks.iter().map(|&r| r as u64));
-            words.iter().flat_map(|w| w.to_le_bytes()).collect()
+            let digest = register_launch_plugins(plugins, |p| server.register_plugin(p));
+            let report = server.serve(comm).expect("dedicated core serves");
+            encode_report(&SimReport::new(report, digest.load(Ordering::Relaxed)))
         } else {
-            let handle = ProcessHandle::new(comm, cfg, &dir).expect("client joins the node");
-            let mut h = Damaris::processes(handle);
+            let client = ProcessClient::new(comm, cfg, &dir).expect("client joins the node");
+            let mut h = Damaris::processes(client);
             let out = sim(&mut h, input);
             let _ = SimHandle::finalize(&mut h);
             out
@@ -986,21 +956,9 @@ where
             outcome.failures.join("; ")
         ))
     })?;
-    let words: Vec<u64> = server
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    if words.len() < 7 || words.len() != 7 + words[6] as usize {
-        return Err(DamarisError::InvalidState(
-            "malformed dedicated-core report".into(),
-        ));
-    }
-    let [iterations_completed, skipped_client_iterations, signals_delivered, blocks_received, bytes_received, data_digest, _dead_count] =
-        words[..7]
-    else {
-        unreachable!("length checked above");
-    };
-    let dead_ranks: Vec<usize> = words[7..].iter().map(|&w| w as usize).collect();
+    let report = decode_report(&server)
+        .ok_or_else(|| DamarisError::InvalidState("malformed dedicated-core report".into()))?;
+    let dead_ranks = &report.dead_ranks;
     // A failed rank is tolerable only when the dedicated core itself
     // declared it dead and finished degraded; anything else (a client
     // that panicked but said goodbye, a failure the server never saw)
@@ -1026,17 +984,7 @@ where
     }
     // Dead clients have no output; keep client order with empty slots.
     let outputs: Vec<Vec<u8>> = results.into_iter().map(Option::unwrap_or_default).collect();
-    Ok(SimReport {
-        outputs,
-        iterations_completed,
-        skipped_client_iterations,
-        signals_delivered,
-        blocks_received,
-        bytes_received,
-        data_digest,
-        degraded: !dead_ranks.is_empty(),
-        dead_ranks,
-    })
+    Ok(SimReport { outputs, ..report })
 }
 
 #[cfg(test)]
@@ -1191,6 +1139,36 @@ mod tests {
     }
 
     #[test]
+    fn report_roundtrips_and_rejects_anything_else() {
+        let report = SimReport {
+            outputs: Vec::new(),
+            iterations_completed: 7,
+            skipped_client_iterations: 2,
+            signals_delivered: 3,
+            blocks_received: 21,
+            bytes_received: 21 * 512,
+            data_digest: 0xfeed,
+            dead_ranks: vec![2, 5],
+            degraded: true,
+            plugin_errors: vec!["plugin 'storage' at finalize: disk full".into(), "é".into()],
+        };
+        let bytes = encode_report(&report);
+        assert_eq!(decode_report(&bytes), Some(report));
+        for cut in 0..bytes.len() {
+            assert_eq!(decode_report(&bytes[..cut]), None, "truncated at {cut}");
+        }
+        assert_eq!(
+            decode_report(&[&bytes[..], &[0]].concat()),
+            None,
+            "trailing bytes"
+        );
+        // A count no input could hold must fail, not allocate.
+        let mut huge = bytes.clone();
+        huge[6 * 8..7 * 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode_report(&huge), None);
+    }
+
+    #[test]
     fn launch_runs_a_threads_world_from_the_config_alone() {
         let cfg = Configuration::from_str(XML).unwrap();
         let report = Damaris::launch(cfg, "unused-for-threads", &[3], |h, input| {
@@ -1218,6 +1196,7 @@ mod tests {
             "undeclared names filtered at the edge"
         );
         assert_ne!(report.data_digest, 0);
+        assert!(report.plugin_errors.is_empty());
     }
 
     #[test]

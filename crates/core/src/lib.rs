@@ -29,7 +29,9 @@
 //!   over their transport consumer handle: they index incoming blocks in a
 //!   [`store::VariableStore`], detect iteration completion, and fire user
 //!   [`plugins`] (HDF5 output, compression, statistics, in-situ analysis)
-//!   — all overlapped with the simulation's next compute phase;
+//!   — all overlapped with the simulation's next compute phase; the state
+//!   machine behind the loop ([`server::ServerShared`]) is the one a
+//!   process world's dedicated rank feeds, so a plugin is written once;
 //! * when plugins cannot keep up and memory pressure rises, the
 //!   [`policy::SkipPolicy`] drops whole iterations instead of blocking the
 //!   simulation (§V.C.1);
@@ -111,10 +113,8 @@ pub use client::{DamarisClient, WriteStatus};
 pub use error::{DamarisError, DamarisResult};
 pub use facade::{Damaris, DamarisWriter, Launcher, SimHandle, SimReport, SimWriter};
 pub use node::{DamarisNode, NodeBuilder};
-pub use plugins::{
-    Plugin, ServePlugin, ServeSink, StorageEngine, StoragePlugin, StorageSink, StorageStats,
-};
-pub use process::{ProcessClient, ProcessHandle, ProcessServer, ProcessSink};
+pub use plugins::{Plugin, ServePlugin, StorageEngine, StoragePlugin, StorageStats};
+pub use process::{ProcessClient, ProcessServer};
 
 /// One-stop imports for applications embedding Damaris.
 pub mod prelude {
@@ -123,10 +123,9 @@ pub mod prelude {
     pub use crate::facade::{Damaris, DamarisWriter, Launcher, SimHandle, SimReport, SimWriter};
     pub use crate::node::{DamarisNode, NodeBuilder};
     pub use crate::plugins::{
-        FnPlugin, Plugin, ServePlugin, ServeSink, StatsPlugin, StorageEngine, StoragePlugin,
-        StorageSink, StorageStats,
+        FnPlugin, Plugin, ServePlugin, StatsPlugin, StorageEngine, StoragePlugin, StorageStats,
     };
-    pub use crate::process::{ProcessClient, ProcessHandle, ProcessServer, ProcessSink, StatsSink};
+    pub use crate::process::{ProcessClient, ProcessServer};
     pub use damaris_xml::schema::Configuration;
     pub use damaris_xml::{EventId, VarId};
 }

@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use crate::client::{DamarisClient, StatsRecorder};
 use crate::error::{DamarisError, DamarisResult};
 use crate::event::Event;
-use crate::plugins::{CompressPlugin, H5Writer, Plugin, ServePlugin, StatsPlugin, StoragePlugin};
+use crate::plugins::{Plugin, ServePlugin, StoragePlugin};
 use crate::policy::SkipPolicy;
 use crate::server::{server_loop, ServerShared};
 
@@ -156,49 +156,7 @@ impl NodeBuilder {
             n_clients,
             output_dir.clone(),
         ));
-        // Auto-register built-in plugins. A declared `<store>` drives the
-        // storage pipeline regardless of `<action>` blocks (registered
-        // first, so the action loop's existence check never duplicates
-        // it); the others are pulled in by the actions referencing them.
-        let mut storage: Option<Arc<StoragePlugin>> = None;
-        let mut serve: Option<Arc<ServePlugin>> = None;
-        {
-            let mut plugins = shared.plugins.write();
-            if cfg.architecture.store.is_some() {
-                let plugin = Arc::new(
-                    StoragePlugin::new(&cfg, self.node_id, &output_dir)
-                        .map_err(DamarisError::InvalidState)?,
-                );
-                storage = Some(plugin.clone());
-                plugins.push(plugin);
-            }
-            if cfg.architecture.serve.is_some() {
-                let plugin = Arc::new(
-                    ServePlugin::new(&cfg, &output_dir).map_err(DamarisError::InvalidState)?,
-                );
-                serve = Some(plugin.clone());
-                plugins.push(plugin);
-            }
-            for action in &cfg.actions {
-                let exists = plugins.iter().any(|p| p.name() == action.plugin);
-                if exists {
-                    continue;
-                }
-                let builtin: Option<Arc<dyn Plugin>> = match action.plugin.as_str() {
-                    "hdf5" => Some(Arc::new(H5Writer::new())),
-                    "compress" => Some(Arc::new(CompressPlugin::new())),
-                    "stats" => Some(Arc::new(StatsPlugin::new())),
-                    "storage" => Some(Arc::new(
-                        StoragePlugin::new(&cfg, self.node_id, &output_dir)
-                            .map_err(DamarisError::InvalidState)?,
-                    )),
-                    _ => None,
-                };
-                if let Some(p) = builtin {
-                    plugins.push(p);
-                }
-            }
-        }
+        let builtins = shared.register_builtins()?;
 
         let n_cores = cfg.architecture.dedicated_cores;
         let mut server_handles = Vec::new();
@@ -251,13 +209,15 @@ impl NodeBuilder {
             server_handles: Mutex::new(server_handles),
             clients,
             output_dir,
-            storage,
-            serve,
+            storage: builtins.storage,
+            serve: builtins.serve,
         })
     }
 }
 
-/// Summary returned by [`DamarisNode::shutdown`].
+/// Summary returned by [`DamarisNode::shutdown`] and by
+/// [`crate::ProcessServer::serve`]: what the dedicated side of a node saw,
+/// read off the one state machine both worlds run.
 #[derive(Debug, Clone)]
 pub struct NodeReport {
     /// Iterations whose actions fired.
@@ -274,8 +234,15 @@ pub struct NodeReport {
     pub plugin_errors: Vec<String>,
     /// Fraction of time the dedicated cores were idle (§IV.D).
     pub dedicated_idle_fraction: f64,
-    /// Peak shared-memory occupancy in bytes.
+    /// Peak shared-memory occupancy in bytes (of a process world's
+    /// dedicated rank: the most it held views of at once).
     pub peak_segment_bytes: usize,
+    /// World ranks of clients that died mid-run and were survived in
+    /// degraded mode — each counted as "ended" for every staged and future
+    /// iteration, so the survivors kept completing; ascending. Needs the
+    /// process world's reliable heartbeat mesh
+    /// ([`mini_mpi::SpawnOptions::heartbeat_ms`]); empty otherwise.
+    pub dead_ranks: Vec<usize>,
 }
 
 /// One SMP node running Damaris: `clients` compute cores plus
@@ -332,9 +299,7 @@ impl<C: EventChannel<Event>> DamarisNode<C> {
     /// Register a data-management plugin (replaces a previous plugin with
     /// the same name, including auto-registered built-ins).
     pub fn register_plugin(&self, plugin: Arc<dyn Plugin>) {
-        let mut plugins = self.shared.plugins.write();
-        plugins.retain(|p| p.name() != plugin.name());
-        plugins.push(plugin);
+        self.shared.register_plugin(plugin);
     }
 
     /// Current shared-segment occupancy in `[0, 1]`.
@@ -409,41 +374,8 @@ impl<C: EventChannel<Event>> DamarisNode<C> {
         for client in &self.clients {
             client.slab.flush();
         }
-        // Let plugins close their long-lived resources (the storage
-        // pipeline finishes and syncs its per-node file here).
-        for plugin in self.shared.plugins.read().iter() {
-            if let Err(msg) = plugin.on_finalize() {
-                self.shared
-                    .errors
-                    .lock()
-                    .push(format!("plugin '{}' at finalize: {msg}", plugin.name()));
-            }
-        }
-        Ok(NodeReport {
-            iterations_completed: self
-                .shared
-                .iterations_completed
-                .load(std::sync::atomic::Ordering::Relaxed),
-            skipped_client_iterations: self
-                .shared
-                .skipped_client_iterations
-                .load(std::sync::atomic::Ordering::Relaxed),
-            signals_delivered: self
-                .shared
-                .signals_delivered
-                .load(std::sync::atomic::Ordering::Relaxed),
-            blocks_received: self
-                .shared
-                .blocks_received
-                .load(std::sync::atomic::Ordering::Relaxed),
-            bytes_received: self
-                .shared
-                .bytes_received
-                .load(std::sync::atomic::Ordering::Relaxed),
-            plugin_errors: self.shared.errors.lock().clone(),
-            dedicated_idle_fraction: self.shared.idle_fraction(),
-            peak_segment_bytes: self.segment.stats().peak,
-        })
+        self.shared.finalize_plugins();
+        Ok(self.shared.report(Vec::new(), self.segment.stats().peak))
     }
 }
 

@@ -9,7 +9,31 @@
 //! visualization tasks."
 //!
 //! In this Rust reproduction a plugin is any `Send + Sync` implementor of
-//! [`Plugin`]; closures are supported through [`FnPlugin`]. Built-ins:
+//! [`Plugin`]; closures are supported through [`FnPlugin`]. It is the one
+//! consumer interface of both worlds: the dedicated core of a thread-world
+//! [`crate::DamarisNode`] and rank 0 of a process world
+//! ([`crate::ProcessServer`]) run the same completion state machine and
+//! call the same plugins with the same [`IterationCtx`] — blocks ordered
+//! by `(variable, source)`, sources 0-based, bytes read **in place** in
+//! shared memory (the node segment, or the `/dev/shm` mapping).
+//!
+//! A plugin may keep clones of the blocks it is shown
+//! ([`damaris_shm::BlockRef`] is refcounted) for as long as it needs them,
+//! on any thread. The memory goes back to its writer when the last clone
+//! drops: to the segment's allocator in the thread world; in the process
+//! world the client rank is sent the iteration's acknowledgement then, and
+//! not before. Either way a block that is held is space the simulation
+//! cannot write to, so the price of holding is back-pressure (a fuller
+//! segment or slice, hence skipped iterations or waiting writes), never a
+//! copy and never an overwritten view. Everything must be dropped by the
+//! time [`Plugin::on_finalize`] returns.
+//!
+//! [`crate::Launcher::with_plugin`] registers an instance for either
+//! world. A process world re-executes the binary once per rank, so the
+//! instance is *constructed* in every rank and *used* on rank 0 only.
+//!
+//! Built-ins (registered from the configuration by one function, whichever
+//! world runs them):
 //!
 //! * [`H5Writer`] (`plugin="hdf5"`) — aggregates every client's blocks into
 //!   **one file per node per dump**, the aggregation-without-communication
@@ -25,7 +49,8 @@
 //! * [`ServePlugin`] (`plugin="serve"`) — the subscriber streaming tier
 //!   behind `<serve listen="…">`: every completed iteration is published
 //!   to concurrent TCP subscribers with bounded per-subscriber queues
-//!   (see `damaris_serve`).
+//!   (see `damaris_serve`); the frames are views of the blocks, released
+//!   after the last subscriber write.
 
 mod compress;
 mod hdf5;
@@ -35,9 +60,9 @@ mod storage;
 
 pub use compress::CompressPlugin;
 pub use hdf5::H5Writer;
-pub use serve::{ServePlugin, ServeSink};
+pub use serve::ServePlugin;
 pub use stats::{StatsPlugin, VariableSummary};
-pub use storage::{StorageEngine, StoragePlugin, StorageSink, StorageStats};
+pub use storage::{StorageEngine, StoragePlugin, StorageStats};
 
 use std::path::Path;
 
@@ -72,9 +97,10 @@ pub struct IterationCtx<'a> {
     /// Simulation name from the configuration.
     pub simulation: &'a str,
     /// Every block published for this iteration (all variables, all
-    /// clients), ordered by `(variable, source)`. Zero-copy views into
-    /// shared memory; resolve names and layouts through
-    /// [`Configuration::var_name`] / [`Configuration::layout_of_id`].
+    /// clients), ordered by `(variable, source)`, sources 0-based in both
+    /// worlds. Zero-copy views into shared memory; resolve names and
+    /// layouts through [`Configuration::var_name`] /
+    /// [`Configuration::layout_of_id`].
     pub blocks: &'a [StoredBlock],
     /// The full data description.
     pub config: &'a Configuration,
@@ -118,11 +144,11 @@ pub trait Plugin: Send + Sync {
         Ok(())
     }
 
-    /// Called once at node shutdown, after every client finalized and the
-    /// dedicated cores drained — the place to close files and release
+    /// Called once at shutdown, after every client finalized (or died) and
+    /// the dedicated cores drained — the place to close files and release
     /// long-lived resources (the storage pipeline finishes and syncs its
-    /// per-node file here). Errors are collected into the node report's
-    /// plugin errors, never fatal.
+    /// per-node file here), every block clone included. Errors are
+    /// collected into the report's plugin errors, never fatal.
     fn on_finalize(&self) -> Result<(), String> {
         Ok(())
     }

@@ -1,34 +1,26 @@
-//! The serving-tier glue: one `damaris_serve::StreamServer` wired into
-//! both worlds behind the plugin/sink seam.
+//! The serving-tier glue: one `damaris_serve::StreamServer` behind the
+//! plugin seam, the same in both worlds.
 //!
-//! * [`ServePlugin`] — thread world. Runs on the dedicated core at
-//!   iteration completion and publishes [`Payload::Shm`] clones of the
-//!   completed blocks: the bytes never leave the shared segment until the
-//!   poll thread writes the last subscriber frame referencing them.
-//! * [`ServeSink`] — process mode. The socket-world sink only ever sees
-//!   borrowed `&[u8]` views of the shm mapping, so blocks are staged as
-//!   owned copies (exactly like the storage sink) and published at the
-//!   iteration boundary; world ranks are converted to the same 0-based
-//!   client ids the thread world uses, so DATA frames are byte-identical
-//!   across worlds.
+//! [`ServePlugin`] runs on the dedicated core at iteration completion and
+//! publishes [`Payload::Shm`] clones of the completed blocks: the bytes
+//! never leave shared memory until the poll thread writes the last
+//! subscriber frame referencing them — the thread world's segment or the
+//! process world's `/dev/shm` mapping, whose client is told its blocks
+//! are free only then. Blocks carry 0-based client ids and arrive ordered
+//! by `(variable, source)` in both worlds, so DATA frames are
+//! byte-identical across them.
 //!
-//! Both are auto-registered from `<serve listen="addr:port" …/>` — see
-//! `NodeBuilder::build` and `Damaris::launch`.
+//! Auto-registered from `<serve listen="addr:port" …/>` — see
+//! `NodeBuilder::build` and `ProcessServer::new`.
 
-use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 use damaris_serve::{Payload, PublishBlock, ServeOptions, ServeStats, StreamServer};
 use damaris_xml::schema::Configuration;
-use damaris_xml::VarId;
-
-use damaris_xml::EventId;
 
 use super::{IterationCtx, Plugin};
-use crate::process::ProcessSink;
 
 /// How long shutdown lets the poll thread flush queued frames before
 /// force-closing slow subscribers.
@@ -53,8 +45,8 @@ fn bind_from_config(cfg: &Configuration, output_dir: &Path) -> Result<StreamServ
     .map_err(|e| format!("serve: cannot bind '{}': {e}", sc.listen))
 }
 
-/// Thread-world serving plugin (`plugin="serve"`), auto-registered when
-/// the configuration has a `<serve>` element.
+/// The serving plugin (`plugin="serve"`), auto-registered in both worlds
+/// when the configuration has a `<serve>` element.
 pub struct ServePlugin {
     server: StreamServer,
 }
@@ -104,74 +96,4 @@ impl Plugin for ServePlugin {
         self.server.shutdown(DRAIN_TIMEOUT);
         Ok(())
     }
-}
-
-/// One staged block: `(variable, 0-based client, owned bytes)`.
-type StagedBlock = (VarId, u64, Arc<Vec<u8>>);
-
-/// Process-mode serving sink, run by the dedicated rank beside the
-/// storage sink.
-pub struct ServeSink {
-    server: StreamServer,
-    cfg: Arc<Configuration>,
-    /// Blocks staged per in-flight iteration — process-mode callbacks
-    /// only borrow the mapping, so the copy happens here.
-    staged: BTreeMap<u64, Vec<StagedBlock>>,
-}
-
-impl ServeSink {
-    /// Bind the streaming server per the `<serve>` element.
-    pub fn new(cfg: &Configuration, output_dir: &Path) -> Result<Self, String> {
-        let server = bind_from_config(cfg, output_dir)?;
-        Ok(ServeSink {
-            server,
-            cfg: Arc::new(cfg.clone()),
-            staged: BTreeMap::new(),
-        })
-    }
-
-    /// The bound address (resolves an ephemeral `listen="…:0"` port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.server.local_addr()
-    }
-
-    /// Serving counters.
-    pub fn stats(&self) -> ServeStats {
-        self.server.stats()
-    }
-
-    /// Flush subscribers and stop serving (called after the world
-    /// drains).
-    pub fn finish(&mut self) {
-        self.server.shutdown(DRAIN_TIMEOUT);
-    }
-}
-
-impl ProcessSink for ServeSink {
-    fn on_block(&mut self, var: VarId, iteration: u64, source: usize, data: &[u8]) {
-        // World rank → 0-based client id, the thread world's numbering.
-        let client = source.saturating_sub(1) as u64;
-        self.staged
-            .entry(iteration)
-            .or_default()
-            .push((var, client, Arc::new(data.to_vec())));
-    }
-
-    fn on_iteration_complete(&mut self, iteration: u64) {
-        let mut blocks = self.staged.remove(&iteration).unwrap_or_default();
-        // Match the thread world's (variable, source) publication order
-        // so DATA frames are byte-for-byte identical across worlds.
-        blocks.sort_by_key(|(var, client, _)| (var.raw(), *client));
-        let publish = blocks
-            .into_iter()
-            .map(|(var, client, bytes)| PublishBlock {
-                variable: self.cfg.var_name(var).to_string(),
-                source: client,
-                payload: Payload::Owned(bytes),
-            })
-            .collect();
-        self.server.publish(iteration, publish);
-    }
-
-    fn on_signal(&mut self, _event: EventId, _iteration: u64, _source: usize) {}
 }

@@ -19,9 +19,9 @@
 //!   [`codec::ScratchPool`] (steady-state encodes stay allocation-free
 //!   per worker). Results are reassembled in block order before the
 //!   append, so the file is **byte-identical** to the serial engine's.
-//! * **Double-buffered staging**: [`StoragePlugin`] / [`StorageSink`]
-//!   hand the drained block set to the engine's stager thread through a
-//!   rendezvous channel and return immediately — iteration N encodes and
+//! * **Double-buffered staging**: [`StoragePlugin`] hands the drained
+//!   block set to the engine's stager thread through a rendezvous channel
+//!   and returns immediately — iteration N encodes and
 //!   writes while the simulation fills N+1. The rendezvous bounds the
 //!   overlap to one in-flight iteration: handing off N+1 blocks until N
 //!   finished, so shared-memory blocks are released at most one
@@ -48,7 +48,6 @@
 //! </data>
 //! ```
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
@@ -65,7 +64,6 @@ use h5lite::{FileStats, FileWriter};
 use parking_lot::Mutex;
 
 use super::{elem_dtype, IterationCtx, Plugin};
-use crate::process::ProcessSink;
 
 /// Lifetime counters of one [`StorageEngine`].
 ///
@@ -96,7 +94,7 @@ pub struct StorageStats {
     /// `fsync`s the flusher completed (≤ `flush_requests`: a backlog is
     /// coalesced into one sync).
     pub syncs: u64,
-    /// Nanoseconds the event path (plugin/sink) spent handing iterations
+    /// Nanoseconds the event path (the plugin) spent handing iterations
     /// to the stager — includes the backpressure wait when the previous
     /// iteration is still in flight.
     pub drain_ns: u64,
@@ -353,37 +351,11 @@ impl Drop for EncodePool {
     }
 }
 
-/// A staged block's payload: a zero-copy shared-memory reference in
-/// thread mode, an owned copy in process mode (the socket server only
-/// borrows its mapping during `on_block`).
-pub enum StagedData {
-    /// Shared-segment view; dropping it after the append releases the
-    /// block back to the allocator.
-    Shm(BlockRef),
-    /// Owned copy, recycled through the engine's buffer pool.
-    Owned(Vec<u8>),
-}
-
-impl StagedData {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            StagedData::Shm(b) => b.as_slice(),
-            StagedData::Owned(v) => v,
-        }
-    }
-}
-
-impl std::fmt::Debug for StagedData {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StagedData::Shm(b) => write!(f, "Shm({} bytes)", b.len()),
-            StagedData::Owned(v) => write!(f, "Owned({} bytes)", v.len()),
-        }
-    }
-}
-
-/// One iteration's drained blocks, ordered by `(variable, source)`.
-type StagedSet = Vec<(VarId, usize, StagedData)>;
+/// One iteration's drained blocks, ordered by `(variable, source)`: views
+/// of shared memory in both worlds, so dropping a set after the append is
+/// what releases its blocks to their allocator (thread world) or to their
+/// client rank (process world).
+type StagedSet = Vec<(VarId, usize, BlockRef)>;
 
 struct StagedIteration {
     iteration: u64,
@@ -682,19 +654,14 @@ impl Drop for EngineCore {
     }
 }
 
-/// The shared storage implementation behind [`StoragePlugin`] (thread
-/// world) and [`StorageSink`] (process world). See the module docs for
-/// the pipeline it realizes.
+/// The storage implementation behind [`StoragePlugin`]. See the module
+/// docs for the pipeline it realizes.
 pub struct StorageEngine {
     core: Arc<Mutex<EngineCore>>,
     pool: Option<Arc<EncodePool>>,
     workers: usize,
     drain_ns: Arc<AtomicU64>,
     stage_errors: Arc<Mutex<Vec<String>>>,
-    /// Recycled process-mode staging buffers ([`StagedData::Owned`]).
-    spare_bufs: Arc<Mutex<Vec<Vec<u8>>>>,
-    /// Recycled staged-set vectors.
-    spare_sets: Arc<Mutex<Vec<StagedSet>>>,
     stager: Option<Stager>,
 }
 
@@ -783,8 +750,6 @@ impl StorageEngine {
             workers,
             drain_ns: Arc::new(AtomicU64::new(0)),
             stage_errors: Arc::new(Mutex::new(Vec::new())),
-            spare_bufs: Arc::new(Mutex::new(Vec::new())),
-            spare_sets: Arc::new(Mutex::new(Vec::new())),
             stager: None,
         })
     }
@@ -865,12 +830,10 @@ impl StorageEngine {
         let core = self.core.clone();
         let pool = self.pool.clone();
         let errors = self.stage_errors.clone();
-        let spare_bufs = self.spare_bufs.clone();
-        let spare_sets = self.spare_sets.clone();
         let handle = std::thread::Builder::new()
             .name("damaris-storage-stager".into())
             .spawn(move || {
-                while let Ok(mut staged) = rx.recv() {
+                while let Ok(staged) = rx.recv() {
                     let views: Vec<(VarId, usize, &[u8])> = staged
                         .blocks
                         .iter()
@@ -879,21 +842,13 @@ impl StorageEngine {
                     let res =
                         core.lock()
                             .process_iteration(pool.as_deref(), staged.iteration, &views);
-                    drop(views);
                     if let Err(e) = res {
                         errors
                             .lock()
                             .push(format!("iteration {}: {e}", staged.iteration));
                     }
-                    // Recycle: owned buffers back to the pool, shm refs
-                    // dropped (releasing the blocks — at most one
-                    // iteration after the serial engine would have).
-                    for (_, _, data) in staged.blocks.drain(..) {
-                        if let StagedData::Owned(buf) = data {
-                            spare_bufs.lock().push(buf);
-                        }
-                    }
-                    spare_sets.lock().push(staged.blocks);
+                    // `staged` drops here, releasing the blocks — at most
+                    // one iteration after the serial engine would have.
                 }
             })
             .expect("spawning storage stager thread");
@@ -901,20 +856,6 @@ impl StorageEngine {
             tx: Some(tx),
             handle: Some(handle),
         });
-    }
-
-    /// A recycled staged-set vector (empty), for building the next
-    /// iteration's hand-off without allocating.
-    fn take_staging_set(&self) -> StagedSet {
-        self.spare_sets.lock().pop().unwrap_or_default()
-    }
-
-    /// A recycled staging byte buffer (cleared), for process-mode block
-    /// copies.
-    fn take_staging_buf(&self) -> Vec<u8> {
-        let mut buf = self.spare_bufs.lock().pop().unwrap_or_default();
-        buf.clear();
-        buf
     }
 
     /// Close the per-node file: drain the stager, stop the flusher, write
@@ -949,10 +890,9 @@ impl std::fmt::Debug for StorageEngine {
     }
 }
 
-/// Thread-mode face of the storage pipeline: a [`Plugin`] named
-/// `storage`, fired at every iteration completion on the dedicated core
-/// and finished (footer + fsync) at node shutdown via
-/// [`Plugin::on_finalize`].
+/// The storage pipeline as a [`Plugin`] named `storage`, fired at every
+/// iteration completion on the dedicated core of either world and
+/// finished (footer + fsync) at shutdown via [`Plugin::on_finalize`].
 ///
 /// `on_iteration` only *hands off* the iteration (cloning the blocks'
 /// shared-memory refs and passing them to the stager), so the dedicated
@@ -961,8 +901,8 @@ impl std::fmt::Debug for StorageEngine {
 /// [`StorageStats::encode_ns`]`+`[`StorageStats::append_ns`] makes
 /// visible.
 ///
-/// [`crate::NodeBuilder`] registers one automatically when the
-/// configuration declares `<store>`; an `<action plugin="storage">` can
+/// [`crate::NodeBuilder`] and [`crate::ProcessServer`] register one
+/// automatically when the configuration declares `<store>`; an `<action plugin="storage">` can
 /// thin its firing frequency like any other plugin.
 #[derive(Debug)]
 pub struct StoragePlugin {
@@ -1004,107 +944,16 @@ impl Plugin for StoragePlugin {
         // before the rendezvous hand-off. Empty iterations still go
         // through so the engine's skip counter stays consistent across
         // worlds.
-        let mut engine = self.engine.lock();
-        let mut set = engine.take_staging_set();
-        set.extend(
-            ctx.blocks
-                .iter()
-                .map(|b| (b.variable, b.source, StagedData::Shm(b.data.clone()))),
-        );
-        engine.submit_iteration(ctx.iteration, set)
+        let set = ctx
+            .blocks
+            .iter()
+            .map(|b| (b.variable, b.source, b.data.clone()))
+            .collect();
+        self.engine.lock().submit_iteration(ctx.iteration, set)
     }
 
     fn on_finalize(&self) -> Result<(), String> {
         self.engine.lock().finish().map(|_| ())
-    }
-}
-
-/// Process-mode face of the storage pipeline: a [`ProcessSink`] staging
-/// each iteration's blocks (copies — the shared mapping is only borrowed
-/// during [`ProcessSink::on_block`]) and handing them to the shared
-/// [`StorageEngine`]'s stager when the iteration completes, sorted by
-/// `(variable, client)` so the file matches the thread world's.
-///
-/// Staging buffers are pooled and reused across iterations; the
-/// one-in-flight bound keeps the pool at roughly two iterations' worth.
-/// Errors are collected ([`StorageSink::errors`]) rather than panicking
-/// the dedicated-core process mid-serve. Call [`StorageSink::finish`]
-/// after [`crate::ProcessServer::serve`] returns.
-pub struct StorageSink {
-    engine: StorageEngine,
-    staged: BTreeMap<u64, StagedSet>,
-    errors: Vec<String>,
-}
-
-impl StorageSink {
-    /// Build over a fresh [`StorageEngine`] (see [`StorageEngine::new`]).
-    pub fn new(cfg: &Configuration, node_id: usize, fallback_dir: &Path) -> Result<Self, String> {
-        Ok(StorageSink {
-            engine: StorageEngine::new(cfg, node_id, fallback_dir)?,
-            staged: BTreeMap::new(),
-            errors: Vec::new(),
-        })
-    }
-
-    /// Counter snapshot of the underlying engine.
-    pub fn stats(&self) -> StorageStats {
-        self.engine.stats()
-    }
-
-    /// Path of this node's file.
-    pub fn file_path(&self) -> PathBuf {
-        self.engine.file_path()
-    }
-
-    /// Errors collected while serving (empty on a clean run).
-    pub fn errors(&self) -> &[String] {
-        &self.errors
-    }
-
-    /// Close the per-node file (see [`StorageEngine::finish`]).
-    pub fn finish(&mut self) -> Result<Option<FileStats>, String> {
-        match self.engine.finish() {
-            Ok(stats) => Ok(stats),
-            Err(e) => {
-                self.errors.push(e.clone());
-                Err(e)
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for StorageSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StorageSink")
-            .field("engine", &self.engine)
-            .field("staged_iterations", &self.staged.len())
-            .field("errors", &self.errors.len())
-            .finish()
-    }
-}
-
-impl ProcessSink for StorageSink {
-    fn on_block(&mut self, var: VarId, iteration: u64, source: usize, data: &[u8]) {
-        let mut buf = self.engine.take_staging_buf();
-        buf.extend_from_slice(data);
-        let set = self
-            .staged
-            .entry(iteration)
-            .or_insert_with(|| self.engine.take_staging_set());
-        // 1-based world ranks become 0-based client indices, so dataset
-        // names match thread mode.
-        set.push((var, source.saturating_sub(1), StagedData::Owned(buf)));
-    }
-
-    fn on_iteration_complete(&mut self, iteration: u64) {
-        let mut blocks = self
-            .staged
-            .remove(&iteration)
-            .unwrap_or_else(|| self.engine.take_staging_set());
-        blocks.sort_by_key(|&(var, source, _)| (var.raw(), source));
-        if let Err(msg) = self.engine.submit_iteration(iteration, blocks) {
-            self.errors.push(format!("iteration {iteration}: {msg}"));
-        }
     }
 }
 
@@ -1294,7 +1143,7 @@ mod tests {
     #[test]
     fn submitted_iterations_match_synchronous_store_byte_for_byte() {
         // The overlapped hand-off path must write the same file the
-        // synchronous path writes, and recycle its staged sets.
+        // synchronous path writes, and let go of every staged block.
         let cfg = config(r#"<store type="h5lite" chunk_rows="2"/>"#, "");
         let u = cfg.registry().var_id("u").unwrap();
         let raw = cfg.registry().var_id("raw").unwrap();
@@ -1303,15 +1152,19 @@ mod tests {
         let mut sync_engine = StorageEngine::new(&cfg, 0, &dir_sync).unwrap();
         let dir_sub = tmpdir("submit-async");
         let mut sub_engine = StorageEngine::new(&cfg, 0, &dir_sub).unwrap();
+        let seg = SharedSegment::new(1 << 16).unwrap();
+        let staged = |bytes: &[u8]| {
+            let mut b = seg.allocate(bytes.len()).unwrap();
+            b.write_bytes(bytes);
+            b.freeze()
+        };
         for it in 0..6u64 {
             let a = bytes_of(&field(it as f64));
             let b = bytes_of(&field(it as f64 + 0.5));
             sync_engine
                 .store_iteration(it, [(u, 0usize, a.as_slice()), (raw, 1usize, b.as_slice())])
                 .unwrap();
-            let mut set = sub_engine.take_staging_set();
-            set.push((u, 0, StagedData::Owned(a)));
-            set.push((raw, 1, StagedData::Owned(b)));
+            let set = vec![(u, 0, staged(&a)), (raw, 1, staged(&b))];
             sub_engine.submit_iteration(it, set).unwrap();
         }
         sync_engine.finish().unwrap().unwrap();
@@ -1325,6 +1178,7 @@ mod tests {
         let s = sub_engine.stats();
         assert_eq!(s.iterations, 6);
         assert!(s.drain_ns > 0, "hand-off path was timed");
+        assert_eq!(seg.used_bytes(), 0, "every staged block released");
         std::fs::remove_dir_all(&dir_sync).ok();
         std::fs::remove_dir_all(&dir_sub).ok();
     }
@@ -1416,39 +1270,6 @@ mod tests {
         assert!(stats.drain_ns > 0, "hand-off timed on the event path");
         let mut r = h5lite::FileReader::open(plugin.file_path()).unwrap();
         assert_eq!(r.read_pod::<f64>("it000009/u/rank1").unwrap(), data);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sink_sorts_staged_blocks_and_reuses_buffers() {
-        let cfg = config(r#"<store type="h5lite"/>"#, "");
-        let dir = tmpdir("sink");
-        let mut sink = StorageSink::new(&cfg, 0, &dir).unwrap();
-        let u = cfg.registry().var_id("u").unwrap();
-        let raw = cfg.registry().var_id("raw").unwrap();
-        let a = field(0.0);
-        let ab = bytes_of(&a);
-        for it in 0..3u64 {
-            // Arrival order scrambled; sources are 1-based world ranks.
-            sink.on_block(raw, it, 2, &ab);
-            sink.on_block(u, it, 2, &ab);
-            sink.on_block(u, it, 1, &ab);
-            sink.on_iteration_complete(it);
-        }
-        assert!(sink.errors().is_empty(), "{:?}", sink.errors());
-        sink.finish().unwrap().unwrap();
-        // One-in-flight staging: the pool never needs more than two
-        // iterations' worth of buffers (3 per iteration here), and all
-        // of them are back in the pool after finish.
-        let pooled = sink.engine.spare_bufs.lock().len();
-        assert!(
-            (3..=6).contains(&pooled),
-            "staging buffers pooled and bounded, got {pooled}"
-        );
-        let mut r = h5lite::FileReader::open(sink.file_path()).unwrap();
-        // 1-based rank 1 becomes rank0, matching thread mode.
-        assert_eq!(r.read_pod::<f64>("it000000/u/rank0").unwrap(), a);
-        assert_eq!(r.read_pod::<f64>("it000002/raw/rank1").unwrap(), a);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

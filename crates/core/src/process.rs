@@ -30,27 +30,48 @@
 //! carries one envelope per client per iteration instead of one message
 //! per block.
 //!
-//! Flow control is iteration-grained: the server acknowledges an
-//! iteration once every client has ended it and its blocks are consumed;
-//! clients keep at most [`ACK_WINDOW`] iterations of blocks alive before
-//! blocking on acknowledgements — the same bounded-buffer behaviour the
-//! thread-mode segment enforces by occupancy, expressed over messages
-//! (the server cannot free ranges in another process's allocator).
+//! ## One dedicated-core state machine
+//!
+//! The server owns no completion logic of its own. It checks every
+//! descriptor, turns each into a refcounted read-only
+//! [`damaris_shm::BlockRef`] over its range of the mapping
+//! ([`damaris_shm::SharedSegment::view`]), and hands the thread world's
+//! [`Event`] values — `Write`, `EndIteration`, `Signal`,
+//! `ClientFinalize`, and `ClientDied` for a rank the heartbeat mesh
+//! declared dead — to the [`ServerShared`] handler the thread world's
+//! event loop runs. Plugins therefore see the same
+//! [`crate::plugins::IterationCtx`] in both worlds (0-based sources,
+//! blocks ordered by `(variable, source)`, bytes read in place), and
+//! [`ProcessServer::new`] registers the same built-ins
+//! [`crate::NodeBuilder::build`] registers. A process world re-executes
+//! the launching binary once per rank, so plugin *instances* are
+//! constructed in every rank; only rank 0's are registered and called.
+//!
+//! ## Acknowledge on release, back-pressure by occupancy
+//!
+//! A client may recycle a block only when the dedicated core holds no
+//! view of it (the server cannot free ranges in another process's
+//! allocator, so it says so in a message). All views minted from one
+//! envelope share one lease, and the `TAG_ACK` of that (client,
+//! iteration) is sent when the last of them drops — after the storage
+//! append, after the last subscriber frame, when the iteration leaves the
+//! `<serve retain>` window — from whichever thread dropped it. Until then
+//! the blocks stay allocated in the client's slice, so the client's only
+//! back-pressure is its slice's occupancy, exactly as a thread client's is
+//! the segment's: [`SkipMode::DropIteration`] drops an iteration that
+//! starts above the watermark or exhausts the slice, [`SkipMode::Block`]
+//! waits for an acknowledgement when an allocation does not fit.
+//! `end_iteration` itself never waits.
 //!
 //! ## API parity with thread mode
 //!
-//! The client implements the full paper surface at parity with
-//! [`crate::DamarisClient`]: `write`/`write_id` returning
-//! [`WriteStatus`], zero-copy [`ProcessClient::alloc`] →
-//! [`ProcessClient::commit`] over the shared mapping, user
-//! [`ProcessClient::signal`]s delivered to the dedicated core
-//! (`KIND_SIGNAL` descriptors → [`ProcessSink::on_signal`]),
+//! [`ProcessClient`] implements [`crate::facade::SimHandle`], the paper
+//! surface, at parity with [`crate::DamarisClient`]: `write`/`write_id`
+//! returning [`WriteStatus`], zero-copy `alloc` → `commit` over the shared
+//! mapping, user signals delivered to the dedicated core (`KIND_SIGNAL`
+//! descriptors → [`crate::Plugin::on_signal`]),
 //! [`SkipMode::DropIteration`] admission/exhaustion semantics, and the
-//! lock-free latency histogram behind [`ProcessClient::stats`]. The
-//! recommended way to consume all of it is through the unified
-//! [`crate::facade::SimHandle`] facade: [`ProcessHandle`] bundles a
-//! client with its communicator so simulation code never threads a
-//! [`Comm`] through every call.
+//! lock-free latency histogram behind `stats`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -60,40 +81,41 @@ use damaris_shm::{Block, BlockRef, SharedSegment, ShmFile};
 use damaris_xml::schema::{AllocatorKind, Configuration, SkipMode};
 use damaris_xml::{EventId, VarId};
 use mini_mpi::{Comm, Source};
+use parking_lot::Mutex;
 
 use crate::client::{ClientStats, StatsRecorder, WriteStatus};
 use crate::error::{DamarisError, DamarisResult};
-use crate::facade::{block_digest, check_layout, resolve_var, SimHandle, SimWriter};
+use crate::event::Event;
+use crate::facade::{check_layout, resolve_var, SimHandle, SimWriter};
+use crate::node::NodeReport;
+use crate::plugins::Plugin;
 use crate::policy::SkipPolicy;
+use crate::server::ServerShared;
 
 /// World rank of the dedicated core.
 pub const DEDICATED_RANK: usize = 0;
 
-/// Iterations a client may keep un-acknowledged before `end_iteration`
-/// blocks (bounded staging, like the thread-mode segment watermark).
-pub const ACK_WINDOW: u64 = 2;
-
 /// Client → server messages (tag [`TAG_MSG`]), `u64`-encoded with a
-/// leading kind word.
+/// leading kind word. Kinds 1 and 2 are retired (the per-block and
+/// end-of-iteration descriptors [`KIND_BATCH`] replaced) and rejected.
 const TAG_MSG: u32 = 1;
-/// Server → client iteration acknowledgements (tag [`TAG_ACK`]).
+/// Server → client iteration acknowledgements (tag [`TAG_ACK`]), on a
+/// [`Comm::dup`] of the world communicator both sides derive at
+/// construction: the server sends them from whichever thread drops an
+/// iteration's last view, so they cannot go through `serve`'s `Comm`.
 const TAG_ACK: u32 = 2;
 
-const KIND_WRITE: u64 = 1;
-const KIND_END: u64 = 2;
 const KIND_FIN: u64 = 3;
 /// A user signal: `[KIND_SIGNAL, event_id, iteration]` — the process-mode
-/// `damaris_signal`, firing [`ProcessSink::on_signal`] on the dedicated
+/// `damaris_signal`, firing [`crate::Plugin::on_signal`] on the dedicated
 /// core. Signals stay their own immediate messages (they are
 /// order-independent with respect to writes), everything else coalesces
 /// into the iteration envelope.
 const KIND_SIGNAL: u64 = 4;
 /// One client-iteration coalesced into a single framed envelope:
 /// `[KIND_BATCH, iteration, writes, skipped, (var, offset, len) × writes]`
-/// — flushed on `end_iteration`, replacing `writes` individual
-/// [`KIND_WRITE`] descriptors plus the [`KIND_END`] marker with **one
-/// message per client per iteration**. The server still understands the
-/// unbatched kinds, so both framings interoperate.
+/// — flushed on `end_iteration`: **one message per client per
+/// iteration**.
 const KIND_BATCH: u64 = 5;
 
 /// Words of the [`KIND_BATCH`] envelope header preceding the descriptor
@@ -128,190 +150,55 @@ fn slice_bytes(cfg: &Configuration, clients: usize) -> DamarisResult<usize> {
     Ok(slice)
 }
 
-/// What the dedicated core does with arriving blocks and signals (the
-/// process-mode analogue of a plugin).
-pub trait ProcessSink {
-    /// One block arrived: variable, iteration, writing client (1-based
-    /// world rank), and the block's bytes viewed in place in the mapping.
-    fn on_block(&mut self, var: VarId, iteration: u64, source: usize, data: &[u8]);
-    /// Every client ended `iteration` and all its blocks were delivered.
-    fn on_iteration_complete(&mut self, iteration: u64) {
-        let _ = iteration;
-    }
-    /// A client raised a user event (the process-mode analogue of a
-    /// signal-triggered action; undeclared names never reach here — they
-    /// are filtered at the client edge, as in thread mode).
-    fn on_signal(&mut self, event: EventId, iteration: u64, source: usize) {
-        let _ = (event, iteration, source);
-    }
-}
-
-/// A [`ProcessSink`] computing per-variable f64 statistics — enough for
-/// the examples and tests to verify end-to-end data integrity.
-#[derive(Debug, Default)]
-pub struct StatsSink {
-    /// `(iteration, var_index)` → (count, sum, min, max).
-    per_var: HashMap<(u64, usize), (u64, f64, f64, f64)>,
-    /// Iterations completed, in completion order.
-    pub completed: Vec<u64>,
-    /// `(event_index, iteration, source)` of every delivered signal.
-    pub signals: Vec<(usize, u64, usize)>,
-}
-
-impl StatsSink {
-    /// New, empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `(count, sum, min, max)` of a variable's f64 values at an iteration.
-    pub fn summary(&self, iteration: u64, var: VarId) -> Option<(u64, f64, f64, f64)> {
-        self.per_var.get(&(iteration, var.index())).copied()
-    }
-}
-
-impl ProcessSink for StatsSink {
-    fn on_block(&mut self, var: VarId, iteration: u64, _source: usize, data: &[u8]) {
-        let entry = self.per_var.entry((iteration, var.index())).or_insert((
-            0,
-            0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ));
-        for chunk in data.chunks_exact(8) {
-            let v = f64::from_le_bytes(chunk.try_into().unwrap());
-            entry.0 += 1;
-            entry.1 += v;
-            entry.2 = entry.2.min(v);
-            entry.3 = entry.3.max(v);
-        }
-    }
-
-    fn on_iteration_complete(&mut self, iteration: u64) {
-        self.completed.push(iteration);
-    }
-
-    fn on_signal(&mut self, event: EventId, iteration: u64, source: usize) {
-        self.signals.push((event.index(), iteration, source));
-    }
-}
-
-/// A [`ProcessSink`] folding consumed blocks into the world-independent
-/// digest [`crate::facade::SimReport`] reports. Blocks are staged per
-/// iteration and folded in only when the iteration *completes* — the
-/// thread-mode launcher computes its digest in an end-of-iteration
-/// plugin, so blocks of never-completed iterations must not count on
-/// either backend or the two worlds' digests would diverge.
-#[derive(Debug, Default)]
-pub struct DigestSink {
-    digest: u64,
-    staged: HashMap<u64, u64>,
-}
-
-impl DigestSink {
-    /// The accumulated order-independent digest (completed iterations).
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-}
-
-impl ProcessSink for DigestSink {
-    fn on_block(&mut self, var: VarId, iteration: u64, source: usize, data: &[u8]) {
-        // `source` is a 1-based world rank; the digest uses 0-based
-        // client indices so it matches the thread-mode plugin.
-        let sum = self.staged.entry(iteration).or_default();
-        *sum = sum.wrapping_add(block_digest(
-            var.index() as u64,
-            iteration,
-            (source - 1) as u64,
-            data,
-        ));
-    }
-
-    fn on_iteration_complete(&mut self, iteration: u64) {
-        if let Some(sum) = self.staged.remove(&iteration) {
-            self.digest = self.digest.wrapping_add(sum);
-        }
-    }
-}
-
-/// Summary returned by [`ProcessServer::serve`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeReport {
-    /// Iterations fully completed (all clients, all blocks).
-    pub iterations_completed: u64,
-    /// Blocks consumed.
-    pub blocks_received: u64,
-    /// Payload bytes consumed out of the shared mapping.
-    pub bytes_received: u64,
-    /// Client-iterations the skip policy dropped (announced by clients
-    /// in their end-of-iteration descriptors).
-    pub skipped_client_iterations: u64,
-    /// User signals delivered to the sink.
-    pub signals_delivered: u64,
-    /// World ranks of clients that died mid-run (reliable heartbeat mesh
-    /// only — see [`mini_mpi::SpawnOptions::heartbeat_ms`]); ascending.
-    pub dead_ranks: Vec<usize>,
-    /// Whether the serve ran in degraded mode: at least one client died
-    /// and its staged iterations were closed without it (a dead client
-    /// counts as "ended" for every iteration, so survivors keep
-    /// completing instead of wedging the node).
-    pub degraded: bool,
-}
-
-#[derive(Default)]
-struct IterationState {
-    /// World ranks (1-based clients) that ended this iteration.
-    ended: std::collections::BTreeSet<usize>,
-    announced_writes: u64,
-    received_writes: u64,
-}
-
-/// Complete `iteration` if every client has either ended it or died:
-/// fire the sink callback, count it, and acknowledge the survivors.
-fn try_complete_iteration(
-    comm: &Comm,
-    clients: usize,
-    dead: &std::collections::BTreeSet<usize>,
-    iterations: &mut HashMap<u64, IterationState>,
-    report: &mut ServeReport,
-    sink: &mut dyn ProcessSink,
+/// The dedicated core's hold on the blocks of one client-iteration. Every
+/// view minted from the envelope shares it, and dropping the last of them
+/// — wherever, on whichever thread — sends the `TAG_ACK` that lets the
+/// client recycle the ranges: never while a view is alive.
+struct Lease {
+    acks: Arc<Mutex<Comm>>,
+    rank: usize,
     iteration: u64,
-) {
-    let Some(state) = iterations.get(&iteration) else {
-        return;
-    };
-    if !(1..=clients).all(|c| state.ended.contains(&c) || dead.contains(&c)) {
-        return;
-    }
-    if dead.is_empty() {
-        // A dead client may have announced writes whose unbatched
-        // descriptors never arrived; only the fault-free path promises
-        // announced == received.
-        debug_assert_eq!(state.received_writes, state.announced_writes);
-    }
-    iterations.remove(&iteration);
-    sink.on_iteration_complete(iteration);
-    report.iterations_completed += 1;
-    for client in 1..=clients {
-        if !dead.contains(&client) {
-            comm.send(client, TAG_ACK, &[iteration]);
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        // A send to a rank the mesh declared dead is dropped silently; one
+        // on a poisoned or torn-down mesh panics, which a destructor must
+        // not pass on — and is what an unwinding `serve` has just met, so
+        // it does not try. Nobody is left to act on the acknowledgement
+        // then.
+        if std::thread::panicking() {
+            return;
         }
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.acks.lock().send(self.rank, TAG_ACK, &[self.iteration]);
+        }));
     }
 }
 
-/// The dedicated-core role: owns the segment file, consumes descriptors,
-/// reads blocks in place, acknowledges completed iterations.
+/// The live views by file offset, each holding its envelope's lease.
+type Leases = Arc<Mutex<HashMap<usize, Arc<Lease>>>>;
+
+/// The dedicated-core role: owns the segment file, turns the clients'
+/// envelopes into events for the shared state machine, and acknowledges a
+/// client-iteration when the last view of it is released.
 pub struct ProcessServer {
-    cfg: Arc<Configuration>,
-    shm: Arc<ShmFile>,
+    shared: ServerShared,
+    /// Reader over the whole mapping: mints the blocks' views.
+    views: SharedSegment,
+    leases: Leases,
+    acks: Arc<Mutex<Comm>>,
+    /// Bytes of one client's slice; client `c` owns `[c, c + 1) × slice`.
+    slice: usize,
 }
 
 impl ProcessServer {
     /// Create the segment file (sized from the configuration's buffer,
-    /// one slice per client) and synchronize with the clients. Must be
-    /// called by rank [`DEDICATED_RANK`] of `comm`; every rank must enter
-    /// its constructor at the same time (internal barrier).
+    /// one slice per client), register the built-in plugins the
+    /// configuration asks for (node id 0; artifacts land in `dir` unless
+    /// the configuration says otherwise) and synchronize with the clients.
+    /// Must be called by rank [`DEDICATED_RANK`] of `comm`; every rank must
+    /// enter its constructor at the same time (internal barrier).
     pub fn new(comm: &Comm, cfg: Configuration, dir: &std::path::Path) -> DamarisResult<Self> {
         assert_eq!(comm.rank(), DEDICATED_RANK, "server must be rank 0");
         let clients = comm.size() - 1;
@@ -321,199 +208,180 @@ impl ProcessServer {
             ));
         }
         let slice = slice_bytes(&cfg, clients)?;
-        let shm = ShmFile::create(segment_path(dir), slice * clients)?;
+        let shm = Arc::new(ShmFile::create(segment_path(dir), slice * clients)?);
+        let leases = Leases::default();
+        let held = leases.clone();
+        let views = SharedSegment::reader(&shm, move |offset| {
+            // Bound, so the map is unlocked again before the lease — and
+            // with the last one the acknowledgement — goes.
+            let lease = held.lock().remove(&offset);
+            drop(lease);
+        })?;
+        let shared = ServerShared::new(Arc::new(cfg), 0, clients, dir.to_path_buf());
+        shared.register_builtins()?;
+        let acks = Arc::new(Mutex::new(comm.dup()));
         comm.barrier(); // clients may open the file now
         Ok(ProcessServer {
-            cfg: Arc::new(cfg),
-            shm: Arc::new(shm),
+            shared,
+            views,
+            leases,
+            acks,
+            slice,
         })
     }
 
-    /// The loaded configuration.
-    pub fn config(&self) -> &Configuration {
-        &self.cfg
+    /// Register a data-management plugin (replaces a previous plugin with
+    /// the same name, including auto-registered built-ins) — the same
+    /// [`Plugin`] a thread-world [`crate::DamarisNode`] takes.
+    pub fn register_plugin(&self, plugin: Arc<dyn Plugin>) {
+        self.shared.register_plugin(plugin);
     }
 
-    /// Serve until every client finalizes **or dies**; blocks are handed
-    /// to `sink` as views into the shared mapping (no copies).
+    /// Serve until every client finalizes **or dies**, then let the
+    /// plugins finalize and release everything still retained. Plugins
+    /// read blocks in place in the shared mapping and may keep clones of
+    /// them (see [`crate::plugins`]) until [`Plugin::on_finalize`] returns.
+    ///
+    /// A malformed message — an unknown kind, a descriptor outside the
+    /// sender's slice, an undeclared variable or event — is rejected whole
+    /// with [`DamarisError::InvalidState`] naming the rank; the call may be
+    /// repeated to keep serving.
     ///
     /// With the reliable heartbeat mesh, a client crash does not wedge
     /// the node: the dead rank is recorded in
-    /// [`ServeReport::dead_ranks`], it counts as "ended" for every
+    /// [`NodeReport::dead_ranks`], it counts as "ended" for every
     /// staged and future iteration, and the survivors' iterations keep
-    /// completing ([`ServeReport::degraded`]). In the legacy EOF-only
-    /// mesh a death still poisons the mailbox and this call panics, as
-    /// before.
-    pub fn serve(&self, comm: &Comm, sink: &mut dyn ProcessSink) -> DamarisResult<ServeReport> {
-        let clients = comm.size() - 1;
-        let mut report = ServeReport::default();
-        let mut iterations: HashMap<u64, IterationState> = HashMap::new();
-        let mut finalized: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        let mut dead: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        // One client finished `iteration` (announcing `writes` blocks,
-        // `skipped != 0` when its skip policy dropped the iteration).
-        let note_end = |iterations: &mut HashMap<u64, IterationState>,
-                        report: &mut ServeReport,
-                        iteration: u64,
-                        writes: u64,
-                        skipped: u64,
-                        source: usize| {
-            if skipped != 0 {
-                report.skipped_client_iterations += 1;
-            }
-            let state = iterations.entry(iteration).or_default();
-            state.ended.insert(source);
-            state.announced_writes += writes;
-        };
-        while (1..=clients).any(|c| !finalized.contains(&c) && !dead.contains(&c)) {
-            let known_dead: Vec<usize> = dead.iter().copied().collect();
-            let (msg, source) = match comm.recv_any_or_death::<u64>(TAG_MSG, &known_dead) {
-                Ok(pair) => pair,
+    /// completing. In the legacy EOF-only mesh a death still poisons the
+    /// mailbox and this call panics, as before.
+    pub fn serve(&self, comm: &Comm) -> DamarisResult<NodeReport> {
+        let mut dead: Vec<usize> = Vec::new();
+        while !self.shared.all_departed() {
+            let wait_start = Instant::now();
+            let received = comm.recv_any_or_death::<u64>(TAG_MSG, &dead);
+            self.shared.timed(wait_start, || match received {
+                Ok((msg, rank)) => self.dispatch(&msg, rank),
                 Err(newly_dead) => {
-                    // Degraded mode: close the dead ranks' staged
-                    // iterations and keep serving the survivors.
                     for rank in newly_dead {
-                        if rank != DEDICATED_RANK && rank <= clients {
-                            dead.insert(rank);
-                        }
+                        dead.push(rank);
+                        self.shared.handle(Event::ClientDied { source: rank - 1 });
                     }
-                    report.degraded = true;
-                    let staged: Vec<u64> = iterations.keys().copied().collect();
-                    for iteration in staged {
-                        try_complete_iteration(
-                            comm,
-                            clients,
-                            &dead,
-                            &mut iterations,
-                            &mut report,
-                            sink,
-                            iteration,
-                        );
-                    }
-                    continue;
+                    Ok(())
                 }
-            };
-            match msg.first().copied() {
-                Some(KIND_WRITE) => {
-                    let [_, var_raw, iteration, offset, len] = msg[..] else {
-                        return Err(DamarisError::InvalidState(format!(
-                            "malformed write descriptor from rank {source}: {msg:?}"
-                        )));
+            })?;
+        }
+        self.shared.finalize_plugins();
+        // Nothing more will be read: let go of the retained iterations, so
+        // the clients waiting in `finalize` get their last acknowledgements.
+        let retained = std::mem::take(&mut *self.shared.store.lock());
+        drop(retained);
+        // Every client is past its last write, so acknowledging a range
+        // that is still viewed can no longer get it overwritten — better
+        // than leaving a client waiting forever on a plugin's leak.
+        let leaked: Vec<Arc<Lease>> = self.leases.lock().drain().map(|(_, l)| l).collect();
+        if !leaked.is_empty() {
+            self.shared.errors.lock().push(format!(
+                "{} block views were still alive after the plugins finalized",
+                leaked.len()
+            ));
+        }
+        drop(leaked);
+        dead.sort_unstable();
+        Ok(self.shared.report(dead, self.views.stats().peak))
+    }
+
+    /// Check one message of client `rank` and hand it to the state
+    /// machine as the events a thread client would have posted. Nothing
+    /// of a rejected message takes effect.
+    fn dispatch(&self, msg: &[u64], rank: usize) -> DamarisResult<()> {
+        let source = rank - 1;
+        let registry = self.shared.cfg.registry();
+        match *msg {
+            [KIND_BATCH, iteration, writes, skipped, ref descs @ ..]
+                if descs.len() as u64 == writes.saturating_mul(3) =>
+            {
+                let lease = Arc::new(Lease {
+                    acks: self.acks.clone(),
+                    rank,
+                    iteration,
+                });
+                let (lo, hi) = ((source * self.slice) as u64, (rank * self.slice) as u64);
+                let mut blocks = Vec::with_capacity(descs.len() / 3);
+                for desc in descs.chunks_exact(3) {
+                    let (var_raw, offset, len) = (desc[0], desc[1], desc[2]);
+                    let reject = |why: String| {
+                        DamarisError::InvalidState(format!(
+                            "rank {rank}, iteration {iteration}: descriptor (variable \
+                             {var_raw}, offset {offset}, length {len}) {why}"
+                        ))
                     };
-                    let var = VarId::from_raw(var_raw as u32);
-                    self.shm.with_bytes(offset as usize, len as usize, |bytes| {
-                        sink.on_block(var, iteration, source, bytes)
+                    let variable = u32::try_from(var_raw)
+                        .ok()
+                        .map(VarId::from_raw)
+                        .filter(|&v| registry.get(v).is_some())
+                        .ok_or_else(|| reject("names no declared variable".into()))?;
+                    if offset < lo || offset.checked_add(len).is_none_or(|end| end > hi) {
+                        return Err(reject(format!("leaves the sender's slice [{lo}, {hi})")));
+                    }
+                    check_layout(&self.shared.cfg, variable, len as usize)
+                        .map_err(|e| reject(e.to_string()))?;
+                    // SAFETY: the range lies in the sender's slice, which no
+                    // other rank allocates from, and a client announces a
+                    // block only after freezing it and keeps it allocated
+                    // until the `TAG_ACK` of its iteration — which
+                    // `Lease::drop` sends, after the release hook ran for
+                    // the last view sharing the lease.
+                    let view = unsafe { self.views.view(offset as usize, len as usize) }
+                        .map_err(|e| reject(e.to_string()))?;
+                    self.leases.lock().insert(offset as usize, lease.clone());
+                    blocks.push((variable, view));
+                }
+                for (variable, block) in blocks {
+                    self.shared.handle(Event::Write {
+                        variable,
+                        iteration,
+                        source,
+                        block,
                     });
-                    report.blocks_received += 1;
-                    report.bytes_received += len;
-                    iterations.entry(iteration).or_default().received_writes += 1;
                 }
-                Some(KIND_BATCH) => {
-                    // The whole client-iteration in one envelope: header
-                    // plus 3-word write descriptors, consumed in the
-                    // client's publish order before the END effect.
-                    let ok = msg.len() >= BATCH_HEADER
-                        && (msg.len() - BATCH_HEADER) as u64 == msg[2].saturating_mul(3);
-                    if !ok {
-                        return Err(DamarisError::InvalidState(format!(
-                            "malformed iteration envelope from rank {source}: \
-                             {} words announcing {:?} writes",
-                            msg.len(),
-                            msg.get(2),
-                        )));
-                    }
-                    let (iteration, writes, skipped) = (msg[1], msg[2], msg[3]);
-                    for desc in msg[BATCH_HEADER..].chunks_exact(3) {
-                        let (var_raw, offset, len) = (desc[0], desc[1], desc[2]);
-                        let var = VarId::from_raw(var_raw as u32);
-                        self.shm.with_bytes(offset as usize, len as usize, |bytes| {
-                            sink.on_block(var, iteration, source, bytes)
-                        });
-                        report.blocks_received += 1;
-                        report.bytes_received += len;
-                        iterations.entry(iteration).or_default().received_writes += 1;
-                    }
-                    note_end(
-                        &mut iterations,
-                        &mut report,
-                        iteration,
-                        writes,
-                        skipped,
-                        source,
-                    );
-                    try_complete_iteration(
-                        comm,
-                        clients,
-                        &dead,
-                        &mut iterations,
-                        &mut report,
-                        sink,
-                        iteration,
-                    );
-                }
-                Some(KIND_END) => {
-                    let [_, iteration, writes, skipped] = msg[..] else {
-                        return Err(DamarisError::InvalidState(format!(
-                            "malformed end-of-iteration from rank {source}: {msg:?}"
-                        )));
-                    };
-                    // FIFO per (source, tag) guarantees each client's
-                    // unbatched writes precede its END, so everything
-                    // announced has been consumed by the completion check.
-                    note_end(
-                        &mut iterations,
-                        &mut report,
-                        iteration,
-                        writes,
-                        skipped,
-                        source,
-                    );
-                    try_complete_iteration(
-                        comm,
-                        clients,
-                        &dead,
-                        &mut iterations,
-                        &mut report,
-                        sink,
-                        iteration,
-                    );
-                }
-                Some(KIND_SIGNAL) => {
-                    let [_, event_raw, iteration] = msg[..] else {
-                        return Err(DamarisError::InvalidState(format!(
-                            "malformed signal from rank {source}: {msg:?}"
-                        )));
-                    };
-                    sink.on_signal(EventId::from_raw(event_raw as u32), iteration, source);
-                    report.signals_delivered += 1;
-                }
-                Some(KIND_FIN) => {
-                    finalized.insert(source);
-                }
-                other => {
-                    return Err(DamarisError::InvalidState(format!(
-                        "unknown process-mode message kind {other:?} from rank {source}"
-                    )));
-                }
+                self.shared.handle(Event::EndIteration {
+                    source,
+                    iteration,
+                    writes,
+                    skipped: skipped != 0,
+                });
+            }
+            [KIND_SIGNAL, event, iteration] if event < registry.event_count() as u64 => {
+                self.shared.handle(Event::Signal {
+                    event: EventId::from_raw(event as u32),
+                    source,
+                    iteration,
+                });
+            }
+            [KIND_FIN] => self.shared.handle(Event::ClientFinalize { source }),
+            _ => {
+                return Err(DamarisError::InvalidState(format!(
+                    "rank {rank}: malformed or unknown message of {} words starting {:?}",
+                    msg.len(),
+                    &msg[..msg.len().min(BATCH_HEADER)]
+                )));
             }
         }
-        report.dead_ranks = dead.into_iter().collect();
-        report.degraded = !report.dead_ranks.is_empty();
-        Ok(report)
+        Ok(())
     }
 }
 
 /// An in-place block being filled by the simulation in process mode (the
 /// zero-copy path over the shared mapping). Obtained from
-/// [`ProcessClient::alloc`], published with [`ProcessClient::commit`].
+/// [`SimHandle::alloc`] on a [`ProcessClient`], published with
+/// [`SimHandle::commit`].
 pub struct ProcessBlockWriter {
     var: VarId,
     iteration: u64,
     /// `None` when the skip policy dropped the iteration.
     block: Option<Block>,
-    /// Started at [`ProcessClient::alloc`], so the recorded write time
-    /// covers allocation and in-place fill — same clock placement as the
-    /// thread-mode [`crate::client::BlockWriter`].
+    /// Started at `alloc`, so the recorded write time covers allocation
+    /// and in-place fill — same clock placement as the thread-mode
+    /// [`crate::client::BlockWriter`].
     t0: Instant,
 }
 
@@ -537,28 +405,29 @@ impl SimWriter for ProcessBlockWriter {
 }
 
 /// The client role: a private allocator over this rank's slice of the
-/// shared file, plus the descriptor protocol to the dedicated core.
-///
-/// This raw layer threads the [`Comm`] through every call; use
-/// [`ProcessHandle`] (or [`crate::Damaris`]) for the paper-shaped
-/// comm-free surface.
-pub struct ProcessClient {
+/// shared file, plus the descriptor protocol to the dedicated core — the
+/// process-mode implementation of [`SimHandle`]. It holds the rank's
+/// communicator, so simulation code carries one handle and never threads a
+/// [`Comm`] through its calls.
+pub struct ProcessClient<'a> {
     cfg: Arc<Configuration>,
     seg: SharedSegment,
     /// File offset of this client's slice inside the mapping.
     base: usize,
+    /// The world communicator: envelopes, signals and FIN to rank 0.
+    comm: &'a Comm,
+    /// This rank's end of the acknowledgement channel (see [`TAG_ACK`]).
+    acks: Comm,
     /// Blocks alive until the server acknowledges their iteration.
     pending: HashMap<u64, Vec<BlockRef>>,
     /// The open iteration's coalesced [`KIND_BATCH`] envelope:
     /// [`BATCH_HEADER`] placeholder words followed by one `(var, offset,
     /// len)` triple per publish, flushed by `end_iteration` as a single
-    /// message. Cleared but never shrunk, so steady-state publishing
-    /// stops allocating once it reaches the working-set size.
+    /// message. Cut back to the header but never shrunk, so steady-state
+    /// publishing stops allocating once it reaches the working-set size.
     batch: Vec<u64>,
     /// Writes published for the currently open iteration.
     writes_this_iteration: u64,
-    /// Highest iteration acknowledged by the server (None before any).
-    acked: Option<u64>,
     /// Backpressure admission, identical policy engine to thread mode.
     policy: SkipPolicy,
     /// Lock-free write-latency recorder, identical to thread mode.
@@ -567,15 +436,16 @@ pub struct ProcessClient {
     finalized: bool,
 }
 
-impl ProcessClient {
+impl<'a> ProcessClient<'a> {
     /// Join the node as client rank `comm.rank()` (≥ 1): wait for the
     /// server to create the segment file, map it, and carve this rank's
     /// slice. Every rank must enter its constructor at the same time
     /// (internal barrier).
-    pub fn new(comm: &Comm, cfg: Configuration, dir: &std::path::Path) -> DamarisResult<Self> {
+    pub fn new(comm: &'a Comm, cfg: Configuration, dir: &std::path::Path) -> DamarisResult<Self> {
         assert_ne!(comm.rank(), DEDICATED_RANK, "rank 0 is the dedicated core");
         let clients = comm.size() - 1;
         let slice = slice_bytes(&cfg, clients)?;
+        let acks = comm.dup();
         comm.barrier(); // server created the file before this returns
         let shm = Arc::new(ShmFile::open(segment_path(dir))?);
         let base = (comm.rank() - 1) * slice;
@@ -599,19 +469,15 @@ impl ProcessClient {
             cfg: Arc::new(cfg),
             seg,
             base,
+            comm,
+            acks,
             pending: HashMap::new(),
-            batch: Vec::new(),
+            batch: vec![0; BATCH_HEADER],
             writes_this_iteration: 0,
-            acked: None,
             policy,
             stats: StatsRecorder::new(),
             finalized: false,
         })
-    }
-
-    /// The loaded configuration.
-    pub fn config(&self) -> &Configuration {
-        &self.cfg
     }
 
     /// Occupancy of this client's slice in `[0, 1]`.
@@ -624,208 +490,21 @@ impl ProcessClient {
         self.seg.stats()
     }
 
-    /// Resolve a variable name to its interned id (shared validation
-    /// with thread mode).
-    pub fn var_id(&self, variable: &str) -> DamarisResult<VarId> {
-        resolve_var(&self.cfg, variable)
-    }
-
-    /// Snapshot of this client's timing statistics — the same lock-free
-    /// histogram thread mode reports, so per-rank instrumentation is
-    /// uniform regardless of backend.
-    pub fn stats(&self) -> ClientStats {
-        self.stats.snapshot()
-    }
-
-    /// Iterations dropped by the skip policy so far.
-    pub fn skipped_iterations(&self) -> u64 {
-        self.policy.dropped_iterations()
-    }
-
-    /// Publish one variable for one iteration: allocate in the shared
-    /// mapping, one memcpy, one descriptor message. Under
-    /// [`SkipMode::DropIteration`] an iteration starting above the
-    /// high-watermark (or exhausting the slice mid-iteration) is dropped
-    /// and reported as [`WriteStatus::Skipped`] instead of stalling or
-    /// erroring.
-    pub fn write<T: damaris_shm::Pod>(
-        &mut self,
-        comm: &Comm,
-        variable: &str,
-        iteration: u64,
-        data: &[T],
-    ) -> DamarisResult<WriteStatus> {
-        let var = self.var_id(variable)?;
-        self.write_id(comm, var, iteration, data)
-    }
-
-    /// [`ProcessClient::write`] with a pre-resolved [`VarId`].
-    pub fn write_id<T: damaris_shm::Pod>(
-        &mut self,
-        comm: &Comm,
-        var: VarId,
-        iteration: u64,
-        data: &[T],
-    ) -> DamarisResult<WriteStatus> {
-        let t0 = Instant::now();
-        let bytes = std::mem::size_of_val(data);
-        check_layout(&self.cfg, var, bytes)?;
-        let Some(mut block) = self.acquire(comm, var, iteration, bytes)? else {
-            return Ok(WriteStatus::Skipped);
-        };
-        block.write_pod(data);
-        self.publish(var, iteration, block);
-        self.stats
-            .record_write(t0.elapsed().as_nanos() as u64, bytes as u64);
-        Ok(WriteStatus::Written)
-    }
-
-    /// Zero-copy variant: allocate the block in the shared mapping, let
-    /// the caller fill it in place, then [`ProcessClient::commit`] it.
-    /// The write-timing clock starts here (allocation + fill counted),
-    /// matching thread mode.
-    ///
-    /// Variables on a `dimensions="dynamic"` layout have no fixed size —
-    /// use [`ProcessClient::alloc_sized`] with this write's byte count.
-    pub fn alloc(
-        &mut self,
-        comm: &Comm,
-        variable: &str,
-        iteration: u64,
-    ) -> DamarisResult<ProcessBlockWriter> {
-        let t0 = Instant::now();
-        let var = self.var_id(variable)?;
-        if self.cfg.registry().is_dynamic(var) {
-            return Err(DamarisError::InvalidState(format!(
-                "variable '{variable}' has a dynamic layout; use alloc_sized with this \
-                 write's byte count"
-            )));
-        }
-        let bytes = self.cfg.registry().byte_size(var);
-        let block = self.acquire(comm, var, iteration, bytes)?;
-        Ok(ProcessBlockWriter {
-            var,
-            iteration,
-            block,
-            t0,
-        })
-    }
-
-    /// [`ProcessClient::alloc`] with a caller-supplied block length —
-    /// variable-size (AMR) zero-copy writes over the shared mapping,
-    /// same contract as the thread-mode `alloc_sized`.
-    pub fn alloc_sized(
-        &mut self,
-        comm: &Comm,
-        variable: &str,
-        iteration: u64,
-        bytes: usize,
-    ) -> DamarisResult<ProcessBlockWriter> {
-        let t0 = Instant::now();
-        let var = self.var_id(variable)?;
-        check_layout(&self.cfg, var, bytes)?;
-        let block = self.acquire(comm, var, iteration, bytes)?;
-        Ok(ProcessBlockWriter {
-            var,
-            iteration,
-            block,
-            t0,
-        })
-    }
-
-    /// Publish a block obtained from [`ProcessClient::alloc`]. The
-    /// descriptor joins the iteration's coalesced envelope (no message
-    /// until `end_iteration`); the communicator is kept in the signature
-    /// for surface stability.
-    pub fn commit(
-        &mut self,
-        _comm: &Comm,
-        writer: ProcessBlockWriter,
-    ) -> DamarisResult<WriteStatus> {
-        match writer.block {
-            None => Ok(WriteStatus::Skipped),
-            Some(block) => {
-                let bytes = block.len();
-                self.publish(writer.var, writer.iteration, block);
-                self.stats
-                    .record_write(writer.t0.elapsed().as_nanos() as u64, bytes as u64);
-                Ok(WriteStatus::Written)
-            }
-        }
-    }
-
-    /// Raise a user event on the dedicated core
-    /// ([`ProcessSink::on_signal`]). Names no `<action>` declares are
-    /// silently dropped at this edge, exactly like thread mode.
-    pub fn signal(&mut self, comm: &Comm, name: &str, iteration: u64) -> DamarisResult<()> {
-        let Some(event) = self.cfg.registry().event_id(name) else {
-            return Ok(());
-        };
-        comm.send(
-            DEDICATED_RANK,
-            TAG_MSG,
-            &[KIND_SIGNAL, u64::from(event.raw()), iteration],
-        );
-        Ok(())
-    }
-
-    /// Mark `iteration` finished: flush the iteration's coalesced batch
-    /// envelope (all of its write descriptors plus the end-of-iteration
-    /// marker in one message). Blocks while more than `ACK_WINDOW`
-    /// iterations are staged un-acknowledged.
-    pub fn end_iteration(&mut self, comm: &Comm, iteration: u64) -> DamarisResult<()> {
-        let skipped = self.policy.was_dropped(iteration);
-        if self.batch.is_empty() {
-            self.batch.resize(BATCH_HEADER, 0);
-        }
-        self.batch[..BATCH_HEADER].copy_from_slice(&[
-            KIND_BATCH,
-            iteration,
-            self.writes_this_iteration,
-            u64::from(skipped),
-        ]);
-        comm.send(DEDICATED_RANK, TAG_MSG, &self.batch);
-        self.batch.clear();
-        self.writes_this_iteration = 0;
-        self.drain_acks(comm);
-        while self.pending.len() as u64 > ACK_WINDOW {
-            self.wait_ack(comm);
-        }
-        Ok(())
-    }
-
-    /// Announce that this client is done, then wait for every staged
-    /// iteration to be acknowledged (so the slice reads empty).
-    /// Idempotent: repeated calls after the first are no-ops.
-    pub fn finalize(&mut self, comm: &Comm) -> DamarisResult<()> {
-        if self.finalized {
-            return Ok(());
-        }
-        while !self.pending.is_empty() {
-            self.wait_ack(comm);
-        }
-        comm.send(DEDICATED_RANK, TAG_MSG, &[KIND_FIN]);
-        self.finalized = true;
-        Ok(())
-    }
-
     /// Admission plus allocation: `None` means the skip policy dropped
     /// the iteration (either at its first write or on mid-iteration
     /// slice exhaustion in drop mode).
     fn acquire(
         &mut self,
-        comm: &Comm,
         var: VarId,
         iteration: u64,
         bytes: usize,
     ) -> DamarisResult<Option<Block>> {
         // Opportunistically retire acknowledged iterations so the slice
         // recycles without blocking.
-        self.drain_acks(comm);
-        // Transport-pressure analogue: how full the bounded staging
-        // window is (the slice occupancy itself is the segment signal).
-        let staged = self.pending.len() as f64 / (ACK_WINDOW + 1) as f64;
-        if !self.policy.admit(iteration, &self.seg, || staged) {
+        self.drain_acks();
+        // The slice's occupancy is the only pressure signal: everything
+        // the dedicated core has not let go of is still allocated here.
+        if !self.policy.admit(iteration, &self.seg, || 0.0) {
             self.stats.record_skip();
             return Ok(None);
         }
@@ -840,7 +519,7 @@ impl ProcessClient {
                         // iteration's remaining data, exactly like the
                         // thread-mode client on segment exhaustion.
                         let before = self.pending.len();
-                        self.drain_acks(comm);
+                        self.drain_acks();
                         if self.pending.len() < before {
                             continue;
                         }
@@ -865,92 +544,61 @@ impl ProcessClient {
                             self.cfg.var_name(var),
                         )));
                     }
-                    self.wait_ack(comm);
+                    self.wait_ack();
                 }
                 Err(e) => return Err(e.into()),
             }
         }
     }
 
-    fn publish(&mut self, var: VarId, iteration: u64, block: Block) {
-        let offset = (self.base + block.offset()) as u64;
-        let bytes = block.len() as u64;
-        let frozen = block.freeze();
-        // No message yet: the descriptor joins the iteration's envelope,
-        // sent once by `end_iteration`.
-        if self.batch.is_empty() {
-            self.batch.resize(BATCH_HEADER, 0);
+    /// [`ProcessClient::acquire`] as a writer whose clock started at `t0`.
+    fn writer(
+        &mut self,
+        var: VarId,
+        iteration: u64,
+        bytes: usize,
+        t0: Instant,
+    ) -> DamarisResult<ProcessBlockWriter> {
+        Ok(ProcessBlockWriter {
+            var,
+            iteration,
+            block: self.acquire(var, iteration, bytes)?,
+            t0,
+        })
+    }
+
+    /// The dedicated core holds no view of `iteration`'s blocks any more.
+    /// Dropping the BlockRefs frees the ranges back into this slice's
+    /// allocator (class queues first — the zero-lock recycle path).
+    fn retire(&mut self, ack: &[u64]) {
+        self.pending.remove(&ack[0]);
+    }
+
+    fn drain_acks(&mut self) {
+        while let Some((ack, _)) = self
+            .acks
+            .try_recv::<u64>(Source::Rank(DEDICATED_RANK), TAG_ACK)
+        {
+            self.retire(&ack);
         }
-        self.batch
-            .extend_from_slice(&[u64::from(var.raw()), offset, bytes]);
-        self.pending.entry(iteration).or_default().push(frozen);
-        self.writes_this_iteration += 1;
     }
 
-    fn retire(&mut self, iteration: u64) {
-        self.acked = Some(self.acked.map_or(iteration, |a| a.max(iteration)));
-        // Dropping the BlockRefs frees the ranges back into this slice's
-        // allocator (class queues first — the zero-lock recycle path).
-        self.pending.remove(&iteration);
-    }
-
-    fn drain_acks(&mut self, comm: &Comm) {
-        while let Some((ack, _)) = comm.try_recv::<u64>(Source::Rank(DEDICATED_RANK), TAG_ACK) {
-            self.retire(ack[0]);
-        }
-    }
-
-    fn wait_ack(&mut self, comm: &Comm) {
-        let ack = comm.recv::<u64>(Source::Rank(DEDICATED_RANK), TAG_ACK);
-        self.retire(ack[0]);
+    fn wait_ack(&mut self) {
+        let ack = self.acks.recv::<u64>(Source::Rank(DEDICATED_RANK), TAG_ACK);
+        self.retire(&ack);
     }
 }
 
-impl std::fmt::Debug for ProcessClient {
+impl std::fmt::Debug for ProcessClient<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProcessClient")
             .field("base", &self.base)
             .field("pending_iterations", &self.pending.len())
-            .field("acked", &self.acked)
             .finish()
     }
 }
 
-/// A [`ProcessClient`] bundled with its communicator: the process-mode
-/// implementation of [`SimHandle`], so simulation code carries one handle
-/// instead of threading a [`Comm`] through every call.
-pub struct ProcessHandle<'a> {
-    client: ProcessClient,
-    comm: &'a Comm,
-}
-
-impl<'a> ProcessHandle<'a> {
-    /// Join the node as a client rank (see [`ProcessClient::new`]) and
-    /// bundle the communicator.
-    pub fn new(comm: &'a Comm, cfg: Configuration, dir: &std::path::Path) -> DamarisResult<Self> {
-        Ok(ProcessHandle {
-            client: ProcessClient::new(comm, cfg, dir)?,
-            comm,
-        })
-    }
-
-    /// The wrapped raw client.
-    pub fn client(&self) -> &ProcessClient {
-        &self.client
-    }
-
-    /// The wrapped raw client, mutably.
-    pub fn client_mut(&mut self) -> &mut ProcessClient {
-        &mut self.client
-    }
-
-    /// The bundled communicator.
-    pub fn comm(&self) -> &Comm {
-        self.comm
-    }
-}
-
-impl SimHandle for ProcessHandle<'_> {
+impl SimHandle for ProcessClient<'_> {
     type Writer = ProcessBlockWriter;
 
     fn id(&self) -> usize {
@@ -958,24 +606,42 @@ impl SimHandle for ProcessHandle<'_> {
     }
 
     fn config(&self) -> &Configuration {
-        self.client.config()
+        &self.cfg
     }
 
     fn var_id(&self, variable: &str) -> DamarisResult<VarId> {
-        self.client.var_id(variable)
+        resolve_var(&self.cfg, variable)
     }
 
+    /// Allocate in the shared mapping, one memcpy, one descriptor in the
+    /// iteration's envelope. Under [`SkipMode::DropIteration`] an iteration
+    /// starting above the high-watermark (or exhausting the slice
+    /// mid-iteration) is dropped and reported as [`WriteStatus::Skipped`]
+    /// instead of stalling or erroring.
     fn write_id<T: damaris_shm::segment::Pod>(
         &mut self,
         var: VarId,
         iteration: u64,
         data: &[T],
     ) -> DamarisResult<WriteStatus> {
-        self.client.write_id(self.comm, var, iteration, data)
+        let t0 = Instant::now();
+        let bytes = std::mem::size_of_val(data);
+        check_layout(&self.cfg, var, bytes)?;
+        let mut writer = self.writer(var, iteration, bytes, t0)?;
+        writer.fill_pod(data);
+        self.commit(writer)
     }
 
     fn alloc(&mut self, variable: &str, iteration: u64) -> DamarisResult<Self::Writer> {
-        self.client.alloc(self.comm, variable, iteration)
+        let t0 = Instant::now();
+        let var = self.var_id(variable)?;
+        if self.cfg.registry().is_dynamic(var) {
+            return Err(DamarisError::InvalidState(format!(
+                "variable '{variable}' has a dynamic layout; use alloc_sized with this \
+                 write's byte count"
+            )));
+        }
+        self.writer(var, iteration, self.cfg.registry().byte_size(var), t0)
     }
 
     fn alloc_sized(
@@ -984,31 +650,87 @@ impl SimHandle for ProcessHandle<'_> {
         iteration: u64,
         bytes: usize,
     ) -> DamarisResult<Self::Writer> {
-        self.client
-            .alloc_sized(self.comm, variable, iteration, bytes)
+        let t0 = Instant::now();
+        let var = self.var_id(variable)?;
+        check_layout(&self.cfg, var, bytes)?;
+        self.writer(var, iteration, bytes, t0)
     }
 
+    /// The descriptor joins the iteration's coalesced envelope: no message
+    /// until `end_iteration`.
     fn commit(&mut self, writer: Self::Writer) -> DamarisResult<WriteStatus> {
-        self.client.commit(self.comm, writer)
+        let Some(block) = writer.block else {
+            return Ok(WriteStatus::Skipped);
+        };
+        let bytes = block.len() as u64;
+        self.batch.extend_from_slice(&[
+            u64::from(writer.var.raw()),
+            (self.base + block.offset()) as u64,
+            bytes,
+        ]);
+        self.pending
+            .entry(writer.iteration)
+            .or_default()
+            .push(block.freeze());
+        self.writes_this_iteration += 1;
+        self.stats
+            .record_write(writer.t0.elapsed().as_nanos() as u64, bytes);
+        Ok(WriteStatus::Written)
     }
 
     fn signal(&mut self, name: &str, iteration: u64) -> DamarisResult<()> {
-        self.client.signal(self.comm, name, iteration)
+        let Some(event) = self.cfg.registry().event_id(name) else {
+            return Ok(());
+        };
+        self.comm.send(
+            DEDICATED_RANK,
+            TAG_MSG,
+            &[KIND_SIGNAL, u64::from(event.raw()), iteration],
+        );
+        Ok(())
     }
 
+    /// Flush the iteration's envelope (all of its write descriptors plus
+    /// the end-of-iteration marker in one message). Never waits:
+    /// un-acknowledged iterations cost slice space, which the next write's
+    /// admission sees.
     fn end_iteration(&mut self, iteration: u64) -> DamarisResult<()> {
-        self.client.end_iteration(self.comm, iteration)
+        let skipped = self.policy.was_dropped(iteration);
+        self.batch[..BATCH_HEADER].copy_from_slice(&[
+            KIND_BATCH,
+            iteration,
+            self.writes_this_iteration,
+            u64::from(skipped),
+        ]);
+        self.comm.send(DEDICATED_RANK, TAG_MSG, &self.batch);
+        self.batch.truncate(BATCH_HEADER);
+        self.writes_this_iteration = 0;
+        self.drain_acks();
+        Ok(())
     }
 
+    /// Announce that this client is done, then wait for every staged
+    /// iteration to be acknowledged (so the slice reads empty). In that
+    /// order: iterations the dedicated core retains — the `<serve retain>`
+    /// window, a storage hand-off in flight — are released once *every*
+    /// client is done, so waiting first could wait forever. Idempotent.
     fn finalize(&mut self) -> DamarisResult<()> {
-        self.client.finalize(self.comm)
+        if self.finalized {
+            return Ok(());
+        }
+        self.comm.send(DEDICATED_RANK, TAG_MSG, &[KIND_FIN]);
+        self.finalized = true;
+        while !self.pending.is_empty() {
+            self.wait_ack();
+        }
+        Ok(())
     }
 
     fn stats(&self) -> ClientStats {
-        self.client.stats()
+        self.stats.snapshot()
     }
 
     fn skipped_iterations(&self) -> u64 {
-        self.client.skipped_iterations()
+        self.policy.dropped_iterations()
     }
 }

@@ -1,19 +1,23 @@
-//! The dedicated-core event loop.
+//! The dedicated-core state machine and its thread-world event loop.
 //!
-//! Each dedicated core runs [`server_loop`] over an
-//! [`EventConsumer`] handle of the node's event transport: it drains
-//! events, indexes blocks, detects iteration completion (all clients
-//! ended the step *and* all announced blocks arrived — necessary because
+//! [`ServerShared`]'s event handler is the one place events become
+//! indexed blocks, completed iterations and plugin calls, wherever the
+//! dedicated core lives: it indexes blocks, detects iteration completion
+//! (all clients ended the step *and* all announced blocks arrived —
+//! necessary because
 //! several dedicated cores may drain events concurrently, and, with the
 //! sharded transport, because events from different clients may arrive
 //! reordered), fires plugins, and garbage-collects the iteration's shared
-//! memory.
+//! memory. Two event sources feed it: [`server_loop`], one per dedicated
+//! core of a thread-world node, drains an [`EventConsumer`] handle of the
+//! node's event transport; [`crate::ProcessServer::serve`] decodes the
+//! envelopes of a process world's client ranks into the same events.
 //!
 //! The loop is transport-agnostic: a mutex [`damaris_shm::MessageQueue`]
 //! and a work-stealing [`damaris_shm::StealingConsumer`] plug in
 //! unchanged.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -24,19 +28,41 @@ use damaris_xml::schema::{Action, Configuration, Trigger};
 use damaris_xml::EventId;
 use parking_lot::{Condvar, Mutex, RwLock};
 
+use crate::error::{DamarisError, DamarisResult};
 use crate::event::Event;
-use crate::plugins::{IterationCtx, Plugin, SignalCtx};
+use crate::node::NodeReport;
+use crate::plugins::{
+    CompressPlugin, H5Writer, IterationCtx, Plugin, ServePlugin, SignalCtx, StatsPlugin,
+    StoragePlugin,
+};
 use crate::store::{StoredBlock, VariableStore};
 
 /// Progress bookkeeping for one in-flight iteration.
 #[derive(Debug, Default)]
 struct IterProgress {
     /// Clients that sent `EndIteration`.
-    ended: usize,
+    ended: BTreeSet<usize>,
     /// Blocks those clients announced.
     expected_blocks: u64,
-    /// Guards against double-firing when two server threads race.
-    fired: bool,
+}
+
+/// Completion state: the in-flight iterations and the clients that will
+/// never end another one.
+#[derive(Debug, Default)]
+struct Progress {
+    iterations: HashMap<u64, IterProgress>,
+    /// Clients declared dead ([`Event::ClientDied`]): each counts as having
+    /// ended every staged and every future iteration.
+    dead: BTreeSet<usize>,
+}
+
+/// The auto-registered plugins whose counters their owner exposes.
+#[derive(Default)]
+pub(crate) struct Builtins {
+    /// The storage pipeline, when `<store>` is declared.
+    pub(crate) storage: Option<Arc<StoragePlugin>>,
+    /// The streaming server, when `<serve>` is declared.
+    pub(crate) serve: Option<Arc<ServePlugin>>,
 }
 
 /// State shared between all dedicated cores of a node (and the node handle).
@@ -49,13 +75,13 @@ pub struct ServerShared {
     /// Completed iterations kept in the store for subscriber catch-up
     /// (`<serve retain>`); 0 without a serving tier — reclaim at once.
     retain_window: usize,
-    progress: Mutex<HashMap<u64, IterProgress>>,
+    progress: Mutex<Progress>,
     /// Actions per interned user event, precomputed so a signal dispatch
     /// is an index instead of a scan over every declared action.
     signal_actions: Vec<Vec<Action>>,
     pub(crate) plugins: RwLock<Vec<Arc<dyn Plugin>>>,
-    /// Clients that called finalize, with a condvar for shutdown waits.
-    finalized: Mutex<usize>,
+    /// Clients that finalized or died, with a condvar for shutdown waits.
+    departed: Mutex<BTreeSet<usize>>,
     pub(crate) all_finalized: Condvar,
     /// Plugin failures (collected, never fatal to the service).
     pub(crate) errors: Mutex<Vec<String>>,
@@ -106,10 +132,10 @@ impl ServerShared {
             output_dir,
             store: Mutex::new(VariableStore::new()),
             retain_window,
-            progress: Mutex::new(HashMap::new()),
+            progress: Mutex::new(Progress::default()),
             signal_actions,
             plugins: RwLock::new(Vec::new()),
-            finalized: Mutex::new(0),
+            departed: Mutex::new(BTreeSet::new()),
             all_finalized: Condvar::new(),
             errors: Mutex::new(Vec::new()),
             iterations_completed: AtomicU64::new(0),
@@ -122,15 +148,119 @@ impl ServerShared {
         }
     }
 
+    /// Register the built-in plugins the configuration asks for — the one
+    /// function behind [`crate::NodeBuilder::build`] and
+    /// [`crate::ProcessServer::new`], so both worlds run the same services.
+    /// A declared `<store>` / `<serve>` drives the storage pipeline / the
+    /// streaming tier regardless of `<action>` blocks (registered first, so
+    /// the action loop's existence check never duplicates them, and
+    /// returned so the owner can expose their counters); the others are
+    /// pulled in by the actions referencing them.
+    pub(crate) fn register_builtins(&self) -> DamarisResult<Builtins> {
+        let storage_plugin = || {
+            StoragePlugin::new(&self.cfg, self.node_id, &self.output_dir)
+                .map(Arc::new)
+                .map_err(DamarisError::InvalidState)
+        };
+        let mut plugins = self.plugins.write();
+        let mut builtins = Builtins::default();
+        if self.cfg.architecture.store.is_some() {
+            let plugin = storage_plugin()?;
+            builtins.storage = Some(plugin.clone());
+            plugins.push(plugin);
+        }
+        if self.cfg.architecture.serve.is_some() {
+            let plugin = Arc::new(
+                ServePlugin::new(&self.cfg, &self.output_dir)
+                    .map_err(DamarisError::InvalidState)?,
+            );
+            builtins.serve = Some(plugin.clone());
+            plugins.push(plugin);
+        }
+        for action in &self.cfg.actions {
+            if plugins.iter().any(|p| p.name() == action.plugin) {
+                continue;
+            }
+            let builtin: Arc<dyn Plugin> = match action.plugin.as_str() {
+                "hdf5" => Arc::new(H5Writer::new()),
+                "compress" => Arc::new(CompressPlugin::new()),
+                "stats" => Arc::new(StatsPlugin::new()),
+                "storage" => storage_plugin()?,
+                _ => continue,
+            };
+            plugins.push(builtin);
+        }
+        Ok(builtins)
+    }
+
+    /// Register a plugin, replacing any registered one of the same name
+    /// (auto-registered built-ins included).
+    pub(crate) fn register_plugin(&self, plugin: Arc<dyn Plugin>) {
+        let mut plugins = self.plugins.write();
+        plugins.retain(|p| p.name() != plugin.name());
+        plugins.push(plugin);
+    }
+
+    /// Let plugins close their long-lived resources (the storage pipeline
+    /// finishes and syncs its per-node file here). Call once, after every
+    /// client departed and every event was handled.
+    pub(crate) fn finalize_plugins(&self) {
+        for plugin in self.plugins.read().iter() {
+            if let Err(msg) = plugin.on_finalize() {
+                self.errors
+                    .lock()
+                    .push(format!("plugin '{}' at finalize: {msg}", plugin.name()));
+            }
+        }
+    }
+
+    /// Whether every client has finalized or died.
+    pub(crate) fn all_departed(&self) -> bool {
+        self.departed.lock().len() >= self.n_clients
+    }
+
     /// Block until every client has finalized (returns false on timeout).
     pub(crate) fn wait_all_finalized(&self, timeout: std::time::Duration) -> bool {
-        let mut n = self.finalized.lock();
-        while *n < self.n_clients {
-            if self.all_finalized.wait_for(&mut n, timeout).timed_out() {
+        let mut departed = self.departed.lock();
+        while departed.len() < self.n_clients {
+            if self
+                .all_finalized
+                .wait_for(&mut departed, timeout)
+                .timed_out()
+            {
                 return false;
             }
         }
         true
+    }
+
+    /// The run so far, as the report both worlds return: the counters of
+    /// this state machine plus what only its owner knows.
+    pub(crate) fn report(&self, dead_ranks: Vec<usize>, peak_segment_bytes: usize) -> NodeReport {
+        let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        NodeReport {
+            iterations_completed: count(&self.iterations_completed),
+            skipped_client_iterations: count(&self.skipped_client_iterations),
+            signals_delivered: count(&self.signals_delivered),
+            blocks_received: count(&self.blocks_received),
+            bytes_received: count(&self.bytes_received),
+            plugin_errors: self.errors.lock().clone(),
+            dedicated_idle_fraction: self.idle_fraction(),
+            peak_segment_bytes,
+            dead_ranks,
+        }
+    }
+
+    /// Run `work` on an event that was waited for since `wait_start`,
+    /// booking the wait as idle and the work as busy time.
+    pub(crate) fn timed<T>(&self, wait_start: Instant, work: impl FnOnce() -> T) -> T {
+        let busy_start = Instant::now();
+        let waited = (busy_start - wait_start).as_nanos() as u64;
+        self.idle_nanos.fetch_add(waited, Ordering::Relaxed);
+        let out = work();
+        let worked = busy_start.elapsed().as_nanos() as u64;
+        self.busy_nanos.fetch_add(worked, Ordering::Relaxed);
+        out
     }
 
     /// Fraction of time the dedicated cores sat idle so far.
@@ -237,14 +367,18 @@ impl ServerShared {
         let (blocks, expired) = {
             let mut progress = self.progress.lock();
             let mut store = self.store.lock();
-            let Some(p) = progress.get_mut(&it) else {
+            let Progress { iterations, dead } = &mut *progress;
+            let Some(p) = iterations.get(&it) else {
                 return false;
             };
-            if p.fired || p.ended < self.n_clients || (store.count(it) as u64) < p.expected_blocks {
+            // Every client ended the step or died before it could.
+            let accounted = p.ended.len() + dead.iter().filter(|c| !p.ended.contains(c)).count();
+            if accounted < self.n_clients || (store.count(it) as u64) < p.expected_blocks {
                 return false;
             }
-            p.fired = true;
-            progress.remove(&it);
+            // Removing the entry under the lock is what keeps two racing
+            // server threads from both firing the iteration.
+            iterations.remove(&it);
             // Completed iterations stay indexed for the retain window so a
             // late subscriber's snapshot catch-up cannot race collection;
             // with no serving tier the window is 0 and this degenerates to
@@ -259,6 +393,79 @@ impl ServerShared {
         // reclaimed now; otherwise when the iteration leaves the window.
         true
     }
+
+    fn note_departed(&self, client: usize) {
+        let mut departed = self.departed.lock();
+        departed.insert(client);
+        if departed.len() >= self.n_clients {
+            self.all_finalized.notify_all();
+        }
+    }
+
+    /// Apply one client event: the single completion-detection and
+    /// dispatch path of both worlds.
+    pub(crate) fn handle(&self, event: Event) {
+        match event {
+            Event::Write {
+                variable,
+                iteration,
+                source,
+                block,
+            } => {
+                self.blocks_received.fetch_add(1, Ordering::Relaxed);
+                self.bytes_received
+                    .fetch_add(block.len() as u64, Ordering::Relaxed);
+                self.store.lock().insert(StoredBlock {
+                    variable,
+                    source,
+                    iteration,
+                    data: block,
+                });
+                self.maybe_complete(iteration);
+            }
+            Event::EndIteration {
+                source,
+                iteration,
+                writes,
+                skipped,
+            } => {
+                {
+                    let mut progress = self.progress.lock();
+                    let p = progress.iterations.entry(iteration).or_default();
+                    p.ended.insert(source);
+                    p.expected_blocks += writes;
+                    if skipped {
+                        self.skipped_client_iterations
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                self.maybe_complete(iteration);
+            }
+            Event::Signal {
+                event,
+                source,
+                iteration,
+            } => {
+                self.signals_delivered.fetch_add(1, Ordering::Relaxed);
+                self.fire_signal(event, source, iteration);
+            }
+            Event::ClientFinalize { source } => self.note_departed(source),
+            Event::ClientDied { source } => {
+                // Degraded mode: close the iterations that were waiting
+                // for the dead client and keep serving the survivors.
+                let mut staged: Vec<u64> = {
+                    let mut progress = self.progress.lock();
+                    progress.dead.insert(source);
+                    progress.iterations.keys().copied().collect()
+                };
+                staged.sort_unstable();
+                for iteration in staged {
+                    self.maybe_complete(iteration);
+                }
+                self.note_departed(source);
+            }
+        }
+    }
 }
 
 /// Run one dedicated core until the transport is closed and drained.
@@ -269,67 +476,7 @@ pub fn server_loop<C: EventConsumer<Event>>(shared: Arc<ServerShared>, mut event
             Ok(ev) => ev,
             Err(_) => break, // closed and drained
         };
-        shared
-            .idle_nanos
-            .fetch_add(wait_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let busy_start = Instant::now();
-        match event {
-            Event::Write {
-                variable,
-                iteration,
-                source,
-                block,
-            } => {
-                shared.blocks_received.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .bytes_received
-                    .fetch_add(block.len() as u64, Ordering::Relaxed);
-                shared.store.lock().insert(StoredBlock {
-                    variable,
-                    source,
-                    iteration,
-                    data: block,
-                });
-                shared.maybe_complete(iteration);
-            }
-            Event::EndIteration {
-                source: _,
-                iteration,
-                writes,
-                skipped,
-            } => {
-                {
-                    let mut progress = shared.progress.lock();
-                    let p = progress.entry(iteration).or_default();
-                    p.ended += 1;
-                    p.expected_blocks += writes;
-                    if skipped {
-                        shared
-                            .skipped_client_iterations
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                shared.maybe_complete(iteration);
-            }
-            Event::Signal {
-                event,
-                source,
-                iteration,
-            } => {
-                shared.signals_delivered.fetch_add(1, Ordering::Relaxed);
-                shared.fire_signal(event, source, iteration);
-            }
-            Event::ClientFinalize { .. } => {
-                let mut n = shared.finalized.lock();
-                *n += 1;
-                if *n >= shared.n_clients {
-                    shared.all_finalized.notify_all();
-                }
-            }
-        }
-        shared
-            .busy_nanos
-            .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        shared.timed(wait_start, || shared.handle(event));
     }
 }
 
@@ -610,6 +757,65 @@ mod tests {
         );
         assert_eq!(*seen.lock(), vec![1], "fires with one client's blocks");
         assert_eq!(shared.skipped_client_iterations.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn dead_client_counts_as_ended_for_staged_and_future_iterations() {
+        let cfg = config("");
+        let shared = Arc::new(ServerShared::new(cfg, 0, 3, std::env::temp_dir()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let s = seen.clone();
+        shared
+            .plugins
+            .write()
+            .push(Arc::new(FnPlugin::new("probe", move |ctx| {
+                s.lock().push((ctx.iteration, ctx.blocks.len()));
+                Ok(())
+            })));
+        let seg = SharedSegment::new(4096).unwrap();
+        let end = |source, iteration, writes| Event::EndIteration {
+            source,
+            iteration,
+            writes,
+            skipped: false,
+        };
+        run_events(
+            &shared,
+            vec![
+                // Iteration 0: everyone but client 1 ended; client 2 is
+                // still missing from iteration 1, which client 1 did end.
+                write_event(&seg, 0, 0),
+                end(0, 0, 1),
+                end(2, 0, 0),
+                write_event(&seg, 1, 1),
+                end(1, 1, 1),
+                end(0, 1, 0),
+            ],
+        );
+        assert!(seen.lock().is_empty(), "both iterations wait for a client");
+        // Client 1 dies: iteration 0 closes without it; iteration 1, which
+        // it had ended, still waits for client 2 — a dead client is not
+        // counted twice. The later iteration 2 never waits for it.
+        run_events(
+            &shared,
+            vec![Event::ClientDied { source: 1 }, end(0, 2, 0), end(2, 2, 0)],
+        );
+        assert_eq!(*seen.lock(), vec![(0, 1), (2, 0)]);
+        run_events(&shared, vec![end(2, 1, 0)]);
+        assert_eq!(*seen.lock(), vec![(0, 1), (2, 0), (1, 1)]);
+        assert_eq!(shared.iterations_completed.load(Ordering::Relaxed), 3);
+        assert_eq!(seg.used_bytes(), 0, "iteration memory reclaimed");
+        // A death is a departure: with the other two finalized, waiters go.
+        assert!(!shared.all_departed());
+        run_events(
+            &shared,
+            vec![
+                Event::ClientFinalize { source: 0 },
+                Event::ClientFinalize { source: 2 },
+                Event::ClientFinalize { source: 2 },
+            ],
+        );
+        assert!(shared.all_departed());
     }
 
     #[test]

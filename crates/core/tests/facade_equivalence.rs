@@ -123,6 +123,10 @@ fn assert_equivalent(processes: &SimReport, threads: &SimReport) {
         processes.data_digest, threads.data_digest,
         "the dedicated cores must have consumed byte-identical blocks"
     );
+    assert_eq!(
+        processes.plugin_errors, threads.plugin_errors,
+        "plugin failures must reach the caller the same way"
+    );
 }
 
 #[test]
@@ -146,6 +150,192 @@ fn one_driver_both_worlds() {
         let statuses = &out[..4 * 3];
         assert!(statuses.iter().all(|&s| s == 1), "everything written");
     }
+}
+
+// ---------------------------------------------------------------------------
+// One plugin, both worlds
+// ---------------------------------------------------------------------------
+
+/// Writes down everything the dedicated core shows it — every block of
+/// every completed iteration, every signal — and where the blocks' bytes
+/// live, and leaves the record in a file at finalize: in a process world
+/// the instance that is called lives in rank 0's process, so a file is how
+/// its record reaches the test.
+struct Recorder {
+    path: std::path::PathBuf,
+    log: std::sync::Mutex<Vec<String>>,
+}
+
+impl Recorder {
+    fn new(path: std::path::PathBuf) -> Self {
+        Recorder {
+            path,
+            log: std::sync::Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Address range at which this process maps the process world's
+    /// segment file, if it maps one.
+    fn segment_mapping() -> Option<(usize, usize)> {
+        let maps = std::fs::read_to_string("/proc/self/maps").ok()?;
+        let line = maps.lines().find(|l| l.contains("damaris-segment.shm"))?;
+        let (start, end) = line.split_whitespace().next()?.split_once('-')?;
+        Some((
+            usize::from_str_radix(start, 16).ok()?,
+            usize::from_str_radix(end, 16).ok()?,
+        ))
+    }
+}
+
+impl Plugin for Recorder {
+    fn name(&self) -> &str {
+        "recorder"
+    }
+
+    fn on_iteration(&self, ctx: &damaris_core::plugins::IterationCtx<'_>) -> Result<(), String> {
+        let mapping = Recorder::segment_mapping();
+        let mut log = self.log.lock().unwrap();
+        for b in ctx.blocks {
+            assert_eq!(b.iteration, ctx.iteration);
+            let bytes = b.data.as_slice();
+            let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+                (h ^ u64::from(x)).wrapping_mul(0x0100_0000_01b3)
+            });
+            let at = bytes.as_ptr() as usize;
+            let in_place = mapping.is_some_and(|(lo, hi)| lo <= at && at + bytes.len() <= hi);
+            log.push(format!(
+                "block {} {} {} {} {fnv:016x}",
+                ctx.iteration,
+                ctx.config.var_name(b.variable),
+                b.source,
+                bytes.len(),
+            ));
+            log.push(format!("in-segment-file {in_place}"));
+        }
+        if ctx.iteration == 1 {
+            return Err("iteration 1 is not to my taste".into());
+        }
+        Ok(())
+    }
+
+    fn on_signal(&self, ctx: &damaris_core::plugins::SignalCtx<'_>) -> Result<(), String> {
+        let mut log = self.log.lock().unwrap();
+        log.push(format!(
+            "signal {} {} {}",
+            ctx.name, ctx.source, ctx.iteration
+        ));
+        Ok(())
+    }
+
+    fn on_finalize(&self) -> Result<(), String> {
+        std::fs::write(&self.path, self.log.lock().unwrap().join("\n")).map_err(|e| e.to_string())
+    }
+}
+
+/// One plugin instance, registered through the one `Launcher::with_plugin`,
+/// is shown the same thing by both worlds: the same blocks in the same
+/// order with 0-based sources, the same signals, and its failure reaches
+/// the caller in the same words. In the process world every block is read
+/// where the client wrote it — inside the `/dev/shm` mapping, not a copy.
+#[test]
+fn one_plugin_sees_the_same_blocks_and_signals_in_both_worlds() {
+    let base = std::env::temp_dir().join("damaris-plugin-eq");
+    // Process-mode children re-execute this function from the top; only
+    // the parent may touch the directory.
+    if mini_mpi::World::spawn_dir().is_none() {
+        std::fs::remove_dir_all(&base).ok();
+        std::fs::create_dir_all(&base).expect("record dir");
+    }
+    let program = "one_plugin_sees_the_same_blocks_and_signals_in_both_worlds";
+    let run = |world: &str| {
+        let mut cfg = config(world, 2, 4 << 20, "");
+        let action = |name: &str, trigger| damaris_xml::schema::Action {
+            name: name.into(),
+            plugin: "recorder".into(),
+            trigger,
+            params: vec![],
+        };
+        use damaris_xml::schema::Trigger;
+        cfg.actions = vec![
+            action("record", Trigger::EndOfIteration { frequency: 1 }),
+            action("record-snap", Trigger::Event("take-snapshot".into())),
+        ];
+        // Through XML, as the children receive it, so the event is interned.
+        let cfg = Configuration::from_str(&cfg.to_xml()).expect("config re-parses");
+        let path = base.join(world);
+        let report = Damaris::launcher(cfg, program)
+            .input(&[3, 5])
+            .test_harness()
+            .with_plugin(std::sync::Arc::new(Recorder::new(path.clone())))
+            .launch(|h, input| simulate(h, input))
+            .expect("world succeeds");
+        let record = std::fs::read_to_string(&path).expect("the plugin left its record");
+        let lines = |prefix: &str| -> Vec<String> {
+            let mut lines: Vec<String> = record
+                .lines()
+                .filter(|l| l.starts_with(prefix))
+                .map(String::from)
+                .collect();
+            if prefix == "signal" {
+                // Two clients' signals interleave as they are scheduled.
+                lines.sort();
+            }
+            lines
+        };
+        (
+            report,
+            lines("block"),
+            lines("signal"),
+            lines("in-segment-file"),
+        )
+    };
+    let (processes, p_blocks, p_signals, p_in_place) = run("processes");
+    let (threads, t_blocks, t_signals, t_in_place) = run("threads");
+    assert_equivalent(&processes, &threads);
+    assert_eq!(p_blocks, t_blocks, "same blocks, same order, same bytes");
+    assert_eq!(
+        p_blocks.len(),
+        3 * 3 * 2,
+        "3 iterations × 3 blocks × 2 clients"
+    );
+    let heads: Vec<&str> = p_blocks[..6]
+        .iter()
+        .map(|l| l.rsplit_once(' ').expect("hash comes last").0)
+        .collect();
+    assert_eq!(
+        heads,
+        [
+            "block 0 u 0 512",
+            "block 0 u 0 512",
+            "block 0 u 1 512",
+            "block 0 u 1 512",
+            "block 0 v 0 512",
+            "block 0 v 1 512",
+        ],
+        "(variable, source)-ordered, sources 0-based"
+    );
+    assert_eq!(p_signals, t_signals);
+    assert_eq!(
+        p_signals,
+        [
+            "signal take-snapshot 0 0",
+            "signal take-snapshot 0 1",
+            "signal take-snapshot 0 2",
+            "signal take-snapshot 1 0",
+            "signal take-snapshot 1 1",
+            "signal take-snapshot 1 2",
+        ]
+    );
+    assert!(
+        p_in_place.iter().all(|l| l == "in-segment-file true"),
+        "a process-world block was not read in place"
+    );
+    assert!(t_in_place.iter().all(|l| l == "in-segment-file false"));
+    assert_eq!(
+        processes.plugin_errors,
+        ["plugin 'recorder' at iteration 1: iteration 1 is not to my taste"]
+    );
+    std::fs::remove_dir_all(&base).ok();
 }
 
 /// The §V.C.1 skip semantics, cross-world: one client fills 75 % of its

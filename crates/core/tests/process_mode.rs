@@ -2,10 +2,11 @@
 //! processes, events over Unix-domain sockets, block payloads through a
 //! file-backed shared-memory segment.
 
+use std::sync::{Arc, Mutex};
+
+use damaris_core::plugins::SignalCtx;
 use damaris_core::prelude::*;
-use damaris_core::process::{
-    segment_path, ProcessClient, ProcessServer, ServeReport, DEDICATED_RANK,
-};
+use damaris_core::process::{segment_path, ProcessClient, ProcessServer, DEDICATED_RANK};
 use damaris_core::SimWriter;
 use mini_mpi::World;
 
@@ -38,27 +39,31 @@ fn from_le_u64s(bytes: &[u8]) -> Vec<u64> {
 
 #[test]
 fn clients_and_dedicated_core_as_processes() {
-    // 1 dedicated core + 2 clients, each a real OS process.
+    // 1 dedicated core + 2 clients, each a real OS process. Each client's
+    // slice holds two iterations (4 blocks of 512 bytes), so from the third
+    // on a write waits for an acknowledgement and reuses a released range.
     let out = World::run_spawned_test(
         3,
         "clients_and_dedicated_core_as_processes",
         &[],
         |comm, _| {
-            let cfg = Configuration::from_str(XML).unwrap();
+            let cfg = Configuration::from_str(&XML.replace("262144", "4096")).unwrap();
             let dir = World::spawn_dir().expect("rank runs inside a spawned world");
             if comm.rank() == DEDICATED_RANK {
+                // The thread world's statistics plugin, unmodified.
                 let server = ProcessServer::new(comm, cfg, &dir).unwrap();
-                let mut sink = StatsSink::new();
-                let report: ServeReport = server.serve(comm, &mut sink).unwrap();
+                let stats = Arc::new(StatsPlugin::new());
+                server.register_plugin(stats.clone());
+                let report = server.serve(comm).unwrap();
+                assert!(report.plugin_errors.is_empty(), "{report:?}");
                 // Verify data integrity on the server side: iteration 3,
                 // variable "u" = 2 clients × 64 values of (client_rank + 3).
-                let u = server.config().registry().var_id("u").unwrap();
-                let (count, sum, min, max) = sink.summary(3, u).unwrap();
-                assert_eq!(count, 2 * 64);
-                assert_eq!(min, 1.0 + 3.0);
-                assert_eq!(max, 2.0 + 3.0);
-                assert_eq!(sum, 64.0 * (4.0 + 5.0));
-                assert_eq!(sink.completed.len(), ITERATIONS as usize);
+                let s = stats.summary(3, "u").unwrap();
+                assert_eq!(s.count, 2 * 64);
+                assert_eq!(s.min, 1.0 + 3.0);
+                assert_eq!(s.max, 2.0 + 3.0);
+                assert_eq!(s.mean, (4.0 + 5.0) / 2.0);
+                assert_eq!(stats.iterations_seen(), ITERATIONS);
                 le_u64s(&[
                     report.iterations_completed,
                     report.blocks_received,
@@ -68,25 +73,22 @@ fn clients_and_dedicated_core_as_processes() {
                 let mut client = ProcessClient::new(comm, cfg, &dir).unwrap();
                 for it in 0..ITERATIONS {
                     let data = vec![comm.rank() as f64 + it as f64; 64];
-                    assert_eq!(
-                        client.write(comm, "u", it, &data).unwrap(),
-                        WriteStatus::Written
-                    );
+                    assert_eq!(client.write("u", it, &data).unwrap(), WriteStatus::Written);
                     // "v" takes the zero-copy path: allocate in the shared
                     // mapping, fill in place, commit a descriptor.
-                    let mut w = client.alloc(comm, "v", it).unwrap();
+                    let mut w = client.alloc("v", it).unwrap();
                     assert!(!SimWriter::is_skipped(&w));
                     SimWriter::fill_pod(&mut w, &data);
-                    assert_eq!(client.commit(comm, w).unwrap(), WriteStatus::Written);
-                    client.end_iteration(comm, it).unwrap();
+                    assert_eq!(client.commit(w).unwrap(), WriteStatus::Written);
+                    client.end_iteration(it).unwrap();
                 }
                 // Bad writes fail fast without wedging the protocol.
                 assert!(matches!(
-                    client.write(comm, "ghost", 0, &[0.0f64; 64]),
+                    client.write("ghost", 0, &[0.0f64; 64]),
                     Err(DamarisError::UnknownVariable(_))
                 ));
                 assert!(matches!(
-                    client.write(comm, "u", 0, &[0.0f64; 3]),
+                    client.write("u", 0, &[0.0f64; 3]),
                     Err(DamarisError::LayoutMismatch { .. })
                 ));
                 let stats = client.slice_stats();
@@ -95,7 +97,7 @@ fn clients_and_dedicated_core_as_processes() {
                 // thread mode: every copy write and zero-copy commit
                 // counted with its latency and bytes.
                 let cstats = client.stats();
-                client.finalize(comm).unwrap();
+                client.finalize().unwrap();
                 le_u64s(&[
                     stats.allocations,
                     stats.class_hits,
@@ -154,15 +156,14 @@ fn oversized_iteration_fails_fast_not_timeout() {
             let dir = World::spawn_dir().unwrap();
             if comm.rank() == DEDICATED_RANK {
                 let server = ProcessServer::new(comm, cfg, &dir).unwrap();
-                let mut sink = StatsSink::new();
-                let report = server.serve(comm, &mut sink).unwrap();
+                let report = server.serve(comm).unwrap();
                 le_u64s(&[report.blocks_received])
             } else {
                 let mut client = ProcessClient::new(comm, cfg, &dir).unwrap();
                 let data = vec![1.0f64; 64];
-                client.write(comm, "u", 0, &data).unwrap();
+                client.write("u", 0, &data).unwrap();
                 let t0 = std::time::Instant::now();
-                let err = client.write(comm, "u", 0, &data).unwrap_err();
+                let err = client.write("u", 0, &data).unwrap_err();
                 assert!(
                     t0.elapsed() < std::time::Duration::from_secs(5),
                     "sizing error must be immediate"
@@ -173,8 +174,8 @@ fn oversized_iteration_fails_fast_not_timeout() {
                 );
                 // The session stays usable: finish the iteration with the
                 // one block that did fit.
-                client.end_iteration(comm, 0).unwrap();
-                client.finalize(comm).unwrap();
+                client.end_iteration(0).unwrap();
+                client.finalize().unwrap();
                 le_u64s(&[1])
             }
         }
@@ -213,8 +214,7 @@ fn drop_policy_skips_oversized_iterations_instead_of_erroring() {
             let dir = World::spawn_dir().unwrap();
             if comm.rank() == DEDICATED_RANK {
                 let server = ProcessServer::new(comm, cfg, &dir).unwrap();
-                let mut sink = StatsSink::new();
-                let report = server.serve(comm, &mut sink).unwrap();
+                let report = server.serve(comm).unwrap();
                 le_u64s(&[
                     report.iterations_completed,
                     report.blocks_received,
@@ -228,34 +228,34 @@ fn drop_policy_skips_oversized_iterations_instead_of_erroring() {
                 // never rejects up front), and exhaustion is hit on the
                 // second write — which must *drop*, never block or error.
                 assert_eq!(
-                    client.write(comm, "u", 0, &data).unwrap(),
+                    client.write("u", 0, &data).unwrap(),
                     WriteStatus::Written,
                     "first block of iteration 0 fits"
                 );
                 assert_eq!(
-                    client.write(comm, "u", 0, &data).unwrap(),
+                    client.write("u", 0, &data).unwrap(),
                     WriteStatus::Skipped,
                     "exhaustion drops the rest of iteration 0"
                 );
                 assert_eq!(
-                    client.write(comm, "u", 0, &data).unwrap(),
+                    client.write("u", 0, &data).unwrap(),
                     WriteStatus::Skipped,
                     "the drop decision sticks for iteration 0"
                 );
-                client.end_iteration(comm, 0).unwrap();
+                client.end_iteration(0).unwrap();
                 // Later iterations stay live but are timing-dependent:
                 // drop mode never *waits* for the previous iteration's
                 // ack, so the first write lands only if the ack already
                 // arrived. Assert consistency, not exact statuses.
                 for it in 1..ITERS {
                     for _ in 0..3 {
-                        client.write(comm, "u", it, &data).unwrap();
+                        client.write("u", it, &data).unwrap();
                     }
-                    client.end_iteration(comm, it).unwrap();
+                    client.end_iteration(it).unwrap();
                 }
                 let stats = client.stats();
                 let skipped = client.skipped_iterations();
-                client.finalize(comm).unwrap();
+                client.finalize().unwrap();
                 le_u64s(&[stats.writes, stats.skipped_writes, skipped])
             }
         },
@@ -275,8 +275,22 @@ fn drop_policy_skips_oversized_iterations_instead_of_erroring() {
     assert_eq!(skipped_iters, ITERS, "every iteration partially dropped");
 }
 
+/// Records every signal it is fired for: `(name, source, iteration)`.
+struct SignalLog(Mutex<Vec<(String, usize, u64)>>);
+
+impl Plugin for SignalLog {
+    fn name(&self) -> &str {
+        "viz"
+    }
+    fn on_signal(&self, ctx: &SignalCtx<'_>) -> Result<(), String> {
+        let mut log = self.0.lock().unwrap();
+        log.push((ctx.name.to_string(), ctx.source, ctx.iteration));
+        Ok(())
+    }
+}
+
 #[test]
-fn signals_reach_the_dedicated_core_sink() {
+fn signals_reach_the_dedicated_core_plugins() {
     const WITH_ACTION: &str = r#"
       <simulation name="signals">
         <architecture>
@@ -294,30 +308,31 @@ fn signals_reach_the_dedicated_core_sink() {
       </simulation>"#;
     let out = World::run_spawned_test(
         2,
-        "signals_reach_the_dedicated_core_sink",
+        "signals_reach_the_dedicated_core_plugins",
         &[],
         |comm, _| {
             let cfg = Configuration::from_str(WITH_ACTION).unwrap();
             let dir = World::spawn_dir().unwrap();
             if comm.rank() == DEDICATED_RANK {
                 let server = ProcessServer::new(comm, cfg, &dir).unwrap();
-                let mut sink = StatsSink::new();
-                let report = server.serve(comm, &mut sink).unwrap();
+                let log = Arc::new(SignalLog(Mutex::new(Vec::new())));
+                server.register_plugin(log.clone());
+                let report = server.serve(comm).unwrap();
                 assert_eq!(
-                    sink.signals,
-                    vec![(0, 2, 1)],
-                    "event 0, iteration 2, rank 1"
+                    *log.0.lock().unwrap(),
+                    vec![("take-snapshot".to_string(), 0, 2)],
+                    "the declared event, from client 0 (rank 1), at iteration 2"
                 );
                 le_u64s(&[report.signals_delivered])
             } else {
                 let mut client = ProcessClient::new(comm, cfg, &dir).unwrap();
-                client.write(comm, "u", 2, &vec![4.0f64; 64]).unwrap();
-                client.signal(comm, "take-snapshot", 2).unwrap();
+                client.write("u", 2, &vec![4.0f64; 64]).unwrap();
+                client.signal("take-snapshot", 2).unwrap();
                 // Undeclared names are filtered at the client edge, exactly
                 // like thread mode.
-                client.signal(comm, "nobody-listens", 2).unwrap();
-                client.end_iteration(comm, 2).unwrap();
-                client.finalize(comm).unwrap();
+                client.signal("nobody-listens", 2).unwrap();
+                client.end_iteration(2).unwrap();
+                client.finalize().unwrap();
                 le_u64s(&[])
             }
         },
@@ -336,16 +351,15 @@ fn segment_file_cleaned_up() {
         let path = segment_path(&dir);
         if comm.rank() == DEDICATED_RANK {
             let server = ProcessServer::new(comm, cfg, &dir).unwrap();
-            let mut sink = StatsSink::new();
-            server.serve(comm, &mut sink).unwrap();
+            server.serve(comm).unwrap();
             let existed = path.exists();
             drop(server);
             le_u64s(&[u64::from(existed), u64::from(path.exists())])
         } else {
             let mut client = ProcessClient::new(comm, cfg, &dir).unwrap();
-            client.write(comm, "u", 0, &vec![1.0f64; 64]).unwrap();
-            client.end_iteration(comm, 0).unwrap();
-            client.finalize(comm).unwrap();
+            client.write("u", 0, &vec![1.0f64; 64]).unwrap();
+            client.end_iteration(0).unwrap();
+            client.finalize().unwrap();
             le_u64s(&[])
         }
     })
@@ -355,4 +369,246 @@ fn segment_file_cleaned_up() {
         vec![1, 0],
         "segment file exists while serving, unlinked after drop"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Leases: a view outlives its iteration, its range does not get reused
+// ---------------------------------------------------------------------------
+
+/// Hands clones of iteration 0's blocks to a side thread, which keeps them
+/// long after the iteration completed.
+struct Holder(std::sync::mpsc::Sender<Vec<damaris_shm::BlockRef>>);
+
+impl Plugin for Holder {
+    fn name(&self) -> &str {
+        "holder"
+    }
+    fn on_iteration(&self, ctx: &damaris_core::plugins::IterationCtx<'_>) -> Result<(), String> {
+        if ctx.iteration == 0 {
+            let clones = ctx.blocks.iter().map(|b| b.data.clone()).collect();
+            self.0.send(clones).map_err(|e| e.to_string())?;
+        }
+        Ok(())
+    }
+}
+
+fn pattern(iteration: u64) -> Vec<f64> {
+    (0..64)
+        .map(|i| iteration as f64 * 100.0 + i as f64)
+        .collect()
+}
+
+/// A plugin keeps iteration 0's block on a side thread while the client
+/// goes round the rest of its four-block slice several times. The ranks
+/// are threads of this process (`World::run`), so the test can see both
+/// sides: the client is never handed the held range again — it waits
+/// (`block`) or drops (`drop-iteration`) instead — the held bytes stay
+/// what was written, and the range comes back only after the clones were
+/// dropped, which is when iteration 0 is acknowledged.
+fn held_view_is_never_overwritten(mode: &'static str) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+
+    const LATER: u64 = 12;
+    let xml = format!(
+        r#"<simulation name="lease">
+             <architecture>
+               <dedicated cores="1"/>
+               <buffer size="2048"/>
+               <skip mode="{mode}" high-watermark="1.0"/>
+             </architecture>
+             <data>
+               <layout name="row" type="f64" dimensions="64"/>
+               <variable name="u" layout="row"/>
+             </data>
+           </simulation>"#
+    );
+    let dir = std::env::temp_dir().join(format!("damaris-lease-{mode}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let (held_tx, held_rx) = mpsc::channel::<Vec<damaris_shm::BlockRef>>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let released = Arc::new(AtomicBool::new(false));
+    let side = {
+        let released = released.clone();
+        std::thread::spawn(move || {
+            let held = held_rx.recv().expect("iteration 0 completes");
+            release_rx.recv().expect("the client says when");
+            assert_eq!(held.len(), 1);
+            assert_eq!(
+                held[0].as_pod::<f64>(),
+                pattern(0),
+                "the held bytes are still iteration 0's"
+            );
+            released.store(true, Ordering::SeqCst);
+            drop(held);
+        })
+    };
+
+    let rank_dir = dir.clone();
+    World::run(2, move |comm| {
+        let cfg = Configuration::from_str(&xml).unwrap();
+        if comm.rank() == DEDICATED_RANK {
+            let server = ProcessServer::new(comm, cfg, &rank_dir).unwrap();
+            server.register_plugin(Arc::new(Holder(held_tx.clone())));
+            let report = server.serve(comm).unwrap();
+            assert!(report.plugin_errors.is_empty(), "{report:?}");
+            return;
+        }
+        let mut client = ProcessClient::new(comm, cfg, &rank_dir).unwrap();
+        // One iteration through the zero-copy path, so the block's address
+        // in this mapping is known. `None` when the iteration was dropped.
+        let dump = |client: &mut ProcessClient, it: u64| -> Option<usize> {
+            let mut w = client.alloc("u", it).unwrap();
+            let at = (!SimWriter::is_skipped(&w)).then(|| w.as_mut_slice().as_ptr() as usize);
+            SimWriter::fill_pod(&mut w, &pattern(it));
+            client.commit(w).unwrap();
+            client.end_iteration(it).unwrap();
+            at
+        };
+        let held_at = dump(&mut client, 0).expect("an empty slice takes iteration 0");
+        let mut written = 0;
+        for it in 1..=LATER {
+            if let Some(at) = dump(&mut client, it) {
+                assert_ne!(at, held_at, "iteration {it} was handed the held range");
+                written += 1;
+            } else {
+                // Dropped for want of space: give an acknowledgement time.
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+        }
+        assert!(!released.load(Ordering::SeqCst));
+        if mode == "block" {
+            assert_eq!(written, LATER, "block mode waits, it does not drop");
+        } else {
+            assert!(written >= 3, "three blocks fit beside the held one");
+        }
+        release_tx.send(()).unwrap();
+        // From here on the range may come back, and only from here on.
+        let mut it = LATER;
+        let reused = loop {
+            it += 1;
+            assert!(it < LATER + 2000, "iteration 0 was never acknowledged");
+            match dump(&mut client, it) {
+                Some(at) if at == held_at => break released.load(Ordering::SeqCst),
+                _ => std::thread::sleep(std::time::Duration::from_millis(1)),
+            }
+        };
+        assert!(
+            reused,
+            "the held range was reused before its clones dropped"
+        );
+        client.finalize().unwrap();
+        assert_eq!(client.slice_occupancy(), 0.0, "everything acknowledged");
+    });
+    side.join().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn held_view_is_never_overwritten_in_block_mode() {
+    held_view_is_never_overwritten("block");
+}
+
+#[test]
+fn held_view_is_never_overwritten_in_drop_mode() {
+    held_view_is_never_overwritten("drop-iteration");
+}
+
+// ---------------------------------------------------------------------------
+// Untrusted descriptors
+// ---------------------------------------------------------------------------
+
+/// A hand-rolled client rank speaking the wire protocol of `process.rs`
+/// badly: every malformed message is rejected with an error naming the rank
+/// (and, for a descriptor, the descriptor), nothing of it takes effect, and
+/// the server keeps serving — it neither panics nor reads outside the
+/// sender's slice.
+#[test]
+fn malformed_envelopes_are_rejected_by_name() {
+    const TAG_MSG: u32 = 1;
+    const XML: &str = r#"
+      <simulation name="hostile">
+        <architecture><dedicated cores="1"/><buffer size="4096"/></architecture>
+        <data>
+          <layout name="row" type="f64" dimensions="64"/>
+          <variable name="u" layout="row"/>
+        </data>
+        <actions><action name="snap" plugin="viz" event="take-snapshot"/></actions>
+      </simulation>"#;
+    // Two clients, so rank 1 owns [0, 2048) and rank 2 [2048, 4096) of the
+    // mapping. `(message, what its rejection must mention)`.
+    fn malformed() -> Vec<(Vec<u64>, &'static str)> {
+        let batch = |descs: &[u64]| {
+            let mut m = vec![5, 0, descs.len() as u64 / 3, 0];
+            m.extend_from_slice(descs);
+            m
+        };
+        vec![
+            (vec![1, 0, 0, 0, 512], "unknown message"), // retired: one write
+            (vec![2, 0, 1, 0], "unknown message"),      // retired: end of iteration
+            (vec![9], "unknown message"),
+            (vec![], "unknown message"),
+            (vec![5, 0], "unknown message"),
+            (vec![5, 0, 1, 0], "unknown message"), // announces a write, carries none
+            (vec![5, 0, 1, 0, 0, 0], "unknown message"), // half a descriptor
+            (vec![5, 0, u64::MAX, 0, 0, 0, 512], "unknown message"),
+            (batch(&[0, 4096, 512]), "offset 4096"), // outside the mapping
+            (batch(&[0, 2048, 512]), "offset 2048"), // the other client's slice
+            (batch(&[0, 1600, 512]), "offset 1600"), // straddles the slice's end
+            (batch(&[0, u64::MAX - 8, 512]), "leaves the sender's slice"), // overflows
+            (batch(&[7, 0, 512]), "variable 7"),
+            (batch(&[u64::MAX, 0, 512]), "no declared variable"),
+            (batch(&[0, 8, 512]), "offset 8"), // unaligned
+            (batch(&[0, 0, 24]), "length 24"), // not the layout's size
+            (batch(&[0, 0, 512, 0, 0, 512]), "still alive"), // one range twice
+            (batch(&[0, 512, 512, 0, 4096, 512]), "offset 4096"), // good, then bad
+            (vec![4, 3, 0], "unknown message"), // no such event
+            (vec![4, 0], "unknown message"),
+            (vec![3, 1], "unknown message"),
+        ]
+    }
+    let dir = std::env::temp_dir().join(format!("damaris-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let rank_dir = dir.clone();
+    World::run(3, move |comm| {
+        if comm.rank() != DEDICATED_RANK {
+            comm.barrier(); // `ProcessClient::new`'s half of the rendezvous
+            if comm.rank() == 1 {
+                for (message, _) in malformed() {
+                    comm.send(DEDICATED_RANK, TAG_MSG, &message);
+                }
+                // Well-formed after all that: one block, then a signal.
+                comm.send(DEDICATED_RANK, TAG_MSG, &[5u64, 0, 1, 0, 0, 512, 512]);
+                comm.send(DEDICATED_RANK, TAG_MSG, &[4u64, 0, 0]);
+            }
+            comm.send(DEDICATED_RANK, TAG_MSG, &[3u64]);
+            return;
+        }
+        let cfg = Configuration::from_str(XML).unwrap();
+        let server = ProcessServer::new(comm, cfg, &rank_dir).unwrap();
+        let mut rejections = Vec::new();
+        let report = loop {
+            match server.serve(comm) {
+                Ok(report) => break report,
+                Err(DamarisError::InvalidState(message)) => rejections.push(message),
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+        };
+        let expected = malformed();
+        assert_eq!(rejections.len(), expected.len(), "{rejections:#?}");
+        for (rejection, (message, mention)) in rejections.iter().zip(&expected) {
+            assert!(
+                rejection.contains("rank 1") && rejection.contains(mention),
+                "{message:?} was rejected with {rejection:?}"
+            );
+        }
+        // Only the well-formed messages took effect.
+        assert_eq!(report.blocks_received, 1);
+        assert_eq!(report.bytes_received, 512);
+        assert_eq!(report.signals_delivered, 1);
+        assert_eq!(report.iterations_completed, 0, "rank 2 never ended it");
+        assert!(report.plugin_errors.is_empty(), "{report:?}");
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }

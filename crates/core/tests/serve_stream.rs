@@ -266,6 +266,219 @@ fn stalled_subscriber_never_stalls_end_iteration() {
     node.shutdown().expect("node shuts down");
 }
 
+// ---------------------------------------------------------------------------
+// The same guarantee with the dedicated core in a process of its own
+// ---------------------------------------------------------------------------
+
+/// 64 KiB per block, so the stall phase publishes far more than the
+/// kernel's socket buffers could absorb on the silent subscriber's behalf.
+const WIDE: usize = 8192;
+const STALL_ITERATIONS: u64 = 100;
+
+fn wide_field(var: &str, iteration: u64) -> Vec<f64> {
+    let base = if var == "u" { 100.0 } else { 200.0 };
+    (0..WIDE)
+        .map(|i| base + iteration as f64 * 0.5 + i as f64 * 0.125)
+        .collect()
+}
+
+fn wait_for(path: &std::path::Path, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !path.exists() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The client of the process-world stall run. Files in the coordination
+/// directory (named by `input`, which survives the re-exec) pace it against
+/// the subscriber: `go` once the subscription is live, `resume` when the
+/// stall phase is over, `done` once the subscriber has seen a LAG notice
+/// and a whole iteration after it.
+fn stall_sim(h: &mut Damaris<'_>, input: &[u8]) -> Vec<u8> {
+    let dir = std::path::Path::new(std::str::from_utf8(input).expect("utf-8 dir"));
+    let mut worst = Duration::ZERO;
+    let mut dump = |h: &mut Damaris<'_>, it: u64| {
+        h.write("u", it, &wide_field("u", it)).expect("write u");
+        h.write("v", it, &wide_field("v", it)).expect("write v");
+        let t0 = Instant::now();
+        h.end_iteration(it).expect("end iteration");
+        worst = worst.max(t0.elapsed());
+    };
+    dump(h, 0);
+    wait_for(&dir.join("go"), "subscriber never confirmed the link");
+    // Stall phase: nobody reads. The queue holds 4 frames; the rest must
+    // turn into dropped frames, never into a client that waits.
+    for it in 1..=STALL_ITERATIONS {
+        dump(h, it);
+    }
+    std::fs::write(dir.join("resume"), b"resume").expect("resume file");
+    // Fresh iterations keep arriving while the subscriber drains: the LAG
+    // notice goes out with the first one that fits the queue again.
+    let mut it = STALL_ITERATIONS;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !dir.join("done").exists() {
+        assert!(Instant::now() < deadline, "subscriber never caught up");
+        it += 1;
+        dump(h, it);
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    h.finalize().expect("finalize");
+    let mut out = (worst.as_micros() as u64).to_le_bytes().to_vec();
+    out.extend((it + 1).to_le_bytes());
+    out
+}
+
+/// What the subscriber of the stall run saw after it resumed.
+struct Resumed {
+    lags: Vec<(u64, u64)>,
+    data: BTreeMap<(u64, String, u64), Vec<u8>>,
+    ends: Vec<u64>,
+}
+
+fn stalled_subscriber(dir: &std::path::Path) -> Resumed {
+    let addr_file = dir.join("addr");
+    wait_for(&addr_file, "server never published its address");
+    // Written via tmp + rename, so a readable file is a complete one.
+    let addr: std::net::SocketAddr = std::fs::read_to_string(&addr_file)
+        .expect("addr file")
+        .trim()
+        .parse()
+        .expect("addr parses");
+    let mut sub = Subscriber::connect(addr).expect("subscriber connects");
+    sub.subscribe(&[]).expect("subscribe");
+    // Confirm the link once, then go silent.
+    read_until_iter_end(&mut sub, 0, &mut BTreeMap::new());
+    std::fs::write(dir.join("go"), b"go").expect("go file");
+    wait_for(
+        &dir.join("resume"),
+        "the client never finished its stall phase",
+    );
+
+    let mut seen = Resumed {
+        lags: Vec::new(),
+        data: BTreeMap::new(),
+        ends: Vec::new(),
+    };
+    let mut whole_after_lag = 0;
+    loop {
+        match sub.next_event().expect("stream healthy") {
+            SubscriberEvent::Lag {
+                dropped_frames,
+                resume_iteration,
+            } => {
+                seen.lags.push((dropped_frames, resume_iteration));
+                whole_after_lag = 0;
+            }
+            SubscriberEvent::Data {
+                variable,
+                iteration,
+                source,
+                bytes,
+            } => {
+                seen.data.insert((iteration, variable, source), bytes);
+            }
+            SubscriberEvent::IterationEnd { iteration, .. } => {
+                seen.ends.push(iteration);
+                whole_after_lag += 1;
+                if !seen.lags.is_empty() && whole_after_lag == 2 {
+                    std::fs::write(dir.join("done"), b"done").expect("done file");
+                }
+            }
+            SubscriberEvent::Bye => return seen,
+        }
+    }
+}
+
+/// `stalled_subscriber_never_stalls_end_iteration` with the dedicated core
+/// on a rank of its own: the stalled subscriber's queued frames and the
+/// retained iteration pin blocks in the *client's* slice there, and the
+/// client still never waits in `end_iteration` — frames are dropped with a
+/// LAG notice, every iteration completes, delivery resumes whole.
+#[test]
+fn stalled_subscriber_never_stalls_end_iteration_in_the_process_world() {
+    let dir = std::env::temp_dir().join("damaris-serve-stall");
+    // Process-mode children re-execute this function from the top; only
+    // the parent touches the coordination directory or subscribes.
+    let is_parent = mini_mpi::World::spawn_dir().is_none();
+    if is_parent {
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("coordination dir");
+    }
+    let xml = format!(
+        r#"<simulation name="streamsim">
+             <architecture>
+               <dedicated cores="1"/>
+               <clients count="1"/>
+               <buffer size="4194304"/>
+               <world kind="processes"/>
+               <serve listen="127.0.0.1:0" queue_frames="4" addr_file="{}/addr"/>
+             </architecture>
+             <data>
+               <layout name="row" type="f64" dimensions="{WIDE}"/>
+               <variable name="u" layout="row"/>
+               <variable name="v" layout="row"/>
+             </data>
+           </simulation>"#,
+        dir.display()
+    );
+    let cfg = Configuration::from_str(&xml).expect("serve config is valid");
+    let watcher = is_parent.then(|| {
+        let d = dir.clone();
+        std::thread::spawn(move || stalled_subscriber(&d))
+    });
+    let input = dir.to_str().expect("utf-8 tmpdir").as_bytes().to_vec();
+    let report = Damaris::launch_test(
+        cfg,
+        "stalled_subscriber_never_stalls_end_iteration_in_the_process_world",
+        &input,
+        stall_sim,
+    )
+    .expect("process world succeeds");
+    let seen = watcher
+        .expect("parent past launch")
+        .join()
+        .expect("subscriber");
+
+    let out = &report.outputs[0];
+    let worst = Duration::from_micros(u64::from_le_bytes(out[..8].try_into().unwrap()));
+    let iterations = u64::from_le_bytes(out[8..16].try_into().unwrap());
+    assert!(
+        worst < Duration::from_secs(1),
+        "end_iteration stalled behind a silent subscriber: {worst:?}"
+    );
+    assert_eq!(
+        report.iterations_completed, iterations,
+        "every iteration completed, delivered or not"
+    );
+    assert_eq!(
+        report.skipped_client_iterations, 0,
+        "block mode, never full"
+    );
+    assert!(
+        report.plugin_errors.is_empty(),
+        "{:?}",
+        report.plugin_errors
+    );
+    assert!(!seen.lags.is_empty(), "LAG frame delivered on resume");
+    for &(dropped, resume_at) in &seen.lags {
+        assert!(dropped > 0, "LAG carries the dropped-frame count");
+        assert!(resume_at > 0, "LAG names the resumption iteration");
+    }
+    // Whole-iteration delivery: every iteration bounded by an ITER-END
+    // has both of its variables present, byte-exact.
+    for &it in &seen.ends {
+        for var in ["u", "v"] {
+            let bytes = seen
+                .data
+                .get(&(it, var.to_string(), 0))
+                .unwrap_or_else(|| panic!("{var} missing from delivered it{it}"));
+            assert_eq!(as_f64(bytes), wide_field(var, it), "{var} it{it}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Without `<serve>` the tier stays dark: no listener, no stats.
 #[test]
 fn node_without_serve_exposes_no_streaming_endpoint() {

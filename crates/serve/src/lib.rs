@@ -19,9 +19,10 @@
 //!
 //! The server is transport-only: it takes [`ServeOptions`] and
 //! [`PublishBlock`]s and knows nothing about XML configuration or the
-//! `VariableStore` — `damaris_core` wires it in as a `ServePlugin`
-//! (thread world, zero-copy [`Payload::Shm`] out of the shared segment)
-//! and a `ServeSink` (process mode, owned copies).
+//! `VariableStore` — `damaris_core` wires it in as a `ServePlugin`, which
+//! publishes zero-copy [`Payload::Shm`] views in both worlds: out of the
+//! thread world's shared segment, or out of the process world's
+//! `/dev/shm` mapping.
 //!
 //! ```no_run
 //! use damaris_serve::{Subscriber, SubscriberEvent};

@@ -39,10 +39,10 @@ pub(crate) const KIND_ITER_END: u8 = 4;
 pub(crate) const KIND_LAG: u8 = 5;
 pub(crate) const KIND_BYE: u8 = 6;
 
-/// A DATA frame's payload: either a zero-copy view into the shared
-/// segment (thread world — the bytes stay in shm until the last
-/// subscriber frame referencing them is sent) or an owned copy (process
-/// mode, where the sink only sees borrowed views of the mapping).
+/// A DATA frame's payload: either a zero-copy view into shared memory
+/// (what `damaris_core` publishes in both worlds — the bytes stay in shm
+/// until the last subscriber frame referencing them is sent) or owned
+/// bytes (publishers with no segment: tools, benchmarks, tests).
 #[derive(Debug, Clone)]
 pub enum Payload {
     /// Refcounted view into the shared segment.

@@ -5,7 +5,7 @@
 //! are `set_nonblocking(true)` and the loop makes a pass over accept /
 //! read / write, sleeping briefly only when nothing moved, the same idiom
 //! as mini-mpi's writer threads). The publisher — the dedicated core's
-//! plugin or sink, at iteration completion — never touches a socket: it
+//! plugin, at iteration completion — never touches a socket: it
 //! encodes each block once into an `Arc<Frame>` and appends the arcs to
 //! per-subscriber bounded queues, so the publish path is a handful of
 //! refcount bumps and queue pushes regardless of subscriber count.
@@ -364,7 +364,11 @@ impl StreamServer {
             sub.lock().closed = true;
         }
         let _ = handle.join();
-        // Release the retained iteration (and its shm references).
+        // Release the retained iteration and whatever a wedged consumer
+        // never took (and with them their shm references).
+        for sub in self.inner.subs.lock().iter() {
+            sub.lock().queue.clear();
+        }
         *self.inner.latest.lock() = None;
     }
 }

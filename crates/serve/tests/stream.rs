@@ -239,3 +239,34 @@ fn stalled_consumer_lags_and_resumes_without_blocking_publisher() {
     }
     assert!(server.stats().lag_events >= 1);
 }
+
+/// A consumer that never reads again cannot hold shutdown hostage, and
+/// does not keep what it never took: once `shutdown` returns, every
+/// shared-memory block its queued frames referenced is free again (in a
+/// process world that is what lets the client ranks finish).
+#[test]
+fn wedged_consumer_at_shutdown_releases_its_frames() {
+    const BLOCK: usize = 256 << 10;
+    let seg = damaris_shm::SharedSegment::new(64 << 20).unwrap();
+    let shm = |fill: u8| {
+        let mut b = seg.allocate(BLOCK).unwrap();
+        b.as_mut_slice().fill(fill);
+        PublishBlock {
+            variable: "u".to_string(),
+            source: 0,
+            payload: Payload::Shm(b.freeze()),
+        }
+    };
+    let server = StreamServer::bind(opts(4)).unwrap();
+    let mut sub = Subscriber::connect(server.local_addr()).unwrap();
+    sub.subscribe(&[]).unwrap();
+    server.publish(0, vec![shm(0)]);
+    let _ = read_iteration(&mut sub, 0); // subscription confirmed
+    for it in 1..=80u64 {
+        server.publish(it, vec![shm(it as u8)]);
+    }
+    assert!(seg.used_bytes() > 0, "queued frames pin their blocks");
+    server.shutdown(Duration::from_millis(50));
+    assert_eq!(seg.used_bytes(), 0, "shutdown lets go of every block");
+    drop(sub);
+}

@@ -30,6 +30,12 @@ pub enum ShmError {
         /// Underlying I/O error text.
         String,
     ),
+    /// A reader-side view ([`crate::SharedSegment::view`]) was asked for a
+    /// range that cannot be viewed.
+    InvalidView(
+        /// The range and what is wrong with it.
+        String,
+    ),
 }
 
 impl fmt::Display for ShmError {
@@ -51,6 +57,7 @@ impl fmt::Display for ShmError {
             ShmError::Timeout => write!(f, "blocking allocation timed out"),
             ShmError::ZeroSize => write!(f, "zero-byte allocation"),
             ShmError::MapFailed(e) => write!(f, "shared-memory mapping failed: {e}"),
+            ShmError::InvalidView(e) => write!(f, "invalid shared-memory view: {e}"),
         }
     }
 }

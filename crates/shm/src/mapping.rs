@@ -8,8 +8,9 @@
 //! memory segment the original Damaris middleware opens on every core of
 //! an SMP node. A client process lays a [`crate::SharedSegment`] over a
 //! slice of the mapping (see [`crate::SharedSegment::over_mapping`]) and
-//! allocates/writes as usual; the dedicated-core process opens the same
-//! file and reads blocks by their file offset.
+//! allocates/writes as usual; the dedicated-core process lays a
+//! [`crate::SharedSegment::reader`] over the same file and reads blocks in
+//! place, by their file offset, through refcounted views.
 //!
 //! No external crates: the two `mmap`/`munmap` calls are declared
 //! directly against libc (which `std` already links on every Unix
@@ -163,10 +164,12 @@ impl ShmFile {
 
     /// Read `len` bytes at `offset` into a fresh vector.
     ///
-    /// The copy is deliberate: another process may recycle the range the
-    /// moment it is acknowledged, so handing out a long-lived `&[u8]`
-    /// into the mapping would be unsound as a public API. Panics if the
-    /// range is out of bounds.
+    /// A copy, because nothing here ties the range's life to the reader:
+    /// the writing process may recycle it as soon as its protocol allows.
+    /// A view that outlives the call needs a lease the writer honours —
+    /// that is [`crate::SharedSegment::view`], whose release hook is what
+    /// tells the writer when the bytes may change. Panics if the range is
+    /// out of bounds.
     pub fn read_at(&self, offset: usize, len: usize) -> Vec<u8> {
         assert!(
             offset.checked_add(len).is_some_and(|end| end <= self.len),
@@ -184,8 +187,11 @@ impl ShmFile {
     }
 
     /// Run `f` over the bytes at `[offset, offset + len)` without copying
-    /// (e.g. checksum or kernel-style scans on the dedicated core). The
-    /// borrow cannot escape `f`. Panics if the range is out of bounds.
+    /// (e.g. a checksum scan). The borrow cannot escape `f`: a view that
+    /// had to stay valid after the call would need the writer's promise
+    /// not to recycle the range, which only the leased
+    /// [`crate::SharedSegment::view`] carries. Panics if the range is out
+    /// of bounds.
     pub fn with_bytes<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         assert!(
             offset.checked_add(len).is_some_and(|end| end <= self.len),

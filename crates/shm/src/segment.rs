@@ -275,11 +275,23 @@ struct SegmentInner {
     failures: AtomicU64,
     frees: AtomicU64,
     class_hits: AtomicU64,
+    /// Set on a reader-side segment ([`SharedSegment::reader`]): the
+    /// ranges belong to allocators in other processes, so releasing one
+    /// reports its offset here instead of touching this process's (empty)
+    /// free lists.
+    on_release: Option<ReleaseHook>,
 }
+
+/// Called with a view's offset when its last [`BlockRef`] clone drops, on
+/// whichever thread dropped it.
+type ReleaseHook = Box<dyn Fn(usize) + Send + Sync>;
 
 // SAFETY: all mutation of `storage` goes through `Block`s whose ranges the
 // allocator guarantees to be disjoint; `BlockRef` reads are only possible
-// after the unique `Block` has been consumed by `freeze`.
+// after the unique `Block` has been consumed by `freeze` (or, on a reader
+// segment, after the writing process froze it and sent its descriptor —
+// the contract of `SharedSegment::view`). The release hook is `Send + Sync`
+// by its bound.
 unsafe impl Send for SegmentInner {}
 unsafe impl Sync for SegmentInner {}
 
@@ -293,6 +305,10 @@ impl SegmentInner {
     fn release(&self, offset: usize, len: usize) {
         self.used.fetch_sub(len, Ordering::Relaxed);
         self.frees.fetch_add(1, Ordering::Relaxed);
+        if let Some(hook) = &self.on_release {
+            hook(offset);
+            return;
+        }
         if let Some(ci) = self.classes.index_of(len) {
             if self.classes.push(ci, offset) {
                 self.signal_release();
@@ -492,7 +508,7 @@ impl SharedSegment {
     /// [`BLOCK_ALIGN`]) and no size classes: every allocation uses the
     /// first-fit list.
     pub fn new(capacity: usize) -> Result<Self, ShmError> {
-        Self::build(capacity, &[], false, None)
+        Self::build(capacity, &[], false, None, None)
     }
 
     /// Create a segment with lock-free size classes for the given block
@@ -503,7 +519,7 @@ impl SharedSegment {
     /// layouts, so every steady-state `write` allocation is an exact class
     /// hit.
     pub fn with_classes(capacity: usize, class_sizes: &[usize]) -> Result<Self, ShmError> {
-        Self::build(capacity, class_sizes, false, None)
+        Self::build(capacity, class_sizes, false, None, None)
     }
 
     /// [`SharedSegment::with_classes`] plus the **buddy tier** for
@@ -512,7 +528,7 @@ impl SharedSegment {
     /// lock-free per-order free queue (split/merge on miss/free), so
     /// AMR-style varying block sizes stay off the first-fit mutex.
     pub fn with_buddy(capacity: usize, class_sizes: &[usize]) -> Result<Self, ShmError> {
-        Self::build(capacity, class_sizes, true, None)
+        Self::build(capacity, class_sizes, true, None, None)
     }
 
     /// Lay a segment over `capacity` bytes of a shared file mapping,
@@ -532,7 +548,7 @@ impl SharedSegment {
         class_sizes: &[usize],
     ) -> Result<Self, ShmError> {
         let storage = Self::mapped_storage(shm, base_offset, capacity)?;
-        Self::build(capacity, class_sizes, false, Some(storage))
+        Self::build(capacity, class_sizes, false, Some(storage), None)
     }
 
     /// [`SharedSegment::over_mapping`] with the buddy tier enabled (the
@@ -544,7 +560,80 @@ impl SharedSegment {
         class_sizes: &[usize],
     ) -> Result<Self, ShmError> {
         let storage = Self::mapped_storage(shm, base_offset, capacity)?;
-        Self::build(capacity, class_sizes, true, Some(storage))
+        Self::build(capacity, class_sizes, true, Some(storage), None)
+    }
+
+    /// The *reader's* side of a mapping other processes allocate from: a
+    /// segment over the whole of `shm` that owns no range and allocates
+    /// nothing. [`SharedSegment::view`] mints a [`BlockRef`] over a range a
+    /// writer announced; when the last clone of that view drops —
+    /// wherever, on whichever thread — `on_release` is called with the
+    /// view's offset, so the layer above can tell the writing process its
+    /// range is free again. [`SharedSegment::used_bytes`] counts the bytes
+    /// currently viewed.
+    pub fn reader(
+        shm: &Arc<crate::ShmFile>,
+        on_release: impl Fn(usize) + Send + Sync + 'static,
+    ) -> Result<Self, ShmError> {
+        let capacity = shm.len() / BLOCK_ALIGN * BLOCK_ALIGN;
+        let storage = Self::mapped_storage(shm, 0, capacity)?;
+        Self::build(
+            capacity,
+            &[],
+            false,
+            Some(storage),
+            Some(Box::new(on_release)),
+        )
+    }
+
+    /// A read-only, reference-counted view of `len` bytes at file offset
+    /// `offset` of a [`SharedSegment::reader`] segment — the same
+    /// [`BlockRef`] a frozen block of this process's own segment is.
+    ///
+    /// Fails with [`ShmError::InvalidView`] when the segment is not a
+    /// reader, the range is empty, not [`BLOCK_ALIGN`]-aligned or outside
+    /// the mapping, or a view starting at `offset` is still alive.
+    ///
+    /// # Safety
+    ///
+    /// The bytes belong to another process. The caller guarantees that no
+    /// process writes the range from this call until the release hook has
+    /// run for `offset`: the writer froze the block before it announced
+    /// the range, and recycles it only once told of the release.
+    pub unsafe fn view(&self, offset: usize, len: usize) -> Result<BlockRef, ShmError> {
+        let invalid = |why: &str| {
+            Err(ShmError::InvalidView(format!(
+                "{len} bytes at offset {offset}: {why}"
+            )))
+        };
+        if self.inner.on_release.is_none() {
+            return invalid("not a reader segment");
+        }
+        if len == 0 || !offset.is_multiple_of(BLOCK_ALIGN) {
+            return invalid("empty or unaligned range");
+        }
+        if offset
+            .checked_add(len)
+            .is_none_or(|end| end > self.inner.capacity)
+        {
+            return invalid("range outside the mapping");
+        }
+        // Acquire pairs with the Release decrement of the previous view of
+        // this slot, as a fresh allocation would through the free lists.
+        if self.inner.refcounts[offset / BLOCK_ALIGN]
+            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            return invalid("a view of this range is still alive");
+        }
+        let alloc_len = len.div_ceil(BLOCK_ALIGN) * BLOCK_ALIGN;
+        self.note_alloc(alloc_len);
+        Ok(BlockRef {
+            seg: self.inner.clone(),
+            offset,
+            len,
+            alloc_len,
+        })
     }
 
     fn mapped_storage(
@@ -577,6 +666,7 @@ impl SharedSegment {
         class_sizes: &[usize],
         buddy: bool,
         storage: Option<Storage>,
+        on_release: Option<ReleaseHook>,
     ) -> Result<Self, ShmError> {
         if capacity == 0 {
             return Err(ShmError::ZeroSize);
@@ -613,7 +703,12 @@ impl SharedSegment {
             inner: Arc::new(SegmentInner {
                 storage: storage.unwrap_or_else(|| Storage::heap(capacity)),
                 capacity,
-                state: Mutex::new(FreeList::new(capacity)),
+                // A reader owns none of the mapping: nothing to allocate.
+                state: Mutex::new(FreeList::new(if on_release.is_some() {
+                    0
+                } else {
+                    capacity
+                })),
                 classes,
                 buddy,
                 caches: Mutex::new(Vec::new()),
@@ -627,6 +722,7 @@ impl SharedSegment {
                 failures: AtomicU64::new(0),
                 frees: AtomicU64::new(0),
                 class_hits: AtomicU64::new(0),
+                on_release,
             }),
         })
     }
@@ -1171,7 +1267,8 @@ impl BlockRef {
     /// The block's bytes.
     pub fn as_slice(&self) -> &[u8] {
         // SAFETY: frozen blocks are never written again; the range stays
-        // allocated while any BlockRef clone is alive.
+        // allocated while any BlockRef clone is alive (for a reader-side
+        // view, by the contract of `SharedSegment::view`).
         unsafe { std::slice::from_raw_parts(self.seg.storage.base().add(self.offset), self.len) }
     }
 
@@ -1573,6 +1670,67 @@ mod tests {
         // Misaligned or out-of-range regions are rejected.
         assert!(SharedSegment::over_mapping(&shm, 8, 4096, &[]).is_err());
         assert!(SharedSegment::over_mapping(&shm, 4096, 8192, &[]).is_err());
+    }
+
+    #[test]
+    // Real mmap/libc syscalls: outside Miri's interpreter.
+    #[cfg_attr(miri, ignore)]
+    fn reader_views_report_their_release_and_reject_bad_ranges() {
+        // A writer's segment over the second half of the file, a reader
+        // over all of it (here through its own mapping, as the dedicated
+        // core's process has): the view reads the writer's bytes in
+        // place, and the hook runs once, when the last clone drops, on
+        // the thread that dropped it.
+        let path = crate::ShmFile::default_dir()
+            .join(format!("damaris-seg-reader-test-{}", std::process::id()));
+        let shm = Arc::new(crate::ShmFile::create(&path, 8192).unwrap());
+        let base = 4096;
+        let writer = SharedSegment::over_mapping(&shm, base, 4096, &[512]).unwrap();
+        let mut b = writer.allocate(512).unwrap();
+        b.write_pod(&[2.5f64; 64]);
+        let file_offset = base + b.offset();
+        let _frozen = b.freeze();
+
+        let released = Arc::new(Mutex::new(Vec::new()));
+        let r2 = released.clone();
+        let other = Arc::new(crate::ShmFile::open(&path).unwrap());
+        let reader = SharedSegment::reader(&other, move |off| r2.lock().push(off)).unwrap();
+        // SAFETY: `_frozen` keeps the range allocated and unwritten for
+        // the whole life of the view.
+        let view = unsafe { reader.view(file_offset, 512) }.unwrap();
+        assert_eq!(view.as_pod::<f64>(), &[2.5f64; 64]);
+        assert_eq!(reader.used_bytes(), 512);
+        // SAFETY: as above; the call fails before any view is made.
+        let twice = unsafe { reader.view(file_offset, 512) };
+        assert!(
+            matches!(twice, Err(ShmError::InvalidView(_))),
+            "a live view's range cannot be viewed again"
+        );
+        let clone = view.clone();
+        drop(view);
+        assert!(released.lock().is_empty(), "a clone is still alive");
+        std::thread::spawn(move || drop(clone)).join().unwrap();
+        assert_eq!(*released.lock(), vec![file_offset]);
+        assert_eq!(reader.used_bytes(), 0);
+        // Released, so the same range can be viewed again.
+        // SAFETY: as above.
+        drop(unsafe { reader.view(file_offset, 512) }.unwrap());
+        assert_eq!(released.lock().len(), 2);
+
+        for (offset, len) in [(8, 64), (0, 0), (8192, 64), (8128, 65), (64, usize::MAX)] {
+            // SAFETY: every range is rejected, no view is made.
+            let bad = unsafe { reader.view(offset, len) };
+            assert!(
+                matches!(bad, Err(ShmError::InvalidView(_))),
+                "({offset}, {len}) must be rejected"
+            );
+        }
+        // SAFETY: rejected as well — a writer's segment mints no views.
+        assert!(unsafe { writer.view(0, 64) }.is_err());
+        assert!(
+            matches!(reader.allocate(64), Err(ShmError::OutOfMemory { .. })),
+            "a reader owns no range to allocate from"
+        );
     }
 
     #[test]
