@@ -46,8 +46,8 @@ pub trait ProxyApp {
 
     /// The Damaris XML configuration matching this proxy's output fields:
     /// one `f64` layout per field, sized from the current state, with the
-    /// zero-allocation defaults (sharded event transport; the size-class
-    /// allocator is seeded from exactly these layout sizes). Deriving the
+    /// zero-allocation defaults (sharded event transport; the segment's
+    /// size classes are seeded from exactly these layout sizes). Deriving the
     /// configuration from the proxy keeps instrumented examples and the
     /// declared layouts from drifting apart.
     fn damaris_config(&self, dedicated_cores: usize, buffer_size: usize) -> String {
@@ -62,7 +62,7 @@ pub trait ProxyApp {
             r#"<simulation name="proxy-app">
                  <architecture>
                    <dedicated cores="{dedicated_cores}"/>
-                   <buffer size="{buffer_size}" allocator="size-class"/>
+                   <buffer size="{buffer_size}"/>
                    <queue capacity="1024" kind="sharded"/>
                  </architecture>
                  <data>{data}</data>

@@ -85,16 +85,12 @@ proptest! {
 proptest! {
     /// The generated Damaris configuration parses, interns every field in
     /// declaration order, and its registry's layout sizes seed the
-    /// size-class allocator with exactly the proxy's block sizes.
+    /// segment's size classes with exactly the proxy's block sizes.
     #[test]
     fn damaris_config_matches_fields(elements in 1usize..6, order in 2usize..6) {
         let nek = Nek::new(NekConfig { elements, order, ..Default::default() });
         let xml = nek.damaris_config(1, 64 << 20);
         let cfg = damaris_xml::schema::Configuration::from_str(&xml).unwrap();
-        prop_assert_eq!(
-            cfg.architecture.allocator,
-            damaris_xml::schema::AllocatorKind::SizeClass
-        );
         prop_assert_eq!(cfg.variables.len(), nek.fields().len());
         let mut total = 0usize;
         for (name, values) in nek.fields() {

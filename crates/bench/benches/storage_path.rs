@@ -71,7 +71,7 @@ const ELEMS: usize = 4096;
 /// the dedicated-core wakeup a step's first post may pay (with the store
 /// off the core parks between steps, and on a small host that wakeup
 /// preempts the writer mid-call — a ~10 µs artifact the median must
-/// ignore, exactly as in `write_path.rs`).
+/// ignore).
 const VARS: &[&str] = &["v0", "v1", "v2", "v3", "v4", "v5", "v6", "v7"];
 /// Compute cores per node.
 const CLIENTS: usize = 2;

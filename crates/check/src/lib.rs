@@ -28,9 +28,7 @@ pub mod model;
 
 #[cfg(not(damaris_check))]
 mod facade {
-    pub use core::sync::atomic::{
-        fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering,
-    };
+    pub use core::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
     pub use parking_lot::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
     pub use std::hint;
     pub use std::thread;
@@ -40,8 +38,8 @@ mod facade {
 mod facade {
     pub use crate::model::hint;
     pub use crate::model::sync::{
-        fence, AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard,
-        Ordering, WaitTimeoutResult,
+        fence, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Ordering,
+        WaitTimeoutResult,
     };
     pub use crate::model::thread;
 }

@@ -350,10 +350,6 @@ model_atomic!(
     AtomicU32, u32, |v: u64| v as u32, |v: u32| v as u64
 );
 model_atomic!(
-    /// Model `AtomicU8`.
-    AtomicU8, u8, |v: u64| v as u8, |v: u8| v as u64
-);
-model_atomic!(
     /// Model `AtomicBool`.
     AtomicBool, bool, |v: u64| v != 0, |v: bool| v as u64
 );
@@ -409,7 +405,6 @@ macro_rules! model_fetch_ops {
 model_fetch_ops!(AtomicUsize, usize, |v: u64| v as usize, |v: usize| v as u64);
 model_fetch_ops!(AtomicU64, u64, |v: u64| v, |v: u64| v);
 model_fetch_ops!(AtomicU32, u32, |v: u64| v as u32, |v: u32| v as u64);
-model_fetch_ops!(AtomicU8, u8, |v: u64| v as u8, |v: u8| v as u64);
 
 impl AtomicBool {
     /// Atomic OR, returning the previous value.

@@ -1,4 +1,4 @@
-//! Bounded models of the five riskiest lock-free protocols in
+//! Bounded models of the four riskiest lock-free protocols in
 //! `damaris_shm`, exhaustively explored by the in-tree model checker.
 //!
 //! Each model mirrors the *exact* memory orderings of the production
@@ -16,7 +16,7 @@
 
 use damaris_sync::model::{
     self,
-    sync::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Condvar, Mutex, Ordering},
+    sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering},
     thread, Builder, FailureKind, Schedule,
 };
 use std::str::FromStr;
@@ -394,111 +394,10 @@ fn vyukov_relaxed_seq_publication_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Buddy tier: split/merge state-tag CAS races.
-//    Mirrors `shm/arena.rs` `BuddyTier::{pop_order, free_into}`: the
-//    per-slot state byte is the truth (free = order tag, claimed = 0);
-//    an allocator's validated pop and a freeing buddy's eager merge race
-//    on one `compare_exchange(tag, 0, AcqRel, Relaxed)`.
-// ---------------------------------------------------------------------------
-
-/// Tag for a free block of order-index `oi` (`arena::free_tag`).
-fn tag(oi: usize) -> u8 {
-    (oi + 1) as u8
-}
-
-#[test]
-fn buddy_state_tag_claim_race() {
-    let report = model::model(|| {
-        // Two order-0 buddies A (slot 0) and B (slot 1). A is published
-        // free; B is still allocated and about to be freed.
-        let state = Arc::new([AtomicU8::new(tag(0)), AtomicU8::new(0)]);
-        let s2 = state.clone();
-        // Allocator: validated pop of the queue hint for A.
-        let alloc = thread::spawn(move || {
-            s2[0]
-                .compare_exchange(tag(0), 0, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        });
-        // Freer of B (`free_into`): try to claim buddy A for an eager
-        // merge; on success publish the merged order-1 block at A's
-        // offset, otherwise publish B free at its own order.
-        let merged = {
-            if state[0]
-                .compare_exchange(tag(0), 0, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                state[0].store(tag(1), Ordering::Release);
-                true
-            } else {
-                state[1].store(tag(0), Ordering::Release);
-                false
-            }
-        };
-        let alloc_won = alloc.join().unwrap();
-        // The state word arbitrates: exactly one side claims A.
-        assert!(
-            alloc_won ^ merged,
-            "exactly one claimant: allocator pop XOR buddy merge"
-        );
-        // No block is ever lost: whichever side lost republished its
-        // block (B free at order 0, or the merged pair at order 1).
-        if alloc_won {
-            assert_eq!(state[1].load(Ordering::Acquire), tag(0), "B stays free");
-            assert_eq!(state[0].load(Ordering::Acquire), 0, "A is claimed");
-        } else {
-            assert_eq!(
-                state[0].load(Ordering::Acquire),
-                tag(1),
-                "merged pair published"
-            );
-        }
-    });
-    println!(
-        "buddy_state_tag_claim_race: {} schedules explored",
-        report.executions
-    );
-    assert!(report.executions > 1);
-}
-
-/// The queue-full withdraw path (`free_into` spill): a freer that just
-/// published its block free races its own withdraw CAS against an
-/// allocator's validated pop — the block must end up owned exactly once
-/// (spilled to the free list XOR handed to the allocator).
-#[test]
-fn buddy_publish_withdraw_race() {
-    let report = model::model(|| {
-        let state = Arc::new([AtomicU8::new(0)]);
-        let s2 = state.clone();
-        let alloc = thread::spawn(move || {
-            // Validated pop: the queue hint may be stale; the CAS is the
-            // claim.
-            s2[0]
-                .compare_exchange(tag(0), 0, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-        });
-        // Freer: publish free, find the order queue full, withdraw.
-        state[0].store(tag(0), Ordering::Release);
-        let spilled = state[0]
-            .compare_exchange(tag(0), 0, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok();
-        let alloc_won = alloc.join().unwrap();
-        assert!(
-            spilled ^ alloc_won,
-            "block owned exactly once: spilled to free list XOR allocated"
-        );
-    });
-    println!(
-        "buddy_publish_withdraw_race: {} schedules explored",
-        report.executions
-    );
-    assert!(report.executions > 1);
-}
-
-// ---------------------------------------------------------------------------
-// 5. Eventcount: sleep-vs-notify, no lost wakeup.
+// 4. Eventcount: sleep-vs-notify, no lost wakeup.
 //    Mirrors `shm/segment.rs` `signal_release` (gen SeqCst bump, waiters
 //    SeqCst load, lock-touch, notify_all) against the `allocate_blocking`
-//    wait side (gen SeqCst read → re-check tiers → register waiter →
+//    wait side (gen SeqCst read → re-check free lists → register waiter →
 //    SeqCst gen re-read → conditional sleep). Both SeqCst sites are a
 //    Dekker store/load pattern; the model deadlocks if a wakeup can be
 //    lost, and the checker detects deadlock.

@@ -9,7 +9,7 @@ use pfs_sim::{FileSpec, Pfs, WriteRequest};
 
 use crate::metrics::RunMetrics;
 use crate::platform::Platform;
-use crate::strategy::{AllocatorKind, DamarisOptions, Strategy, TransportKind, WorldKind};
+use crate::strategy::{DamarisOptions, Strategy, TransportKind, WorldKind};
 use crate::workload::Workload;
 
 /// Modeled cost of posting one event on the mutex transport with a single
@@ -22,23 +22,11 @@ const MUTEX_POST_SECONDS: f64 = 120e-9;
 /// write plus one release store into the client's own ring, flat in the
 /// client count.
 const SHARDED_POST_SECONDS: f64 = 25e-9;
-/// Modeled cost of one block allocation from the first-fit free list with
-/// a single uncontended client (mutex + linear hole scan), calibrated
-/// against `benches/write_path.rs`. Under contention the expected cost
-/// grows linearly with the clients serialized on the node's one lock.
-const FIRSTFIT_ALLOC_SECONDS: f64 = 150e-9;
-/// Modeled cost of one block allocation from the size-class allocator:
-/// a slab-cache slot swap or one lock-free class-queue pop, flat in the
-/// client count.
-const SIZECLASS_ALLOC_SECONDS: f64 = 30e-9;
-/// Modeled cost of one variable-size block allocation from the buddy
-/// tier: a validated order-queue pop (occasionally a split chain), flat
-/// in the client count like the class pop but slightly dearer — the
-/// state-word CAS plus the amortized split/merge work
-/// (`benches/amr_alloc.rs` → `BENCH_amr_alloc.json`). The first-fit
-/// baseline pays the mutex *and* an O(holes) scan that mixed-size churn
-/// keeps fragmenting, which is why it also scales with the client count.
-const BUDDY_ALLOC_SECONDS: f64 = 45e-9;
+/// Modeled cost of one shared-memory block allocation: one lock-free
+/// size-class queue pop, flat in the client count. Paid once per client
+/// dump (§IV.B: the rest of the write is the memcpy itself, already in
+/// `shm_seconds`).
+const ALLOC_SECONDS: f64 = 30e-9;
 /// Modeled sim-visible cost of posting one event in the process world:
 /// envelope encode plus hand-off to the per-peer socket writer thread —
 /// the wire write itself is asynchronous, so a post is *cheap* (cheaper
@@ -267,13 +255,6 @@ fn run_damaris(
         ),
     };
     let event_post_seconds = 2.0 * post_each + ack_seconds;
-    // One shared-memory block allocation per client dump (§IV.B: the rest
-    // of the write is the memcpy itself, already in shm_seconds).
-    let alloc_seconds = match opts.allocator {
-        AllocatorKind::FirstFit => FIRSTFIT_ALLOC_SECONDS * compute_cores as f64,
-        AllocatorKind::SizeClass => SIZECLASS_ALLOC_SECONDS,
-        AllocatorKind::Buddy => BUDDY_ALLOC_SECONDS,
-    };
 
     let mut pfs = Pfs::new(platform.pfs.clone(), seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xda3a);
@@ -318,15 +299,15 @@ fn run_damaris(
 
         // Staging: one block allocation, one memcpy and the event posts
         // per client, sim-visible.
-        sim_t += shm_seconds + event_post_seconds + alloc_seconds;
+        sim_t += shm_seconds + event_post_seconds + ALLOC_SECONDS;
         m.event_post_seconds += event_post_seconds;
-        m.alloc_seconds += alloc_seconds;
+        m.alloc_seconds += ALLOC_SECONDS;
         m.per_dump_io_spans
-            .push(shm_seconds + event_post_seconds + alloc_seconds + stall);
+            .push(shm_seconds + event_post_seconds + ALLOC_SECONDS + stall);
         push_samples(
             &mut m.write_samples,
             std::iter::repeat_n(
-                shm_seconds + event_post_seconds + alloc_seconds,
+                shm_seconds + event_post_seconds + ALLOC_SECONDS,
                 compute_cores * nodes,
             ),
         );
@@ -683,62 +664,10 @@ mod tests {
             sharded.event_post_seconds
         );
         assert!(sharded.wall_seconds <= mutex.wall_seconds);
-        // Baselines have no event queue at all.
+        assert!(sharded.alloc_seconds > 0.0);
+        // Baselines have no event queue and no shared segment at all.
         let fpp = run(&p, &w, ranks, Strategy::FilePerProcess, 13);
         assert_eq!(fpp.event_post_seconds, 0.0);
-    }
-
-    #[test]
-    fn sizeclass_allocator_cuts_alloc_overhead() {
-        // Mirrors the transport contention model at the allocator layer:
-        // the first-fit mutex free list serializes a node's clients per
-        // block allocation (~cores × base), the size-class allocator's
-        // lock-free pop stays flat.
-        let p = quiet_kraken();
-        let w = Workload::cm1(2);
-        let ranks = 9216;
-        let firstfit = run(
-            &p,
-            &w,
-            ranks,
-            Strategy::Damaris(DamarisOptions {
-                allocator: AllocatorKind::FirstFit,
-                ..Default::default()
-            }),
-            13,
-        );
-        let sizeclass = run(&p, &w, ranks, Strategy::damaris_greedy(), 13);
-        assert!(firstfit.alloc_seconds > 0.0 && sizeclass.alloc_seconds > 0.0);
-        assert!(
-            firstfit.alloc_seconds > 5.0 * sizeclass.alloc_seconds,
-            "first-fit {} vs size-class {}: contention model missing",
-            firstfit.alloc_seconds,
-            sizeclass.alloc_seconds
-        );
-        assert!(sizeclass.wall_seconds <= firstfit.wall_seconds);
-        // The buddy tier keeps variable-size allocations flat in the
-        // client count too: dearer than an exact class pop (state-word
-        // CAS + amortized split/merge), nowhere near the serialized
-        // first-fit scan.
-        let buddy = run(
-            &p,
-            &w,
-            ranks,
-            Strategy::Damaris(DamarisOptions {
-                allocator: AllocatorKind::Buddy,
-                ..Default::default()
-            }),
-            13,
-        );
-        assert!(buddy.alloc_seconds > sizeclass.alloc_seconds);
-        assert!(
-            firstfit.alloc_seconds > 5.0 * buddy.alloc_seconds,
-            "first-fit {} vs buddy {}: contention model missing",
-            firstfit.alloc_seconds,
-            buddy.alloc_seconds
-        );
-        // Baselines have no shared segment at all.
-        let fpp = run(&p, &w, ranks, Strategy::FilePerProcess, 13);
         assert_eq!(fpp.alloc_seconds, 0.0);
     }
 

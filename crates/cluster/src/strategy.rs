@@ -4,7 +4,7 @@
 use pfs_sim::FileSpec;
 
 pub use damaris_shm::transport::TransportKind;
-pub use damaris_xml::schema::{AllocatorKind, WorldKind};
+pub use damaris_xml::schema::WorldKind;
 
 /// How the dedicated cores time and place their node-file writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,10 +138,6 @@ pub struct DamarisOptions {
     /// with the number of contending compute cores, the sharded
     /// transport's stays flat (mirrors `damaris_shm::transport`).
     pub transport: TransportKind,
-    /// Shared-memory allocator: the first-fit mutex free list serializes
-    /// a node's clients per block allocation, the size-class allocator's
-    /// lock-free pop stays flat (mirrors `damaris_shm::SharedSegment`).
-    pub allocator: AllocatorKind,
     /// Rank realization: `Threads` posts events through in-memory queues;
     /// `Processes` crosses a Unix-domain socket per event (mirrors
     /// `mini_mpi::World::run_spawned` + `damaris_core::process`, with
@@ -165,7 +161,6 @@ impl Default for DamarisOptions {
             compression_ratio: 1.0,
             plugin_seconds_per_dump: 0.0,
             transport: TransportKind::Mutex,
-            allocator: AllocatorKind::SizeClass,
             world: WorldKind::Threads,
             heartbeat: false,
         }
@@ -190,7 +185,6 @@ impl DamarisOptions {
                 damaris_xml::schema::QueueKind::Mutex => TransportKind::Mutex,
                 damaris_xml::schema::QueueKind::Sharded => TransportKind::Sharded,
             },
-            allocator: arch.allocator,
             world: arch.world,
             heartbeat: arch.heartbeat_ms.unwrap_or(0) > 0,
             ..Default::default()

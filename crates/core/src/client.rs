@@ -8,17 +8,16 @@
 //! The steady-state write path performs **zero heap allocations and takes
 //! no global lock**: the variable name resolves to an interned
 //! [`VarId`] through one hash lookup, the block comes from the
-//! per-client slab cache (or the segment's lock-free size-class queues),
-//! freezing keeps the reference count in the segment's slot table, the
-//! event moves into the client's own ring, and timing lands in atomic
-//! histogram buckets.
+//! segment's lock-free size-class queues (one CAS pop), freezing keeps
+//! the reference count in the segment's slot table, the event moves into
+//! the client's own ring, and timing lands in atomic histogram buckets.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use damaris_shm::transport::{AnyTransport, EventChannel, EventProducer};
-use damaris_shm::{Block, SlabCache};
+use damaris_shm::{Block, SharedSegment};
 use damaris_xml::schema::{Configuration, SkipMode};
 use damaris_xml::VarId;
 
@@ -191,7 +190,7 @@ impl ClientStats {
 /// `<queue kind="…">` attribute. With the sharded transport the client's
 /// producer handle posts into the client's own lock-free ring.
 ///
-/// Cloning shares the identity, statistics and slab cache of the same
+/// Cloning shares the identity and statistics of the same
 /// logical client — clients are usually moved into their compute thread
 /// instead. (Clones of a sharded client serialize their posts on a
 /// per-client guard, so sharing a clone across threads is safe but
@@ -199,8 +198,8 @@ impl ClientStats {
 pub struct DamarisClient<C: EventChannel<Event> = AnyTransport<Event>> {
     pub(crate) id: usize,
     pub(crate) cfg: Arc<Configuration>,
-    /// Per-client allocation front-end over the node's shared segment.
-    pub(crate) slab: Arc<SlabCache>,
+    /// The node's shared segment.
+    pub(crate) segment: SharedSegment,
     pub(crate) producer: C::Producer,
     pub(crate) policy: Arc<SkipPolicy>,
     pub(crate) stats: Arc<StatsRecorder>,
@@ -217,7 +216,7 @@ impl<C: EventChannel<Event>> Clone for DamarisClient<C> {
         DamarisClient {
             id: self.id,
             cfg: self.cfg.clone(),
-            slab: self.slab.clone(),
+            segment: self.segment.clone(),
             producer: self.producer.clone(),
             policy: self.policy.clone(),
             stats: self.stats.clone(),
@@ -280,7 +279,7 @@ impl<C: EventChannel<Event>> DamarisClient<C> {
         check_layout(&self.cfg, var, bytes)?;
         if !self
             .policy
-            .admit(iteration, self.slab.segment(), || self.producer.pressure())
+            .admit(iteration, &self.segment, || self.producer.pressure())
         {
             self.stats.record_skip();
             return Ok(WriteStatus::Skipped);
@@ -344,7 +343,7 @@ impl<C: EventChannel<Event>> DamarisClient<C> {
     ) -> DamarisResult<BlockWriter<C>> {
         if !self
             .policy
-            .admit(iteration, self.slab.segment(), || self.producer.pressure())
+            .admit(iteration, &self.segment, || self.producer.pressure())
         {
             self.stats.record_skip();
             return Ok(BlockWriter {
@@ -440,12 +439,12 @@ impl<C: EventChannel<Event>> DamarisClient<C> {
         match self.policy.mode() {
             // Block mode: wait for plugins to free memory.
             SkipMode::Block => self
-                .slab
+                .segment
                 .allocate_blocking(bytes, Some(std::time::Duration::from_secs(60)))
                 .map(Some)
                 .map_err(DamarisError::from),
             // Drop mode: never stall the simulation.
-            SkipMode::DropIteration => match self.slab.allocate(bytes) {
+            SkipMode::DropIteration => match self.segment.allocate(bytes) {
                 Ok(b) => Ok(Some(b)),
                 Err(damaris_shm::ShmError::OutOfMemory { .. }) => {
                     self.policy.drop_current(iteration);

@@ -1040,7 +1040,7 @@ mod tests {
     fn check_layout_dynamic_accepts_caller_extents() {
         let xml = r#"
           <simulation name="amr">
-            <architecture><buffer size="1048576" allocator="buddy"/></architecture>
+            <architecture><buffer size="1048576"/></architecture>
             <data>
               <layout name="patch" type="f64" dimensions="dynamic" max_size="8192"/>
               <layout name="free" type="f32" dimensions="dynamic"/>

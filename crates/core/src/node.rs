@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use damaris_shm::transport::{AnyTransport, EventChannel, TransportKind};
-use damaris_shm::{SharedSegment, SlabCache};
-use damaris_xml::schema::{AllocatorKind, Configuration, QueueKind};
+use damaris_shm::SharedSegment;
+use damaris_xml::schema::{Configuration, QueueKind};
 use parking_lot::Mutex;
 
 use crate::client::{DamarisClient, StatsRecorder};
@@ -31,7 +31,6 @@ pub struct NodeBuilder {
     node_id: usize,
     output_dir: Option<PathBuf>,
     transport: Option<TransportKind>,
-    allocator: Option<AllocatorKind>,
 }
 
 impl NodeBuilder {
@@ -42,7 +41,6 @@ impl NodeBuilder {
             node_id: 0,
             output_dir: None,
             transport: None,
-            allocator: None,
         }
     }
 
@@ -90,13 +88,6 @@ impl NodeBuilder {
         self
     }
 
-    /// Override the shared-memory allocator (normally taken from the XML
-    /// `<buffer allocator="…">` attribute).
-    pub fn allocator(mut self, kind: AllocatorKind) -> Self {
-        self.allocator = Some(kind);
-        self
-    }
-
     /// Construct the node: allocate the segment and queue, spawn the
     /// dedicated-core threads, pre-create the client handles.
     pub fn build(self) -> DamarisResult<DamarisNode> {
@@ -119,30 +110,12 @@ impl NodeBuilder {
             std::env::temp_dir().join(format!("damaris-{}-{}", cfg.name, std::process::id()))
         });
         // Size classes come from the declared variable layouts: the block
-        // sizes every iteration reallocates. The buddy allocator keeps
-        // those classes and adds per-order queues underneath, so
-        // `dimensions="dynamic"` variables (whose sizes arrive per write)
-        // stay off the first-fit mutex too. The default size-class choice
-        // upgrades itself to buddy when any layout is dynamic — buddy is
-        // a strict superset (classes still serve the fixed layouts), and
-        // without it every variable-size write would silently take the
-        // mutex. First-fit remains available as the measured baseline
-        // (and must be selected explicitly to stay one).
-        let allocator = match self.allocator.unwrap_or(cfg.architecture.allocator) {
-            AllocatorKind::SizeClass if cfg.registry().any_dynamic() => AllocatorKind::Buddy,
-            other => other,
-        };
-        let segment = match allocator {
-            AllocatorKind::SizeClass => SharedSegment::with_classes(
-                cfg.architecture.buffer_size,
-                &cfg.registry().distinct_byte_sizes(),
-            )?,
-            AllocatorKind::Buddy => SharedSegment::with_buddy(
-                cfg.architecture.buffer_size,
-                &cfg.registry().distinct_byte_sizes(),
-            )?,
-            AllocatorKind::FirstFit => SharedSegment::new(cfg.architecture.buffer_size)?,
-        };
+        // sizes every iteration reallocates. `dimensions="dynamic"`
+        // variables (whose sizes arrive per write) go to the first-fit list.
+        let segment = SharedSegment::with_classes(
+            cfg.architecture.buffer_size,
+            &cfg.registry().distinct_byte_sizes(),
+        )?;
         let kind = self.transport.unwrap_or(match cfg.architecture.queue_kind {
             QueueKind::Mutex => TransportKind::Mutex,
             QueueKind::Sharded => TransportKind::Sharded,
@@ -177,7 +150,7 @@ impl NodeBuilder {
             .map(|id| DamarisClient {
                 id,
                 cfg: cfg.clone(),
-                slab: Arc::new(SlabCache::new(&segment)),
+                segment: segment.clone(),
                 producer: transport.producer(id),
                 policy: Arc::new(SkipPolicy::new(cfg.architecture.skip)),
                 stats: Arc::new(StatsRecorder::new()),
@@ -185,21 +158,6 @@ impl NodeBuilder {
                 finalized: Arc::new(std::sync::atomic::AtomicBool::new(false)),
             })
             .collect();
-        // Seed the slab caches (one reserved block per slot per size
-        // class per client) so even iteration 0 allocates via a slot swap
-        // instead of taking the first-fit mutex — the caches warmed
-        // lazily before, leaving the very first write of every variable
-        // serialized on one lock. All-or-nothing, and only when the
-        // footprint is a small fraction of the segment: reservations
-        // count as used bytes, so warming a tightly-sized segment would
-        // start it near the occupancy watermark and distort the skip
-        // policy (asymmetrically, if only some clients fit).
-        let prewarm_total: usize = clients.iter().map(|c| c.slab.prewarm_bytes()).sum();
-        if prewarm_total > 0 && prewarm_total * 8 <= segment.capacity() {
-            for client in &clients {
-                client.slab.prewarm();
-            }
-        }
 
         Ok(DamarisNode {
             cfg,
@@ -369,11 +327,6 @@ impl<C: EventChannel<Event>> DamarisNode<C> {
             h.join()
                 .map_err(|_| DamarisError::InvalidState("dedicated core thread panicked".into()))?;
         }
-        // All clients finalized and all dedicated cores drained: return the
-        // slab caches' reservations so occupancy reads 0 on an idle node.
-        for client in &self.clients {
-            client.slab.flush();
-        }
         self.shared.finalize_plugins();
         Ok(self.shared.report(Vec::new(), self.segment.stats().peak))
     }
@@ -455,11 +408,18 @@ mod tests {
             .clients(2)
             .build()
             .unwrap();
+        // Lockstep clients, as an MPI timestep keeps them: the dedicated
+        // core holds an iteration's blocks until every client has ended
+        // it, so without the barrier a starved client lets the other's
+        // whole run pile up in the segment.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
         let handles: Vec<_> = node
             .clients()
             .map(|client| {
+                let barrier = barrier.clone();
                 std::thread::spawn(move || {
                     for it in 0..200 {
+                        barrier.wait();
                         client.write("u", it, &vec![1.0f64; 64]).unwrap();
                         client.end_iteration(it).unwrap();
                     }
@@ -472,15 +432,20 @@ mod tests {
         }
         let report = node.shutdown().unwrap();
         assert_eq!(report.iterations_completed, 200);
-        // 200 iterations × 2 clients × 512 B each is 204 KB if leaked. Live
-        // blocks are bounded by the in-flight window the 64-slot event
-        // queue admits (~33 KB), so any value far above that is a leak.
+        let stats = node.segment_stats();
+        assert_eq!(stats.allocations, 400);
+        assert_eq!(stats.frees, stats.allocations, "every block came back");
+        assert_eq!(stats.used, 0);
+        assert_eq!(node.segment.largest_free_block(), stats.capacity);
+        // Live blocks are bounded by the in-flight window: one per queued
+        // event (64 slots), one per client being written, and the two
+        // iterations the lockstep clients can have open at the server.
+        let window = 64 + 2 + 2 * 2;
         assert!(
-            report.peak_segment_bytes <= 100 * 1024,
-            "peak {} suggests blocks leak",
+            report.peak_segment_bytes <= window * 512,
+            "peak {} exceeds the {window}-block in-flight window",
             report.peak_segment_bytes
         );
-        assert_eq!(node.segment_occupancy(), 0.0);
     }
 
     #[test]
@@ -526,11 +491,9 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_layouts_upgrade_default_allocator_to_buddy() {
-        // A configuration with a dynamic layout and the *default*
-        // size-class allocator must still serve variable-size writes off
-        // the mutex: the builder upgrades the segment to the buddy tier
-        // (size-class would silently route every AMR write to first-fit).
+    fn dynamic_layouts_share_the_segment_with_fixed_classes() {
+        // A dynamic layout beside a fixed one: the fixed layout keeps its
+        // exact class, the per-write sizes are served by the first-fit list.
         let xml = r#"
           <simulation name="amr-default">
             <architecture>
@@ -553,21 +516,31 @@ mod tests {
             .unwrap();
         let client = node.client(0).unwrap();
         for it in 0..3 {
-            // Fixed layout still hits its exact class...
-            client.write("u", it, &[1.0f64; 64]).unwrap();
-            // ...while per-write sizes go through the buddy orders.
+            assert_eq!(
+                client.write("u", it, &[1.0f64; 64]).unwrap(),
+                WriteStatus::Written
+            );
             let cells = 100 + it as usize * 37;
-            client.write("p", it, &vec![2.0f64; cells]).unwrap();
+            assert_eq!(
+                client.write("p", it, &vec![2.0f64; cells]).unwrap(),
+                WriteStatus::Written
+            );
             client.end_iteration(it).unwrap();
         }
         client.finalize().unwrap();
-        let stats = node.segment_stats();
-        assert!(stats.class_hits > 0, "fixed layout served by its class");
-        assert!(
-            stats.buddy_hits > 0,
-            "dynamic writes must hit the buddy tier under the default allocator"
-        );
         node.shutdown().unwrap();
+        let stats = node.segment_stats();
+        assert_eq!((stats.allocations, stats.failures), (6, 0));
+        // Only a repeat `u` can have found its class filled (when the
+        // dedicated core had already released the previous one); the
+        // three patch sizes match no class, so the list served them.
+        assert!(stats.class_hits <= 2, "{stats:?}");
+        // The dedicated core is joined, so every `u` block is parked in
+        // its class by now and the next allocation of that size pops one.
+        let recycled = node.segment.allocate(512).unwrap();
+        assert_eq!(node.segment_stats().class_hits, stats.class_hits + 1);
+        drop(recycled);
+        assert_eq!(node.segment.largest_free_block(), stats.capacity);
     }
 
     #[test]

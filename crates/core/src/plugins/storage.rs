@@ -1066,7 +1066,7 @@ mod tests {
         let cfg = Configuration::from_str(
             r#"<simulation name="dynsp">
                  <architecture>
-                   <buffer size="1048576" allocator="buddy"/>
+                   <buffer size="1048576"/>
                    <store type="h5lite" sync="false"/>
                  </architecture>
                  <data>
@@ -1189,7 +1189,7 @@ mod tests {
         // raw and dynamic blocks: files must match byte for byte.
         let arch = |workers: &str| {
             format!(
-                r#"<buffer size="1048576" allocator="buddy"/>
+                r#"<buffer size="1048576"/>
                    <store type="h5lite" chunk_rows="2"{workers}/>"#
             )
         };

@@ -78,7 +78,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use damaris_shm::{Block, BlockRef, SharedSegment, ShmFile};
-use damaris_xml::schema::{AllocatorKind, Configuration, SkipMode};
+use damaris_xml::schema::{Configuration, SkipMode};
 use damaris_xml::{EventId, VarId};
 use mini_mpi::{Comm, Source};
 use parking_lot::Mutex;
@@ -450,20 +450,7 @@ impl<'a> ProcessClient<'a> {
         let shm = Arc::new(ShmFile::open(segment_path(dir))?);
         let base = (comm.rank() - 1) * slice;
         let classes = cfg.registry().distinct_byte_sizes();
-        // Same dynamic-aware default as `NodeBuilder`: size-class
-        // upgrades to buddy when any layout is dynamic, so variable-size
-        // writes never silently serialize on the slice's first-fit list.
-        let allocator = match cfg.architecture.allocator {
-            AllocatorKind::SizeClass if cfg.registry().any_dynamic() => AllocatorKind::Buddy,
-            other => other,
-        };
-        let seg = match allocator {
-            AllocatorKind::SizeClass => SharedSegment::over_mapping(&shm, base, slice, &classes)?,
-            AllocatorKind::Buddy => {
-                SharedSegment::over_mapping_with_buddy(&shm, base, slice, &classes)?
-            }
-            AllocatorKind::FirstFit => SharedSegment::over_mapping(&shm, base, slice, &[])?,
-        };
+        let seg = SharedSegment::over_mapping(&shm, base, slice, &classes)?;
         let policy = SkipPolicy::new(cfg.architecture.skip);
         Ok(ProcessClient {
             cfg: Arc::new(cfg),

@@ -442,18 +442,17 @@ fn mid_iteration_exhaustion_drops_on_both_worlds() {
 }
 
 // ---------------------------------------------------------------------------
-// Variable-size (AMR) workloads: dynamic layouts + the buddy allocator
+// Variable-size (AMR) workloads: dynamic layouts
 // ---------------------------------------------------------------------------
 
 fn amr_config(world: &str, clients: usize, buffer: usize, skip: &str) -> Configuration {
-    // allocator="buddy": odd per-write sizes must stay off the mutex.
     let max = 8192.min(buffer);
     let xml = format!(
         r#"<simulation name="amr-equivalence">
              <architecture>
                <dedicated cores="1"/>
                <clients count="{clients}"/>
-               <buffer size="{buffer}" allocator="buddy"/>
+               <buffer size="{buffer}"/>
                <queue capacity="256"/>
                <world kind="{world}"/>
                {skip}
@@ -480,7 +479,7 @@ fn amr_sim<H: SimHandle>(h: &mut H, input: &[u8]) -> Vec<u8> {
     let density = h.var_id("density").expect("declared variable resolves");
     let mut out = Vec::new();
     for it in 0..iterations {
-        // 1..=512 f64 elements: crosses several buddy orders.
+        // 1..=512 f64 elements: no two writes need share a size.
         let elems = (rng.next_u64() % 512 + 1) as usize;
         let data: Vec<f64> = (0..elems)
             .map(|i| (it * 31 + h.id() as u64) as f64 + i as f64 * 0.25)
@@ -630,7 +629,7 @@ fn amr_block_mode_oversized_fails_fast_on_both_worlds() {
                  <architecture>
                    <dedicated cores="1"/>
                    <clients count="1"/>
-                   <buffer size="4096" allocator="buddy"/>
+                   <buffer size="4096"/>
                    <queue capacity="64"/>
                    <world kind="{world}"/>
                    <skip mode="block"/>

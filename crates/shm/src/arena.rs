@@ -1,26 +1,22 @@
-//! Size-class machinery behind the segment allocator's lock-free fast
-//! path, plus the per-client slab cache.
+//! Size-class queues: the lock-free fast path of the segment allocator.
 //!
-//! The paper's §IV.B claim — a simulation-side write is *one memcpy into
-//! shared memory* — dies the moment every allocation serializes on a
-//! global free-list mutex. The structure of HPC output makes a cheap fix
-//! possible: variables have fixed layouts, so every iteration reallocates
-//! the *same* handful of block sizes. Those sizes become **size classes**:
+//! The paper's §IV.B claim is that a simulation-side write is *one memcpy
+//! into shared memory*. The structure of HPC output keeps the allocation
+//! in front of that memcpy cheap: variables have fixed layouts, so every
+//! iteration reallocates the *same* handful of block sizes. Those sizes
+//! become **size classes**:
 //!
 //! * each class owns a bounded lock-free MPMC queue of free offsets
 //!   (`OffsetQueue`); a steady-state allocation is one CAS pop, a
 //!   steady-state free (from the dedicated core's garbage collection) is
 //!   one CAS push — no lock on either side;
-//! * each client can additionally hold a tiny [`SlabCache`] of reserved
-//!   offsets, refilled from the class queues, so repeated writes of the
-//!   same variable don't even touch the shared queue head;
 //! * any size that is not an exact class match — and any class miss —
-//!   falls back to the segment's first-fit, coalescing free list, which
-//!   remains the ground truth: under memory pressure the class queues are
-//!   drained back into it so holes can coalesce before the allocator
-//!   reports out-of-memory.
+//!   goes to the segment's first-fit, coalescing free list, which remains
+//!   the ground truth: under memory pressure the class queues are drained
+//!   back into it so holes can coalesce before the allocator reports
+//!   out-of-memory.
 
-use damaris_sync::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use damaris_sync::{AtomicUsize, Ordering};
 use std::cell::UnsafeCell;
 
 use crate::spsc::CachePadded;
@@ -142,315 +138,6 @@ impl OffsetQueue {
 /// strand a meaningful fraction of a large segment.
 const MAX_CLASS_QUEUE: usize = 1024;
 
-/// Smallest buddy order: `2^6 = 64` bytes, one [`crate::segment::BLOCK_ALIGN`]
-/// slot — the allocator's granularity, so no order can be finer.
-pub(crate) const MIN_BUDDY_ORDER: u32 = 6;
-
-/// Cap on cached offsets per buddy order (same rationale as
-/// [`MAX_CLASS_QUEUE`]).
-const MAX_ORDER_QUEUE: usize = 1024;
-
-/// Free-state tag stored in [`BuddyTier::state`] for a free block of
-/// order-index `oi` (0 = not a free buddy block). A byte is plenty: the
-/// largest possible order count is `64 - MIN_BUDDY_ORDER`, so tags top
-/// out at 59 — and the byte-wide table keeps the always-resident state
-/// at 1/64th of the segment instead of 1/8th.
-fn free_tag(oi: usize) -> u8 {
-    (oi + 1) as u8
-}
-
-/// The variable-size tier under the exact size classes: a binary **buddy
-/// allocator** whose per-order free lists are the same lock-free
-/// [`OffsetQueue`]s the classes use.
-///
-/// AMR-style workloads allocate a different block size every iteration;
-/// none of those sizes matches a declared class, so before this tier they
-/// all serialized on the first-fit mutex. Here an odd request rounds up
-/// to the nearest power-of-two *order*; a steady-state allocation is one
-/// validated CAS pop from that order's queue, a free is a merge attempt
-/// plus one CAS push — no lock on either side.
-///
-/// ## How split/merge stays lock-free
-///
-/// A Vyukov queue cannot remove an arbitrary element, which classic
-/// eager buddy merging needs ("take my buddy off its free list"). The
-/// tier instead keeps an authoritative per-slot **state word** next to
-/// the queues: a block is free iff the state at its start offset holds
-/// its order's tag, and *claiming* a block (by an allocator popping it,
-/// or by its buddy merging with it) is one CAS of that word back to 0.
-/// Queue entries are merely hints; a pop whose CAS fails discards the
-/// stale entry and tries the next. Exactly one claimant can win each
-/// published free, so blocks are never double-allocated and never merged
-/// while live.
-///
-/// Offsets are always aligned to their block size (the segment carves
-/// fresh chunks size-aligned and splits/merges preserve alignment), so a
-/// block's buddy is at `offset ^ size` — the classic XOR trick over a
-/// tree rooted at segment offset 0.
-pub(crate) struct BuddyTier {
-    /// `queues[oi]` holds free offsets of size `2^(MIN_BUDDY_ORDER + oi)`.
-    queues: Box<[OffsetQueue]>,
-    /// One state byte per `BLOCK_ALIGN` slot; the byte at a free buddy
-    /// block's starting slot holds `free_tag(order_index)`.
-    state: Box<[AtomicU8]>,
-    /// Segment capacity in bytes (merge bounds check).
-    capacity: usize,
-    pub(crate) hits: AtomicU64,
-    pub(crate) splits: AtomicU64,
-    pub(crate) merges: AtomicU64,
-    pub(crate) tq_hits: AtomicU64,
-}
-
-impl BuddyTier {
-    /// Build the tier for a segment of `capacity` bytes (already
-    /// `BLOCK_ALIGN`-rounded). Orders run from 64 bytes up to the largest
-    /// power of two that fits the capacity.
-    pub(crate) fn new(capacity: usize) -> Self {
-        let max_order = capacity.ilog2().max(MIN_BUDDY_ORDER);
-        let orders = (max_order - MIN_BUDDY_ORDER + 1) as usize;
-        let queues = (0..orders)
-            .map(|oi| {
-                let size = 1usize << (MIN_BUDDY_ORDER as usize + oi);
-                OffsetQueue::with_capacity((capacity / size).clamp(2, MAX_ORDER_QUEUE))
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let state = (0..capacity >> MIN_BUDDY_ORDER)
-            .map(|_| AtomicU8::new(0))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        BuddyTier {
-            queues,
-            state,
-            capacity,
-            hits: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
-            tq_hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Disabled tier (first-fit or pure size-class segments).
-    pub(crate) fn none() -> Self {
-        BuddyTier {
-            queues: Box::new([]),
-            state: Box::new([]),
-            capacity: 0,
-            hits: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
-            merges: AtomicU64::new(0),
-            tq_hits: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether the tier is configured.
-    pub(crate) fn enabled(&self) -> bool {
-        !self.queues.is_empty()
-    }
-
-    /// Number of configured orders.
-    pub(crate) fn order_count(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Byte size served by order-index `oi`.
-    pub(crate) fn size_of(&self, oi: usize) -> usize {
-        1usize << (MIN_BUDDY_ORDER as usize + oi)
-    }
-
-    /// The order-index whose blocks serve an (align-rounded, non-zero)
-    /// request of `alloc_len` bytes, or `None` when the tier is disabled
-    /// or the power-of-two rounding overflows/exceeds the largest order —
-    /// those requests stay on the first-fit path, which reports
-    /// `RequestTooLarge`/`OutOfMemory` as appropriate.
-    pub(crate) fn order_index(&self, alloc_len: usize) -> Option<usize> {
-        if !self.enabled() {
-            return None;
-        }
-        // checked: a near-usize::MAX request must surface as a miss (and
-        // then RequestTooLarge upstream), not overflow to 0 or panic.
-        let size = alloc_len
-            .checked_next_power_of_two()?
-            .max(1 << MIN_BUDDY_ORDER);
-        let oi = (size.ilog2() - MIN_BUDDY_ORDER) as usize;
-        (oi < self.queues.len()).then_some(oi)
-    }
-
-    /// Whether `offset` can be a buddy block of `len` bytes (power-of-two
-    /// length within the configured orders, offset aligned to it) — the
-    /// release-path guard routing frees to this tier.
-    pub(crate) fn owns(&self, offset: usize, len: usize) -> bool {
-        self.enabled()
-            && len.is_power_of_two()
-            && len >= (1 << MIN_BUDDY_ORDER)
-            && ((len.ilog2() - MIN_BUDDY_ORDER) as usize) < self.queues.len()
-            && offset.is_multiple_of(len)
-    }
-
-    /// Three-quarter fit: the byte length actually consumed when an
-    /// order-`oi` parent serves `alloc_len` as a `3·2^(k-2)`-byte block
-    /// (`2^k` = parent size), or `None` when the request needs more than
-    /// three quarters of the parent or the quarter would drop below the
-    /// minimum order. The pure power-of-two family wastes up to ~100 %
-    /// of the payload (a `2^k + 64`-byte request burns nearly `2^k` of
-    /// padding); admitting the `2^(k-1) + 2^(k-2)` sizes in between caps
-    /// internal fragmentation at ~33 %.
-    pub(crate) fn tq_len(&self, oi: usize, alloc_len: usize) -> Option<usize> {
-        let quarter = self.size_of(oi) / 4;
-        (quarter >= (1 << MIN_BUDDY_ORDER) && alloc_len <= 3 * quarter).then_some(3 * quarter)
-    }
-
-    /// Allocation-side half of the three-quarter family: publish the top
-    /// quarter of the order-`oi` parent at `offset` as free (the caller
-    /// keeps the lowest `3·parent/4` bytes). The quarter's buddy is
-    /// inside the live block, so it cannot merge away while the block
-    /// lives.
-    pub(crate) fn trim_tq(&self, offset: usize, oi: usize, spill: &mut Vec<(usize, usize)>) {
-        let quarter = self.size_of(oi) / 4;
-        self.free_into(offset + 3 * quarter, oi - 2, spill);
-        self.tq_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Whether `(offset, len)` has the shape of a live three-quarter
-    /// block (`len = 3·2^(k-2)` at a parent-aligned offset within the
-    /// configured orders) — the release-path guard routing such frees to
-    /// [`BuddyTier::free_tq_into`].
-    pub(crate) fn owns_tq(&self, offset: usize, len: usize) -> bool {
-        if !self.enabled() || len == 0 || !len.is_multiple_of(3) {
-            return false;
-        }
-        let quarter = len / 3;
-        quarter.is_power_of_two()
-            && quarter >= (1 << MIN_BUDDY_ORDER)
-            && ((quarter.ilog2() - MIN_BUDDY_ORDER) as usize + 2) < self.queues.len()
-            && offset.is_multiple_of(4 * quarter)
-    }
-
-    /// Free a three-quarter block: the half first (it cannot merge while
-    /// the quarter beside it is still being freed), then the quarter,
-    /// which eagerly re-merges up through the parent when the trimmed
-    /// sibling is still free — restoring the full power-of-two block.
-    pub(crate) fn free_tq_into(&self, offset: usize, len: usize, spill: &mut Vec<(usize, usize)>) {
-        let quarter = len / 3;
-        let qoi = (quarter.ilog2() - MIN_BUDDY_ORDER) as usize;
-        self.free_into(offset, qoi + 1, spill);
-        self.free_into(offset + 2 * quarter, qoi, spill);
-    }
-
-    /// Validated pop: discard entries whose block was since claimed by a
-    /// merge (the queue is a hint, the state word is the truth).
-    ///
-    /// The claim CAS races a freeing buddy's merge CAS and a spilling
-    /// freer's withdraw CAS on the same state byte; exactly-one-claimant
-    /// is model-checked by `buddy_state_tag_claim_race` and
-    /// `buddy_publish_withdraw_race` (crates/check/tests/models.rs).
-    fn pop_order(&self, oi: usize) -> Option<usize> {
-        loop {
-            let offset = self.queues[oi].pop()?;
-            if self.state[offset >> MIN_BUDDY_ORDER]
-                .compare_exchange(free_tag(oi), 0, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                return Some(offset);
-            }
-        }
-    }
-
-    /// Pop one free block of exactly order `oi` — no splitting (the
-    /// magazine warm path must not cascade splits for speculation).
-    pub(crate) fn pop_exact(&self, oi: usize) -> Option<usize> {
-        self.pop_order(oi)
-    }
-
-    /// Allocate one order-`oi` block from the free queues: exact order
-    /// first, then split a larger free block down. `None` = every order
-    /// missed (caller carves from the segment's first-fit list).
-    ///
-    /// Split siblings whose order queue is full land in `spill` (see
-    /// [`BuddyTier::free_into`]); the caller **must** return those
-    /// ranges to the segment's coalescing free list or they leak.
-    pub(crate) fn alloc(&self, oi: usize, spill: &mut Vec<(usize, usize)>) -> Option<usize> {
-        if let Some(offset) = self.pop_order(oi) {
-            return Some(offset);
-        }
-        for higher in oi + 1..self.queues.len() {
-            let Some(offset) = self.pop_order(higher) else {
-                continue;
-            };
-            // Split down: keep the lowest 2^oi bytes, publish the upper
-            // halves (sizes 2^oi, 2^(oi+1), …, 2^(higher-1)) as free.
-            for m in oi..higher {
-                self.free_into(offset + self.size_of(m), m, spill);
-            }
-            self.splits
-                .fetch_add((higher - oi) as u64, Ordering::Relaxed);
-            return Some(offset);
-        }
-        None
-    }
-
-    /// Free one order-`oi` block, eagerly merging with its buddy while
-    /// the buddy is also free. When the target order queue is full
-    /// (rare), the (possibly merged) range is pushed onto `spill` — the
-    /// caller owns it and must hand it to the segment's coalescing free
-    /// list; dropping it would leak the range out of every tier.
-    pub(crate) fn free_into(
-        &self,
-        mut offset: usize,
-        mut oi: usize,
-        spill: &mut Vec<(usize, usize)>,
-    ) {
-        loop {
-            let size = self.size_of(oi);
-            if oi + 1 < self.queues.len() {
-                let buddy = offset ^ size;
-                if buddy + size <= self.capacity
-                    && self.state[buddy >> MIN_BUDDY_ORDER]
-                        .compare_exchange(free_tag(oi), 0, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    // Claimed the buddy (its queue entry turns stale);
-                    // retry one order up with the combined block.
-                    self.merges.fetch_add(1, Ordering::Relaxed);
-                    offset = offset.min(buddy);
-                    oi += 1;
-                    continue;
-                }
-            }
-            // Publish free *before* enqueueing so a pop can validate
-            // (Release pairs with the claimant's AcqRel CAS; see
-            // `buddy_state_tag_claim_race` in crates/check/tests/models.rs).
-            self.state[offset >> MIN_BUDDY_ORDER].store(free_tag(oi), Ordering::Release);
-            if self.queues[oi].push(offset).is_ok() {
-                return;
-            }
-            // Queue full: withdraw the publication and spill the range to
-            // the caller — unless a concurrent freer of the buddy already
-            // claimed it for a merge (then it's theirs).
-            if self.state[offset >> MIN_BUDDY_ORDER]
-                .compare_exchange(free_tag(oi), 0, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                spill.push((offset, size));
-            }
-            return;
-        }
-    }
-
-    /// Drain every free buddy block: `(offset, len)` pairs destined for
-    /// the coalescing free list (pressure path and diagnostics — the
-    /// buddy analogue of [`SizeClasses::drain`]).
-    pub(crate) fn drain(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        for oi in 0..self.queues.len() {
-            while let Some(offset) = self.pop_order(oi) {
-                out.push((offset, self.size_of(oi)));
-            }
-        }
-        out
-    }
-}
-
 /// The segment's segregated free lists: one [`OffsetQueue`] per declared
 /// block size.
 pub(crate) struct SizeClasses {
@@ -462,7 +149,7 @@ pub(crate) struct SizeClasses {
 impl SizeClasses {
     /// Build classes for the given byte sizes (already rounded to the
     /// allocation granularity). Zero, oversized and duplicate entries are
-    /// dropped.
+    /// dropped; no sizes means a plain first-fit segment.
     pub(crate) fn new(capacity: usize, sizes: &[usize]) -> Self {
         let mut sizes: Vec<usize> = sizes
             .iter()
@@ -482,14 +169,6 @@ impl SizeClasses {
         }
     }
 
-    /// No classes configured (plain first-fit segment).
-    pub(crate) fn none() -> Self {
-        SizeClasses {
-            sizes: Box::new([]),
-            queues: Box::new([]),
-        }
-    }
-
     /// Number of configured classes.
     pub(crate) fn len(&self) -> usize {
         self.sizes.len()
@@ -498,11 +177,6 @@ impl SizeClasses {
     /// Index of the class serving exactly `alloc_len`, if any.
     pub(crate) fn index_of(&self, alloc_len: usize) -> Option<usize> {
         self.sizes.binary_search(&alloc_len).ok()
-    }
-
-    /// Byte size served by class `ci`.
-    pub(crate) fn size(&self, ci: usize) -> usize {
-        self.sizes[ci]
     }
 
     /// Pop a free offset from class `ci`.
@@ -528,273 +202,6 @@ impl SizeClasses {
             }
         }
         out
-    }
-}
-
-/// Cached offsets per tier (size class or buddy order) held by one
-/// [`SlabCache`].
-pub(crate) const SLAB_SLOTS_PER_CLASS: usize = 2;
-
-/// The slot array of one [`SlabCache`], shared (via `Weak`) with the
-/// owning segment so its pressure path can raid parked reservations
-/// before reporting out-of-memory. Tiers are indexed classes-first, then
-/// buddy orders: `slots[ti * SLAB_SLOTS_PER_CLASS + j]` holds
-/// `offset + 1` (0 = empty); every access is an atomic swap/CAS, so the
-/// owner handing blocks out and the segment raiding race safely.
-pub(crate) struct CacheSlots {
-    slots: Box<[AtomicUsize]>,
-}
-
-impl CacheSlots {
-    fn new(tiers: usize) -> Self {
-        CacheSlots {
-            slots: (0..tiers * SLAB_SLOTS_PER_CLASS)
-                .map(|_| AtomicUsize::new(0))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        }
-    }
-
-    fn tier_slots(&self, ti: usize) -> &[AtomicUsize] {
-        &self.slots[ti * SLAB_SLOTS_PER_CLASS..(ti + 1) * SLAB_SLOTS_PER_CLASS]
-    }
-
-    /// Take every parked offset, yielding `(tier_index, offset)` pairs
-    /// (tier < class count = class, else buddy order) — the segment's
-    /// raid-under-pressure hook.
-    pub(crate) fn drain(&self, out: &mut Vec<(usize, usize)>) {
-        for (idx, slot) in self.slots.iter().enumerate() {
-            let v = slot.swap(0, Ordering::Acquire);
-            if v != 0 {
-                out.push((idx / SLAB_SLOTS_PER_CLASS, v - 1));
-            }
-        }
-    }
-}
-
-/// A per-client magazine of reserved blocks, one tiny slot array per size
-/// class of the owning segment.
-///
-/// The cache sits in front of the segment's class queues: an allocation
-/// first swaps a cached offset out of a local slot (one uncontended
-/// atomic swap — no shared queue head, no lock), then falls back to the
-/// shared class queue, then to the segment's mutex free list. On a class
-/// miss the cache opportunistically pulls one extra offset to warm the
-/// next call.
-///
-/// Offsets parked here are accounted as *used* segment bytes (they are
-/// unavailable to other clients), so occupancy-based backpressure stays
-/// honest; the segment raids all registered caches before declaring
-/// out-of-memory, and dropping the cache returns them to the shared pool.
-pub struct SlabCache {
-    seg: crate::SharedSegment,
-    slots: std::sync::Arc<CacheSlots>,
-}
-
-impl SlabCache {
-    /// Build a cache fronting `segment`'s size classes and buddy orders.
-    /// A segment with neither yields an empty cache that simply forwards
-    /// to the segment.
-    pub fn new(segment: &crate::SharedSegment) -> Self {
-        let slots = std::sync::Arc::new(CacheSlots::new(
-            segment.class_count() + segment.buddy_order_count(),
-        ));
-        segment.register_cache(std::sync::Arc::downgrade(&slots));
-        SlabCache {
-            seg: segment.clone(),
-            slots,
-        }
-    }
-
-    /// The segment this cache allocates from.
-    pub fn segment(&self) -> &crate::SharedSegment {
-        &self.seg
-    }
-
-    /// Bytes a full [`SlabCache::prewarm`] would park in this cache
-    /// (every slot of every class).
-    pub fn prewarm_bytes(&self) -> usize {
-        (0..self.seg.class_count())
-            .map(|ci| SLAB_SLOTS_PER_CLASS * self.seg.class_size(ci))
-            .sum()
-    }
-
-    fn class_slots(&self, ci: usize) -> &[AtomicUsize] {
-        self.slots.tier_slots(ci)
-    }
-
-    fn stash(&self, ti: usize, offset: usize) -> bool {
-        for slot in self.slots.tier_slots(ti) {
-            if slot
-                .compare_exchange(0, offset + 1, Ordering::Release, Ordering::Relaxed)
-                .is_ok()
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    fn take_cached(&self, len: usize, alloc_len: usize) -> Option<crate::Block> {
-        let ci = self.seg.class_index(alloc_len)?;
-        for slot in self.class_slots(ci) {
-            let v = slot.swap(0, Ordering::Acquire);
-            if v != 0 {
-                return Some(self.seg.adopt_reserved(ci, v - 1, len));
-            }
-        }
-        let off = self.seg.class_pop_reserved(ci)?;
-        // Warm the cache for the next call of this (common) size.
-        if let Some(extra) = self.seg.class_pop_reserved(ci) {
-            if !self.stash(ci, extra) {
-                self.seg.return_reserved(ci, extra);
-            }
-        }
-        Some(self.seg.adopt_reserved(ci, off, len))
-    }
-
-    /// The per-order magazine in front of the buddy tier: same slot-swap
-    /// fast path [`SlabCache::take_cached`] gives the size classes, so an
-    /// AMR client reallocating the same odd size twice in a row does not
-    /// even touch the shared order queue.
-    fn take_cached_buddy(&self, len: usize, alloc_len: usize) -> Option<crate::Block> {
-        let oi = self.seg.buddy_order_index(alloc_len)?;
-        let ti = self.seg.class_count() + oi;
-        for slot in self.slots.tier_slots(ti) {
-            let v = slot.swap(0, Ordering::Acquire);
-            if v != 0 {
-                return Some(self.seg.adopt_buddy_reserved(oi, v - 1, len, alloc_len));
-            }
-        }
-        let off = self.seg.buddy_alloc_reserved(oi)?;
-        // Warm the magazine from the exact order only (no speculative
-        // splitting of larger free blocks for a block nobody asked for).
-        if let Some(extra) = self.seg.buddy_pop_exact_reserved(oi) {
-            if !self.stash(ti, extra) {
-                self.seg.return_buddy_reserved(oi, extra);
-            }
-        }
-        Some(self.seg.adopt_buddy_reserved(oi, off, len, alloc_len))
-    }
-
-    /// Allocate `len` bytes: local slot → shared class/order queue →
-    /// segment free list (same failure modes as
-    /// [`crate::SharedSegment::allocate`]).
-    pub fn allocate(&self, len: usize) -> Result<crate::Block, crate::ShmError> {
-        if let Some(alloc_len) = crate::segment::class_len(len) {
-            if let Some(block) = self.take_cached(len, alloc_len) {
-                return Ok(block);
-            }
-            if let Some(block) = self.take_cached_buddy(len, alloc_len) {
-                return Ok(block);
-            }
-        }
-        self.seg.allocate(len)
-    }
-
-    /// Blocking variant of [`SlabCache::allocate`].
-    pub fn allocate_blocking(
-        &self,
-        len: usize,
-        timeout: Option<std::time::Duration>,
-    ) -> Result<crate::Block, crate::ShmError> {
-        if let Some(alloc_len) = crate::segment::class_len(len) {
-            if let Some(block) = self.take_cached(len, alloc_len) {
-                return Ok(block);
-            }
-            if let Some(block) = self.take_cached_buddy(len, alloc_len) {
-                return Ok(block);
-            }
-        }
-        self.seg.allocate_blocking(len, timeout)
-    }
-}
-
-impl SlabCache {
-    /// Seed every empty cache slot (`SLAB_SLOTS_PER_CLASS` per size
-    /// class) with a reserved block, pulled from the shared class queues
-    /// when they already hold free offsets and carved from the first-fit
-    /// list otherwise.
-    ///
-    /// Called at node-build time so a client's *first* allocations of
-    /// every declared layout (iteration 0) are already slot swaps —
-    /// without this, the cache warms lazily and iteration 0 serializes
-    /// every client on the first-fit mutex. Best-effort: classes the
-    /// segment cannot spare bytes for (see the half-capacity guard on the
-    /// carve path) simply stay cold.
-    ///
-    /// Reservations count as *used* segment bytes, so callers sizing for
-    /// occupancy-driven backpressure should check
-    /// [`SlabCache::prewarm_bytes`] against their headroom first (as
-    /// `NodeBuilder` does) — prewarming a segment that barely fits its
-    /// working set would start it near the skip watermark.
-    pub fn prewarm(&self) {
-        for ci in 0..self.seg.class_count() {
-            for slot in self.class_slots(ci) {
-                if slot.load(Ordering::Relaxed) != 0 {
-                    continue;
-                }
-                let Some(offset) = self
-                    .seg
-                    .class_pop_reserved(ci)
-                    .or_else(|| self.seg.carve_reserved(ci))
-                else {
-                    break;
-                };
-                if slot
-                    .compare_exchange(0, offset + 1, Ordering::Release, Ordering::Relaxed)
-                    .is_err()
-                {
-                    // Lost a race against a concurrent stash; hand the
-                    // reservation back rather than leaking it.
-                    self.seg.return_reserved(ci, offset);
-                }
-            }
-        }
-    }
-
-    /// Return every cached reservation to the shared pool (e.g. at node
-    /// shutdown, once no further writes can arrive). The cache remains
-    /// usable and will re-warm on the next allocation.
-    pub fn flush(&self) {
-        let classes = self.seg.class_count();
-        for ci in 0..classes {
-            for slot in self.class_slots(ci) {
-                let v = slot.swap(0, Ordering::Acquire);
-                if v != 0 {
-                    self.seg.return_reserved(ci, v - 1);
-                }
-            }
-        }
-        for oi in 0..self.seg.buddy_order_count() {
-            for slot in self.slots.tier_slots(classes + oi) {
-                let v = slot.swap(0, Ordering::Acquire);
-                if v != 0 {
-                    self.seg.return_buddy_reserved(oi, v - 1);
-                }
-            }
-        }
-    }
-}
-
-impl Drop for SlabCache {
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-impl std::fmt::Debug for SlabCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let cached = self
-            .slots
-            .slots
-            .iter()
-            .filter(|s| s.load(Ordering::Relaxed) != 0)
-            .count();
-        f.debug_struct("SlabCache")
-            .field("classes", &self.seg.class_count())
-            .field("cached", &cached)
-            .finish()
     }
 }
 
@@ -874,50 +281,6 @@ mod tests {
         let got: u64 = sums.into_iter().map(|h| h.join().unwrap()).sum();
         let total = n * per;
         assert_eq!(got, (total * (total + 1) / 2) as u64);
-    }
-
-    #[test]
-    fn prewarm_makes_first_allocation_a_class_hit() {
-        let seg = crate::SharedSegment::with_classes(1 << 14, &[256, 512]).unwrap();
-        let cache = crate::SlabCache::new(&seg);
-        cache.prewarm();
-        assert_eq!(seg.stats().class_hits, 0, "prewarm reserves, not allocates");
-        assert_eq!(
-            seg.used_bytes(),
-            SLAB_SLOTS_PER_CLASS * (256 + 512),
-            "reservations counted as used"
-        );
-        // The very first allocations of each class must be cache hits —
-        // no trip through the first-fit mutex, even for two blocks of the
-        // same class (e.g. two variables sharing a layout).
-        let a = cache.allocate(256).unwrap();
-        let b = cache.allocate(512).unwrap();
-        let c = cache.allocate(512).unwrap();
-        assert_eq!(seg.stats().class_hits, 3, "iteration 0 hits the classes");
-        drop(a);
-        drop(b);
-        drop(c);
-        // Idempotent: occupied slots are left alone.
-        cache.prewarm();
-        cache.prewarm();
-        drop(cache);
-        assert_eq!(seg.used_bytes(), 0);
-        assert_eq!(seg.largest_free_block(), seg.capacity());
-    }
-
-    #[test]
-    fn prewarm_respects_half_capacity_guard() {
-        // A segment too small to park a reservation per class stays cold
-        // instead of committing most of its bytes to idle caches.
-        let seg = crate::SharedSegment::with_classes(512, &[512]).unwrap();
-        let cache = crate::SlabCache::new(&seg);
-        cache.prewarm();
-        assert_eq!(seg.used_bytes(), 0, "512 of 512 would exceed half capacity");
-        // Allocation still works through the normal tiers.
-        let b = cache.allocate(512).unwrap();
-        drop(b);
-        drop(cache);
-        assert_eq!(seg.used_bytes(), 0);
     }
 
     #[test]

@@ -11,15 +11,14 @@
 //!
 //! Two pieces implement that design:
 //!
-//! * [`SharedSegment`] — a fixed-capacity memory region with a tiered
-//!   allocator: lock-free size-class free lists (seeded from the declared
-//!   variable layouts, see [`SharedSegment::with_classes`] and the
-//!   per-client [`SlabCache`]), an optional lock-free buddy tier for
-//!   variable-size AMR-style requests ([`SharedSegment::with_buddy`]),
-//!   and a first-fit, coalescing fallback
-//!   list. Compute cores [`SharedSegment::allocate`] a [`Block`], write
-//!   their variable into it (one memcpy — *the only copy in the whole
-//!   pipeline*), then [`Block::freeze`] it into an immutable,
+//! * [`SharedSegment`] — a fixed-capacity memory region with one
+//!   allocator: an exact size-class pop (one CAS on a lock-free queue
+//!   seeded from the declared variable layouts, see
+//!   [`SharedSegment::with_classes`]) and, on a miss or an undeclared
+//!   size, a mutex-guarded first-fit, coalescing list. Compute cores
+//!   [`SharedSegment::allocate`] a [`Block`], write their variable into
+//!   it (one memcpy — *the only copy in the whole pipeline*), then
+//!   [`Block::freeze`] it into an immutable,
 //!   reference-counted [`BlockRef`] that the dedicated core (and any number
 //!   of analysis plugins) can read in place. Dropping the last `BlockRef`
 //!   returns the space to the allocator. Freeze, clone and drop keep the
@@ -69,7 +68,6 @@ pub mod segment;
 pub mod spsc;
 pub mod transport;
 
-pub use arena::SlabCache;
 pub use error::{RecvError, SendError, ShmError, TryRecvError, TrySendError};
 pub use mapping::ShmFile;
 pub use queue::MessageQueue;

@@ -1,5 +1,5 @@
-//! Fixed-capacity shared segment with a two-tier allocator: lock-free
-//! size-class free lists over a first-fit, coalescing fallback list.
+//! Fixed-capacity shared segment with one allocator: lock-free
+//! size-class free queues over a first-fit, coalescing list.
 //!
 //! The allocator is the mechanism behind two numbers in the paper:
 //!
@@ -11,17 +11,16 @@
 //!   iteration-skip policy engages (§V.C.1) — driven by
 //!   [`SharedSegment::occupancy`].
 //!
-//! ## Allocator tiers
+//! ## The allocator
 //!
 //! HPC output is highly regular: every variable has a fixed layout, so
 //! every iteration reallocates the same block sizes. A segment built with
 //! [`SharedSegment::with_classes`] owns one lock-free queue of free
 //! offsets per declared size (see [`crate::arena`]); steady-state
-//! allocate and free are each a single CAS, and a per-client
-//! [`crate::SlabCache`] removes even that shared CAS from the repeat
-//! path. Odd sizes — and class misses — fall back to the mutex-guarded
-//! first-fit free list, which the class queues drain back into under
-//! pressure so adjacent holes can coalesce before the allocator reports
+//! allocate and free are each a single CAS. Undeclared sizes (per-write
+//! dynamic layouts) and class misses go to the mutex-guarded first-fit
+//! free list, which the class queues drain back into under pressure so
+//! adjacent holes can coalesce before the allocator reports
 //! out-of-memory.
 //!
 //! ## Safety model
@@ -30,10 +29,9 @@
 //! Soundness rests on two invariants, both enforced by construction:
 //!
 //! 1. **Disjointness** — the allocator never hands out overlapping ranges
-//!    (each range is owned by exactly one tier at any time: the free list,
-//!    one class queue slot, one slab-cache slot, or one live [`Block`]/
-//!    frozen ref), so each live [`Block`] has exclusive access to its
-//!    byte range.
+//!    (each range is owned by exactly one of: the free list, one class
+//!    queue slot, or one live [`Block`]/frozen ref), so each live
+//!    [`Block`] has exclusive access to its byte range.
 //! 2. **Write-xor-read** — a [`Block`] (unique, `&mut`-only access) must be
 //!    [`Block::freeze`]-d into an immutable [`BlockRef`] before it can be
 //!    shared; `BlockRef` only ever yields `&[u8]`. The happens-before edge
@@ -47,7 +45,7 @@ use std::time::Duration;
 
 use damaris_sync::{fence, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 
-use crate::arena::{BuddyTier, CacheSlots, SizeClasses};
+use crate::arena::SizeClasses;
 use crate::error::ShmError;
 
 /// Allocation granularity and guaranteed block alignment, in bytes.
@@ -88,8 +86,7 @@ impl_pod!(i8, i16, i32, i64, u8, u16, u32, u64, f32, f64);
 pub struct SegmentStats {
     /// Total capacity in bytes.
     pub capacity: usize,
-    /// Bytes currently allocated (including alignment padding and offsets
-    /// reserved in slab caches).
+    /// Bytes currently allocated (including alignment padding).
     pub used: usize,
     /// High-watermark of `used` over the segment's lifetime.
     pub peak: usize,
@@ -100,20 +97,8 @@ pub struct SegmentStats {
     /// Number of blocks returned to the allocator.
     pub frees: u64,
     /// Allocations served without touching the free-list mutex (size-class
-    /// queue or slab-cache hits).
+    /// queue hits).
     pub class_hits: u64,
-    /// Variable-size allocations served by the buddy tier without the
-    /// free-list mutex (order-queue or per-order magazine hits).
-    pub buddy_hits: u64,
-    /// Variable-size allocations served as a three-quarter fit: the
-    /// parent order's top quarter trimmed straight back to the free
-    /// pool, capping internal fragmentation near 33 %.
-    pub buddy_tq_hits: u64,
-    /// Buddy blocks split out of a larger free block (one count per
-    /// halving step).
-    pub buddy_splits: u64,
-    /// Buddy pairs merged back into their parent block on free.
-    pub buddy_merges: u64,
 }
 
 pub(crate) struct FreeList {
@@ -139,37 +124,6 @@ impl FreeList {
             self.holes[idx] = (off + len, hlen - len);
         }
         Some(off)
-    }
-
-    /// First-fit allocation of `len` bytes starting at a multiple of
-    /// `align` (a power of two) — how the buddy tier carves fresh chunks:
-    /// buddy math (`offset ^ size`) is only sound for size-aligned
-    /// blocks. Splits the chosen hole into up to three pieces (pre-pad,
-    /// block, post-pad).
-    fn allocate_aligned(&mut self, len: usize, align: usize) -> Option<usize> {
-        let fits = |&(off, hlen): &(usize, usize)| {
-            let aligned = (off + align - 1) & !(align - 1);
-            aligned
-                .checked_add(len)
-                .is_some_and(|end| end <= off + hlen)
-        };
-        let idx = self.holes.iter().position(fits)?;
-        let (off, hlen) = self.holes[idx];
-        let aligned = (off + align - 1) & !(align - 1);
-        let pre = aligned - off;
-        let post = off + hlen - (aligned + len);
-        match (pre > 0, post > 0) {
-            (false, false) => {
-                self.holes.remove(idx);
-            }
-            (true, false) => self.holes[idx] = (off, pre),
-            (false, true) => self.holes[idx] = (aligned + len, post),
-            (true, true) => {
-                self.holes[idx] = (off, pre);
-                self.holes.insert(idx + 1, (aligned + len, post));
-            }
-        }
-        Some(aligned)
     }
 
     /// Return a range, merging with adjacent holes.
@@ -246,16 +200,6 @@ struct SegmentInner {
     capacity: usize,
     state: Mutex<FreeList>,
     classes: SizeClasses,
-    /// Variable-size tier under the exact classes: odd requests round up
-    /// to a power-of-two buddy order instead of falling through to the
-    /// first-fit mutex (disabled unless built with
-    /// [`SharedSegment::with_buddy`] / `over_mapping_with_buddy`).
-    buddy: BuddyTier,
-    /// Registered slab caches, raided (their parked reservations pulled
-    /// back into the free list) when a first-fit attempt fails even after
-    /// draining the class queues. Lock ordering: always `state` before
-    /// `caches`; no path locks them in the other order.
-    caches: Mutex<Vec<std::sync::Weak<CacheSlots>>>,
     /// One reference count per `BLOCK_ALIGN` slot; the slot at a frozen
     /// block's starting offset counts its live [`BlockRef`] clones, so
     /// freezing and cloning never touch the heap.
@@ -265,7 +209,7 @@ struct SegmentInner {
     /// only while any are present (see [`SegmentInner::signal_release`]).
     waiters: AtomicUsize,
     /// Eventcount generation: bumped by every release. A blocked
-    /// allocation reads it before re-checking the tiers and sleeps only
+    /// allocation reads it before re-checking the free lists and sleeps only
     /// if it is unchanged after registering as a waiter, so a lock-free
     /// class-queue release between check and sleep can never be missed.
     release_gen: AtomicU64,
@@ -297,11 +241,10 @@ unsafe impl Sync for SegmentInner {}
 
 impl SegmentInner {
     /// Return a range to the allocator: class queue when possible (no
-    /// lock), else the buddy tier (merge + order-queue push, no lock),
-    /// else the coalescing free list. Either way the eventcount is
+    /// lock), else the coalescing free list. Either way the eventcount is
     /// bumped so blocked allocations wake immediately — a waiter needing
     /// a larger contiguous range re-runs `alloc_locked`, which drains the
-    /// class and order queues back into the coalescing list.
+    /// class queues back into the coalescing list.
     fn release(&self, offset: usize, len: usize) {
         self.used.fetch_sub(len, Ordering::Relaxed);
         self.frees.fetch_add(1, Ordering::Relaxed);
@@ -309,45 +252,14 @@ impl SegmentInner {
             hook(offset);
             return;
         }
-        if let Some(ci) = self.classes.index_of(len) {
-            if self.classes.push(ci, offset) {
-                self.signal_release();
-                return;
-            }
-        } else if self.buddy.owns(offset, len) {
-            let oi = (len.ilog2() - crate::arena::MIN_BUDDY_ORDER) as usize;
-            let mut spill = Vec::new();
-            self.buddy.free_into(offset, oi, &mut spill);
-            self.dispose_spill(spill);
-            self.signal_release();
-            return;
-        } else if self.buddy.owns_tq(offset, len) {
-            // A three-quarter block decomposes into its half + quarter;
-            // the quarter re-merges through the parent when the sibling
-            // trimmed at allocation time is still free.
-            let mut spill = Vec::new();
-            self.buddy.free_tq_into(offset, len, &mut spill);
-            self.dispose_spill(spill);
-            self.signal_release();
-            return;
+        let queued = self
+            .classes
+            .index_of(len)
+            .is_some_and(|ci| self.classes.push(ci, offset));
+        if !queued {
+            self.state.lock().free(offset, len);
         }
-        let mut fl = self.state.lock();
-        fl.free(offset, len);
-        drop(fl);
         self.signal_release();
-    }
-
-    /// Hand spilled buddy ranges (full order queues) to the coalescing
-    /// free list. No-op without taking the lock when nothing spilled —
-    /// the overwhelmingly common case.
-    fn dispose_spill(&self, spill: Vec<(usize, usize)>) {
-        if spill.is_empty() {
-            return;
-        }
-        let mut fl = self.state.lock();
-        for (off, len) in spill {
-            fl.free(off, len);
-        }
     }
 
     /// Eventcount publish side: bump the generation, then wake any
@@ -371,106 +283,21 @@ impl SegmentInner {
         }
     }
 
-    /// Carve a fresh, size-aligned buddy chunk for order-index `oi` out
-    /// of the first-fit list. Prefers one order up (splitting in half and
-    /// publishing the sibling as free) so the next same-order request is
-    /// a lock-free queue hit, halving mutex trips under churn.
-    fn carve_buddy(&self, fl: &mut FreeList, oi: usize) -> Option<usize> {
-        let size = self.buddy.size_of(oi);
-        if oi + 1 < self.buddy.order_count() {
-            if let Some(off) = fl.allocate_aligned(size * 2, size * 2) {
-                let mut spill = Vec::new();
-                self.buddy.free_into(off + size, oi, &mut spill);
-                for (sib, sib_len) in spill {
-                    // Order queue full (rare): sibling goes back whole.
-                    fl.free(sib, sib_len);
-                }
-                self.buddy.splits.fetch_add(1, Ordering::Relaxed);
-                return Some(off);
-            }
+    /// Under the lock: first-fit from the free list. On a miss, drain the
+    /// class queues back into the list (coalescing adjacent holes) and
+    /// retry; only then is the request genuinely unsatisfiable.
+    fn alloc_locked(&self, fl: &mut FreeList, alloc_len: usize) -> Option<usize> {
+        if let Some(offset) = fl.allocate(alloc_len) {
+            return Some(offset);
         }
-        fl.allocate_aligned(size, size)
-    }
-
-    /// Under the lock: satisfy the request from the free list — for
-    /// buddy-eligible requests by carving an aligned power-of-two chunk,
-    /// otherwise plain first-fit. On a miss, drain the class and order
-    /// queues back into the list (coalescing adjacent holes) and retry,
-    /// then raid the registered slab caches' parked reservations and
-    /// retry once more. Only after all tiers miss is the request
-    /// genuinely unsatisfiable. Returns `(offset, alloc_len)` — the
-    /// buddy path rounds the allocation up to its power-of-two order.
-    fn alloc_locked(
-        &self,
-        fl: &mut FreeList,
-        alloc_len: usize,
-        buddy_oi: Option<usize>,
-    ) -> Option<(usize, usize)> {
-        let try_fit = |this: &Self, fl: &mut FreeList| -> Option<(usize, usize)> {
-            if let Some(oi) = buddy_oi {
-                if let Some(off) = this.carve_buddy(fl, oi) {
-                    if let Some(tq) = this.buddy.tq_len(oi, alloc_len) {
-                        let mut spill = Vec::new();
-                        this.buddy.trim_tq(off, oi, &mut spill);
-                        for (s, s_len) in spill {
-                            fl.free(s, s_len);
-                        }
-                        return Some((off, tq));
-                    }
-                    return Some((off, this.buddy.size_of(oi)));
-                }
-            }
-            fl.allocate(alloc_len).map(|off| (off, alloc_len))
-        };
-        if let Some(hit) = try_fit(self, fl) {
-            return Some(hit);
-        }
-        if self.classes.len() == 0 && !self.buddy.enabled() {
+        let parked = self.classes.drain();
+        if parked.is_empty() {
             return None;
         }
-        let mut progressed = false;
-        for (off, len) in self.classes.drain() {
+        for (off, len) in parked {
             fl.free(off, len);
-            progressed = true;
         }
-        for (off, len) in self.buddy.drain() {
-            fl.free(off, len);
-            progressed = true;
-        }
-        if progressed {
-            if let Some(hit) = try_fit(self, fl) {
-                return Some(hit);
-            }
-        }
-        // Last resort: reclaim reservations parked in (possibly idle)
-        // clients' slab caches — they are counted as used, so raiding
-        // must give those bytes back.
-        let mut raided = Vec::new();
-        {
-            let mut caches = self.caches.lock();
-            caches.retain(|w| match w.upgrade() {
-                Some(slots) => {
-                    slots.drain(&mut raided);
-                    true
-                }
-                None => false,
-            });
-        }
-        if raided.is_empty() {
-            return None;
-        }
-        for &(ti, off) in &raided {
-            // Tier indices are classes-first, then buddy orders (the
-            // CacheSlots layout).
-            let size = if ti < self.classes.len() {
-                self.classes.size(ti)
-            } else {
-                self.buddy.size_of(ti - self.classes.len())
-            };
-            self.used.fetch_sub(size, Ordering::Relaxed);
-            fl.free(off, size);
-        }
-        try_fit(self, fl)
+        fl.allocate(alloc_len)
     }
 }
 
@@ -494,21 +321,12 @@ impl std::fmt::Debug for SharedSegment {
     }
 }
 
-/// The alloc-rounded length `len` bytes occupy, or `None` when the
-/// request is zero or overflows the rounding.
-pub(crate) fn class_len(len: usize) -> Option<usize> {
-    if len == 0 {
-        return None;
-    }
-    round_up(len, BLOCK_ALIGN)
-}
-
 impl SharedSegment {
     /// Create a segment with the given capacity in bytes (rounded up to
     /// [`BLOCK_ALIGN`]) and no size classes: every allocation uses the
     /// first-fit list.
     pub fn new(capacity: usize) -> Result<Self, ShmError> {
-        Self::build(capacity, &[], false, None, None)
+        Self::build(capacity, &[], None, None)
     }
 
     /// Create a segment with lock-free size classes for the given block
@@ -519,16 +337,7 @@ impl SharedSegment {
     /// layouts, so every steady-state `write` allocation is an exact class
     /// hit.
     pub fn with_classes(capacity: usize, class_sizes: &[usize]) -> Result<Self, ShmError> {
-        Self::build(capacity, class_sizes, false, None, None)
-    }
-
-    /// [`SharedSegment::with_classes`] plus the **buddy tier** for
-    /// variable-size workloads: any request that matches no class rounds
-    /// up to the nearest power-of-two order and allocates from a
-    /// lock-free per-order free queue (split/merge on miss/free), so
-    /// AMR-style varying block sizes stay off the first-fit mutex.
-    pub fn with_buddy(capacity: usize, class_sizes: &[usize]) -> Result<Self, ShmError> {
-        Self::build(capacity, class_sizes, true, None, None)
+        Self::build(capacity, class_sizes, None, None)
     }
 
     /// Lay a segment over `capacity` bytes of a shared file mapping,
@@ -548,19 +357,7 @@ impl SharedSegment {
         class_sizes: &[usize],
     ) -> Result<Self, ShmError> {
         let storage = Self::mapped_storage(shm, base_offset, capacity)?;
-        Self::build(capacity, class_sizes, false, Some(storage), None)
-    }
-
-    /// [`SharedSegment::over_mapping`] with the buddy tier enabled (the
-    /// process-mode analogue of [`SharedSegment::with_buddy`]).
-    pub fn over_mapping_with_buddy(
-        shm: &Arc<crate::ShmFile>,
-        base_offset: usize,
-        capacity: usize,
-        class_sizes: &[usize],
-    ) -> Result<Self, ShmError> {
-        let storage = Self::mapped_storage(shm, base_offset, capacity)?;
-        Self::build(capacity, class_sizes, true, Some(storage), None)
+        Self::build(capacity, class_sizes, Some(storage), None)
     }
 
     /// The *reader's* side of a mapping other processes allocate from: a
@@ -577,13 +374,7 @@ impl SharedSegment {
     ) -> Result<Self, ShmError> {
         let capacity = shm.len() / BLOCK_ALIGN * BLOCK_ALIGN;
         let storage = Self::mapped_storage(shm, 0, capacity)?;
-        Self::build(
-            capacity,
-            &[],
-            false,
-            Some(storage),
-            Some(Box::new(on_release)),
-        )
+        Self::build(capacity, &[], Some(storage), Some(Box::new(on_release)))
     }
 
     /// A read-only, reference-counted view of `len` bytes at file offset
@@ -664,7 +455,6 @@ impl SharedSegment {
     fn build(
         capacity: usize,
         class_sizes: &[usize],
-        buddy: bool,
         storage: Option<Storage>,
         on_release: Option<ReleaseHook>,
     ) -> Result<Self, ShmError> {
@@ -675,26 +465,13 @@ impl SharedSegment {
             requested: capacity,
             capacity: usize::MAX - (BLOCK_ALIGN - 1),
         })?;
+        // Sizes that round to zero or past the capacity are dropped by
+        // `SizeClasses::new`.
         let rounded: Vec<usize> = class_sizes
             .iter()
-            .filter_map(|&s| {
-                if s == 0 {
-                    None
-                } else {
-                    round_up(s, BLOCK_ALIGN)
-                }
-            })
+            .filter_map(|&s| round_up(s, BLOCK_ALIGN))
             .collect();
-        let classes = if rounded.is_empty() {
-            SizeClasses::none()
-        } else {
-            SizeClasses::new(capacity, &rounded)
-        };
-        let buddy = if buddy {
-            BuddyTier::new(capacity)
-        } else {
-            BuddyTier::none()
-        };
+        let classes = SizeClasses::new(capacity, &rounded);
         let refcounts = (0..capacity / BLOCK_ALIGN)
             .map(|_| AtomicU32::new(0))
             .collect::<Vec<_>>()
@@ -710,8 +487,6 @@ impl SharedSegment {
                     capacity
                 })),
                 classes,
-                buddy,
-                caches: Mutex::new(Vec::new()),
                 refcounts,
                 space_freed: Condvar::new(),
                 waiters: AtomicUsize::new(0),
@@ -744,6 +519,16 @@ impl SharedSegment {
         Ok(alloc_len)
     }
 
+    /// The lock-free fast path: pop a free offset from the size class
+    /// serving exactly `alloc_len`, if there is one and it holds any.
+    fn pop_class(&self, len: usize, alloc_len: usize) -> Option<Block> {
+        let ci = self.inner.classes.index_of(alloc_len)?;
+        let offset = self.inner.classes.pop(ci)?;
+        self.note_alloc(alloc_len);
+        self.inner.class_hits.fetch_add(1, Ordering::Relaxed);
+        Some(self.block(offset, len, alloc_len))
+    }
+
     /// Allocate `len` bytes without blocking.
     ///
     /// Fails with [`ShmError::OutOfMemory`] when no free range fits the
@@ -751,36 +536,12 @@ impl SharedSegment {
     /// the iteration-skip policy listens for.
     pub fn allocate(&self, len: usize) -> Result<Block, ShmError> {
         let alloc_len = self.check_len(len)?;
-        // Lock-free fast paths: exact size-class hit, then the buddy
-        // tier's order queues (split included) for everything else.
-        if let Some(ci) = self.inner.classes.index_of(alloc_len) {
-            if let Some(offset) = self.inner.classes.pop(ci) {
-                self.note_alloc(alloc_len);
-                self.inner.class_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(self.block(offset, len, alloc_len));
-            }
-        }
-        let buddy_oi = self.inner.buddy.order_index(alloc_len);
-        if let Some(oi) = buddy_oi {
-            let mut spill = Vec::new();
-            let popped = self.inner.buddy.alloc(oi, &mut spill);
-            let mut size = self.inner.buddy.size_of(oi);
-            if let (Some(offset), Some(tq)) = (popped, self.inner.buddy.tq_len(oi, alloc_len)) {
-                // Three-quarter fit: hand the parent's top quarter
-                // straight back, capping internal fragmentation at ~33 %.
-                self.inner.buddy.trim_tq(offset, oi, &mut spill);
-                size = tq;
-            }
-            self.inner.dispose_spill(spill);
-            if let Some(offset) = popped {
-                self.note_alloc(size);
-                self.inner.buddy.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(self.block(offset, len, size));
-            }
+        if let Some(block) = self.pop_class(len, alloc_len) {
+            return Ok(block);
         }
         let mut fl = self.inner.state.lock();
-        match self.inner.alloc_locked(&mut fl, alloc_len, buddy_oi) {
-            Some((offset, alloc_len)) => {
+        match self.inner.alloc_locked(&mut fl, alloc_len) {
+            Some(offset) => {
                 drop(fl);
                 self.note_alloc(alloc_len);
                 Ok(self.block(offset, len, alloc_len))
@@ -805,70 +566,24 @@ impl SharedSegment {
         timeout: Option<Duration>,
     ) -> Result<Block, ShmError> {
         let alloc_len = self.check_len(len)?;
-        // Lock-free fast paths first, exactly as in `allocate` — blocking
-        // mode must not serialize class or buddy hits on the free-list
-        // mutex.
-        if let Some(ci) = self.inner.classes.index_of(alloc_len) {
-            if let Some(offset) = self.inner.classes.pop(ci) {
-                self.note_alloc(alloc_len);
-                self.inner.class_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(self.block(offset, len, alloc_len));
-            }
-        }
-        let buddy_oi = self.inner.buddy.order_index(alloc_len);
-        if let Some(oi) = buddy_oi {
-            let mut spill = Vec::new();
-            let popped = self.inner.buddy.alloc(oi, &mut spill);
-            let mut size = self.inner.buddy.size_of(oi);
-            if let (Some(offset), Some(tq)) = (popped, self.inner.buddy.tq_len(oi, alloc_len)) {
-                self.inner.buddy.trim_tq(offset, oi, &mut spill);
-                size = tq;
-            }
-            self.inner.dispose_spill(spill);
-            if let Some(offset) = popped {
-                self.note_alloc(size);
-                self.inner.buddy.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(self.block(offset, len, size));
-            }
+        // Blocking mode must not serialize class hits on the free-list
+        // mutex either.
+        if let Some(block) = self.pop_class(len, alloc_len) {
+            return Ok(block);
         }
         // A timeout so large it overflows the clock means: wait forever.
         let deadline = timeout.and_then(|t| std::time::Instant::now().checked_add(t));
         let mut fl = self.inner.state.lock();
         loop {
             // Eventcount wait side: read the generation *before*
-            // re-checking the tiers. If a release lands after the checks,
-            // the generation no longer matches below and the sleep is
-            // skipped entirely.
+            // re-checking the free lists. If a release lands after the
+            // checks, the generation no longer matches below and the sleep
+            // is skipped entirely.
             let gen = self.inner.release_gen.load(Ordering::SeqCst);
-            if let Some(ci) = self.inner.classes.index_of(alloc_len) {
-                if let Some(offset) = self.inner.classes.pop(ci) {
-                    drop(fl);
-                    self.note_alloc(alloc_len);
-                    self.inner.class_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(self.block(offset, len, alloc_len));
-                }
+            if let Some(block) = self.pop_class(len, alloc_len) {
+                return Ok(block);
             }
-            if let Some(oi) = buddy_oi {
-                // Holding `fl` already, so spills coalesce in place.
-                let mut spill = Vec::new();
-                let popped = self.inner.buddy.alloc(oi, &mut spill);
-                let mut size = self.inner.buddy.size_of(oi);
-                if let (Some(offset), Some(tq)) = (popped, self.inner.buddy.tq_len(oi, alloc_len)) {
-                    self.inner.buddy.trim_tq(offset, oi, &mut spill);
-                    size = tq;
-                }
-                for (off, spilled_len) in spill {
-                    fl.free(off, spilled_len);
-                }
-                if let Some(offset) = popped {
-                    drop(fl);
-                    self.note_alloc(size);
-                    self.inner.buddy.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(self.block(offset, len, size));
-                }
-            }
-            if let Some((offset, alloc_len)) = self.inner.alloc_locked(&mut fl, alloc_len, buddy_oi)
-            {
+            if let Some(offset) = self.inner.alloc_locked(&mut fl, alloc_len) {
                 drop(fl);
                 self.note_alloc(alloc_len);
                 return Ok(self.block(offset, len, alloc_len));
@@ -922,173 +637,18 @@ impl SharedSegment {
         self.inner.allocations.fetch_add(1, Ordering::Relaxed);
     }
 
-    // ----- slab-cache hooks (crate-internal) -------------------------------
-
-    /// Register a slab cache's slot array so the pressure path can raid
-    /// its reservations.
-    pub(crate) fn register_cache(&self, slots: std::sync::Weak<CacheSlots>) {
-        self.inner.caches.lock().push(slots);
-    }
-
-    /// Number of configured size classes.
-    pub(crate) fn class_count(&self) -> usize {
-        self.inner.classes.len()
-    }
-
-    /// Index of the class serving exactly `alloc_len` bytes.
-    pub(crate) fn class_index(&self, alloc_len: usize) -> Option<usize> {
-        self.inner.classes.index_of(alloc_len)
-    }
-
-    /// Byte size served by class `ci`.
-    pub(crate) fn class_size(&self, ci: usize) -> usize {
-        self.inner.classes.size(ci)
-    }
-
-    /// Pop an offset from class `ci` and account its bytes as used
-    /// (reserved for a cache; not yet an allocation).
-    pub(crate) fn class_pop_reserved(&self, ci: usize) -> Option<usize> {
-        let offset = self.inner.classes.pop(ci)?;
-        let size = self.inner.classes.size(ci);
-        let used = self.inner.used.fetch_add(size, Ordering::Relaxed) + size;
-        self.inner.peak.fetch_max(used, Ordering::Relaxed);
-        Some(offset)
-    }
-
-    /// Carve a fresh range for class `ci` straight from the first-fit
-    /// list and account it as used (reserved for a cache; not yet an
-    /// allocation). Used by [`crate::SlabCache::prewarm`] to seed caches
-    /// at node-build time, before any block has been freed into the class
-    /// queues. Best-effort: `None` when the segment cannot spare the
-    /// bytes (more than half the capacity already committed).
-    pub(crate) fn carve_reserved(&self, ci: usize) -> Option<usize> {
-        let size = self.inner.classes.size(ci);
-        if self.inner.used.load(Ordering::Relaxed).saturating_add(size) > self.inner.capacity / 2 {
-            return None;
-        }
-        let mut fl = self.inner.state.lock();
-        let offset = fl.allocate(size)?;
-        drop(fl);
-        let used = self.inner.used.fetch_add(size, Ordering::Relaxed) + size;
-        self.inner.peak.fetch_max(used, Ordering::Relaxed);
-        Some(offset)
-    }
-
-    /// Turn a reserved offset into a live [`Block`] (bytes already counted
-    /// as used by [`SharedSegment::class_pop_reserved`]).
-    pub(crate) fn adopt_reserved(&self, ci: usize, offset: usize, len: usize) -> Block {
-        let alloc_len = self.inner.classes.size(ci);
-        debug_assert!(len <= alloc_len);
-        self.inner.allocations.fetch_add(1, Ordering::Relaxed);
-        self.inner.class_hits.fetch_add(1, Ordering::Relaxed);
-        self.block(offset, len, alloc_len)
-    }
-
-    /// Give a reserved offset back to the shared pool (cache drop/overflow).
-    pub(crate) fn return_reserved(&self, ci: usize, offset: usize) {
-        let size = self.inner.classes.size(ci);
-        self.inner.used.fetch_sub(size, Ordering::Relaxed);
-        if self.inner.classes.push(ci, offset) {
-            self.inner.signal_release();
-            return;
-        }
-        let mut fl = self.inner.state.lock();
-        fl.free(offset, size);
-        drop(fl);
-        self.inner.signal_release();
-    }
-
-    // ----- buddy-tier hooks (crate-internal) -------------------------------
-
-    /// Number of configured buddy orders (0 = tier disabled).
-    pub(crate) fn buddy_order_count(&self) -> usize {
-        self.inner.buddy.order_count()
-    }
-
-    /// Order-index serving `alloc_len` bytes, if the buddy tier can.
-    pub(crate) fn buddy_order_index(&self, alloc_len: usize) -> Option<usize> {
-        self.inner.buddy.order_index(alloc_len)
-    }
-
-    /// Allocate one order-`oi` block from the order queues (splitting a
-    /// larger free block if needed) and account its bytes as used
-    /// (reserved for a magazine; not yet an allocation).
-    pub(crate) fn buddy_alloc_reserved(&self, oi: usize) -> Option<usize> {
-        let mut spill = Vec::new();
-        let popped = self.inner.buddy.alloc(oi, &mut spill);
-        self.inner.dispose_spill(spill);
-        let offset = popped?;
-        let size = self.inner.buddy.size_of(oi);
-        let used = self.inner.used.fetch_add(size, Ordering::Relaxed) + size;
-        self.inner.peak.fetch_max(used, Ordering::Relaxed);
-        Some(offset)
-    }
-
-    /// Pop one free block of exactly order `oi` (no splitting) and
-    /// account it as used — the magazine warm path.
-    pub(crate) fn buddy_pop_exact_reserved(&self, oi: usize) -> Option<usize> {
-        let offset = self.inner.buddy.pop_exact(oi)?;
-        let size = self.inner.buddy.size_of(oi);
-        let used = self.inner.used.fetch_add(size, Ordering::Relaxed) + size;
-        self.inner.peak.fetch_max(used, Ordering::Relaxed);
-        Some(offset)
-    }
-
-    /// Turn a reserved buddy offset into a live [`Block`] (bytes already
-    /// counted as used). When the request fits in three quarters of the
-    /// reserved order, the top quarter is trimmed back to the free pool
-    /// and the used accounting is adjusted down.
-    pub(crate) fn adopt_buddy_reserved(
-        &self,
-        oi: usize,
-        offset: usize,
-        len: usize,
-        request_len: usize,
-    ) -> Block {
-        let full = self.inner.buddy.size_of(oi);
-        debug_assert!(len <= full);
-        let alloc_len = match self.inner.buddy.tq_len(oi, request_len) {
-            Some(tq) => {
-                let mut spill = Vec::new();
-                self.inner.buddy.trim_tq(offset, oi, &mut spill);
-                self.inner.dispose_spill(spill);
-                self.inner.used.fetch_sub(full - tq, Ordering::Relaxed);
-                self.inner.signal_release();
-                tq
-            }
-            None => full,
-        };
-        self.inner.allocations.fetch_add(1, Ordering::Relaxed);
-        self.inner.buddy.hits.fetch_add(1, Ordering::Relaxed);
-        self.block(offset, len, alloc_len)
-    }
-
-    /// Give a reserved buddy offset back to the shared pool (magazine
-    /// drop/overflow).
-    pub(crate) fn return_buddy_reserved(&self, oi: usize, offset: usize) {
-        let size = self.inner.buddy.size_of(oi);
-        self.inner.used.fetch_sub(size, Ordering::Relaxed);
-        let mut spill = Vec::new();
-        self.inner.buddy.free_into(offset, oi, &mut spill);
-        self.inner.dispose_spill(spill);
-        self.inner.signal_release();
-    }
-
-    // -----------------------------------------------------------------------
-
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.inner.capacity
     }
 
-    /// Bytes currently allocated (alignment-rounded, including slab-cache
-    /// reservations).
+    /// Bytes currently allocated (alignment-rounded).
     pub fn used_bytes(&self) -> usize {
         self.inner.used.load(Ordering::Relaxed)
     }
 
     /// Fraction of the segment currently allocated, in `[0, 1]` — one
-    /// atomic load, O(1) regardless of allocator tier.
+    /// atomic load.
     pub fn occupancy(&self) -> f64 {
         self.used_bytes() as f64 / self.inner.capacity as f64
     }
@@ -1101,9 +661,6 @@ impl SharedSegment {
     pub fn largest_free_block(&self) -> usize {
         let mut fl = self.inner.state.lock();
         for (off, len) in self.inner.classes.drain() {
-            fl.free(off, len);
-        }
-        for (off, len) in self.inner.buddy.drain() {
             fl.free(off, len);
         }
         fl.largest_hole()
@@ -1119,10 +676,6 @@ impl SharedSegment {
             failures: self.inner.failures.load(Ordering::Relaxed),
             frees: self.inner.frees.load(Ordering::Relaxed),
             class_hits: self.inner.class_hits.load(Ordering::Relaxed),
-            buddy_hits: self.inner.buddy.hits.load(Ordering::Relaxed),
-            buddy_tq_hits: self.inner.buddy.tq_hits.load(Ordering::Relaxed),
-            buddy_splits: self.inner.buddy.splits.load(Ordering::Relaxed),
-            buddy_merges: self.inner.buddy.merges.load(Ordering::Relaxed),
         }
     }
 }
@@ -1618,9 +1171,10 @@ mod tests {
 
     #[test]
     fn concurrent_classed_alloc_free_stress() {
-        // Same stress, but with every size a class: alloc/free races go
-        // through the lock-free queues.
-        let sizes: Vec<usize> = (1..8).map(|k| k * 64).collect();
+        // Same stress, but with every other size a class (the AMR shape:
+        // declared layouts beside per-write sizes): alloc/free races go
+        // through the lock-free queues and the list at once.
+        let sizes: Vec<usize> = (1..8).step_by(2).map(|k| k * 64).collect();
         let seg = SharedSegment::with_classes(1 << 16, &sizes).unwrap();
         let mut handles = Vec::new();
         for t in 0..8u8 {
@@ -1745,242 +1299,5 @@ mod tests {
         b.write_pod(&[-5i16, 6, -7, 8]);
         let r = b.freeze();
         assert_eq!(r.as_pod::<i16>(), &[-5, 6, -7, 8]);
-    }
-
-    #[test]
-    fn slab_cache_round_trips_blocks() {
-        let seg = SharedSegment::with_classes(1 << 14, &[512]).unwrap();
-        let cache = crate::SlabCache::new(&seg);
-        let b = cache.allocate(512).unwrap();
-        let off = b.offset();
-        drop(b);
-        // The freed offset sits in the shared class queue; the cache pulls
-        // it (and accounts it as used while held).
-        let b2 = cache.allocate(512).unwrap();
-        assert_eq!(b2.offset(), off);
-        drop(b2);
-        drop(cache);
-        assert_eq!(seg.used_bytes(), 0, "cache drop returns reservations");
-        assert_eq!(seg.largest_free_block(), seg.capacity());
-    }
-
-    #[test]
-    fn pressure_raids_idle_slab_caches() {
-        // A reservation parked in a (now idle) client's cache must not
-        // strand memory: an allocation that would otherwise fail reclaims
-        // it through the raid tier.
-        let seg = SharedSegment::with_classes(512, &[256]).unwrap();
-        let cache = crate::SlabCache::new(&seg);
-        let a = cache.allocate(256).unwrap();
-        let b = cache.allocate(256).unwrap();
-        drop(a);
-        drop(b); // both offsets now in the shared class queue
-        let block = cache.allocate(256).unwrap(); // pops one, warm-stashes the other
-        drop(block); // queue holds one, cache holds one (counted as used)
-        assert_eq!(seg.used_bytes(), 256, "one reservation parked");
-        // 512 bytes need the queued block AND the cached one, coalesced.
-        let big = seg.allocate(512).expect("raid reclaims cached reservation");
-        assert_eq!(big.len(), 512);
-        drop(big);
-        drop(cache);
-        assert_eq!(seg.used_bytes(), 0);
-        assert_eq!(seg.largest_free_block(), 512);
-    }
-
-    #[test]
-    fn buddy_odd_sizes_recycle_lock_free() {
-        // An odd size (no class) rounds to its power-of-two order; after
-        // the first carve, free → allocate of the same size is a pure
-        // order-queue round trip (a buddy hit), reusing the offset.
-        let seg = SharedSegment::with_buddy(1 << 14, &[512]).unwrap();
-        let b = seg.allocate(100).unwrap(); // order 7 (128 bytes)
-        assert_eq!(seg.used_bytes(), 128, "rounded to the buddy order");
-        assert!(b.offset().is_multiple_of(128), "buddy blocks size-aligned");
-        let first = b.offset();
-        drop(b);
-        let b2 = seg.allocate(100).unwrap();
-        assert_eq!(b2.offset(), first, "order queue recycled the block");
-        let s = seg.stats();
-        assert_eq!(s.buddy_hits, 1, "second allocation was a buddy hit");
-        assert_eq!(s.class_hits, 0, "classes untouched by odd sizes");
-        drop(b2);
-        assert_eq!(seg.used_bytes(), 0);
-        assert_eq!(seg.largest_free_block(), seg.capacity());
-    }
-
-    #[test]
-    fn buddy_class_sizes_still_use_classes() {
-        // Exact class matches keep their dedicated queues even with the
-        // buddy tier enabled.
-        let seg = SharedSegment::with_buddy(1 << 14, &[512]).unwrap();
-        let a = seg.allocate(512).unwrap();
-        drop(a);
-        let b = seg.allocate(512).unwrap();
-        assert_eq!(seg.stats().class_hits, 1);
-        assert_eq!(seg.stats().buddy_hits, 0);
-        drop(b);
-    }
-
-    #[test]
-    fn buddy_splits_and_merges_siblings() {
-        let seg = SharedSegment::with_buddy(1 << 14, &[]).unwrap();
-        // First odd allocation carves one order up and splits, parking
-        // the sibling in the order queue.
-        let b = seg.allocate(100).unwrap();
-        assert_eq!(seg.stats().buddy_splits, 1, "carve split the double");
-        // Freeing rejoins the sibling: the pair merges back into the
-        // parent, which then serves a double-size request lock-free.
-        drop(b);
-        assert_eq!(seg.stats().buddy_merges, 1, "free merged the pair");
-        let big = seg.allocate(200).unwrap(); // order 8 (256 bytes)
-        assert_eq!(seg.stats().buddy_hits, 1, "merged parent served it");
-        drop(big);
-        assert_eq!(seg.used_bytes(), 0);
-        assert_eq!(seg.largest_free_block(), seg.capacity());
-    }
-
-    #[test]
-    fn buddy_three_quarter_fit_trims_and_remerges() {
-        // 1244 rounds to 1280, one order below 2048: the three-quarter
-        // family serves it as 1536 (1024 + 512), handing the top quarter
-        // straight back instead of wasting it.
-        let seg = SharedSegment::with_buddy(1 << 14, &[]).unwrap();
-        let b = seg.allocate(1244).unwrap();
-        assert_eq!(seg.used_bytes(), 1536, "3/4 of the 2048 order");
-        assert_eq!(seg.stats().buddy_tq_hits, 1, "trim counted");
-        // The trimmed quarter is immediately allocatable.
-        let q = seg.allocate(500).unwrap();
-        assert_eq!(seg.used_bytes(), 1536 + 512);
-        drop(q);
-        // Releasing decomposes half + quarter and merges all the way
-        // back to the root hole.
-        drop(b);
-        assert_eq!(seg.used_bytes(), 0);
-        assert_eq!(seg.largest_free_block(), seg.capacity());
-    }
-
-    #[test]
-    fn buddy_three_quarter_fit_round_trips_through_slab_cache() {
-        // The per-order magazine reserves the full parent; adoption must
-        // trim the quarter and adjust the used accounting back down.
-        let seg = SharedSegment::with_buddy(1 << 14, &[]).unwrap();
-        let cache = crate::SlabCache::new(&seg);
-        let b = cache.allocate(1244).unwrap();
-        assert_eq!(b.len(), 1244);
-        assert_eq!(seg.stats().buddy_tq_hits, 1);
-        drop(b);
-        drop(cache);
-        assert_eq!(seg.used_bytes(), 0, "cache drop returns reservations");
-        assert_eq!(seg.largest_free_block(), seg.capacity());
-    }
-
-    #[test]
-    fn buddy_zero_and_near_max_rejected() {
-        // Satellite fix: the buddy order computation must not overflow —
-        // zero-length and near-usize::MAX requests surface as the same
-        // typed errors the classed path reports.
-        let seg = SharedSegment::with_buddy(4096, &[]).unwrap();
-        match seg.allocate(0) {
-            Err(ShmError::ZeroSize) => {}
-            other => panic!("unexpected: {other:?}"),
-        }
-        for req in [usize::MAX, usize::MAX - 1, (usize::MAX >> 1) + 2] {
-            match seg.allocate(req) {
-                Err(ShmError::RequestTooLarge { requested, .. }) => assert_eq!(requested, req),
-                other => panic!("unexpected: {other:?}"),
-            }
-            match seg.allocate_blocking(req, Some(Duration::from_millis(1))) {
-                Err(ShmError::RequestTooLarge { .. }) => {}
-                other => panic!("unexpected: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn buddy_request_beyond_largest_order_uses_free_list() {
-        // Capacity 6144 is not a power of two: the largest order is 4096,
-        // so a 5000-byte request cannot round into any order and must be
-        // served (64-byte-rounded, unaligned) by first-fit.
-        let seg = SharedSegment::with_buddy(6144, &[]).unwrap();
-        let b = seg.allocate(5000).unwrap();
-        assert_eq!(seg.used_bytes(), 5056, "64-rounded, not power-of-two");
-        assert_eq!(seg.stats().buddy_hits, 0);
-        drop(b);
-        assert_eq!(seg.used_bytes(), 0);
-        assert_eq!(seg.largest_free_block(), seg.capacity());
-    }
-
-    #[test]
-    fn buddy_pressure_drains_order_queues() {
-        // Odd blocks fill the segment through the buddy tier; a request
-        // needing the whole capacity must drain the order queues back
-        // into the coalescing list and succeed.
-        let seg = SharedSegment::with_buddy(4096, &[]).unwrap();
-        let blocks: Vec<_> = (0..4).map(|_| seg.allocate(1000).unwrap()).collect();
-        assert!(seg.allocate(1000).is_err(), "segment genuinely full");
-        drop(blocks);
-        let whole = seg.allocate(4096).expect("drain + coalesce serves it");
-        drop(whole);
-        assert_eq!(seg.used_bytes(), 0);
-    }
-
-    #[test]
-    fn slab_cache_buddy_magazine_round_trips() {
-        let seg = SharedSegment::with_buddy(1 << 14, &[]).unwrap();
-        let cache = crate::SlabCache::new(&seg);
-        let b = cache.allocate(100).unwrap();
-        let off = b.offset();
-        drop(b);
-        // The freed block sits in the shared order queue; the magazine
-        // pulls it (accounted used while parked) and serves repeats from
-        // the local slot.
-        let b2 = cache.allocate(100).unwrap();
-        assert_eq!(b2.offset(), off);
-        assert!(seg.stats().buddy_hits >= 1);
-        drop(b2);
-        drop(cache);
-        assert_eq!(seg.used_bytes(), 0, "cache drop returns reservations");
-        assert_eq!(seg.largest_free_block(), seg.capacity());
-    }
-
-    #[test]
-    fn buddy_concurrent_mixed_size_stress() {
-        // AMR-shaped churn: every thread allocates a different odd size
-        // per step. Disjointness is asserted by data integrity; the
-        // segment must come back empty and fully merged.
-        let seg = SharedSegment::with_buddy(1 << 16, &[]).unwrap();
-        let mut handles = Vec::new();
-        for t in 0..8u8 {
-            let seg = seg.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..200usize {
-                    let size = 48 + ((i * 37 + t as usize * 211) % 900);
-                    let mut b = seg
-                        .allocate_blocking(size, Some(Duration::from_secs(10)))
-                        .unwrap();
-                    b.as_mut_slice().fill(t);
-                    let r = b.freeze();
-                    assert!(r.as_slice().iter().all(|&x| x == t), "corruption detected");
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(seg.used_bytes(), 0);
-        assert_eq!(seg.largest_free_block(), seg.capacity());
-        let s = seg.stats();
-        assert!(s.buddy_hits > 0, "order queues actually served hits");
-        assert!(s.buddy_merges > 0, "frees merged buddies");
-    }
-
-    #[test]
-    fn slab_cache_falls_back_for_odd_sizes() {
-        let seg = SharedSegment::with_classes(1 << 14, &[512]).unwrap();
-        let cache = crate::SlabCache::new(&seg);
-        let b = cache.allocate(100).unwrap();
-        drop(b);
-        drop(cache);
-        assert_eq!(seg.used_bytes(), 0);
     }
 }

@@ -208,9 +208,9 @@ impl VarRegistry {
     }
 
     /// Distinct block byte sizes across all fixed-layout variables — the
-    /// seed for the shared-memory segment's size-class allocator.
+    /// seed for the shared-memory segment's size-class queues.
     /// Dynamic layouts contribute nothing here: their per-write sizes are
-    /// served by the buddy tier, not by an exact class.
+    /// served by the segment's first-fit list, not by an exact class.
     pub fn distinct_byte_sizes(&self) -> Vec<usize> {
         let mut sizes: Vec<usize> = self
             .vars
@@ -221,12 +221,6 @@ impl VarRegistry {
         sizes.sort_unstable();
         sizes.dedup();
         sizes
-    }
-
-    /// Whether any variable uses a dynamic layout (callers then want the
-    /// buddy allocator).
-    pub fn any_dynamic(&self) -> bool {
-        self.vars.iter().any(|e| e.layout.is_dynamic())
     }
 
     /// Resolve a user-event name declared by some `<action event="…">`.

@@ -360,61 +360,6 @@ impl fmt::Display for QueueKind {
     }
 }
 
-/// Which shared-memory allocator backs the segment
-/// (`<buffer allocator="…">`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocatorKind {
-    /// Lock-free size-class free lists seeded from the declared variable
-    /// layouts, first-fit fallback for odd sizes. Steady-state write
-    /// allocations take no lock. The default. Node builders upgrade this
-    /// choice to [`AllocatorKind::Buddy`] when any layout is
-    /// `dimensions="dynamic"` — otherwise every variable-size write
-    /// would silently serialize on the first-fit mutex.
-    #[default]
-    SizeClass,
-    /// The classic single-mutex first-fit coalescing free list (the
-    /// baseline the write-path benchmark measures against).
-    FirstFit,
-    /// The size-class queues plus a lock-free buddy tier underneath:
-    /// variable-size requests (AMR refinement, per-step particle counts)
-    /// round up to a power-of-two order and allocate/free through
-    /// per-order queues with split/merge, instead of falling through to
-    /// the first-fit mutex. Pick this for `dimensions="dynamic"`
-    /// workloads.
-    Buddy,
-}
-
-impl AllocatorKind {
-    /// Parse the `allocator="…"` attribute.
-    pub fn parse(s: &str) -> XmlResult<Self> {
-        Ok(match s.trim() {
-            "size-class" => AllocatorKind::SizeClass,
-            "first-fit" => AllocatorKind::FirstFit,
-            "buddy" => AllocatorKind::Buddy,
-            other => {
-                return Err(XmlError::schema(format!(
-                    "unknown allocator kind '{other}'"
-                )))
-            }
-        })
-    }
-
-    /// Canonical name for serialization.
-    pub fn name(self) -> &'static str {
-        match self {
-            AllocatorKind::SizeClass => "size-class",
-            AllocatorKind::FirstFit => "first-fit",
-            AllocatorKind::Buddy => "buddy",
-        }
-    }
-}
-
-impl fmt::Display for AllocatorKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Storage backend selected by `<store type="…">`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreKind {
@@ -582,8 +527,6 @@ pub struct Architecture {
     pub clients: usize,
     /// Shared-memory segment capacity in bytes.
     pub buffer_size: usize,
-    /// Shared-memory allocator implementation.
-    pub allocator: AllocatorKind,
     /// Event queue capacity in messages (aggregate across shards for the
     /// sharded transport).
     pub queue_capacity: usize,
@@ -622,7 +565,6 @@ impl Default for Architecture {
             dedicated_cores: 1,
             clients: 1,
             buffer_size: 64 << 20,
-            allocator: AllocatorKind::default(),
             queue_capacity: 1024,
             queue_kind: QueueKind::default(),
             world: WorldKind::default(),
@@ -878,9 +820,7 @@ impl Configuration {
                 Element::new("clients").with_attr("count", self.architecture.clients.to_string()),
             )
             .with_child(
-                Element::new("buffer")
-                    .with_attr("size", self.architecture.buffer_size.to_string())
-                    .with_attr("allocator", self.architecture.allocator.name()),
+                Element::new("buffer").with_attr("size", self.architecture.buffer_size.to_string()),
             )
             .with_child(
                 Element::new("queue")
@@ -1068,9 +1008,6 @@ fn parse_architecture(el: &Element) -> XmlResult<Architecture> {
             .unwrap_or(arch.buffer_size);
         if arch.buffer_size == 0 {
             return Err(XmlError::schema("<buffer size> must be positive"));
-        }
-        if let Some(kind) = b.attr("allocator") {
-            arch.allocator = AllocatorKind::parse(kind)?;
         }
     }
     if let Some(q) = el.child("queue") {
@@ -1505,40 +1442,9 @@ mod tests {
     }
 
     #[test]
-    fn allocator_kind_parses_and_roundtrips() {
-        let xml = r#"<simulation name="s">
-          <architecture><buffer size="4096" allocator="first-fit"/></architecture>
-        </simulation>"#;
-        let cfg = Configuration::from_str(xml).unwrap();
-        assert_eq!(cfg.architecture.allocator, AllocatorKind::FirstFit);
-        let back = Configuration::from_str(&cfg.to_xml()).unwrap();
-        assert_eq!(back.architecture.allocator, AllocatorKind::FirstFit);
-        assert_eq!(back, cfg);
-        // Default is the size-class allocator; junk is rejected.
-        let cfg = Configuration::from_str("<simulation name=\"x\"/>").unwrap();
-        assert_eq!(cfg.architecture.allocator, AllocatorKind::SizeClass);
-        let bad = Configuration::from_str(
-            r#"<simulation><architecture><buffer size="1" allocator="bump"/></architecture></simulation>"#,
-        );
-        assert!(bad.unwrap_err().to_string().contains("unknown allocator"));
-    }
-
-    #[test]
-    fn buddy_allocator_parses_and_roundtrips() {
-        let xml = r#"<simulation name="s">
-          <architecture><buffer size="4096" allocator="buddy"/></architecture>
-        </simulation>"#;
-        let cfg = Configuration::from_str(xml).unwrap();
-        assert_eq!(cfg.architecture.allocator, AllocatorKind::Buddy);
-        let back = Configuration::from_str(&cfg.to_xml()).unwrap();
-        assert_eq!(back.architecture.allocator, AllocatorKind::Buddy);
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
     fn dynamic_layout_parses_and_roundtrips() {
         let xml = r#"<simulation name="amr">
-          <architecture><buffer size="1048576" allocator="buddy"/></architecture>
+          <architecture><buffer size="1048576"/></architecture>
           <data>
             <layout name="patch" type="f64" dimensions="dynamic" max_size="65536"/>
             <layout name="free" type="f32" dimensions="dynamic"/>
@@ -1562,7 +1468,6 @@ mod tests {
         assert!(reg.is_dynamic(density));
         assert_eq!(reg.byte_size(density), 0);
         assert_eq!(reg.max_byte_size(density), Some(65536));
-        assert!(reg.any_dynamic());
         assert!(reg.distinct_byte_sizes().is_empty());
     }
 

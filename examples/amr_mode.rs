@@ -1,14 +1,12 @@
-//! AMR mode: variable-size blocks through dynamic layouts and the buddy
-//! allocator.
+//! AMR mode: variable-size blocks through dynamic layouts.
 //!
 //! Real in-situ pipelines rarely emit fixed-size blocks: adaptive mesh
 //! refinement changes each rank's patch sizes every few steps, particle
 //! counts drift per iteration, and data-reduction output shrinks with the
 //! field's entropy. This example runs a toy refinement workload — every
 //! rank's block size varies per iteration, no two ranks agree — over a
-//! `dimensions="dynamic"` layout, with `<buffer allocator="buddy">` so
-//! the odd sizes allocate from the lock-free per-order queues instead of
-//! the first-fit mutex.
+//! `dimensions="dynamic"` layout; the undeclared sizes allocate from the
+//! segment's first-fit coalescing list.
 //!
 //! Run with: `cargo run --release --example amr_mode`
 
@@ -19,7 +17,7 @@ const CONFIG: &str = r#"
   <architecture>
     <dedicated cores="1"/>
     <clients count="4"/>
-    <buffer size="8388608" allocator="buddy"/>
+    <buffer size="8388608"/>
     <queue capacity="512"/>
   </architecture>
   <data>

@@ -7,16 +7,16 @@ Usage:
                               [--bound "metric<=1.10"] [--bound "metric>=4.0"]
 
 Both files must be records produced by the `damaris_bench` bench targets
-(`BENCH_transport.json`, `BENCH_write_path.json`, …): an object with a
+(`BENCH_transport.json`, `BENCH_storage.json`, …): an object with a
 "samples" array of flat objects. Samples are matched on their identity
-keys (strings and integers, e.g. allocator/transport + clients); floats
+keys (strings and integers, e.g. transport + clients); floats
 are metrics.
 
 Gating tiers — absolute timings are machine-dependent (a committed
 baseline usually comes from a different box than the CI runner), so:
 
 * metrics ending in `_ratio` (within-run comparisons such as the
-  size-class scaling factor) are machine-independent and always gated at
+  store-on/off write cost) are machine-independent and always gated at
   THRESHOLD;
 * absolute metrics (`…_ns…`, `…_seconds…` lower-better; `…_meps…`,
   `…_throughput…` higher-better) are gated only with `--strict` — use it
