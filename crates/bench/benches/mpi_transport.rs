@@ -21,21 +21,9 @@
 //!
 //! This binary re-executes itself for the socket world: the `run_spawned`
 //! call is the first thing `main` does, so spawned children never reach
-//! the thread-world measurement below it. Every socket run shares the one
-//! program name `"mpi-transport-bench"` — a re-executed child always
-//! enters the *first* matching call site, so the rank program dispatches
-//! on its input byte instead of the call site.
-//!
-//! A second measurement pair answers the failure-detection question: the
-//! reliable heartbeat mode (`heartbeat_ms > 0`) retains every sequenced
-//! frame for retransmission until the peer's receive cursor acks it —
-//! what does that bookkeeping cost per post? `REPS` repetitions of the
-//! post loop give a heartbeat-on and a heartbeat-off series; the ratio of
-//! their medians is recorded as `heartbeat_on_off_post_p50` and CI-bounds
-//! it at ≤ 1.05 (the DES's `HEARTBEAT_POST_OVERHEAD_SECONDS` assumes the
-//! same envelope).
+//! the thread-world measurement below it.
 
-use mini_mpi::{Comm, Source, SpawnOptions, World};
+use mini_mpi::{Comm, Source, World};
 
 use damaris_bench::print_table;
 
@@ -45,10 +33,6 @@ const POSTS: usize = 20_000;
 const ROUNDTRIPS: usize = 2_000;
 /// Payload, in u64 words (64 bytes — a descriptor-sized message).
 const PAYLOAD_WORDS: usize = 8;
-/// Repetitions of the post loop per heartbeat series (median taken).
-const REPS: usize = 5;
-/// Heartbeat interval for the heartbeat-on series.
-const HEARTBEAT_MS: u64 = 50;
 
 /// The measured rank program: rank 0 reports `(post_ns, roundtrip_ns)`.
 fn transport_probe(comm: &mut Comm) -> Vec<u8> {
@@ -88,44 +72,6 @@ fn transport_probe(comm: &mut Comm) -> Vec<u8> {
         .collect()
 }
 
-/// The post-latency series program: rank 0 reports `REPS` per-repetition
-/// mean post nanoseconds, with a drain barrier between repetitions so one
-/// repetition's queued frames never bleed into the next measurement.
-fn post_series_probe(comm: &mut Comm) -> Vec<u8> {
-    let payload = [7u64; PAYLOAD_WORDS];
-    let mut out = Vec::new();
-    if comm.rank() == 0 {
-        for _ in 0..REPS {
-            let t0 = std::time::Instant::now();
-            for _ in 0..POSTS {
-                comm.send(1, 0, &payload);
-            }
-            let rep_ns = t0.elapsed().as_nanos() as f64 / POSTS as f64;
-            let _: Vec<u64> = comm.recv(Source::Rank(1), 2);
-            out.extend(rep_ns.to_le_bytes());
-        }
-    } else {
-        for _ in 0..REPS {
-            for _ in 0..POSTS {
-                let _: Vec<u64> = comm.recv(Source::Rank(0), 0);
-            }
-            comm.send(0, 2, &payload);
-        }
-        out.resize(8 * REPS, 0);
-    }
-    out
-}
-
-/// One rank program for every socket spawn in this binary: a re-executed
-/// child enters `main`'s first `run_spawned*` call site regardless of
-/// which spawn created it, so the input byte picks the probe.
-fn probe_dispatch(comm: &mut Comm, input: &[u8]) -> Vec<u8> {
-    match input.first().copied().unwrap_or(0) {
-        0 => transport_probe(comm),
-        _ => post_series_probe(comm),
-    }
-}
-
 fn decode(bytes: &[u8]) -> (f64, f64) {
     (
         f64::from_le_bytes(bytes[..8].try_into().unwrap()),
@@ -133,44 +79,13 @@ fn decode(bytes: &[u8]) -> (f64, f64) {
     )
 }
 
-/// Median of a per-repetition latency series.
-fn p50(series: &mut [f64]) -> f64 {
-    series.sort_by(|a, b| a.total_cmp(b));
-    series[series.len() / 2]
-}
-
-/// Run the post-latency series on a socket world with the given heartbeat
-/// interval (0 = legacy mode) and return the median per-post nanoseconds.
-fn post_series_p50(heartbeat_ms: u64) -> f64 {
-    let opts = SpawnOptions {
-        heartbeat_ms,
-        ..SpawnOptions::default()
-    };
-    let outcome = World::run_spawned_outcome(2, "mpi-transport-bench", &[1], opts, probe_dispatch)
-        .expect("socket series world must run");
-    assert!(
-        outcome.failures.is_empty(),
-        "series ranks failed: {:?}",
-        outcome.failures
-    );
-    let bytes = outcome.results[0].as_deref().expect("rank 0 reports");
-    let mut series: Vec<f64> = bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    p50(&mut series)
-}
-
 fn main() {
     // Socket world FIRST: in a spawned child this call never returns.
-    let socket_out = World::run_spawned(2, "mpi-transport-bench", &[0], probe_dispatch)
-        .expect("socket world must run");
+    let socket_out = World::run_spawned(2, "mpi-transport-bench", &[], |comm, _| {
+        transport_probe(comm)
+    })
+    .expect("socket world must run");
     let (uds_post, uds_rtt) = decode(&socket_out[0]);
-
-    // Heartbeat tax: the same post series with failure detection off/on.
-    let hb_off_p50 = post_series_p50(0);
-    let hb_on_p50 = post_series_p50(HEARTBEAT_MS);
-    let hb_ratio = hb_on_p50 / hb_off_p50.max(1.0);
 
     // Thread world, same probe.
     let thread_out = World::run(2, transport_probe);
@@ -192,21 +107,6 @@ fn main() {
             format!("{:.1}x", uds_post / thr_post.max(1.0)),
             format!("{:.1}x", uds_rtt / thr_rtt.max(1.0)),
         ],
-        vec![
-            "processes, heartbeat off (p50)".to_string(),
-            format!("{hb_off_p50:.0} ns"),
-            "-".to_string(),
-        ],
-        vec![
-            "processes, heartbeat on (p50)".to_string(),
-            format!("{hb_on_p50:.0} ns"),
-            "-".to_string(),
-        ],
-        vec![
-            "heartbeat on / off".to_string(),
-            format!("{hb_ratio:.3}x"),
-            "-".to_string(),
-        ],
     ];
     print_table(
         "mini-mpi transport: post / roundtrip latency (2 ranks, 64 B)",
@@ -220,7 +120,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"mpi_transport\",\n  \"posts\": {POSTS},\n  \"roundtrips\": {ROUNDTRIPS},\n  \"payload_bytes\": {},\n  \"samples\": [\n    {{\"world\": \"threads\", \"post_ns\": {thr_post:.1}, \"roundtrip_ns\": {thr_rtt:.1}}},\n    {{\"world\": \"processes\", \"post_ns\": {uds_post:.1}, \"roundtrip_ns\": {uds_rtt:.1}}},\n    {{\"world\": \"processes-vs-threads\", \"post_x\": {:.2}, \"roundtrip_x\": {:.2}}},\n    {{\"world\": \"processes-heartbeat\", \"post_p50_hb_off_ns\": {hb_off_p50:.1}, \"post_p50_hb_on_ns\": {hb_on_p50:.1}, \"heartbeat_on_off_post_p50\": {hb_ratio:.3}}}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"mpi_transport\",\n  \"posts\": {POSTS},\n  \"roundtrips\": {ROUNDTRIPS},\n  \"payload_bytes\": {},\n  \"samples\": [\n    {{\"world\": \"threads\", \"post_ns\": {thr_post:.1}, \"roundtrip_ns\": {thr_rtt:.1}}},\n    {{\"world\": \"processes\", \"post_ns\": {uds_post:.1}, \"roundtrip_ns\": {uds_rtt:.1}}},\n    {{\"world\": \"processes-vs-threads\", \"post_x\": {:.2}, \"roundtrip_x\": {:.2}}}\n  ]\n}}\n",
         PAYLOAD_WORDS * 8,
         uds_post / thr_post.max(1.0),
         uds_rtt / thr_rtt.max(1.0),

@@ -42,15 +42,6 @@ const UDS_POST_SECONDS: f64 = 150e-9;
 /// same bench's `roundtrip_ns` ≈ 19 µs, ~7× the in-process condvar
 /// roundtrip.
 const UDS_ACK_ROUNDTRIP_SECONDS: f64 = 19e-6;
-/// Modeled per-post tax of the reliable heartbeat mode
-/// (`<world heartbeat_ms="…"/>`): each sequenced frame is cloned into the
-/// link's retransmission buffer and later pruned when the peer's receive
-/// cursor (piggybacked on PING/PONG) acknowledges it. The PING traffic
-/// itself is per-interval, not per-post, and amortizes to noise; the
-/// retention bookkeeping is what shows up per frame. Calibrated against
-/// `benches/mpi_transport.rs` (`heartbeat_on_off_post_p50`, CI-gated
-/// ≤ 1.05 — i.e. ≤ 7.5 ns on a 150 ns post).
-const HEARTBEAT_POST_OVERHEAD_SECONDS: f64 = 6e-9;
 
 /// Simulate one run of `workload` on `ranks` cores of `platform` under
 /// `strategy`, deterministically from `seed`.
@@ -244,15 +235,7 @@ fn run_damaris(
             },
             0.0,
         ),
-        WorldKind::Processes => (
-            UDS_POST_SECONDS
-                + if opts.heartbeat {
-                    HEARTBEAT_POST_OVERHEAD_SECONDS
-                } else {
-                    0.0
-                },
-            UDS_ACK_ROUNDTRIP_SECONDS,
-        ),
+        WorldKind::Processes => (UDS_POST_SECONDS, UDS_ACK_ROUNDTRIP_SECONDS),
     };
     let event_post_seconds = 2.0 * post_each + ack_seconds;
 
@@ -741,80 +724,6 @@ mod tests {
             (per_dump - expected).abs() < 1e-12,
             "per-dump socket cost {per_dump} != modeled {expected}"
         );
-    }
-
-    #[test]
-    fn heartbeat_mode_taxes_posts_by_under_five_percent() {
-        // Reliable heartbeat links retain every sequenced frame until
-        // acked — a per-post bookkeeping tax. The model must show the
-        // tax (failure detection is not free) while staying inside the
-        // CI bench gate's envelope (heartbeat_on_off_post_p50 ≤ 1.05):
-        // the dedicated-core design keeps its asynchrony with failure
-        // detection switched on.
-        let p = quiet_kraken();
-        let w = Workload::cm1(2);
-        let ranks = 9216;
-        let off = run(&p, &w, ranks, Strategy::damaris_processes(), 13);
-        let on = run(
-            &p,
-            &w,
-            ranks,
-            Strategy::Damaris(DamarisOptions {
-                world: WorldKind::Processes,
-                heartbeat: true,
-                ..Default::default()
-            }),
-            13,
-        );
-        assert!(
-            on.event_post_seconds > off.event_post_seconds,
-            "heartbeat bookkeeping must show up: on {} vs off {}",
-            on.event_post_seconds,
-            off.event_post_seconds
-        );
-        assert!(
-            on.event_post_seconds <= off.event_post_seconds * 1.05,
-            "heartbeat tax must stay within the CI gate's 5 %: on {} vs off {}",
-            on.event_post_seconds,
-            off.event_post_seconds
-        );
-        // Wall time is still dominated by compute + asynchronous writes.
-        assert!(on.wall_seconds <= off.wall_seconds * 1.01);
-        // In the thread world the knob is inert: no socket links exist.
-        let t_off = run(&p, &w, ranks, Strategy::damaris_sharded(), 13);
-        let t_on = run(
-            &p,
-            &w,
-            ranks,
-            Strategy::Damaris(DamarisOptions {
-                transport: TransportKind::Sharded,
-                heartbeat: true,
-                ..Default::default()
-            }),
-            13,
-        );
-        assert_eq!(t_on.event_post_seconds, t_off.event_post_seconds);
-    }
-
-    #[test]
-    fn damaris_options_from_config_heartbeat() {
-        use damaris_xml::schema::Configuration;
-        let on = Configuration::from_str(
-            r#"<simulation name="x">
-                 <architecture>
-                   <world kind="processes" heartbeat_ms="100" heartbeat_timeout_ms="1000"/>
-                 </architecture>
-               </simulation>"#,
-        )
-        .unwrap();
-        assert!(DamarisOptions::from_config(&on).heartbeat);
-        let off = Configuration::from_str(
-            r#"<simulation name="x">
-                 <architecture><world kind="processes"/></architecture>
-               </simulation>"#,
-        )
-        .unwrap();
-        assert!(!DamarisOptions::from_config(&off).heartbeat);
     }
 
     #[test]

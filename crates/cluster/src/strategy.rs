@@ -143,12 +143,6 @@ pub struct DamarisOptions {
     /// `mini_mpi::World::run_spawned` + `damaris_core::process`, with
     /// costs calibrated from `BENCH_mpi_transport.json`).
     pub world: WorldKind,
-    /// Heartbeat failure detection on the process-world links
-    /// (`<world heartbeat_ms="…"/>`): every sequenced frame is retained
-    /// for retransmission until acked, which taxes each post slightly
-    /// (mirrors `mini_mpi`'s reliable mode; the CI bench gate holds the
-    /// tax under 5 % of the post cost). Irrelevant in the thread world.
-    pub heartbeat: bool,
 }
 
 impl Default for DamarisOptions {
@@ -162,7 +156,6 @@ impl Default for DamarisOptions {
             plugin_seconds_per_dump: 0.0,
             transport: TransportKind::Mutex,
             world: WorldKind::Threads,
-            heartbeat: false,
         }
     }
 }
@@ -186,7 +179,6 @@ impl DamarisOptions {
                 damaris_xml::schema::QueueKind::Sharded => TransportKind::Sharded,
             },
             world: arch.world,
-            heartbeat: arch.heartbeat_ms.unwrap_or(0) > 0,
             ..Default::default()
         }
     }

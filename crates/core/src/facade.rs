@@ -724,8 +724,8 @@ pub struct SimReport {
     /// same build, never against a stored constant.
     pub data_digest: u64,
     /// World ranks of clients that died mid-run and were survived in
-    /// degraded mode (ascending; requires the process world with
-    /// `<world heartbeat_ms="…">`). Always empty for the thread world.
+    /// degraded mode (ascending; process world only). Always empty for
+    /// the thread world.
     /// A dead client's entry in [`SimReport::outputs`] is empty.
     pub dead_ranks: Vec<usize>,
     /// Whether the run completed in degraded mode (at least one client
@@ -938,14 +938,17 @@ where
             out
         }
     };
-    // Seed-list rendezvous and the heartbeat mesh come straight from the
-    // configuration (`<world seeds="…" heartbeat_ms="…"/>`).
+    // Seed-list rendezvous and the heartbeat timeout come straight from
+    // the configuration (`<world seeds="…" heartbeat_timeout_ms="…"/>`).
+    let defaults = mini_mpi::SpawnOptions::default();
     let opts = mini_mpi::SpawnOptions {
         harness_args: test_harness,
         seeds: cfg.architecture.seeds.clone(),
-        heartbeat_ms: cfg.architecture.heartbeat_ms.unwrap_or(0),
-        heartbeat_timeout_ms: cfg.architecture.heartbeat_timeout_ms.unwrap_or(10_000),
-        ..mini_mpi::SpawnOptions::default()
+        heartbeat_timeout_ms: cfg
+            .architecture
+            .heartbeat_timeout_ms
+            .unwrap_or(defaults.heartbeat_timeout_ms),
+        ..defaults
     };
     let outcome = World::run_spawned_outcome(size, program, &wire, opts, rank_program)
         .map_err(|e| DamarisError::InvalidState(format!("process world failed: {e}")))?;

@@ -197,9 +197,10 @@ pub struct NodeReport {
     pub peak_segment_bytes: usize,
     /// World ranks of clients that died mid-run and were survived in
     /// degraded mode — each counted as "ended" for every staged and future
-    /// iteration, so the survivors kept completing; ascending. Needs the
-    /// process world's reliable heartbeat mesh
-    /// ([`mini_mpi::SpawnOptions::heartbeat_ms`]); empty otherwise.
+    /// iteration, so the survivors kept completing; ascending. Filled by
+    /// the process world's heartbeat mesh
+    /// ([`mini_mpi::SpawnOptions::heartbeat_timeout_ms`]); always empty in
+    /// the thread world.
     pub dead_ranks: Vec<usize>,
 }
 

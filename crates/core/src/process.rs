@@ -247,12 +247,11 @@ impl ProcessServer {
     /// with [`DamarisError::InvalidState`] naming the rank; the call may be
     /// repeated to keep serving.
     ///
-    /// With the reliable heartbeat mesh, a client crash does not wedge
-    /// the node: the dead rank is recorded in
+    /// A client crash does not wedge the node: once the heartbeat mesh
+    /// declares the rank dead it is recorded in
     /// [`NodeReport::dead_ranks`], it counts as "ended" for every
     /// staged and future iteration, and the survivors' iterations keep
-    /// completing. In the legacy EOF-only mesh a death still poisons the
-    /// mailbox and this call panics, as before.
+    /// completing.
     pub fn serve(&self, comm: &Comm) -> DamarisResult<NodeReport> {
         let mut dead: Vec<usize> = Vec::new();
         while !self.shared.all_departed() {

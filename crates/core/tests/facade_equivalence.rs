@@ -1009,7 +1009,7 @@ proptest! {
 }
 
 /// Tentpole acceptance: the seed-list (host:port registry) rendezvous
-/// with heartbeats enabled must be behaviourally invisible when nothing
+/// with a short heartbeat timeout must be behaviourally invisible when nothing
 /// fails — byte-identical client outputs and a field-identical
 /// [`SimReport`] versus both the shared-dir process world and the
 /// thread world, with an empty `dead_ranks` and `degraded == false`
@@ -1020,7 +1020,6 @@ fn seed_list_rendezvous_is_equivalent_to_shared_dir() {
     let input = [5u8, 11u8];
     let mut seeded_cfg = config("processes", 2, 4 << 20, "");
     seeded_cfg.architecture.seeds = Some("127.0.0.1:0".to_string());
-    seeded_cfg.architecture.heartbeat_ms = Some(50);
     seeded_cfg.architecture.heartbeat_timeout_ms = Some(5_000);
     let seeded = Damaris::launch_test(seeded_cfg, program, &input, |h, i| simulate(h, i))
         .expect("seed-list world succeeds");

@@ -171,7 +171,7 @@ impl Comm {
                 self.note_received(&payload);
                 return (from, payload);
             }
-            // A dead peer process poisons the mailbox: fail every receive
+            // A broken peer stream poisons the mailbox: fail every receive
             // loudly (MPI-abort semantics) instead of deadlocking on a
             // message that can never arrive.
             if let Some(reason) = st.poisoned.clone() {
@@ -237,8 +237,7 @@ impl Comm {
     }
 
     /// Communicator-relative ranks currently known dead (heartbeat /
-    /// membership layer), ascending. Empty in worlds without heartbeats
-    /// and in thread worlds.
+    /// membership layer), ascending. Always empty in thread worlds.
     pub fn dead_ranks(&self) -> Vec<usize> {
         let dead = self.world.mailbox(self.members[self.rank]).dead_snapshot();
         if dead.is_empty() {

@@ -82,17 +82,12 @@ pub struct SpawnOptions {
     /// advertised seed (e.g. a fault-injection proxy fronts the seed
     /// address). Defaults to the first seed.
     pub registry_bind: Option<String>,
-    /// Heartbeat interval in milliseconds. `0` (the default) keeps the
-    /// legacy failure semantics: rank death is detected only by EOF and
-    /// poisons every receive. Any positive value enables the reliable
-    /// mesh: periodic PING/PONG per peer link, sequence-numbered frames
-    /// with retransmit-on-reconnect, bounded redial-with-backoff, and a
-    /// membership broadcast that marks dead ranks instead of poisoning
-    /// the mailbox (see `Comm::dead_ranks`).
-    pub heartbeat_ms: u64,
-    /// How long a silent peer link may go without any inbound frame
-    /// before the peer is declared dead (only meaningful with
-    /// `heartbeat_ms > 0`).
+    /// How long a peer link may go without any inbound frame before the
+    /// peer is declared dead (default 10 s). Every link is reliable: it
+    /// pings each tenth of this timeout (clamped to 5–200 ms), retransmits
+    /// unacknowledged frames after a bounded redial, and a death is
+    /// broadcast and marks the rank dead instead of failing the world
+    /// (see `Comm::dead_ranks`).
     pub heartbeat_timeout_ms: u64,
     /// Called with `(rank, pid)` as each child process spawns; lets test
     /// harnesses (e.g. the fault-injection proxy) address rank processes
@@ -108,7 +103,6 @@ impl std::fmt::Debug for SpawnOptions {
             .field("timeout", &self.timeout)
             .field("seeds", &self.seeds)
             .field("registry_bind", &self.registry_bind)
-            .field("heartbeat_ms", &self.heartbeat_ms)
             .field("heartbeat_timeout_ms", &self.heartbeat_timeout_ms)
             .field("on_spawn", &self.on_spawn.as_ref().map(|_| "<hook>"))
             .finish()
@@ -123,7 +117,6 @@ impl Default for SpawnOptions {
             timeout: std::time::Duration::from_secs(120),
             seeds: None,
             registry_bind: None,
-            heartbeat_ms: 0,
             heartbeat_timeout_ms: 10_000,
             on_spawn: None,
         }

@@ -45,13 +45,11 @@
 //!
 //! ## Failure semantics
 //!
-//! With `heartbeat_ms == 0` (the legacy default) death detection is
-//! EOF-only: an end-of-stream without a preceding `Goodbye` poisons the
-//! local mailbox and every pending and future receive fails with
-//! "rank N died". With `heartbeat_ms > 0` the mesh is *reliable*:
+//! Every link is reliable; no option selects a weaker mode:
 //!
-//! * every link exchanges periodic `Ping`/`Pong` frames; a peer silent
-//!   for longer than the configured timeout is declared dead;
+//! * every link exchanges periodic `Ping`/`Pong` frames (one interval is
+//!   a tenth of the heartbeat timeout, clamped to 5–200 ms); a peer
+//!   silent for longer than the timeout is declared dead;
 //! * sequenced frames (`Data`, `Goodbye`, `Death`) are buffered until
 //!   acknowledged (acks piggyback on `Ping`/`Pong`), so a transient
 //!   socket failure is survived by a bounded redial-with-backoff plus a
@@ -61,10 +59,15 @@
 //!   every other live peer (an eager reliable broadcast): with
 //!   crash-stop failures and per-link retransmission every survivor
 //!   converges on the identical membership view;
-//! * a death marks the rank dead in the mailbox instead of poisoning
-//!   it: receives that can never complete fail loudly, but traffic among
-//!   survivors keeps flowing (degraded mode — see
-//!   [`crate::Comm::recv_any_or_death`]).
+//! * a death marks the rank dead in the mailbox: receives that can never
+//!   complete fail loudly with "rank N died", but traffic among survivors
+//!   keeps flowing (degraded mode — see
+//!   [`crate::Comm::recv_any_or_death`]);
+//! * only a broken stream — a sequence gap, an unexpected frame — poisons
+//!   the mailbox, failing every pending and future receive.
+//!
+//! Per rank the mesh runs a reader and a writer thread per peer plus one
+//! monitor thread, which pings, checks timeouts and accepts reconnects.
 //!
 //! ## Teardown
 //!
@@ -99,7 +102,6 @@ const ENV_TCP: &str = "MINI_MPI_TCP";
 const ENV_SEEDS: &str = "MINI_MPI_SEEDS";
 const ENV_REGISTRY_BIND: &str = "MINI_MPI_REGISTRY_BIND";
 const ENV_ADVERTISE_IP: &str = "MINI_MPI_ADVERTISE_IP";
-const ENV_HB_MS: &str = "MINI_MPI_HB_MS";
 const ENV_HB_TIMEOUT_MS: &str = "MINI_MPI_HB_TIMEOUT_MS";
 
 /// How long a rank retries connecting to a peer's endpoint before giving
@@ -685,15 +687,15 @@ struct Mesh {
     rank: usize,
     mailbox: Arc<Mailbox>,
     links: Vec<Option<Arc<Link>>>,
-    /// Reliable mode: heartbeats, acks/retransmits, reconnect, death
-    /// marking. Off (legacy): EOF-only detection, mailbox poisoning.
-    reliable: bool,
     hb_interval: Duration,
     hb_timeout: Duration,
     epoch: Instant,
     /// Teardown-barrier wakeups (goodbye arrivals, deaths, poisons).
     goodbye_mu: Mutex<()>,
     goodbye_cv: Condvar,
+    /// Set at teardown; `stop_cv` wakes the monitor out of its tick.
+    stopped: Mutex<bool>,
+    stop_cv: Condvar,
     /// Seed-mode peer table for redials; `None` entries in dir mode.
     peer_addrs: Vec<Option<String>>,
     /// Shared-dir rendezvous root (redial target in dir mode; also the
@@ -702,6 +704,33 @@ struct Mesh {
 }
 
 impl Mesh {
+    /// The ping interval is a tenth of the timeout, clamped to 5–200 ms.
+    fn new(
+        rank: usize,
+        heartbeat_timeout_ms: u64,
+        peer_addrs: Vec<Option<String>>,
+        dir: &Path,
+    ) -> Mesh {
+        let hb_timeout = Duration::from_millis(heartbeat_timeout_ms.max(1));
+        Mesh {
+            rank,
+            mailbox: Arc::new(Mailbox::new()),
+            links: (0..peer_addrs.len())
+                .map(|p| (p != rank).then(|| Arc::new(Link::new(p))))
+                .collect(),
+            hb_interval: (hb_timeout / 10)
+                .clamp(Duration::from_millis(5), Duration::from_millis(200)),
+            hb_timeout,
+            epoch: Instant::now(),
+            goodbye_mu: Mutex::new(()),
+            goodbye_cv: Condvar::new(),
+            stopped: Mutex::new(false),
+            stop_cv: Condvar::new(),
+            peer_addrs,
+            dir: dir.to_path_buf(),
+        }
+    }
+
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
     }
@@ -726,20 +755,12 @@ impl Mesh {
         link.cv.notify_all();
     }
 
-    /// Enqueue an unsequenced control frame. `front` jumps the control
-    /// queue (used for `ReconnectAck`, which must be the first frame on
-    /// a fresh stream).
-    fn send_ctrl(&self, link: &Link, frame: Frame, front: bool) {
+    /// Enqueue an unsequenced control frame (ping or pong).
+    fn send_ctrl(&self, link: &Link, frame: Frame) {
         if link.dead.load(Ordering::Acquire) {
             return;
         }
-        let mut q = link.q.lock();
-        if front {
-            q.ctrl.push_front(frame);
-        } else {
-            q.ctrl.push_back(frame);
-        }
-        drop(q);
+        link.q.lock().ctrl.push_back(frame);
         link.cv.notify_all();
     }
 
@@ -831,29 +852,26 @@ impl Mesh {
         }
     }
 
+    /// Wait up to `tick` for teardown; `true` once it has begun.
+    fn stop_within(&self, tick: Duration) -> bool {
+        let mut stopped = self.stopped.lock();
+        if !*stopped {
+            self.stop_cv.wait_for(&mut stopped, tick);
+        }
+        *stopped
+    }
+
     /// Reader-side EOF/error handling.
-    fn reader_lost(&self, link: &Link, my_gen: u64, err: &io::Error) {
+    fn reader_lost(&self, link: &Link, my_gen: u64) {
         if link.goodbye_seen.load(Ordering::Acquire) || link.dead.load(Ordering::Acquire) {
             return; // clean teardown or already-handled death
         }
-        if !self.reliable {
-            // Legacy semantics: any EOF before goodbye is a death and
-            // poisons every receive.
-            let reason = if err.kind() == io::ErrorKind::UnexpectedEof {
-                format!("rank {} died (connection closed before goodbye)", link.peer)
-            } else {
-                format!("rank {} died ({err})", link.peer)
-            };
-            self.mailbox.poison(reason);
-            self.goodbye_cv.notify_all();
-            return;
-        }
-        // Reliable: arm the reconnect window and wake the writer (the
-        // dialer side redials; the acceptor side waits for a Reconnect,
-        // bounded by the monitor's EOF window). A stale reader — its
-        // stream was already replaced by a reconnect — must not touch
-        // anything: clearing the fresh stream or arming the EOF window
-        // here would sabotage the link that just recovered.
+        // Arm the reconnect window and wake the writer (the dialer side
+        // redials; the acceptor side waits for a Reconnect, bounded by
+        // the monitor's EOF window). A stale reader — its stream was
+        // already replaced by a reconnect — must not touch anything:
+        // clearing the fresh stream or arming the EOF window here would
+        // sabotage the link that just recovered.
         {
             let mut q = link.q.lock();
             if q.generation != my_gen {
@@ -871,12 +889,16 @@ impl Mesh {
     /// Install a fresh stream on `link` (reconnect handshake, either
     /// side): prune frames the peer acknowledged, rewind the send cursor
     /// so the unacknowledged suffix is retransmitted, bump the
-    /// generation, and hand back the new generation id.
+    /// generation, and hand back the new generation id. The acceptor
+    /// passes `ack`: the stream's first frame is then a `ReconnectAck`
+    /// carrying our receive cursor, queued under the same lock as the
+    /// rewind so no retransmission can precede it.
     fn install_stream(
         &self,
         link: &Link,
         stream: Stream,
         peer_next_expected: u64,
+        ack: bool,
     ) -> io::Result<u64> {
         let write_half = stream.try_clone()?;
         let mut q = link.q.lock();
@@ -892,6 +914,14 @@ impl Mesh {
                 break;
             }
             q.unacked.pop_front();
+        }
+        // Control frames belong to the stream they were queued for: an
+        // unsent `ReconnectAck` of a handshake the dialer gave up on would
+        // reach the dialer's reader as an unexpected frame.
+        q.ctrl.clear();
+        if ack {
+            let next_expected = link.next_expected_in.load(Ordering::Acquire);
+            q.ctrl.push_back(Frame::ReconnectAck { next_expected });
         }
         q.sent = 0;
         q.generation += 1;
@@ -930,31 +960,22 @@ impl Mesh {
                 continue;
             }
             let _ = s.set_read_timeout(Some(Duration::from_secs(2)));
-            let peer_next = loop {
-                match read_frame(&mut s) {
-                    Ok(Frame::ReconnectAck { next_expected }) => break Some(next_expected),
-                    // The peer's writer may slip a heartbeat in first.
-                    Ok(Frame::Ping { acked }) | Ok(Frame::Pong { acked }) => {
-                        self.apply_ack(link, acked);
-                    }
-                    Ok(_) | Err(_) => break None,
-                }
-            };
-            let Some(peer_next) = peer_next else { continue };
-            let _ = s.set_read_timeout(None);
-            let Ok(gen) = self.install_stream(link, s.try_clone().ok().unwrap_or(s), peer_next)
+            // The acceptor queues its ack ahead of every other frame.
+            let Ok(Frame::ReconnectAck {
+                next_expected: peer_next,
+            }) = read_frame(&mut s)
             else {
                 continue;
             };
-            // `install_stream` cloned a write half; this clone reads.
-            let read_half = {
-                let q = link.q.lock();
-                q.stream.as_ref().and_then(|st| st.try_clone().ok())
+            let _ = s.set_read_timeout(None);
+            let Ok(read_half) = s.try_clone() else {
+                continue;
             };
-            if let Some(read_half) = read_half {
-                spawn_reader(self.clone(), link.clone(), read_half, gen);
-                return true;
-            }
+            let Ok(gen) = self.install_stream(link, s, peer_next, false) else {
+                continue;
+            };
+            spawn_reader(self.clone(), link.clone(), read_half, gen);
+            return true;
         }
         false
     }
@@ -1001,7 +1022,7 @@ fn spawn_reader(mesh: Arc<Mesh>, link: Arc<Link>, mut stream: Stream, my_gen: u6
                             let pong = Frame::Pong {
                                 acked: link.next_expected_in.load(Ordering::Acquire),
                             };
-                            mesh.send_ctrl(&link, pong, false);
+                            mesh.send_ctrl(&link, pong);
                         }
                         Frame::Pong { acked } => mesh.apply_ack(&link, acked),
                         Frame::Hello { .. }
@@ -1019,8 +1040,8 @@ fn spawn_reader(mesh: Arc<Mesh>, link: Arc<Link>, mut stream: Stream, my_gen: u6
                         }
                     }
                 }
-                Err(e) => {
-                    mesh.reader_lost(&link, my_gen, &e);
+                Err(_) => {
+                    mesh.reader_lost(&link, my_gen);
                     return;
                 }
             }
@@ -1047,7 +1068,7 @@ fn writer_loop(mesh: &Arc<Mesh>, link: &Arc<Link>) {
                     if q.closed {
                         return; // teardown with a down link: give up
                     }
-                    if mesh.reliable && mesh.dialer_of(link.peer) {
+                    if mesh.dialer_of(link.peer) {
                         want_redial = true;
                         break;
                     }
@@ -1079,13 +1100,6 @@ fn writer_loop(mesh: &Arc<Mesh>, link: &Arc<Link>) {
                     batch.push(q.unacked[i].1.clone());
                 }
                 q.sent = upto;
-                if !mesh.reliable {
-                    // Legacy mode has no acks: nothing is ever
-                    // retransmitted, so the buffer is dropped as soon as
-                    // frames are handed to the wire.
-                    q.unacked.clear();
-                    q.sent = 0;
-                }
             }
         }
         if want_redial {
@@ -1097,20 +1111,11 @@ fn writer_loop(mesh: &Arc<Mesh>, link: &Arc<Link>) {
             continue;
         }
         let Some(stream) = cur.as_mut() else { continue };
-        let mut error = None;
-        for frame in &batch {
-            if let Err(e) = write_frame(stream, frame) {
-                error = Some(e);
-                break;
-            }
+        if batch.iter().all(|frame| write_frame(stream, frame).is_ok()) {
+            continue;
         }
-        let Some(e) = error else { continue };
-        if !mesh.reliable {
-            mesh.mailbox
-                .poison(format!("rank {} died (write failed: {e})", link.peer));
-            mesh.goodbye_cv.notify_all();
-            return;
-        }
+        // A failed write downs the link; the unacked suffix is resent
+        // after the reconnect.
         let mut q = link.q.lock();
         if q.generation == cur_gen {
             // Shut the socket down (not just drop our clone): the reader
@@ -1126,34 +1131,33 @@ fn writer_loop(mesh: &Arc<Mesh>, link: &Arc<Link>) {
     }
 }
 
-/// Heartbeat monitor: pings every live link each interval, declares
-/// peers dead on silence beyond the timeout or an expired
-/// EOF-without-goodbye reconnect window.
-fn monitor_loop(mesh: &Arc<Mesh>, stop: &AtomicBool) {
+/// The mesh's one service thread. Once per heartbeat interval it accepts
+/// every reconnect queued on the non-blocking listener, pings every live
+/// link, and declares a peer dead on silence beyond the timeout or an
+/// expired EOF-without-goodbye reconnect window. Teardown wakes it out of
+/// its wait, so `shutdown` never waits out a tick.
+fn monitor_loop(mesh: &Arc<Mesh>, listener: Listener) {
     let eof_window = mesh.hb_timeout.min(EOF_DEATH_WINDOW_CAP).as_millis() as u64;
     let timeout_ms = mesh.hb_timeout.as_millis() as u64;
-    let tick = mesh
-        .hb_interval
-        .min(Duration::from_millis(200))
-        .max(Duration::from_millis(5));
-    let mut last_ping: u64 = 0;
-    while !stop.load(Ordering::Acquire) {
-        std::thread::sleep(tick);
-        let now = mesh.now_ms();
-        let ping_due = now.saturating_sub(last_ping) >= mesh.hb_interval.as_millis() as u64;
-        if ping_due {
-            last_ping = now;
+    // A blocking accept would stall the tick; such a listener is dropped.
+    let listener = listener.set_nonblocking(true).is_ok().then_some(listener);
+    while !mesh.stop_within(mesh.hb_interval) {
+        // Drain the backlog; `WouldBlock` (or a transient error) ends it
+        // until the next tick.
+        while let Some(stream) = listener.as_ref().and_then(|l| l.accept().ok()) {
+            accept_reconnect(mesh, stream);
         }
+        let now = mesh.now_ms();
         for link in mesh.links.iter().flatten() {
             if link.dead.load(Ordering::Acquire) || link.goodbye_seen.load(Ordering::Acquire) {
                 continue;
             }
             let up = link.q.lock().stream.is_some();
-            if ping_due && up {
+            if up {
                 let ping = Frame::Ping {
                     acked: link.next_expected_in.load(Ordering::Acquire),
                 };
-                mesh.send_ctrl(link, ping, false);
+                mesh.send_ctrl(link, ping);
             }
             if now.saturating_sub(link.last_heard.load(Ordering::Acquire)) > timeout_ms {
                 mesh.declare_dead(link, &format!("heartbeat timeout ({timeout_ms} ms silent)"));
@@ -1167,64 +1171,39 @@ fn monitor_loop(mesh: &Arc<Mesh>, stop: &AtomicBool) {
     }
 }
 
-/// Reconnect acceptor: after mesh setup the listener moves here; each
-/// inbound connection opens with a `Reconnect` frame identifying the
-/// dialer, and the link's unacknowledged suffix is retransmitted on the
-/// fresh stream.
-fn accept_loop(mesh: &Arc<Mesh>, listener: Listener, stop: &AtomicBool) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok(stream) => {
-                let _ = stream.set_nonblocking(false);
-                let mesh = mesh.clone();
-                let _ = std::thread::Builder::new()
-                    .name(format!("mini-mpi-reconnect-{}", mesh.rank))
-                    .spawn(move || {
-                        let mut stream = stream;
-                        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                        let Ok(Frame::Reconnect {
-                            rank,
-                            next_expected,
-                        }) = read_frame(&mut stream)
-                        else {
-                            return;
-                        };
-                        let _ = stream.set_read_timeout(None);
-                        let peer = rank as usize;
-                        if peer >= mesh.links.len() {
-                            return;
-                        }
-                        let Some(link) = mesh.links[peer].clone() else {
-                            return;
-                        };
-                        if link.dead.load(Ordering::Acquire) {
-                            stream.shutdown();
-                            return;
-                        }
-                        let Ok(read_half) = stream.try_clone() else {
-                            return;
-                        };
-                        let Ok(gen) = mesh.install_stream(&link, stream, next_expected) else {
-                            return;
-                        };
-                        // First frame on the fresh stream: our receive
-                        // cursor, so the dialer prunes and retransmits.
-                        let ack = Frame::ReconnectAck {
-                            next_expected: link.next_expected_in.load(Ordering::Acquire),
-                        };
-                        mesh.send_ctrl(&link, ack, true);
-                        spawn_reader(mesh.clone(), link, read_half, gen);
-                    });
+/// Run the `Reconnect` handshake of one accepted connection on a
+/// short-lived thread: the frame identifies the dialer, and the link's
+/// unacknowledged suffix is retransmitted on the fresh stream.
+fn accept_reconnect(mesh: &Arc<Mesh>, mut stream: Stream) {
+    let _ = stream.set_nonblocking(false);
+    let mesh = mesh.clone();
+    let _ = std::thread::Builder::new()
+        .name(format!("mini-mpi-reconnect-{}", mesh.rank))
+        .spawn(move || {
+            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+            let Ok(Frame::Reconnect {
+                rank,
+                next_expected,
+            }) = read_frame(&mut stream)
+            else {
+                return;
+            };
+            let _ = stream.set_read_timeout(None);
+            let Some(link) = mesh.links.get(rank as usize).cloned().flatten() else {
+                return;
+            };
+            if link.dead.load(Ordering::Acquire) {
+                stream.shutdown();
+                return;
             }
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => return,
-        }
-    }
+            let Ok(read_half) = stream.try_clone() else {
+                return;
+            };
+            let Ok(gen) = mesh.install_stream(&link, stream, next_expected, true) else {
+                return;
+            };
+            spawn_reader(mesh.clone(), link, read_half, gen);
+        });
 }
 
 // ---------------------------------------------------------------------------
@@ -1236,7 +1215,6 @@ fn accept_loop(mesh: &Arc<Mesh>, listener: Listener, stop: &AtomicBool) {
 pub(crate) struct SocketPeers {
     mesh: Arc<Mesh>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    stop: Arc<AtomicBool>,
 }
 
 /// Mesh configuration decoded from the child environment.
@@ -1248,7 +1226,6 @@ struct MeshOpts {
     /// the interface auto-detection (the registration connection's local
     /// address) picks the wrong one — multi-homed hosts, NAT.
     advertise_ip: Option<String>,
-    heartbeat_ms: u64,
     heartbeat_timeout_ms: u64,
 }
 
@@ -1308,7 +1285,7 @@ impl SocketPeers {
 
     /// Enqueue an envelope for `dest` (own rank: direct mailbox push).
     /// Panics if the world is already poisoned — a send to (or via) a
-    /// dead mesh must fail loudly, exactly like a receive. A send to a
+    /// broken mesh must fail loudly, exactly like a receive. A send to a
     /// rank declared dead by the membership layer is silently dropped
     /// (degraded mode: survivors keep working).
     pub(crate) fn post(&self, dest: usize, env: Envelope) {
@@ -1429,29 +1406,14 @@ impl SocketPeers {
             listener
         };
 
-        let reliable = opts.heartbeat_ms > 0;
-        let mesh = Arc::new(Mesh {
-            rank,
-            mailbox: Arc::new(Mailbox::new()),
-            links: (0..size)
-                .map(|p| (p != rank).then(|| Arc::new(Link::new(p))))
-                .collect(),
-            reliable,
-            hb_interval: Duration::from_millis(opts.heartbeat_ms.max(1)),
-            hb_timeout: Duration::from_millis(opts.heartbeat_timeout_ms.max(1)),
-            epoch: Instant::now(),
-            goodbye_mu: Mutex::new(()),
-            goodbye_cv: Condvar::new(),
-            peer_addrs,
-            dir: dir.to_path_buf(),
-        });
+        let mesh = Arc::new(Mesh::new(rank, opts.heartbeat_timeout_ms, peer_addrs, dir));
 
         let mut threads = Vec::new();
         for (peer, slot) in streams.into_iter().enumerate() {
             let Some(stream) = slot else { continue };
             let link = mesh.links[peer].as_ref().unwrap().clone();
             let gen = mesh
-                .install_stream(&link, stream.try_clone()?, 0)
+                .install_stream(&link, stream.try_clone()?, 0, false)
                 .unwrap_or(1);
             spawn_reader(mesh.clone(), link.clone(), stream, gen);
             let mesh2 = mesh.clone();
@@ -1462,39 +1424,26 @@ impl SocketPeers {
                     .expect("failed to spawn writer thread"),
             );
         }
-        let stop = Arc::new(AtomicBool::new(false));
-        if reliable {
-            let mesh2 = mesh.clone();
-            let stop2 = stop.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("mini-mpi-monitor-{rank}"))
-                    .spawn(move || monitor_loop(&mesh2, &stop2))
-                    .expect("failed to spawn monitor thread"),
-            );
-            let mesh2 = mesh.clone();
-            let stop2 = stop.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("mini-mpi-accept-{rank}"))
-                    .spawn(move || accept_loop(&mesh2, listener, &stop2))
-                    .expect("failed to spawn accept thread"),
-            );
-        }
+        let mesh2 = mesh.clone();
+        threads.push(
+            std::thread::Builder::new()
+                .name(format!("mini-mpi-monitor-{rank}"))
+                .spawn(move || monitor_loop(&mesh2, listener))
+                .expect("failed to spawn monitor thread"),
+        );
         if let Some(h) = registry_thread {
             threads.push(h);
         }
         Ok(SocketPeers {
             mesh,
             threads: Mutex::new(threads),
-            stop,
         })
     }
 
     /// Teardown barrier: flush a goodbye to every live peer, wait until
     /// every live peer's goodbye arrived (dead peers are excused, a
-    /// poisoned legacy mesh gives up, the timeout bounds everything),
-    /// then drain the writers and close the sockets.
+    /// poisoned mesh gives up, the timeout bounds everything), then
+    /// drain the writers, stop the monitor and close the sockets.
     fn shutdown(&self) {
         let mesh = &self.mesh;
         for link in mesh.links.iter().flatten() {
@@ -1519,7 +1468,8 @@ impl SocketPeers {
             link.q.lock().closed = true;
             link.cv.notify_all();
         }
-        self.stop.store(true, Ordering::Release);
+        *mesh.stopped.lock() = true;
+        mesh.stop_cv.notify_all();
         for handle in self.threads.lock().drain(..) {
             let _ = handle.join();
         }
@@ -1579,7 +1529,6 @@ pub(crate) struct ChildEnv {
     pub seeds: Option<String>,
     pub registry_bind: Option<String>,
     pub advertise_ip: Option<String>,
-    pub heartbeat_ms: u64,
     pub heartbeat_timeout_ms: u64,
 }
 
@@ -1598,14 +1547,10 @@ pub(crate) fn child_env() -> Option<ChildEnv> {
     let advertise_ip = std::env::var(ENV_ADVERTISE_IP)
         .ok()
         .filter(|s| !s.is_empty());
-    let heartbeat_ms = std::env::var(ENV_HB_MS)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
     let heartbeat_timeout_ms = std::env::var(ENV_HB_TIMEOUT_MS)
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
+        .unwrap_or(SpawnOptions::default().heartbeat_timeout_ms);
     Some(ChildEnv {
         dir,
         rank,
@@ -1616,7 +1561,6 @@ pub(crate) fn child_env() -> Option<ChildEnv> {
         seeds,
         registry_bind,
         advertise_ip,
-        heartbeat_ms,
         heartbeat_timeout_ms,
     })
 }
@@ -1717,7 +1661,6 @@ where
         seeds: env.seeds.clone(),
         registry_bind: env.registry_bind.clone(),
         advertise_ip: env.advertise_ip.clone(),
-        heartbeat_ms: env.heartbeat_ms,
         heartbeat_timeout_ms: env.heartbeat_timeout_ms,
     };
     let peers = match SocketPeers::connect(&env.dir, env.rank, env.size, &mesh_opts) {
@@ -1797,42 +1740,10 @@ fn parent_main(
         None => None,
     };
 
-    let listener = bind_endpoint(&dir, "control", opts.tcp).map_err(SpawnError::Io)?;
-    let results: Arc<Mutex<Vec<Option<Vec<u8>>>>> = Arc::new(Mutex::new(vec![None; size]));
+    let listener = Arc::new(bind_endpoint(&dir, "control", opts.tcp).map_err(SpawnError::Io)?);
+    let results: Results = Arc::new(Mutex::new(vec![None; size]));
     let stop = Arc::new(AtomicBool::new(false));
-    let accept_handle = {
-        let results = results.clone();
-        let stop = stop.clone();
-        std::thread::Builder::new()
-            .name("mini-mpi-control".into())
-            .spawn(move || {
-                let mut handlers = Vec::new();
-                while !stop.load(Ordering::Acquire) {
-                    let Ok(mut stream) = listener.accept() else {
-                        break;
-                    };
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let results = results.clone();
-                    handlers.push(std::thread::spawn(move || {
-                        let Ok(Frame::Hello { rank }) = read_frame(&mut stream) else {
-                            return;
-                        };
-                        // Block until the rank reports (or dies: EOF).
-                        if let Ok(Frame::Result { rank: r, data }) = read_frame(&mut stream) {
-                            if r == rank && (r as usize) < results.lock().len() {
-                                results.lock()[r as usize] = Some(data);
-                            }
-                        }
-                    }));
-                }
-                for h in handlers {
-                    let _ = h.join();
-                }
-            })
-            .expect("failed to spawn control thread")
-    };
+    let accept_handle = spawn_control(listener.clone(), stop.clone(), results.clone());
 
     let exe = std::env::current_exe().map_err(SpawnError::Io)?;
     let input_hex = hex_encode(input);
@@ -1853,10 +1764,7 @@ fn parent_main(
         if let Some(bind) = &registry_bind {
             cmd.env(ENV_REGISTRY_BIND, bind);
         }
-        if opts.heartbeat_ms > 0 {
-            cmd.env(ENV_HB_MS, opts.heartbeat_ms.to_string());
-            cmd.env(ENV_HB_TIMEOUT_MS, opts.heartbeat_timeout_ms.to_string());
-        }
+        cmd.env(ENV_HB_TIMEOUT_MS, opts.heartbeat_timeout_ms.to_string());
         if opts.harness_args {
             cmd.args(["--exact", program, "--nocapture", "--test-threads", "1"]);
         }
@@ -1957,15 +1865,56 @@ fn parent_main(
     })
 }
 
-/// Unblock and join the control accept loop.
-///
-/// The accept call blocks until a connection arrives, so a throwaway
-/// connection is dialed to wake it. Both phases are bounded by explicit
-/// deadlines: the dial retries for up to 2 s (transient ECONNREFUSED
-/// under backlog pressure), and if the thread still has not finished
-/// shortly after, a *named* error is returned instead of silently
-/// leaking a wedged accept thread (the pre-fix behaviour; the listener
-/// then dies with the process, but the caller at least knows).
+/// Per-rank result slots, filled by the control connections.
+type Results = Arc<Mutex<Vec<Option<Vec<u8>>>>>;
+
+/// Start the parent's control loop. One handler thread per accepted
+/// connection reads a rank's `Hello`, then its `Result` or EOF. Every
+/// accepted connection is handled: once `stop` is set, the loop drains the
+/// backlog (every rank that exited before has connected) and returns. The
+/// caller keeps `listener` open until [`stop_control`] returns, so the
+/// unblock dial always lands.
+fn spawn_control(
+    listener: Arc<Listener>,
+    stop: Arc<AtomicBool>,
+    results: Results,
+) -> std::thread::JoinHandle<()> {
+    let control_loop = move || {
+        let mut handlers = Vec::new();
+        loop {
+            if stop.load(Ordering::Acquire) && listener.set_nonblocking(true).is_err() {
+                break;
+            }
+            let Ok(mut stream) = listener.accept() else {
+                break; // `WouldBlock`: the backlog is drained
+            };
+            let _ = stream.set_nonblocking(false);
+            let results = results.clone();
+            handlers.push(std::thread::spawn(move || {
+                let Ok(Frame::Hello { rank }) = read_frame(&mut stream) else {
+                    return;
+                };
+                if let Ok(Frame::Result { rank: r, data }) = read_frame(&mut stream) {
+                    if let Some(slot) = results.lock().get_mut(r as usize).filter(|_| r == rank) {
+                        *slot = Some(data);
+                    }
+                }
+            }));
+        }
+        for h in handlers {
+            let _ = h.join();
+        }
+    };
+    std::thread::Builder::new()
+        .name("mini-mpi-control".into())
+        .spawn(control_loop)
+        .expect("failed to spawn control thread")
+}
+
+/// Set `stop`, wake the control loop's blocking accept with a throwaway
+/// connection, and join the loop. The dial retries for up to 2 s
+/// (transient ECONNREFUSED under backlog pressure); if it fails and the
+/// thread has not finished shortly after, a named error reports it wedged.
 fn stop_control(
     stop: &AtomicBool,
     dir: &Path,
@@ -1974,7 +1923,8 @@ fn stop_control(
     stop.store(true, Ordering::Release);
     let unblock = connect_endpoint(dir, "control", Instant::now() + Duration::from_secs(2));
     match unblock {
-        Ok(_) => {
+        Ok(conn) => {
+            drop(conn); // the loop handles it too: its handler waits for EOF
             let _ = handle.join();
             Ok(())
         }
@@ -2168,6 +2118,63 @@ mod tests {
         // deadline, then the finished-thread poll must succeed.
         assert!(stop_control(&stop, &dir, handle).is_ok());
         assert!(stop.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn reconnect_ack_is_the_only_frame_ahead_of_retransmits() {
+        // A dialer that gives up on a handshake (its read timeout, under
+        // load) can leave that handshake's ack queued but unsent. The
+        // next handshake's stream must open with exactly one ack and then
+        // the retransmits: a second ack reaches the dialer's reader and
+        // poisons its world.
+        let mesh = Arc::new(Mesh::new(0, 10_000, vec![None, None], Path::new(".")));
+        let link = mesh.links[1].clone().unwrap();
+        mesh.send_seq(&link, |seq| Frame::Death { seq, rank: 7 });
+        mesh.send_seq(&link, |seq| Frame::Death { seq, rank: 8 });
+        let stale = Frame::ReconnectAck { next_expected: 0 };
+        link.q.lock().ctrl.push_back(stale);
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let stream = Stream::Unix(ours);
+        mesh.install_stream(&link, stream, 0, true).unwrap();
+        let writer = {
+            let (mesh, link) = (mesh.clone(), link.clone());
+            std::thread::spawn(move || writer_loop(&mesh, &link))
+        };
+        let mut theirs = Stream::Unix(theirs);
+        let kinds: Vec<String> = (0..3)
+            .map(|_| match read_frame(&mut theirs).unwrap() {
+                Frame::ReconnectAck { .. } => "ack".into(),
+                Frame::Death { seq, .. } => format!("seq {seq}"),
+                _ => "other".into(),
+            })
+            .collect();
+        assert_eq!(kinds, ["ack", "seq 0", "seq 1"]);
+        link.q.lock().closed = true;
+        link.cv.notify_all();
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn stop_control_keeps_a_result_queued_before_stop() {
+        // A one-rank world can finish before the control thread first
+        // runs: the rank connects, reports and exits, the supervisor sees
+        // the exit and sets `stop`, and only then does the loop start.
+        // The queued connection must still be handled.
+        let dir = std::env::temp_dir().join(format!("mini-mpi-scq-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let _cleanup = DirCleanup(dir.clone());
+        let listener = Arc::new(bind_endpoint(&dir, "control", false).unwrap());
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let mut child = connect_endpoint(&dir, "control", deadline).unwrap();
+        write_frame(&mut child, &Frame::Hello { rank: 0 }).unwrap();
+        let data = vec![4, 2];
+        write_frame(&mut child, &Frame::Result { rank: 0, data }).unwrap();
+        drop(child);
+        let stop = Arc::new(AtomicBool::new(true));
+        let results: Results = Arc::new(Mutex::new(vec![None]));
+        let handle = spawn_control(listener.clone(), stop.clone(), results.clone());
+        stop_control(&stop, &dir, handle).unwrap();
+        assert_eq!(results.lock()[0], Some(vec![4, 2]), "result lost");
     }
 
     #[test]

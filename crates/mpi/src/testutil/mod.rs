@@ -106,8 +106,8 @@ impl PidMap {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Close both halves of the proxied connection once (transient
-    /// failure). With heartbeats enabled the dialer redials through the
-    /// proxy and the link resumes; without, both ends see a fatal EOF.
+    /// failure). The dialer redials through the proxy and the link
+    /// resumes.
     Drop,
     /// Silently swallow every subsequent frame in both directions while
     /// keeping the connection open (network partition). Reconnect

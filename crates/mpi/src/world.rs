@@ -60,8 +60,9 @@ pub(crate) struct MailState {
     /// Arrival order per `(ctx, tag)`: seq → src, for any-source matching.
     any_index: HashMap<(u64, u64), BTreeMap<u64, usize>>,
     next_seq: u64,
-    /// Set when a peer process died or a socket broke: every pending and
-    /// future receive fails loudly instead of deadlocking.
+    /// Set when a peer's stream broke (a sequence gap, an unexpected
+    /// frame): every pending and future receive fails loudly instead of
+    /// deadlocking.
     pub poisoned: Option<String>,
     /// World ranks known dead via the heartbeat/membership layer. Unlike
     /// `poisoned`, a dead rank is survivable: receives targeting it fail,
@@ -226,9 +227,8 @@ impl WorldInner {
 /// failed rank into a [`SpawnError::RanksFailed`] for the whole world,
 /// each rank's result slot is `None` when that rank died or exited
 /// abnormally, with one human-readable line per failure in `failures`.
-/// This is the parent-side half of degraded mode: with heartbeats enabled
-/// the surviving ranks finish and report normally while the dead rank's
-/// slot stays empty.
+/// This is the parent-side half of degraded mode: the surviving ranks
+/// finish and report normally while the dead rank's slot stays empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpawnOutcome {
     /// Result bytes per rank; `None` where the rank failed.
@@ -338,7 +338,8 @@ impl World {
     /// harness re-runs exactly the calling test.
     ///
     /// Returns each rank's result bytes in rank order. If any rank dies
-    /// (non-zero exit, missing result) the survivors' receives fail with a
+    /// (non-zero exit, missing result) the mesh declares it dead,
+    /// survivors' receives from it fail with a
     /// "rank N died" error rather than deadlocking, and the whole call
     /// returns [`SpawnError::RanksFailed`].
     pub fn run_spawned<F>(
@@ -375,8 +376,8 @@ impl World {
     }
 
     /// [`World::run_spawned`] with explicit [`SpawnOptions`] (force the
-    /// TCP fallback, seed-list rendezvous, heartbeats, adjust the
-    /// timeout, …).
+    /// TCP fallback, seed-list rendezvous, the heartbeat timeout, the
+    /// spawn timeout, …).
     pub fn run_spawned_with<F>(
         size: usize,
         program: &str,
@@ -394,10 +395,9 @@ impl World {
     /// but a dying rank does not fail the call. The returned
     /// [`SpawnOutcome`] carries `None` in each failed rank's slot plus a
     /// description per failure; `Err` is reserved for orchestration
-    /// failures (I/O, timeout, program mismatch). Combine with
-    /// [`SpawnOptions::heartbeat_ms`] so the *surviving* ranks detect the
-    /// death, agree on membership and run to completion instead of
-    /// aborting.
+    /// failures (I/O, timeout, program mismatch). The *surviving* ranks
+    /// detect the death within [`SpawnOptions::heartbeat_timeout_ms`],
+    /// agree on membership and can run to completion instead of aborting.
     pub fn run_spawned_outcome<F>(
         size: usize,
         program: &str,

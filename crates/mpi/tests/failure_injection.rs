@@ -96,7 +96,6 @@ fn fault_proxy_observes_every_link() {
         harness_args: true,
         seeds: Some(proxy.seeds()),
         registry_bind: Some(proxy.registry_bind()),
-        heartbeat_ms: 100,
         heartbeat_timeout_ms: 5_000,
         ..SpawnOptions::default()
     };
@@ -140,7 +139,7 @@ fn fault_proxy_observes_every_link() {
     }
 }
 
-/// A transient link drop with heartbeats on: the dialer reconnects with
+/// A transient link drop: the dialer reconnects with
 /// backoff and the sequence-numbered frames resume with nothing lost or
 /// duplicated, in both directions.
 #[test]
@@ -157,7 +156,6 @@ fn transient_drop_is_lossless_after_reconnect() {
         harness_args: true,
         seeds: Some(proxy.seeds()),
         registry_bind: Some(proxy.registry_bind()),
-        heartbeat_ms: 50,
         heartbeat_timeout_ms: 10_000,
         timeout: Duration::from_secs(60),
         ..SpawnOptions::default()
@@ -211,7 +209,6 @@ fn delayed_link_still_delivers_in_order() {
         harness_args: true,
         seeds: Some(proxy.seeds()),
         registry_bind: Some(proxy.registry_bind()),
-        heartbeat_ms: 100,
         heartbeat_timeout_ms: 10_000,
         ..SpawnOptions::default()
     };
@@ -267,7 +264,6 @@ fn black_hole_partition_converges_membership() {
         harness_args: true,
         seeds: Some(proxy.seeds()),
         registry_bind: Some(proxy.registry_bind()),
-        heartbeat_ms: 100,
         heartbeat_timeout_ms: HB_TIMEOUT_MS,
         timeout: Duration::from_secs(60),
         ..SpawnOptions::default()
@@ -359,7 +355,6 @@ fn killed_rank_declared_dead_within_twice_timeout() {
     let opts = SpawnOptions {
         harness_args: true,
         seeds: Some("127.0.0.1:0".into()),
-        heartbeat_ms: 100,
         heartbeat_timeout_ms: HB_TIMEOUT_MS,
         timeout: Duration::from_secs(60),
         on_spawn: Some(pids.hook()),
@@ -434,7 +429,6 @@ fn stalled_rank_is_not_declared_dead() {
     let opts = SpawnOptions {
         harness_args: true,
         seeds: Some("127.0.0.1:0".into()),
-        heartbeat_ms: 100,
         heartbeat_timeout_ms: 2_500,
         timeout: Duration::from_secs(60),
         on_spawn: Some(pids.hook()),
@@ -512,7 +506,6 @@ fn skewed_finish_times_are_not_deaths() {
     let opts = SpawnOptions {
         harness_args: true,
         seeds: Some("127.0.0.1:0".into()),
-        heartbeat_ms: 25,
         heartbeat_timeout_ms: 150,
         timeout: Duration::from_secs(30),
         on_spawn: Some(pids.hook()),
@@ -603,7 +596,6 @@ proptest! {
         let opts = SpawnOptions {
             harness_args: true,
             seeds: Some("127.0.0.1:0".into()),
-            heartbeat_ms: 100,
             heartbeat_timeout_ms: 1_000,
             timeout: Duration::from_secs(60),
             ..SpawnOptions::default()

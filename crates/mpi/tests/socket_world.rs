@@ -218,7 +218,8 @@ fn rank_death_fails_survivors_without_deadlock() {
             if comm.rank() == 1 {
                 // Die abruptly: no result, no goodbye. The mesh is already
                 // established (rendezvous happens before the rank program),
-                // so the survivors' readers observe a bare EOF.
+                // so the survivors see an EOF without goodbye and, when
+                // no reconnect follows, declare rank 1 dead.
                 std::process::exit(7);
             }
             // Survivors wait for a message the dead rank can never send.

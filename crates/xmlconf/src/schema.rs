@@ -540,14 +540,9 @@ pub struct Architecture {
     /// first seed instead of a shared directory. `None` keeps shared-dir
     /// rendezvous. Ignored for the thread world.
     pub seeds: Option<String>,
-    /// Heartbeat interval in milliseconds for the process world
-    /// (`<world heartbeat_ms="…"/>`). `None`/0 keeps the legacy
-    /// EOF-only failure detection; a positive value enables the reliable
-    /// mesh (PING/PONG, reconnect, membership broadcast).
-    pub heartbeat_ms: Option<u64>,
-    /// How long a silent peer link may stay silent before the peer is
-    /// declared dead (`<world heartbeat_timeout_ms="…"/>`); only
-    /// meaningful with a positive heartbeat interval.
+    /// How long a process-world peer link may stay silent before the peer
+    /// is declared dead (`<world heartbeat_timeout_ms="…"/>`); `None`
+    /// keeps `mini_mpi`'s default. The ping interval is derived from it.
     pub heartbeat_timeout_ms: Option<u64>,
     /// Backpressure policy.
     pub skip: SkipConfig,
@@ -569,7 +564,6 @@ impl Default for Architecture {
             queue_kind: QueueKind::default(),
             world: WorldKind::default(),
             seeds: None,
-            heartbeat_ms: None,
             heartbeat_timeout_ms: None,
             skip: SkipConfig::default(),
             store: None,
@@ -833,9 +827,6 @@ impl Configuration {
                 if let Some(seeds) = &self.architecture.seeds {
                     we = we.with_attr("seeds", seeds);
                 }
-                if let Some(hb) = self.architecture.heartbeat_ms {
-                    we = we.with_attr("heartbeat_ms", hb.to_string());
-                }
                 if let Some(t) = self.architecture.heartbeat_timeout_ms {
                     we = we.with_attr("heartbeat_timeout_ms", t.to_string());
                 }
@@ -1038,17 +1029,11 @@ fn parse_architecture(el: &Element) -> XmlResult<Architecture> {
             }
             arch.seeds = Some(seeds.to_string());
         }
-        arch.heartbeat_ms = w.attr_parse("heartbeat_ms").map_err(XmlError::schema)?;
         arch.heartbeat_timeout_ms = w
             .attr_parse("heartbeat_timeout_ms")
             .map_err(XmlError::schema)?;
         if arch.heartbeat_timeout_ms == Some(0) {
             return Err(XmlError::schema("<world heartbeat_timeout_ms> must be ≥ 1"));
-        }
-        if arch.heartbeat_timeout_ms.is_some() && arch.heartbeat_ms.unwrap_or(0) == 0 {
-            return Err(XmlError::schema(
-                "<world heartbeat_timeout_ms> requires a positive heartbeat_ms",
-            ));
         }
     }
     if let Some(s) = el.child("store") {
@@ -1534,7 +1519,7 @@ mod tests {
         let xml = r#"<simulation name="s">
           <architecture>
             <world kind="processes" seeds="127.0.0.1:7000,10.0.0.2:7000"
-                   heartbeat_ms="250" heartbeat_timeout_ms="3000"/>
+                   heartbeat_timeout_ms="3000"/>
           </architecture>
         </simulation>"#;
         let cfg = Configuration::from_str(xml).unwrap();
@@ -1543,15 +1528,18 @@ mod tests {
             cfg.architecture.seeds.as_deref(),
             Some("127.0.0.1:7000,10.0.0.2:7000")
         );
-        assert_eq!(cfg.architecture.heartbeat_ms, Some(250));
         assert_eq!(cfg.architecture.heartbeat_timeout_ms, Some(3000));
         let back = Configuration::from_str(&cfg.to_xml()).unwrap();
         assert_eq!(back, cfg, "seed/heartbeat attrs must round-trip");
+        // The removed ping-interval attribute (the timeout's name without
+        // `timeout_`) is ignored like any unknown attribute.
+        let stray = Configuration::from_str(&xml.replace("_timeout_", "_")).unwrap();
+        assert_eq!(stray.architecture.heartbeat_timeout_ms, None);
+        assert!(!stray.to_xml().contains("heartbeat"));
 
         // Absent attributes stay None (and are not emitted).
         let cfg = Configuration::from_str("<simulation name=\"x\"/>").unwrap();
         assert_eq!(cfg.architecture.seeds, None);
-        assert_eq!(cfg.architecture.heartbeat_ms, None);
         assert_eq!(cfg.architecture.heartbeat_timeout_ms, None);
         assert!(!cfg.to_xml().contains("seeds"));
 
@@ -1560,19 +1548,9 @@ mod tests {
             r#"<simulation><architecture><world seeds="nohostport"/></architecture></simulation>"#,
         );
         assert!(bad.unwrap_err().to_string().contains("host:port"));
-        // A timeout without a heartbeat interval is meaningless.
         let bad = Configuration::from_str(
             r#"<simulation><architecture>
-              <world heartbeat_timeout_ms="100"/>
-            </architecture></simulation>"#,
-        );
-        assert!(bad
-            .unwrap_err()
-            .to_string()
-            .contains("requires a positive heartbeat_ms"));
-        let bad = Configuration::from_str(
-            r#"<simulation><architecture>
-              <world heartbeat_ms="100" heartbeat_timeout_ms="0"/>
+              <world heartbeat_timeout_ms="0"/>
             </architecture></simulation>"#,
         );
         assert!(bad.unwrap_err().to_string().contains("must be ≥ 1"));

@@ -7,11 +7,11 @@
 //!    in-process). `"127.0.0.1:0"` below picks a free port; on a real
 //!    cluster the list names the head node, and no shared filesystem is
 //!    needed for rendezvous.
-//! 2. `heartbeat_ms` switches the mesh into **reliable mode**: every link
-//!    exchanges PING/PONG, sequenced frames are retained until acked and
-//!    retransmitted after a reconnect, and a silent peer is declared dead
-//!    after `heartbeat_timeout_ms`. Death is relayed to every survivor,
-//!    so all members converge on the same view of who died.
+//! 2. Every mesh link is **reliable**: it exchanges PING/PONG, sequenced
+//!    frames are retained until acked and retransmitted after a
+//!    reconnect, and a silent peer is declared dead after
+//!    `heartbeat_timeout_ms`. Death is relayed to every survivor, so all
+//!    members converge on the same view of who died.
 //! 3. One client **crash-stops mid-run** (plain `std::process::exit` —
 //!    no goodbye). The dedicated core closes the dead rank's staged
 //!    iterations, the survivors keep writing, and the final [`SimReport`]
@@ -32,8 +32,7 @@ const XML: &str = r#"
       <clients count="3"/>
       <buffer size="8388608"/>
       <queue capacity="256"/>
-      <world kind="processes" seeds="127.0.0.1:0"
-             heartbeat_ms="100" heartbeat_timeout_ms="1000"/>
+      <world kind="processes" seeds="127.0.0.1:0" heartbeat_timeout_ms="1000"/>
     </architecture>
     <data>
       <parameter name="n" value="4096"/>
@@ -77,7 +76,7 @@ fn simulate<H: SimHandle>(h: &mut H) -> Vec<u8> {
 fn main() {
     let cfg = Configuration::from_str(XML).expect("embedded config is valid");
     let report = Damaris::launch(cfg, "multihost-failover-example", &[], |h, _| simulate(h))
-        .expect("a client death with heartbeats on must not fail the launch");
+        .expect("a client death must not fail the launch");
     println!(
         "[dedicated] {} iterations, {} blocks; degraded = {}, dead world ranks = {:?}",
         report.iterations_completed, report.blocks_received, report.degraded, report.dead_ranks,
