@@ -255,7 +255,8 @@ impl<C: EventChannel<Event>> DamarisClient<C> {
     /// Publish one variable for one iteration — the single instrumentation
     /// line the paper's usability comparison counts.
     ///
-    /// Cost to the simulation: one shared-memory allocation, one memcpy,
+    /// Cost to the simulation: one shared-memory allocation, one copy
+    /// (streamed past the cache for blocks ≥ [`damaris_shm::STREAM_MIN`]),
     /// one queue event — no heap allocation, no global lock.
     pub fn write<T: damaris_shm::segment::Pod>(
         &self,

@@ -15,8 +15,9 @@
 //!
 //! Concretely, per node:
 //!
-//! * compute cores hold a [`client::DamarisClient`]; a *write* is one memcpy
-//!   into the node's shared-memory segment plus one event post — ~0.1 s for
+//! * compute cores hold a [`client::DamarisClient`]; a *write* is one copy
+//!   into the node's shared-memory segment, streamed past the cache for
+//!   blocks ≥ [`damaris_shm::STREAM_MIN`], plus one event post — ~0.1 s for
 //!   typical per-core output, independent of scale (§IV.B);
 //! * events travel over a pluggable **transport**
 //!   ([`damaris_shm::EventChannel`]), selected by the XML

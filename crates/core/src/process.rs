@@ -22,7 +22,8 @@
 //! slice per client; each client lays a private allocator
 //! ([`damaris_shm::SharedSegment::over_mapping`]) over its slice, so
 //! allocation never needs cross-process coordination. A write is: carve a
-//! block, one memcpy into the mapping, append a 3-word descriptor to the
+//! block, one copy into the mapping (streamed past the cache for blocks ≥
+//! [`damaris_shm::STREAM_MIN`]), append a 3-word descriptor to the
 //! iteration's envelope (§IV.B's "the time to write … is the time
 //! required to write in shared-memory"). Descriptors are **coalesced**:
 //! `end_iteration` flushes the whole client-iteration — every write
@@ -599,7 +600,8 @@ impl SimHandle for ProcessClient<'_> {
         resolve_var(&self.cfg, variable)
     }
 
-    /// Allocate in the shared mapping, one memcpy, one descriptor in the
+    /// Allocate in the shared mapping, one copy (streamed past the cache
+    /// for blocks ≥ [`damaris_shm::STREAM_MIN`]), one descriptor in the
     /// iteration's envelope. Under [`SkipMode::DropIteration`] an iteration
     /// starting above the high-watermark (or exhausting the slice
     /// mid-iteration) is dropped and reported as [`WriteStatus::Skipped`]

@@ -668,7 +668,7 @@ fn store_config(world: &str, dir: &std::path::Path, extra: &str) -> Configuratio
              <architecture>
                <dedicated cores="1"/>
                <clients count="2"/>
-               <buffer size="4194304"/>
+               <buffer size="8388608"/>
                <queue capacity="256"/>
                <world kind="{world}"/>
                <store type="h5lite" path="{}" chunk_rows="4"{extra}/>
@@ -677,11 +677,24 @@ fn store_config(world: &str, dir: &std::path::Path, extra: &str) -> Configuratio
                <layout name="grid" type="f64" dimensions="8,16"/>
                <variable name="u" layout="grid" codec="xor-delta8,shuffle8,rle,lzss"/>
                <variable name="v" layout="grid"/>
+               <layout name="slab" type="f64" dimensions="513,257"/>
+               <variable name="w" layout="slab"/>
              </data>
            </simulation>"#,
         dir.display()
     );
     Configuration::from_str(&xml).expect("store config is valid")
+}
+
+/// Elements of `w`: above the streamed-copy threshold, and not a whole
+/// number of 64-byte steps, so the copy's tail runs too.
+const SLAB: usize = 513 * 257;
+const _: () = assert!(SLAB * 8 >= damaris_shm::STREAM_MIN && !(SLAB * 8).is_multiple_of(64));
+
+fn slab(id: usize, it: u64) -> Vec<f64> {
+    (0..SLAB)
+        .map(|i| (id * 1_000_003 + it as usize * 7919 + i) as f64)
+        .collect()
 }
 
 fn store_sim<H: SimHandle>(h: &mut H, input: &[u8]) -> Vec<u8> {
@@ -692,6 +705,7 @@ fn store_sim<H: SimHandle>(h: &mut H, input: &[u8]) -> Vec<u8> {
             .collect();
         h.write("u", it, &data).expect("write u");
         h.write("v", it, &data).expect("write v");
+        h.write("w", it, &slab(h.id(), it)).expect("write w");
         h.end_iteration(it).expect("end iteration");
     }
     h.finalize().expect("finalize");
@@ -739,6 +753,7 @@ fn store_produces_byte_identical_files_across_worlds() {
         expect
     );
     assert_eq!(r.read_pod::<f64>("it000003/v/rank1").unwrap(), expect);
+    assert_eq!(r.read_pod::<f64>("it000003/w/rank1").unwrap(), slab(1, 3));
     std::fs::remove_dir_all(&base).ok();
 }
 

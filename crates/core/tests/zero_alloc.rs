@@ -6,8 +6,10 @@
 //! size-class queues and the transport rings), a burst of writes and
 //! end-of-iteration posts must not touch the heap at all: the variable
 //! resolves through the prebuilt index, the block comes from the
-//! size-class queues, freeze uses the segment's slot refcounts, the event
-//! moves into a pre-allocated ring and the stats land in atomic buckets.
+//! size-class queues, the copy into it (streamed past the cache for the
+//! large variable) needs no scratch, freeze uses the segment's slot
+//! refcounts, the event moves into a pre-allocated ring and the stats land
+//! in atomic buckets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,13 +75,15 @@ const XML: &str = r#"
   <simulation name="zero-alloc">
     <architecture>
       <dedicated cores="1"/>
-      <buffer size="1048576"/>
+      <buffer size="83886080"/>
       <queue capacity="4096" kind="sharded"/>
     </architecture>
     <data>
       <layout name="row" type="f64" dimensions="128"/>
       <variable name="u" layout="row"/>
       <variable name="v" layout="row"/>
+      <layout name="slab" type="f64" dimensions="131100"/>
+      <variable name="w" layout="slab"/>
     </data>
   </simulation>"#;
 
@@ -98,6 +102,11 @@ fn steady_state_write_makes_zero_heap_allocations() {
         .unwrap();
     let client = node.client(0).unwrap();
     let data = vec![1.25f64; 128];
+    let slab = vec![2.5f64; 131100];
+    assert!(
+        std::mem::size_of_val(&slab[..]) >= damaris_shm::STREAM_MIN,
+        "w takes the streamed copy"
+    );
 
     // Warm up: seed the size-class queues. A block stays live until its
     // iteration is ended, so one long iteration carves a fresh range per
@@ -107,6 +116,7 @@ fn steady_state_write_makes_zero_heap_allocations() {
     for _ in 0..=MEASURED {
         client.write("u", 0, &data).unwrap();
         client.write("v", 0, &data).unwrap();
+        client.write("w", 0, &slab).unwrap();
     }
     client.end_iteration(0).unwrap();
     // Let the dedicated core finish recycling the warm-up iteration, so
@@ -116,13 +126,14 @@ fn steady_state_write_makes_zero_heap_allocations() {
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
 
-    // Steady state: a full iteration (two writes + end-of-iteration) must
-    // not allocate on this thread.
+    // Steady state: a full iteration (three writes + end-of-iteration)
+    // must not allocate on this thread.
     let hits_before = node.segment_stats().class_hits;
     let allocs = count_allocs(|| {
         for it in 1..=MEASURED {
             assert_eq!(client.write("u", it, &data).unwrap(), WriteStatus::Written);
             assert_eq!(client.write("v", it, &data).unwrap(), WriteStatus::Written);
+            assert_eq!(client.write("w", it, &slab).unwrap(), WriteStatus::Written);
             client.end_iteration(it).unwrap();
         }
     });
@@ -132,7 +143,7 @@ fn steady_state_write_makes_zero_heap_allocations() {
     );
     assert_eq!(
         node.segment_stats().class_hits - hits_before,
-        2 * MEASURED,
+        3 * MEASURED,
         "every steady-state write pops its size class"
     );
 

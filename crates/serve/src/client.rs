@@ -8,7 +8,7 @@
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::protocol::{decode, encode_bye, encode_subscribe, Message, PROTOCOL_VERSION};
+use crate::protocol::{data_head, decode, encode_bye, encode_subscribe, Message, PROTOCOL_VERSION};
 
 /// What a subscriber receives from the stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +67,7 @@ impl Subscriber {
             simulation: String::new(),
             nonblocking: false,
         };
-        match sub.read_message_blocking()? {
+        match read_message(&mut sub.stream, &mut sub.buf)? {
             Message::Hello {
                 version,
                 simulation,
@@ -106,7 +106,7 @@ impl Subscriber {
             self.stream.set_nonblocking(false)?;
             self.nonblocking = false;
         }
-        let msg = self.read_message_blocking()?;
+        let msg = read_message(&mut self.stream, &mut self.buf)?;
         Self::to_event(msg)
     }
 
@@ -163,22 +163,6 @@ impl Subscriber {
         })
     }
 
-    fn read_message_blocking(&mut self) -> io::Result<Message> {
-        loop {
-            if let Some((msg, used)) = decode(&self.buf)? {
-                self.buf.drain(..used);
-                return Ok(msg);
-            }
-            let mut chunk = [0u8; 16 << 10];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Write a small control frame even if the stream is in nonblocking
     /// mode (spin briefly on WouldBlock — control frames are tens of
     /// bytes, far below any socket buffer).
@@ -195,5 +179,42 @@ impl Subscriber {
             }
         }
         Ok(())
+    }
+}
+
+/// Read the next message from a blocking `stream`, carrying partial
+/// frames over in `buf`. Once a DATA frame's fixed part is buffered, its
+/// payload is read straight into the message's own `Vec` (one copy out of
+/// the socket, no zeroing, few reads) instead of through `buf`.
+fn read_message(stream: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<Message> {
+    loop {
+        // `data_head` bounds the payload by `MAX_FRAME` before the
+        // allocation below.
+        if let Some(head) = data_head(buf)? {
+            let buffered = (buf.len() - head.fixed_len).min(head.payload_len);
+            let mut bytes = Vec::with_capacity(head.payload_len);
+            bytes.extend_from_slice(&buf[head.fixed_len..head.fixed_len + buffered]);
+            buf.drain(..head.fixed_len + buffered);
+            let missing = head.payload_len - buffered;
+            stream
+                .by_ref()
+                .take(missing as u64)
+                .read_to_end(&mut bytes)?;
+            if bytes.len() < head.payload_len {
+                return Err(io::ErrorKind::UnexpectedEof.into());
+            }
+            return Ok(head.into_message(bytes));
+        }
+        if let Some((msg, used)) = decode(buf)? {
+            buf.drain(..used);
+            return Ok(msg);
+        }
+        let mut chunk = [0u8; 16 << 10];
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
     }
 }

@@ -16,8 +16,10 @@
 //! | 6    | BYE       | both      | empty |
 //!
 //! Frames are decoded from a byte buffer without copying the payload until
-//! a complete frame is present; the length field is validated against
-//! [`MAX_FRAME`] *before* any allocation (the mini-mpi rule: never trust a
+//! a complete frame is present (the subscriber reads a DATA payload
+//! straight into its own buffer once the frame's fixed part is checked);
+//! the length fields are validated against [`MAX_FRAME`] and each other
+//! *before* any allocation (the mini-mpi rule: never trust a
 //! peer-supplied length).
 
 use std::io;
@@ -286,21 +288,106 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The length field of the frame at the front of `buf` (kind + body),
+/// checked against [`MAX_FRAME`]; `Ok(None)` until four bytes are buffered.
+fn frame_len(buf: &[u8]) -> io::Result<Option<usize>> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
+    if len == 0 || len > MAX_FRAME {
+        return Err(bad("length out of range"));
+    }
+    Ok(Some(len))
+}
+
+/// The fixed part of a DATA frame: everything before its payload.
+pub(crate) struct DataHead {
+    pub(crate) variable: String,
+    pub(crate) iteration: u64,
+    pub(crate) source: u64,
+    /// Bytes from the start of the frame (length prefix included) to the
+    /// payload.
+    pub(crate) fixed_len: usize,
+    /// Payload bytes; always the rest of the frame.
+    pub(crate) payload_len: usize,
+}
+
+impl DataHead {
+    pub(crate) fn into_message(self, bytes: Vec<u8>) -> Message {
+        Message::Data {
+            variable: self.variable,
+            iteration: self.iteration,
+            source: self.source,
+            bytes,
+        }
+    }
+}
+
+/// Parse the fixed part of the DATA frame at the front of `buf`, once it
+/// is buffered; the payload may still be missing. `Ok(None)` when `buf`
+/// starts with another kind of frame or does not hold the fixed part yet.
+///
+/// Errors (before anything is allocated) when the frame length exceeds
+/// [`MAX_FRAME`], the fixed part runs past the frame, or the payload
+/// length field disagrees with what the frame length leaves for it. So
+/// the payload length is bounded by [`MAX_FRAME`] once this returns.
+pub(crate) fn data_head(buf: &[u8]) -> io::Result<Option<DataHead>> {
+    let Some(len) = frame_len(buf)? else {
+        return Ok(None);
+    };
+    if buf.get(4) != Some(&KIND_DATA) {
+        return Ok(None);
+    }
+    let end = 4 + len;
+    // Prefix, kind and the name's length, then the name and three u64s.
+    if end < 7 {
+        return Err(bad("truncated body"));
+    }
+    let Some(name_len) = buf.get(5..7) else {
+        return Ok(None);
+    };
+    let fixed_len = 7 + usize::from(u16::from_le_bytes([name_len[0], name_len[1]])) + 24;
+    if fixed_len > end {
+        return Err(bad("truncated body"));
+    }
+    let Some(fixed) = buf.get(5..fixed_len) else {
+        return Ok(None);
+    };
+    let mut r = Reader { buf: fixed, pos: 0 };
+    let variable = r.string()?;
+    let iteration = r.u64()?;
+    let source = r.u64()?;
+    let payload_len = end - fixed_len;
+    if r.u64()? != payload_len as u64 {
+        return Err(bad("payload length disagrees with frame length"));
+    }
+    Ok(Some(DataHead {
+        variable,
+        iteration,
+        source,
+        fixed_len,
+        payload_len,
+    }))
+}
+
 /// Try to decode one frame from the front of `buf`.
 ///
 /// Returns `Ok(None)` when the buffer does not yet hold a complete frame,
 /// `Ok(Some((message, consumed)))` on success, and an error for malformed
 /// or oversized frames (the connection should be dropped).
 pub fn decode(buf: &[u8]) -> io::Result<Option<(Message, usize)>> {
-    if buf.len() < 4 {
+    let Some(len) = frame_len(buf)? else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(bad("length out of range"));
-    }
+    };
     if buf.len() < 4 + len {
         return Ok(None);
+    }
+    // A whole DATA frame holds its fixed part, so this is never `None`
+    // for one.
+    if let Some(head) = data_head(buf)? {
+        let bytes = buf[head.fixed_len..4 + len].to_vec();
+        return Ok(Some((head.into_message(bytes), 4 + len)));
     }
     let kind = buf[4];
     let mut r = Reader {
@@ -323,19 +410,6 @@ pub fn decode(buf: &[u8]) -> io::Result<Option<(Message, usize)>> {
                 vars.push(r.string()?);
             }
             Message::Subscribe { vars }
-        }
-        KIND_DATA => {
-            let variable = r.string()?;
-            let iteration = r.u64()?;
-            let source = r.u64()?;
-            let n = r.u64()? as usize;
-            let bytes = r.take(n)?.to_vec();
-            Message::Data {
-                variable,
-                iteration,
-                source,
-                bytes,
-            }
         }
         KIND_ITER_END => Message::IterEnd {
             iteration: r.u64()?,

@@ -270,3 +270,89 @@ fn wedged_consumer_at_shutdown_releases_its_frames() {
     assert_eq!(seg.used_bytes(), 0, "shutdown lets go of every block");
     drop(sub);
 }
+
+#[test]
+fn data_frame_written_in_pieces_arrives_intact_through_next_event() {
+    use damaris_serve::protocol::Frame;
+    use std::io::Write;
+
+    // A stand-in server: HELLO, then the same large DATA frame once per
+    // list of cuts, written as pieces that end at the cuts: one cut at
+    // every byte of the fixed part, then the fixed part one byte at a time.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let payload: Vec<u8> = (0..(1u32 << 20) + 17).map(|i| (i % 253) as u8).collect();
+    let frame = Frame::data("u", 3, 1, owned(payload.clone()));
+    let fixed_len = frame.header_bytes().len();
+    let mut wire = frame.header_bytes().to_vec();
+    wire.extend_from_slice(frame.payload_bytes());
+    let cuts: Vec<Vec<usize>> = (1..=fixed_len)
+        .map(|cut| vec![cut])
+        .chain([(1..=fixed_len).collect()])
+        .collect();
+    std::thread::scope(|s| {
+        let server = s.spawn(|| {
+            let (mut conn, _) = listener.accept().unwrap();
+            conn.set_nodelay(true).unwrap();
+            conn.write_all(Frame::hello("pieces").header_bytes())
+                .unwrap();
+            for frame_cuts in &cuts {
+                let mut from = 0;
+                for &cut in frame_cuts {
+                    conn.write_all(&wire[from..cut]).unwrap();
+                    conn.flush().unwrap();
+                    from = cut;
+                }
+                conn.write_all(&wire[from..]).unwrap();
+            }
+        });
+        let mut sub = Subscriber::connect(listener.local_addr().unwrap()).unwrap();
+        assert_eq!(sub.simulation(), "pieces");
+        for frame_cuts in &cuts {
+            match sub.next_event().unwrap() {
+                SubscriberEvent::Data {
+                    variable,
+                    iteration: 3,
+                    source: 1,
+                    bytes,
+                } => assert!(variable == "u" && bytes == payload, "cuts {frame_cuts:?}"),
+                other => panic!("cuts {frame_cuts:?}: {other:?}"),
+            }
+        }
+        server.join().unwrap();
+        let eof = sub.next_event().unwrap_err();
+        assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
+    });
+}
+
+#[test]
+fn malformed_data_frames_are_refused_through_next_event() {
+    use damaris_serve::protocol::{Frame, MAX_FRAME};
+    use std::io::Write;
+
+    let frame = Frame::data("u", 0, 0, owned(vec![5; 100]));
+    let mut short = frame.header_bytes().to_vec();
+    short.extend_from_slice(frame.payload_bytes());
+    // Payload length field (the fixed part's last eight bytes) one short.
+    let n_at = frame.header_bytes().len() - 8;
+    short[n_at..n_at + 8].copy_from_slice(&99u64.to_le_bytes());
+    // A length prefix beyond MAX_FRAME, with no body behind it.
+    let mut huge = ((MAX_FRAME + 1) as u32).to_le_bytes().to_vec();
+    huge.push(3);
+    for bad in [short, huge] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        std::thread::scope(|s| {
+            let server = s.spawn(|| {
+                let (mut conn, _) = listener.accept().unwrap();
+                conn.write_all(Frame::hello("bad").header_bytes()).unwrap();
+                conn.write_all(&bad).unwrap();
+                // Hold the connection open: the refusal must not wait for
+                // more bytes or for end of stream.
+                conn
+            });
+            let mut sub = Subscriber::connect(listener.local_addr().unwrap()).unwrap();
+            let err = sub.next_event().unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            drop(server.join().unwrap());
+        });
+    }
+}

@@ -17,7 +17,8 @@
 //!   [`SharedSegment::with_classes`]) and, on a miss or an undeclared
 //!   size, a mutex-guarded first-fit, coalescing list. Compute cores
 //!   [`SharedSegment::allocate`] a [`Block`], write their variable into
-//!   it (one memcpy — *the only copy in the whole pipeline*), then
+//!   it (one copy, streamed past the cache for blocks ≥ [`STREAM_MIN`] —
+//!   *the only copy in the whole pipeline*), then
 //!   [`Block::freeze`] it into an immutable,
 //!   reference-counted [`BlockRef`] that the dedicated core (and any number
 //!   of analysis plugins) can read in place. Dropping the last `BlockRef`
@@ -61,6 +62,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod arena;
+mod copy;
 pub mod error;
 pub mod mapping;
 pub mod queue;
@@ -68,6 +70,7 @@ pub mod segment;
 pub mod spsc;
 pub mod transport;
 
+pub use copy::STREAM_MIN;
 pub use error::{RecvError, SendError, ShmError, TryRecvError, TrySendError};
 pub use mapping::ShmFile;
 pub use queue::MessageQueue;

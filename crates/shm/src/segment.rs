@@ -3,7 +3,8 @@
 //!
 //! The allocator is the mechanism behind two numbers in the paper:
 //!
-//! * the simulation-side cost of a "write" is one memcpy into this segment
+//! * the simulation-side cost of a "write" is one copy into this segment,
+//!   streamed past the cache for blocks ≥ [`STREAM_MIN`](crate::STREAM_MIN)
 //!   (§IV.B: "the time to write from the point of view of the simulation is
 //!   cut down to the time required to write in shared-memory, which is in
 //!   the order of 0.1 seconds"), and
@@ -51,7 +52,10 @@ use crate::error::ShmError;
 /// Allocation granularity and guaranteed block alignment, in bytes.
 ///
 /// One cache line: avoids false sharing between adjacent blocks written by
-/// different cores, and is large enough for any primitive element type.
+/// different cores, lets the one copy into a block, streamed past the
+/// cache for blocks ≥ [`STREAM_MIN`](crate::STREAM_MIN), write whole lines
+/// from the block's first byte, and is large enough for any primitive
+/// element type. Both kinds of storage start on a `BLOCK_ALIGN` boundary.
 pub const BLOCK_ALIGN: usize = 64;
 
 /// Failsafe re-check interval for blocked allocations. Wakeups are driven
@@ -165,11 +169,12 @@ impl FreeList {
     }
 }
 
-/// Backing storage, aligned to at least 16 bytes so every
-/// `BLOCK_ALIGN`-multiple offset is suitably aligned for any [`Pod`] type.
+/// Backing storage whose base is `BLOCK_ALIGN`-aligned, so every block
+/// starts on its own cache line, suitably aligned for any [`Pod`] type.
 enum Storage {
-    /// Process-private heap allocation (thread worlds).
-    Heap(Box<[u128]>),
+    /// Process-private heap allocation (thread worlds): the first
+    /// `BLOCK_ALIGN` boundary is `lead` bytes into `words`.
+    Heap { words: Box<[u128]>, lead: usize },
     /// A slice of a shared file mapping (process worlds): the same bytes
     /// are visible in every process that maps the file. `base_offset` is
     /// `BLOCK_ALIGN`-aligned, and `mmap` returns page-aligned pointers,
@@ -182,13 +187,24 @@ enum Storage {
 
 impl Storage {
     fn heap(capacity_bytes: usize) -> Self {
-        let words = capacity_bytes.div_ceil(16);
-        Storage::Heap(vec![0u128; words].into_boxed_slice())
+        // `vec![0; n]` is `calloc`, which leaves a large segment's pages
+        // untouched until a block is written. The system allocator zeroes
+        // a 64-byte aligned request by hand, page by page, so instead
+        // over-allocate by the 48 bytes that can lie between the 16-byte
+        // aligned base and the next line.
+        let spare = (BLOCK_ALIGN - 16) / 16;
+        let words = vec![0u128; capacity_bytes.div_ceil(16) + spare].into_boxed_slice();
+        let lead = words.as_ptr().addr().wrapping_neg() % BLOCK_ALIGN;
+        Storage::Heap { words, lead }
     }
 
     fn base(&self) -> *mut u8 {
         match self {
-            Storage::Heap(words) => words.as_ptr() as *mut u8,
+            // SAFETY: the base is 16-byte aligned, so `lead` is at most the
+            // 48 spare bytes allocated past the capacity.
+            Storage::Heap { words, lead } => unsafe {
+                words.as_ptr().cast::<u8>().add(*lead) as *mut u8
+            },
             // SAFETY: `base_offset` was bounds-checked at construction.
             Storage::Mapped { shm, base_offset } => unsafe { shm.base().add(*base_offset) },
         }
@@ -719,7 +735,10 @@ impl Block {
         }
     }
 
-    /// Copy `src` into the beginning of the block.
+    /// Copy `src` into the beginning of the block. A copy of at least
+    /// [`STREAM_MIN`](crate::STREAM_MIN) bytes bypasses the cache and ends
+    /// with a store fence, so [`Block::freeze`] publishes it like any
+    /// other write.
     ///
     /// Panics if `src` is longer than the block — that is a logic error in
     /// the caller (layout mismatch), not a runtime condition.
@@ -730,11 +749,12 @@ impl Block {
             src.len(),
             self.len
         );
-        self.as_mut_slice()[..src.len()].copy_from_slice(src);
+        crate::copy::copy_into(&mut self.as_mut_slice()[..src.len()], src);
     }
 
-    /// Copy a typed slice into the block (the single memcpy of the Damaris
-    /// write path).
+    /// Copy a typed slice into the block (the one copy of the Damaris
+    /// write path, streamed past the cache for blocks ≥
+    /// [`STREAM_MIN`](crate::STREAM_MIN)).
     pub fn write_pod<T: Pod>(&mut self, src: &[T]) {
         // SAFETY: Pod types have no padding and no invalid bit patterns.
         let bytes = unsafe {
@@ -839,7 +859,7 @@ impl BlockRef {
             size
         );
         debug_assert_eq!(self.offset % BLOCK_ALIGN, 0);
-        // SAFETY: base is 16-byte aligned, offsets are BLOCK_ALIGN-multiples,
+        // SAFETY: base is BLOCK_ALIGN-aligned, offsets are BLOCK_ALIGN-multiples,
         // so the pointer is aligned for any Pod; Pod types accept any bits.
         unsafe {
             std::slice::from_raw_parts(
@@ -1285,6 +1305,75 @@ mod tests {
             matches!(reader.allocate(64), Err(ShmError::OutOfMemory { .. })),
             "a reader owns no range to allocate from"
         );
+    }
+
+    #[test]
+    // Real mmap/libc syscalls: outside Miri's interpreter.
+    #[cfg_attr(miri, ignore)]
+    fn every_block_starts_on_a_cache_line() {
+        let path = crate::ShmFile::default_dir()
+            .join(format!("damaris-seg-align-test-{}", std::process::id()));
+        let shm = Arc::new(crate::ShmFile::create(&path, 1 << 20).unwrap());
+        let mut segments = vec![SharedSegment::over_mapping(&shm, 4096, 1 << 19, &[]).unwrap()];
+        // Small heap segments come from the heap arena, large ones from
+        // their own mapping: both must start on a line.
+        for capacity in [8192, 1 << 20, 32 << 20, 96 << 20] {
+            segments.push(SharedSegment::with_classes(capacity, &[100]).unwrap());
+        }
+        for seg in &segments {
+            let mut blocks: Vec<Block> = [100, 1, 64, 100, 4096, 65]
+                .into_iter()
+                .map(|len| seg.allocate(len).unwrap())
+                .collect();
+            for b in &mut blocks {
+                let at = b.as_mut_slice().as_ptr().addr();
+                assert_eq!(at % BLOCK_ALIGN, 0, "block at {at:#x} of {seg:?}");
+            }
+            let frozen = blocks.pop().unwrap().freeze();
+            assert_eq!(frozen.as_slice().as_ptr().addr() % BLOCK_ALIGN, 0);
+        }
+    }
+
+    #[test]
+    fn streamed_blocks_reach_another_thread_intact() {
+        use crate::transport::{EventChannel, EventConsumer, EventProducer, ShardedChannel};
+        // Above the stream threshold, with an 8-byte tail past the last
+        // 64-byte step; four ranges, so every range is recycled ~250 times.
+        const BLOCKS: u64 = 1000;
+        let len = crate::STREAM_MIN + 72;
+        let words = (len / 8) as u64;
+        let seg = SharedSegment::with_classes(4 * len, &[len]).unwrap();
+        let ch: ShardedChannel<(u64, BlockRef)> = ShardedChannel::new(1, 2);
+        let mut consumer = ch.consumer(0, 1);
+        let reader = std::thread::spawn(move || {
+            let mut seen = 0;
+            while let Ok((n, block)) = consumer.recv() {
+                let bad = block
+                    .as_pod::<u64>()
+                    .iter()
+                    .zip(n * words..)
+                    .position(|(&got, want)| got != want);
+                assert_eq!(bad, None, "block {n}: first wrong word");
+                seen += 1;
+            }
+            seen
+        });
+        let producer = ch.producer(0);
+        let mut src = vec![0u64; words as usize];
+        for n in 0..BLOCKS {
+            for (w, v) in src.iter_mut().zip(n * words..) {
+                *w = v;
+            }
+            let mut b = seg
+                .allocate_blocking(len, Some(Duration::from_secs(10)))
+                .unwrap();
+            b.write_pod(&src);
+            producer.send((n, b.freeze())).unwrap();
+        }
+        ch.close();
+        assert_eq!(reader.join().unwrap(), BLOCKS);
+        assert_eq!(seg.used_bytes(), 0);
+        assert!(seg.stats().class_hits >= BLOCKS - 4, "ranges were recycled");
     }
 
     #[test]
