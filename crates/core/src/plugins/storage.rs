@@ -141,9 +141,6 @@ struct VarState {
     /// Pre-built compression pipeline, shared with every dataset builder
     /// (no per-dataset spec re-parse).
     pipeline: Option<Arc<Pipeline>>,
-    /// Reused encode scratch for the inline (`workers == 1`) path — the
-    /// no-steady-state-allocation guarantee.
-    scratch: EncodeScratch,
 }
 
 impl VarState {
@@ -407,7 +404,13 @@ struct EngineCore {
     /// are not visible here, so deltas ride on each result).
     pool_encodes: u64,
     pool_grows: u64,
-    /// Recycled parallel-encode output buffers.
+    /// Reused encode scratch for the inline (`workers == 1`) path — the
+    /// no-steady-state-allocation guarantee. It serves every variable, as a
+    /// pool worker's serves every task: blocks are encoded one after
+    /// another, so a scratch per variable would only keep two buffers per
+    /// variable resident (10 MiB for five 1 MiB variables instead of 2 MiB).
+    scratch: EncodeScratch,
+    /// Recycled encode output buffers.
     chunk_bufs: Vec<EncodedChunks>,
     file_stats: Option<FileStats>,
 }
@@ -536,7 +539,7 @@ impl EngineCore {
             }
             None => {
                 for (i, &(var, _, data)) in blocks.iter().enumerate() {
-                    let Some(v) = self.vars.get_mut(var.index()) else {
+                    let Some(v) = self.vars.get(var.index()) else {
                         continue;
                     };
                     let Some(p) = (if v.store { v.pipeline.clone() } else { None }) else {
@@ -549,7 +552,7 @@ impl EngineCore {
                     let mut out = self.chunk_bufs.pop().unwrap_or_default();
                     out.clear();
                     for chunk in data.chunks(chunk_bytes) {
-                        let enc = p.encode_with(chunk, &mut v.scratch);
+                        let enc = p.encode_with(chunk, &mut self.scratch);
                         out.push_chunk(enc);
                     }
                     self.worker_busy_ns += t0.elapsed().as_nanos() as u64;
@@ -566,7 +569,7 @@ impl EngineCore {
             if !stored(&self.vars, var) {
                 continue;
             }
-            let vs = &mut self.vars[var.index()];
+            let vs = &self.vars[var.index()];
             let mut dyn_shape = [0u64; 1];
             let shape = vs.shape_for(data.len(), &mut dyn_shape);
             let ds_path = format!("it{iteration:06}/{}/rank{source}", vs.name);
@@ -586,7 +589,7 @@ impl EngineCore {
                     self.chunk_bufs.push(out);
                 }
                 None => b
-                    .write_bytes_with(data, &mut vs.scratch)
+                    .write_bytes_with(data, &mut self.scratch)
                     .map_err(|e| format!("writing {ds_path}: {e}"))?,
             }
             self.datasets += 1;
@@ -606,18 +609,13 @@ impl EngineCore {
     }
 
     fn stats_locked(&self, workers: usize, drain_ns: u64) -> StorageStats {
-        let (mut encodes, mut scratch_grows) = (self.pool_encodes, self.pool_grows);
-        for v in &self.vars {
-            encodes += v.scratch.encodes();
-            scratch_grows += v.scratch.grows();
-        }
         StorageStats {
             iterations: self.iterations,
             skipped_iterations: self.skipped_iterations,
             datasets: self.datasets,
             raw_bytes: self.raw_bytes,
-            encodes,
-            scratch_grows,
+            encodes: self.pool_encodes + self.scratch.encodes(),
+            scratch_grows: self.pool_grows + self.scratch.grows(),
             flush_requests: self.flush_requests,
             syncs: self.syncs.load(Ordering::Relaxed),
             drain_ns,
@@ -703,7 +701,6 @@ impl StorageEngine {
                 elem_bytes: e.elem_type.size_bytes(),
                 store: e.store,
                 pipeline,
-                scratch: EncodeScratch::new(),
             });
         }
         let workers = match store.workers {
@@ -743,6 +740,7 @@ impl StorageEngine {
                 worker_busy_ns: 0,
                 pool_encodes: 0,
                 pool_grows: 0,
+                scratch: EncodeScratch::new(),
                 chunk_bufs: Vec::new(),
                 file_stats: None,
             })),
@@ -765,8 +763,8 @@ impl StorageEngine {
         self.workers
     }
 
-    /// Counter snapshot (scratch counters summed over all variables and
-    /// pool workers).
+    /// Counter snapshot (scratch counters summed over the inline scratch
+    /// and the pool workers').
     pub fn stats(&self) -> StorageStats {
         self.core
             .lock()
@@ -1037,19 +1035,25 @@ mod tests {
 
     #[test]
     fn engine_scratch_stops_growing_after_warmup() {
-        let cfg = config(r#"<store type="h5lite"/>"#, "");
+        // Two codec'd variables of different sizes take turns in the one
+        // inline scratch: it grows to the larger once, then never again.
+        let cfg = config(
+            r#"<store type="h5lite" workers="1"/>"#,
+            r#"<layout name="wide" type="f64" dimensions="16,8"/>
+               <variable name="w" layout="wide" codec="xor-delta8,shuffle8,rle"/>"#,
+        );
         let dir = tmpdir("scratch");
         let mut engine = StorageEngine::new(&cfg, 0, &dir).unwrap();
         let u = cfg.registry().var_id("u").unwrap();
-        let bytes = bytes_of(&field(1.0));
-        engine
-            .store_iteration(0, [(u, 0usize, bytes.as_slice())])
-            .unwrap();
+        let w = cfg.registry().var_id("w").unwrap();
+        let small = bytes_of(&field(1.0));
+        let wide: Vec<f64> = (0..128).map(|i| 280.0 + (i % 7) as f64).collect();
+        let wide = bytes_of(&wide);
+        let blocks = [(u, 0usize, small.as_slice()), (w, 0usize, wide.as_slice())];
+        engine.store_iteration(0, blocks).unwrap();
         let warm = engine.stats();
         for it in 1..50u64 {
-            engine
-                .store_iteration(it, [(u, 0usize, bytes.as_slice())])
-                .unwrap();
+            engine.store_iteration(it, blocks).unwrap();
         }
         let done = engine.stats();
         assert_eq!(
