@@ -316,6 +316,10 @@ fn run_once(serve: bool) -> Vec<f64> {
             .flat_map(|h| h.join().expect("client thread"))
             .collect()
     });
+    // Clients returning does not mean the dedicated core has completed
+    // (and published) their last iterations; shutdown waits for that.
+    let report = node.shutdown().expect("shutdown");
+    assert_eq!(report.iterations_completed, WARMUP_ITERS + MEASURED_ITERS);
     if serve {
         let stats = node.serve_stats().expect("serve stats");
         assert_eq!(
@@ -324,8 +328,6 @@ fn run_once(serve: bool) -> Vec<f64> {
             "every completed iteration was offered to the stream"
         );
     }
-    let report = node.shutdown().expect("shutdown");
-    assert_eq!(report.iterations_completed, WARMUP_ITERS + MEASURED_ITERS);
     if let Some(d) = drainer {
         let frames = d.join().expect("drainer thread");
         assert!(frames > 0, "the live subscriber saw data");

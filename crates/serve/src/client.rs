@@ -90,13 +90,17 @@ impl Subscriber {
     /// Subscribe to the named variables (empty = every variable). A late
     /// subscriber first receives a snapshot of the most recent completed
     /// iteration, then the live stream.
+    ///
+    /// `InvalidInput`, with nothing sent, when the list does not fit one
+    /// SUBSCRIBE frame ([`crate::protocol::MAX_CONTROL_FRAME`] bytes, about
+    /// 1 000 names of 60 bytes).
     pub fn subscribe(&mut self, vars: &[&str]) -> io::Result<()> {
-        self.write_all_ignoring_wouldblock(&encode_subscribe(vars))
+        self.write_control(&encode_subscribe(vars)?)
     }
 
     /// Tell the server we are leaving, without waiting for its BYE.
     pub fn bye(&mut self) -> io::Result<()> {
-        self.write_all_ignoring_wouldblock(&encode_bye())
+        self.write_control(&encode_bye())
     }
 
     /// Next event, blocking until one arrives. `Err(UnexpectedEof)` when
@@ -163,22 +167,18 @@ impl Subscriber {
         })
     }
 
-    /// Write a small control frame even if the stream is in nonblocking
-    /// mode (spin briefly on WouldBlock — control frames are tens of
-    /// bytes, far below any socket buffer).
-    fn write_all_ignoring_wouldblock(&mut self, mut bytes: &[u8]) -> io::Result<()> {
-        while !bytes.is_empty() {
-            match self.stream.write(bytes) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => bytes = &bytes[n..],
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+    /// Write a small control frame whole. A stream that [`Self::try_next`]
+    /// left nonblocking is switched to blocking for the write (control
+    /// frames are tens of bytes, far below any socket buffer) and back.
+    fn write_control(&mut self, bytes: &[u8]) -> io::Result<()> {
+        if self.nonblocking {
+            self.stream.set_nonblocking(false)?;
         }
-        Ok(())
+        let wrote = self.stream.write_all(bytes);
+        if self.nonblocking {
+            self.stream.set_nonblocking(true)?;
+        }
+        wrote
     }
 }
 

@@ -12,9 +12,11 @@
 //!
 //! * [`protocol`] — the frame protocol (HELLO / SUBSCRIBE / DATA /
 //!   ITER-END / LAG / BYE) with hostile-length validation.
-//! * [`StreamServer`] — the fan-out server: one nonblocking poll thread
-//!   owns the sockets; [`StreamServer::publish`] runs on the dedicated
-//!   core's event path and only bumps refcounts into bounded queues.
+//! * [`StreamServer`] — the fan-out server: one poll thread owns the
+//!   nonblocking sockets and blocks in `poll(2)` until one is ready or it
+//!   is woken; [`StreamServer::publish`] runs on the dedicated core's
+//!   event path, only bumps refcounts into bounded queues, and wakes the
+//!   poll thread with at most one eventfd write.
 //! * [`Subscriber`] — the client library.
 //!
 //! The server is transport-only: it takes [`ServeOptions`] and
@@ -47,6 +49,7 @@ pub mod protocol;
 
 mod client;
 mod server;
+mod sys;
 
 pub use client::{Subscriber, SubscriberEvent};
 pub use protocol::{Message, Payload, PROTOCOL_VERSION};

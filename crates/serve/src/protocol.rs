@@ -34,6 +34,12 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// more than this is a protocol error, not an allocation request.
 pub const MAX_FRAME: usize = 256 << 20;
 
+/// Upper bound on the `len` field of a frame a subscriber sends
+/// (SUBSCRIBE or BYE): about 1 000 variable names of 60 bytes. The server
+/// refuses a longer claim, or any other kind, once the first five bytes
+/// are in, so a peer cannot make it buffer more than this.
+pub const MAX_CONTROL_FRAME: usize = 64 << 10;
+
 pub(crate) const KIND_HELLO: u8 = 1;
 pub(crate) const KIND_SUBSCRIBE: u8 = 2;
 pub(crate) const KIND_DATA: u8 = 3;
@@ -180,16 +186,27 @@ impl Frame {
 
 /// Encode a client SUBSCRIBE frame. An empty list subscribes to every
 /// variable.
-pub fn encode_subscribe(vars: &[&str]) -> Vec<u8> {
-    let mut h = header(
-        KIND_SUBSCRIBE,
-        2 + vars.iter().map(|v| 2 + v.len()).sum::<usize>(),
-    );
+///
+/// `InvalidInput` when the frame would exceed [`MAX_CONTROL_FRAME`]; a
+/// list within it has fewer than `u16::MAX` names of at most `u16::MAX`
+/// bytes each, so nothing is truncated.
+pub fn encode_subscribe(vars: &[&str]) -> io::Result<Vec<u8>> {
+    let body = 2 + vars.iter().map(|v| 2 + v.len()).sum::<usize>();
+    if 1 + body > MAX_CONTROL_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "subscription list takes {} bytes; a SUBSCRIBE frame holds at most {MAX_CONTROL_FRAME}",
+                1 + body
+            ),
+        ));
+    }
+    let mut h = header(KIND_SUBSCRIBE, body);
     h.extend_from_slice(&(vars.len() as u16).to_le_bytes());
     for v in vars {
         push_str(&mut h, v);
     }
-    seal(h, 0)
+    Ok(seal(h, 0))
 }
 
 /// Encode a BYE frame as raw bytes (client side).
@@ -426,6 +443,24 @@ pub fn decode(buf: &[u8]) -> io::Result<Option<(Message, usize)>> {
     Ok(Some((msg, 4 + len)))
 }
 
+/// [`decode`] for the server's side of a connection: the frame at the
+/// front of `buf` must be a SUBSCRIBE or BYE of at most
+/// [`MAX_CONTROL_FRAME`] bytes, and is refused as soon as its length and
+/// kind are buffered otherwise — not once the whole claimed length is in.
+pub(crate) fn decode_control(buf: &[u8]) -> io::Result<Option<(Message, usize)>> {
+    if let Some(len) = frame_len(buf)? {
+        if len > MAX_CONTROL_FRAME {
+            return Err(bad("control frame over MAX_CONTROL_FRAME"));
+        }
+        if let Some(&kind) = buf.get(4) {
+            if kind != KIND_SUBSCRIBE && kind != KIND_BYE {
+                return Err(bad(&format!("kind {kind} from a subscriber")));
+            }
+        }
+    }
+    decode(buf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,7 +517,7 @@ mod tests {
 
     #[test]
     fn subscribe_encodes_and_decodes() {
-        let bytes = encode_subscribe(&["u", "pressure"]);
+        let bytes = encode_subscribe(&["u", "pressure"]).unwrap();
         let (msg, used) = decode(&bytes).unwrap().unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(
@@ -491,8 +526,48 @@ mod tests {
                 vars: vec!["u".into(), "pressure".into()]
             }
         );
-        let (msg, _) = decode(&encode_subscribe(&[])).unwrap().unwrap();
+        let (msg, _) = decode(&encode_subscribe(&[]).unwrap()).unwrap().unwrap();
         assert_eq!(msg, Message::Subscribe { vars: vec![] });
+    }
+
+    #[test]
+    fn subscribe_lists_over_the_control_cap_are_refused_not_truncated() {
+        let name = "n".repeat(60);
+        let thousand = vec![name.as_str(); 1000];
+        let bytes = encode_subscribe(&thousand).unwrap();
+        assert!(bytes.len() - 4 <= MAX_CONTROL_FRAME);
+        let (msg, _) = decode_control(&bytes).unwrap().unwrap();
+        assert!(matches!(msg, Message::Subscribe { vars } if vars.len() == 1000));
+
+        let two_thousand = vec![name.as_str(); 2000];
+        let long = "x".repeat(usize::from(u16::MAX) + 1);
+        for vars in [two_thousand, vec![long.as_str()]] {
+            let err = encode_subscribe(&vars).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+    }
+
+    #[test]
+    fn control_frames_are_refused_on_their_prefix() {
+        // A claim over the cap, with none of its body behind it.
+        let mut b = ((MAX_CONTROL_FRAME + 1) as u32).to_le_bytes().to_vec();
+        assert!(decode_control(&b).is_err());
+        b.push(KIND_SUBSCRIBE);
+        assert!(decode_control(&b).is_err());
+        // A server-to-client kind, refused on its kind byte.
+        let mut b = 100u32.to_le_bytes().to_vec();
+        assert!(decode_control(&b).unwrap().is_none());
+        b.push(KIND_DATA);
+        assert!(decode_control(&b).is_err());
+        // A partial SUBSCRIBE within the cap waits for more bytes.
+        let bytes = encode_subscribe(&["u"]).unwrap();
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_control(&bytes[..cut]).unwrap().is_none(),
+                "cut at {cut}"
+            );
+        }
+        assert!(decode_control(&encode_bye()).unwrap().is_some());
     }
 
     #[test]

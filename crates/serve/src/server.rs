@@ -3,12 +3,14 @@
 //!
 //! One poll thread owns every socket (no external async runtime — sockets
 //! are `set_nonblocking(true)` and the loop makes a pass over accept /
-//! read / write, sleeping briefly only when nothing moved, the same idiom
-//! as mini-mpi's writer threads). The publisher — the dedicated core's
-//! plugin, at iteration completion — never touches a socket: it
+//! read / write, then blocks in `poll(2)` until the listener, a
+//! subscriber socket or the wake eventfd is ready; it never sleeps and
+//! never times out). The publisher — the dedicated core's plugin, at
+//! iteration completion — never touches a socket: it
 //! encodes each block once into an `Arc<Frame>` and appends the arcs to
 //! per-subscriber bounded queues, so the publish path is a handful of
-//! refcount bumps and queue pushes regardless of subscriber count.
+//! refcount bumps and queue pushes regardless of subscriber count, plus
+//! at most one eventfd write to wake the poll thread.
 //!
 //! **Lag policy.** The publisher never blocks. A subscriber whose queue
 //! cannot take a whole iteration gets none of it: the iteration is
@@ -27,12 +29,14 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::protocol::{decode, Frame, Message, Payload};
+use crate::protocol::{decode_control, Frame, Message, Payload};
+use crate::sys::{self, EventFd, PollFd, POLLIN, POLLOUT};
 
 /// Server configuration (the `<serve>` XML element, decoupled from the
 /// configuration crate).
@@ -105,6 +109,9 @@ pub struct ServeStats {
     /// Worst single `publish` call in nanoseconds (the bound the
     /// slow-consumer test asserts on).
     pub publish_ns_max: u64,
+    /// Times the poll thread blocked in `poll(2)`, once at the end of
+    /// every pass over the sockets; an idle server adds none.
+    pub poll_waits: u64,
 }
 
 #[derive(Default)]
@@ -122,6 +129,7 @@ struct StatsInner {
     publishes: AtomicU64,
     publish_ns_total: AtomicU64,
     publish_ns_max: AtomicU64,
+    poll_waits: AtomicU64,
 }
 
 impl StatsInner {
@@ -141,6 +149,7 @@ impl StatsInner {
             publishes: ld(&self.publishes),
             publish_ns_total: ld(&self.publish_ns_total),
             publish_ns_max: ld(&self.publish_ns_max),
+            poll_waits: ld(&self.poll_waits),
         }
     }
 }
@@ -200,6 +209,12 @@ struct Inner {
     queue_frames: usize,
     simulation: String,
     closing: AtomicBool,
+    /// Readable while a `publish` or `shutdown` waits for the poll thread.
+    wake: EventFd,
+    /// Set by the first `publish` that wrote `wake` since the poll thread
+    /// last drained it; later publishes skip the write. The order both
+    /// sides follow is documented at the top of `poll_loop`.
+    wake_pending: AtomicBool,
 }
 
 impl Inner {
@@ -248,7 +263,8 @@ impl Inner {
 pub struct StreamServer {
     inner: Arc<Inner>,
     local_addr: SocketAddr,
-    poll: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The poll thread and a channel whose sender it drops on exit.
+    poll: Mutex<Option<(JoinHandle<()>, mpsc::Receiver<()>)>>,
 }
 
 impl StreamServer {
@@ -275,15 +291,18 @@ impl StreamServer {
             queue_frames: opts.queue_frames.max(1),
             simulation: opts.simulation.clone(),
             closing: AtomicBool::new(false),
+            wake: EventFd::new()?,
+            wake_pending: AtomicBool::new(false),
         });
         let poll_inner = Arc::clone(&inner);
+        let (exited, exit_rx) = mpsc::channel();
         let handle = std::thread::Builder::new()
             .name("damaris-serve".to_string())
-            .spawn(move || poll_loop(poll_inner, listener))?;
+            .spawn(move || poll_loop(poll_inner, listener, exited))?;
         Ok(StreamServer {
             inner,
             local_addr,
-            poll: Mutex::new(Some(handle)),
+            poll: Mutex::new(Some((handle, exit_rx))),
         })
     }
 
@@ -301,7 +320,8 @@ impl StreamServer {
     ///
     /// Runs on the dedicated core's event path: it encodes each block
     /// header once, retains the iteration for catch-up, and appends arcs
-    /// to subscriber queues — no socket I/O, no blocking, bounded work.
+    /// to subscriber queues — no socket I/O, no blocking, bounded work —
+    /// then wakes the poll thread with at most one eventfd write.
     pub fn publish(&self, iteration: u64, blocks: Vec<PublishBlock>) {
         let start = Instant::now();
         let data: Vec<DataFrame> = blocks
@@ -324,11 +344,18 @@ impl StreamServer {
         // one at a time; each enqueue is refcount bumps + queue pushes.
         *self.inner.latest.lock() = Some(Arc::clone(&publication));
         let subs: Vec<_> = self.inner.subs.lock().clone();
+        let mut queued = false;
         for sub in subs {
             let mut s = sub.lock();
             if !s.closed && s.vars.is_some() {
-                self.inner.enqueue(&mut s, &publication);
+                queued |= self.inner.enqueue(&mut s, &publication);
             }
+        }
+        // Wake protocol, publish side: enqueue first, then swap; only the
+        // swap that finds the flag clear writes the eventfd. Modelled by
+        // `serve_wake_no_lost_wakeup` in crates/check/tests/models.rs.
+        if queued && !self.inner.wake_pending.swap(true, Ordering::AcqRel) {
+            self.inner.wake.signal();
         }
         let ns = start.elapsed().as_nanos() as u64;
         st.publishes.fetch_add(1, Ordering::Relaxed);
@@ -339,7 +366,7 @@ impl StreamServer {
     /// Stop serving: queue BYE to every subscriber, give the poll thread
     /// until `drain` to flush, then close everything and join. Idempotent.
     pub fn shutdown(&self, drain: Duration) {
-        let Some(handle) = self.poll.lock().take() else {
+        let Some((handle, exited)) = self.poll.lock().take() else {
             return;
         };
         // Queue a BYE for every live subscriber; the poll thread keeps
@@ -354,15 +381,17 @@ impl StreamServer {
             }
         }
         self.inner.closing.store(true, Ordering::Release);
-        let deadline = Instant::now() + drain;
-        // The poll thread exits once drained; enforce the deadline here
-        // so a wedged consumer cannot hold shutdown hostage.
-        while Instant::now() < deadline && !handle.is_finished() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        self.inner.wake.signal();
+        // The poll thread exits once drained, dropping its sender; enforce
+        // the deadline here so a wedged consumer cannot hold shutdown
+        // hostage.
+        let _ = exited.recv_timeout(drain);
         for sub in self.inner.subs.lock().iter() {
             sub.lock().closed = true;
         }
+        // Wake it again, unconditionally: blocked on a wedged subscriber's
+        // POLLOUT, it would otherwise never see the force-close.
+        self.inner.wake.signal();
         let _ = handle.join();
         // Release the retained iteration and whatever a wedged consumer
         // never took (and with them their shm references).
@@ -384,20 +413,42 @@ struct Conn {
     stream: TcpStream,
     state: Arc<Mutex<SubState>>,
     read_buf: Vec<u8>,
+    /// Frames were left queued because the socket was full: wait for
+    /// POLLOUT as well as POLLIN.
+    backlogged: bool,
 }
 
-fn poll_loop(inner: Arc<Inner>, listener: TcpListener) {
+/// The poll thread. `_exited` is dropped when it returns, which is what
+/// `shutdown` waits for.
+///
+/// **Wake protocol.** `publish` enqueues, then swaps `wake_pending` to
+/// true, and writes the eventfd only when the swap found it false. Each
+/// pass here first drains the eventfd and only then swaps the flag back
+/// to false. The reverse order loses a wake-up: a publish landing between
+/// the clear and the drain has its write drained while the flag stays
+/// set, so the next publish skips its write and `poll` blocks with frames
+/// queued. Modelled, with that broken twin, by
+/// `serve_wake_no_lost_wakeup` and `serve_wake_clear_before_drain_is_caught`
+/// in crates/check/tests/models.rs.
+fn poll_loop(inner: Arc<Inner>, listener: TcpListener, _exited: mpsc::Sender<()>) {
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
+        // Drain, then clear: never the other way round (see above, and
+        // `serve_wake_no_lost_wakeup` in crates/check/tests/models.rs).
+        inner.wake.drain();
+        inner.wake_pending.swap(false, Ordering::AcqRel);
         let closing = inner.closing.load(Ordering::Acquire);
-        let mut progress = false;
+        // A hard accept error (out of descriptors) leaves the listener
+        // readable; leaving it out of this pass's wait keeps the loop from
+        // spinning on it, and the next wake-up retries.
+        let mut accept_failed = false;
 
         // Accept every pending connection (unless shutting down).
         if !closing {
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        progress = true;
                         if stream.set_nonblocking(true).is_err() {
                             continue;
                         }
@@ -416,10 +467,19 @@ fn poll_loop(inner: Arc<Inner>, listener: TcpListener) {
                             stream,
                             state,
                             read_buf: Vec::new(),
+                            backlogged: false,
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => break,
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                        ) => {}
+                    Err(_) => {
+                        accept_failed = true;
+                        break;
+                    }
                 }
             }
         }
@@ -429,7 +489,7 @@ fn poll_loop(inner: Arc<Inner>, listener: TcpListener) {
                 continue;
             }
             match service_conn(&inner, conn, closing) {
-                Ok(moved) => progress |= moved,
+                Ok(backlogged) => conn.backlogged = backlogged,
                 Err(_) => conn.state.lock().closed = true,
             }
         }
@@ -444,55 +504,107 @@ fn poll_loop(inner: Arc<Inner>, listener: TcpListener) {
                 .subscribers_current
                 .fetch_sub(gone, Ordering::Relaxed);
             inner.subs.lock().retain(|s| !s.lock().closed);
-            progress = true;
         }
 
-        if closing {
-            // Drained (or force-closed by shutdown's deadline)? Exit.
-            let done = conns.iter().all(|c| {
-                let s = c.state.lock();
-                s.closed || s.queue.is_empty()
-            });
-            if done {
-                for c in &conns {
-                    let _ = c.stream.shutdown(std::net::Shutdown::Both);
-                }
-                inner.stats.subscribers_current.store(0, Ordering::Relaxed);
-                return;
-            }
+        if closing && !conns.iter().any(|c| c.backlogged) {
+            break; // drained, or force-closed by shutdown's deadline
         }
 
-        if !progress {
-            std::thread::sleep(Duration::from_micros(500));
+        // Block until there is work: a connection to accept, bytes from a
+        // subscriber, room in a backlogged socket, or a wake-up.
+        fds.clear();
+        fds.push(PollFd::new(&inner.wake, POLLIN));
+        if !closing && !accept_failed {
+            fds.push(PollFd::new(&listener, POLLIN));
+        }
+        for c in &conns {
+            let events = if c.backlogged {
+                POLLIN | POLLOUT
+            } else {
+                POLLIN
+            };
+            fds.push(PollFd::new(&c.stream, events));
+        }
+        inner.stats.poll_waits.fetch_add(1, Ordering::Relaxed);
+        if sys::wait(&mut fds).is_err() {
+            // poll(2) fails only on a bad argument or exhausted kernel
+            // memory; nothing this thread can repair, so stop serving.
+            break;
         }
     }
+    for c in &conns {
+        c.state.lock().closed = true;
+        let _ = c.stream.shutdown(std::net::Shutdown::Both);
+    }
+    inner.stats.subscribers_current.store(0, Ordering::Relaxed);
 }
 
 /// Read what the peer sent, then write what we owe it. Returns whether
-/// any bytes moved; `Err` closes the connection.
+/// frames are still queued because the socket is full; `Err` closes the
+/// connection.
 fn service_conn(inner: &Inner, conn: &mut Conn, closing: bool) -> io::Result<bool> {
-    let mut progress = false;
-
-    // Inbound: SUBSCRIBE / BYE.
+    // Inbound: SUBSCRIBE / BYE, decoded after every chunk so `read_buf`
+    // never holds more than one control frame and one chunk.
     let mut chunk = [0u8; 4096];
     loop {
         match conn.stream.read(&mut chunk) {
             Ok(0) => {
                 // Peer closed its end. Anything still queued is moot.
                 conn.state.lock().closed = true;
-                return Ok(true);
+                return Ok(false);
             }
             Ok(n) => {
-                progress = true;
                 conn.read_buf.extend_from_slice(&chunk[..n]);
+                if !handle_inbound(inner, conn, closing)? {
+                    return Ok(false);
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
         }
     }
+
+    // Outbound: drain the frame queue as far as the socket allows.
+    let mut s = conn.state.lock();
+    'frames: while let Some(frame) = s.queue.front().cloned() {
+        let header = frame.header_bytes();
+        let payload = frame.payload_bytes();
+        let total = header.len() + payload.len();
+        while s.write_pos < total {
+            let (src, off) = if s.write_pos < header.len() {
+                (header, s.write_pos)
+            } else {
+                (payload, s.write_pos - header.len())
+            };
+            match conn.stream.write(&src[off..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => {
+                    s.write_pos += n;
+                    inner
+                        .stats
+                        .bytes_sent
+                        .fetch_add(n as u64, Ordering::Relaxed);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 'frames,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        s.queue.pop_front();
+        s.write_pos = 0;
+        inner.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
+    }
+    Ok(!s.queue.is_empty())
+}
+
+/// Act on every whole control frame in `read_buf`. Returns `false` once
+/// the peer said BYE. A frame of another kind, or one claiming more than
+/// `MAX_CONTROL_FRAME` bytes, is refused as soon as its first five bytes
+/// are in.
+fn handle_inbound(inner: &Inner, conn: &mut Conn, closing: bool) -> io::Result<bool> {
     let mut consumed = 0;
-    while let Some((msg, used)) = decode(&conn.read_buf[consumed..])? {
+    while let Some((msg, used)) = decode_control(&conn.read_buf[consumed..])? {
         consumed += used;
         match msg {
             Message::Subscribe { vars } => {
@@ -512,9 +624,9 @@ fn service_conn(inner: &Inner, conn: &mut Conn, closing: bool) -> io::Result<boo
             }
             Message::Bye => {
                 conn.state.lock().closed = true;
-                return Ok(true);
+                return Ok(false);
             }
-            // Anything else from a client is a protocol error.
+            // `decode_control` refuses every other kind first.
             _ => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -523,40 +635,6 @@ fn service_conn(inner: &Inner, conn: &mut Conn, closing: bool) -> io::Result<boo
             }
         }
     }
-    if consumed > 0 {
-        conn.read_buf.drain(..consumed);
-    }
-
-    // Outbound: drain the frame queue as far as the socket allows.
-    let mut s = conn.state.lock();
-    'frames: while let Some(frame) = s.queue.front().cloned() {
-        let header = frame.header_bytes();
-        let payload = frame.payload_bytes();
-        let total = header.len() + payload.len();
-        while s.write_pos < total {
-            let (src, off) = if s.write_pos < header.len() {
-                (header, s.write_pos)
-            } else {
-                (payload, s.write_pos - header.len())
-            };
-            match conn.stream.write(&src[off..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    progress = true;
-                    s.write_pos += n;
-                    inner
-                        .stats
-                        .bytes_sent
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break 'frames,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        s.queue.pop_front();
-        s.write_pos = 0;
-        inner.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-    }
-    Ok(progress)
+    conn.read_buf.drain(..consumed);
+    Ok(true)
 }

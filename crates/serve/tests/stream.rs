@@ -1,9 +1,12 @@
 //! End-to-end tests of the streaming server against the client library:
-//! live fan-out, snapshot catch-up, variable filtering, and the lag
-//! policy under a stalled consumer.
+//! live fan-out, snapshot catch-up, variable filtering, the lag policy
+//! under a stalled consumer, the poll thread's readiness wait, and the
+//! refusal of hostile subscriber frames.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use damaris_serve::{
     Payload, PublishBlock, ServeOptions, StreamServer, Subscriber, SubscriberEvent,
@@ -28,6 +31,17 @@ fn block(var: &str, source: u64, bytes: Vec<u8>) -> PublishBlock {
         source,
         payload: owned(bytes),
     }
+}
+
+/// A server with one subscriber whose subscription is registered: it has
+/// received iteration 0.
+fn subscribed_pair() -> (StreamServer, Subscriber) {
+    let server = StreamServer::bind(opts(64)).unwrap();
+    let mut sub = Subscriber::connect(server.local_addr()).unwrap();
+    sub.subscribe(&[]).unwrap();
+    server.publish(0, vec![block("u", 0, vec![0; 16])]);
+    let _ = read_iteration(&mut sub, 0);
+    (server, sub)
 }
 
 /// Read events until (and including) the given iteration's boundary.
@@ -355,4 +369,121 @@ fn malformed_data_frames_are_refused_through_next_event() {
             drop(server.join().unwrap());
         });
     }
+}
+
+/// The poll thread blocks in `poll(2)` while nothing happens: an idle
+/// server with a registered subscriber makes no passes (a sleep-poll at
+/// 500 µs would make about 400 in this window).
+#[test]
+fn idle_server_does_not_wake() {
+    let (server, _sub) = subscribed_pair();
+    let before = server.stats().poll_waits;
+    std::thread::sleep(Duration::from_millis(200));
+    let waits = server.stats().poll_waits - before;
+    assert!(waits <= 2, "{waits} poll waits while idle");
+    server.shutdown(Duration::from_secs(5));
+}
+
+/// Every publish reaches a subscriber that is waiting for it: each of
+/// 5 000 publishes lands while the poll thread is blocked or about to
+/// block, and a lost wake-up leaves its frames queued forever.
+#[test]
+fn paced_publishes_never_lose_a_wakeup() {
+    const ROUNDS: u64 = 5000;
+    let (server, mut sub) = subscribed_pair();
+    let (tx, rx) = mpsc::channel();
+    let reader = std::thread::spawn(move || loop {
+        match sub.next_event() {
+            Ok(SubscriberEvent::IterationEnd { iteration, .. }) => {
+                if tx.send(iteration).is_err() {
+                    return;
+                }
+            }
+            Ok(SubscriberEvent::Bye) | Err(_) => return,
+            Ok(_) => {}
+        }
+    });
+    // The watchdog: fail instead of hanging the suite.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for k in 1..=ROUNDS {
+        server.publish(k, vec![block("u", 0, vec![k as u8; 64])]);
+        let got = rx
+            .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+            .unwrap_or_else(|_| {
+                panic!(
+                    "iteration {k} never arrived (lost wake-up?): {:?}",
+                    server.stats()
+                )
+            });
+        assert_eq!(got, k);
+    }
+    server.shutdown(Duration::from_secs(5));
+    reader.join().unwrap();
+}
+
+#[test]
+fn shutdown_with_an_idle_subscriber_returns_before_its_drain_timeout() {
+    let drain = Duration::from_secs(4);
+    let (server, mut sub) = subscribed_pair();
+    let start = Instant::now();
+    server.shutdown(drain);
+    let took = start.elapsed();
+    assert!(took < drain / 2, "shutdown took {took:?}");
+    assert_eq!(sub.next_event().unwrap(), SubscriberEvent::Bye);
+}
+
+/// Connect a raw socket, send `bytes`, and read until the server closes
+/// the connection; panics if it is still open after 10 s.
+fn expect_disconnect(server: &StreamServer, bytes: &[u8]) {
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // The server may close (and reset) before all of it is sent.
+    let _ = raw.write_all(bytes);
+    let mut sink = [0u8; 4096];
+    loop {
+        match raw.read(&mut sink) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => {
+                assert!(
+                    !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ),
+                    "connection still open 10 s after {} bytes",
+                    bytes.len()
+                );
+                break;
+            }
+        }
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().subscribers_current != 0 {
+        assert!(Instant::now() < deadline, "refused connection not reaped");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A SUBSCRIBE prefix claiming 200 MiB is refused on its prefix, not
+/// buffered: the server closes the connection at once.
+#[test]
+fn oversized_subscribe_prefix_is_disconnected() {
+    let server = StreamServer::bind(opts(64)).unwrap();
+    let mut hostile = (200u32 << 20).to_le_bytes().to_vec();
+    hostile.push(2); // SUBSCRIBE
+    hostile.extend_from_slice(&[0xa5; 64 << 10]);
+    expect_disconnect(&server, &hostile);
+    assert_eq!(server.stats().subscribers_connected, 1);
+    server.shutdown(Duration::from_secs(5));
+}
+
+/// A DATA frame from a subscriber is refused as soon as its kind byte
+/// arrives, with the rest of the claimed frame never sent.
+#[test]
+fn data_frame_from_a_subscriber_is_refused_on_its_kind_byte() {
+    let server = StreamServer::bind(opts(64)).unwrap();
+    let mut prefix = 100u32.to_le_bytes().to_vec();
+    prefix.push(3); // DATA
+    expect_disconnect(&server, &prefix);
+    server.shutdown(Duration::from_secs(5));
 }

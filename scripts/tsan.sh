@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Run the damaris_shm stress tests under ThreadSanitizer.
+# Run the damaris_shm stress tests and the damaris_serve tests (the
+# publish/poll-thread wake protocol) under ThreadSanitizer.
 #
 # Needs nightly with the rust-src component (TSan instruments std via
 # -Zbuild-std). If either is missing the script says so and exits 0, so
@@ -21,9 +22,9 @@ if ! rustup component list --toolchain nightly --installed 2>/dev/null \
 fi
 
 HOST=$(rustc -vV | sed -n 's/^host: //p')
-echo "tsan: running damaris_shm tests with ThreadSanitizer on $HOST"
+echo "tsan: running damaris_shm and damaris_serve tests with ThreadSanitizer on $HOST"
 # halt_on_error so a race fails the run rather than scrolling past.
 export RUSTFLAGS="-Zsanitizer=thread ${RUSTFLAGS:-}"
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
-exec cargo +nightly test -p damaris_shm \
+exec cargo +nightly test -p damaris_shm -p damaris_serve \
   -Zbuild-std --target "$HOST" "$@"
