@@ -1,6 +1,5 @@
 //! Bounded models of the four riskiest lock-free protocols in
-//! `damaris_shm`, and of the serve poll thread's wake protocol,
-//! exhaustively explored by the in-tree model checker.
+//! `damaris_shm`, exhaustively explored by the in-tree model checker.
 //!
 //! Each model mirrors the *exact* memory orderings of the production
 //! code it cites (same loads, stores, CASes, fences, locks in the same
@@ -471,142 +470,6 @@ fn eventcount_no_lost_wakeup() {
         report.executions
     );
     assert!(report.executions > 1);
-}
-
-// ---------------------------------------------------------------------------
-// 5. Serve wake protocol: publish-vs-poll, no lost wake-up.
-//    Mirrors `serve/server.rs` `StreamServer::publish` (enqueue under the
-//    subscriber lock, then `wake_pending` AcqRel swap to true, eventfd
-//    write only when the swap found false) against the top of
-//    `poll_loop`'s pass (eventfd drain, then `wake_pending` AcqRel swap to
-//    false, then service the queues, then block in `poll` while the
-//    eventfd count is 0). The eventfd is a mutex-guarded count plus a
-//    condvar standing in for its readiness.
-// ---------------------------------------------------------------------------
-
-struct ServeWakeModel {
-    /// The subscriber queue: published items not yet taken.
-    queue: Mutex<Vec<usize>>,
-    wake_pending: AtomicBool,
-    eventfd: Mutex<u64>,
-    readable: Condvar,
-}
-
-impl ServeWakeModel {
-    fn new() -> Self {
-        ServeWakeModel {
-            queue: Mutex::new(Vec::new()),
-            wake_pending: AtomicBool::new(false),
-            eventfd: Mutex::new(0),
-            readable: Condvar::new(),
-        }
-    }
-
-    /// `publish`: enqueue, swap, write only on the swap that found false.
-    fn publish(&self, item: usize) {
-        self.queue.lock().push(item);
-        if !self.wake_pending.swap(true, Ordering::AcqRel) {
-            *self.eventfd.lock() += 1;
-            self.readable.notify_all();
-        }
-    }
-
-    /// `poll_loop` until `total` items are taken; `drain_first` false is
-    /// the broken twin that clears the flag before draining.
-    fn poll_loop(&self, total: usize, drain_first: bool) -> Vec<usize> {
-        let mut taken = Vec::new();
-        loop {
-            if drain_first {
-                *self.eventfd.lock() = 0;
-                self.wake_pending.swap(false, Ordering::AcqRel);
-            } else {
-                self.wake_pending.swap(false, Ordering::AcqRel);
-                *self.eventfd.lock() = 0;
-            }
-            taken.append(&mut self.queue.lock());
-            if taken.len() == total {
-                return taken;
-            }
-            // poll(2) with no timeout: returns once the eventfd is readable.
-            let mut count = self.eventfd.lock();
-            while *count == 0 {
-                self.readable.wait(&mut count);
-            }
-        }
-    }
-}
-
-/// Two publishers, one poll thread; the poll thread runs `drain_first`.
-fn serve_wake(drain_first: bool) {
-    let m = Arc::new(ServeWakeModel::new());
-    let publishers: Vec<_> = [1, 2]
-        .into_iter()
-        .map(|item| {
-            let m = m.clone();
-            thread::spawn(move || m.publish(item))
-        })
-        .collect();
-    // Terminates in every schedule iff no wake-up can be lost; a lost one
-    // parks the poll thread with an item queued, which is a deadlock.
-    let mut taken = m.poll_loop(2, drain_first);
-    for p in publishers {
-        p.join().unwrap();
-    }
-    taken.sort_unstable();
-    assert_eq!(taken, vec![1, 2], "every item delivered once");
-}
-
-#[test]
-fn serve_wake_no_lost_wakeup() {
-    let report = model::model(|| serve_wake(true));
-    println!(
-        "serve_wake_no_lost_wakeup: {} schedules explored",
-        report.executions
-    );
-    assert!(report.executions > 1);
-}
-
-/// The failing schedule of the clear-before-drain twin found by the DFS,
-/// pinned as a regression (re-discovered below too, so it can be re-minted
-/// if the checker's decision encoding changes).
-const PINNED_SERVE_WAKE_SCHEDULE: &str = "0.1.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0";
-
-/// Teeth: clearing `wake_pending` before draining the eventfd lets a
-/// publish's write be drained while the flag stays set; the next publish
-/// skips its write and the poll thread blocks with an item queued.
-#[test]
-fn serve_wake_clear_before_drain_is_caught() {
-    let report = Builder::exhaustive().check(|| serve_wake(false));
-    let failure = report
-        .failure
-        .expect("clear-before-drain must lose a wake-up");
-    assert!(
-        matches!(failure.kind, FailureKind::Deadlock(_)),
-        "lost wake-up surfaces as deadlock, got: {failure}"
-    );
-    println!(
-        "serve_wake_clear_before_drain_is_caught: deadlock after {} schedules; replay: {}",
-        report.executions, failure.schedule
-    );
-    let replay = Builder::replay(failure.schedule).check(|| serve_wake(false));
-    assert!(matches!(
-        replay.failure.expect("schedule replays").kind,
-        FailureKind::Deadlock(_)
-    ));
-}
-
-#[test]
-fn pinned_serve_wake_schedule_replays() {
-    let schedule = Schedule::from_str(PINNED_SERVE_WAKE_SCHEDULE).unwrap();
-    let replay = Builder::replay(schedule).check(|| serve_wake(false));
-    assert!(
-        matches!(
-            replay.failure.as_ref().map(|f| &f.kind),
-            Some(FailureKind::Deadlock(_))
-        ),
-        "pinned schedule no longer reproduces the lost wake-up: {:?}",
-        replay.failure
-    );
 }
 
 // ---------------------------------------------------------------------------

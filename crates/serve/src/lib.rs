@@ -16,7 +16,7 @@
 //!   nonblocking sockets and blocks in `poll(2)` until one is ready or it
 //!   is woken; [`StreamServer::publish`] runs on the dedicated core's
 //!   event path, only bumps refcounts into bounded queues, and wakes the
-//!   poll thread with at most one eventfd write.
+//!   poll thread with one eventfd write.
 //! * [`Subscriber`] — the client library.
 //!
 //! The server is transport-only: it takes [`ServeOptions`] and

@@ -10,7 +10,7 @@
 //! encodes each block once into an `Arc<Frame>` and appends the arcs to
 //! per-subscriber bounded queues, so the publish path is a handful of
 //! refcount bumps and queue pushes regardless of subscriber count, plus
-//! at most one eventfd write to wake the poll thread.
+//! one eventfd write to wake the poll thread.
 //!
 //! **Lag policy.** The publisher never blocks. A subscriber whose queue
 //! cannot take a whole iteration gets none of it: the iteration is
@@ -210,11 +210,9 @@ struct Inner {
     simulation: String,
     closing: AtomicBool,
     /// Readable while a `publish` or `shutdown` waits for the poll thread.
+    /// A counter, so a write is never lost: the poll thread drains it at
+    /// the top of every pass, before it looks at the queues.
     wake: EventFd,
-    /// Set by the first `publish` that wrote `wake` since the poll thread
-    /// last drained it; later publishes skip the write. The order both
-    /// sides follow is documented at the top of `poll_loop`.
-    wake_pending: AtomicBool,
 }
 
 impl Inner {
@@ -292,7 +290,6 @@ impl StreamServer {
             simulation: opts.simulation.clone(),
             closing: AtomicBool::new(false),
             wake: EventFd::new()?,
-            wake_pending: AtomicBool::new(false),
         });
         let poll_inner = Arc::clone(&inner);
         let (exited, exit_rx) = mpsc::channel();
@@ -321,7 +318,7 @@ impl StreamServer {
     /// Runs on the dedicated core's event path: it encodes each block
     /// header once, retains the iteration for catch-up, and appends arcs
     /// to subscriber queues — no socket I/O, no blocking, bounded work —
-    /// then wakes the poll thread with at most one eventfd write.
+    /// then wakes the poll thread with one eventfd write.
     pub fn publish(&self, iteration: u64, blocks: Vec<PublishBlock>) {
         let start = Instant::now();
         let data: Vec<DataFrame> = blocks
@@ -351,10 +348,7 @@ impl StreamServer {
                 queued |= self.inner.enqueue(&mut s, &publication);
             }
         }
-        // Wake protocol, publish side: enqueue first, then swap; only the
-        // swap that finds the flag clear writes the eventfd. Modelled by
-        // `serve_wake_no_lost_wakeup` in crates/check/tests/models.rs.
-        if queued && !self.inner.wake_pending.swap(true, Ordering::AcqRel) {
+        if queued {
             self.inner.wake.signal();
         }
         let ns = start.elapsed().as_nanos() as u64;
@@ -408,6 +402,11 @@ impl Drop for StreamServer {
     }
 }
 
+/// How long the poll thread waits before retrying an `accept` that failed
+/// for want of descriptors. Nothing else would wake it when no subscriber
+/// is connected, and the peer waiting in the backlog blocks on its HELLO.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
 /// One connection as seen by the poll thread.
 struct Conn {
     stream: TcpStream,
@@ -420,28 +419,17 @@ struct Conn {
 
 /// The poll thread. `_exited` is dropped when it returns, which is what
 /// `shutdown` waits for.
-///
-/// **Wake protocol.** `publish` enqueues, then swaps `wake_pending` to
-/// true, and writes the eventfd only when the swap found it false. Each
-/// pass here first drains the eventfd and only then swaps the flag back
-/// to false. The reverse order loses a wake-up: a publish landing between
-/// the clear and the drain has its write drained while the flag stays
-/// set, so the next publish skips its write and `poll` blocks with frames
-/// queued. Modelled, with that broken twin, by
-/// `serve_wake_no_lost_wakeup` and `serve_wake_clear_before_drain_is_caught`
-/// in crates/check/tests/models.rs.
 fn poll_loop(inner: Arc<Inner>, listener: TcpListener, _exited: mpsc::Sender<()>) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     loop {
-        // Drain, then clear: never the other way round (see above, and
-        // `serve_wake_no_lost_wakeup` in crates/check/tests/models.rs).
+        // Drain before looking at the queues: a publish after this point
+        // leaves the eventfd readable, so the wait below returns at once.
         inner.wake.drain();
-        inner.wake_pending.swap(false, Ordering::AcqRel);
         let closing = inner.closing.load(Ordering::Acquire);
         // A hard accept error (out of descriptors) leaves the listener
-        // readable; leaving it out of this pass's wait keeps the loop from
-        // spinning on it, and the next wake-up retries.
+        // readable, so this pass waits without it, for at most
+        // ACCEPT_RETRY, and the next pass retries the accept.
         let mut accept_failed = false;
 
         // Accept every pending connection (unless shutting down).
@@ -526,7 +514,8 @@ fn poll_loop(inner: Arc<Inner>, listener: TcpListener, _exited: mpsc::Sender<()>
             fds.push(PollFd::new(&c.stream, events));
         }
         inner.stats.poll_waits.fetch_add(1, Ordering::Relaxed);
-        if sys::wait(&mut fds).is_err() {
+        let timeout = accept_failed.then_some(ACCEPT_RETRY);
+        if sys::wait(&mut fds, timeout).is_err() {
             // poll(2) fails only on a bad argument or exhausted kernel
             // memory; nothing this thread can repair, so stop serving.
             break;

@@ -9,6 +9,7 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::os::fd::{AsRawFd, FromRawFd};
 use std::os::raw::{c_int, c_short, c_uint, c_ulong};
+use std::time::Duration;
 
 // eventfd is Linux-only; the flag values are the asm-generic ones (x86,
 // arm, riscv).
@@ -45,12 +46,13 @@ extern "C" {
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
 }
 
-/// Block until one of `fds` is ready, with no timeout. A signal
-/// interrupting the wait counts as a wake-up.
-pub fn wait(fds: &mut [PollFd]) -> io::Result<()> {
+/// Block until one of `fds` is ready or `timeout` (`None`: never) has
+/// passed. A signal interrupting the wait counts as a wake-up.
+pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+    let ms = timeout.map_or(-1, |t| t.as_millis().min(c_int::MAX as u128) as c_int);
     // SAFETY: `fds` is a valid, writable array of `fds.len()` `struct
     // pollfd`s for the whole call; poll writes only their `revents`.
-    let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, -1) };
+    let ready = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, ms) };
     if ready < 0 {
         let err = io::Error::last_os_error();
         if err.kind() != io::ErrorKind::Interrupted {

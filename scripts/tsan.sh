@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Run the damaris_shm stress tests and the damaris_serve tests (the
-# publish/poll-thread wake protocol) under ThreadSanitizer.
+# Run the damaris_shm stress tests and the damaris_serve tests (publisher
+# against poll thread) under ThreadSanitizer.
 #
 # Needs nightly with the rust-src component (TSan instruments std via
 # -Zbuild-std). If either is missing the script says so and exits 0, so
