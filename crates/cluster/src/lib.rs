@@ -6,9 +6,10 @@
 //! cluster — on one laptop.
 //!
 //! The real middleware in `damaris-core` runs with threads, real shared
-//! memory and real files; this crate reuses *the same strategy logic*
-//! (dedicated cores, shm staging cost, skip policy, the `sched` planners)
-//! but replaces wall-clock execution with a calibrated model:
+//! memory and real files; this crate models *the same strategy logic*
+//! (dedicated cores, shm staging cost, skip policy), plans the dedicated
+//! cores' node-file writes with the [`sched`] strategies of §IV.D, and
+//! replaces wall-clock execution with a calibrated model:
 //!
 //! * compute phases advance virtual time by the workload's per-step cost
 //!   (CM1's compute is famously predictable — §IV.B);
@@ -45,6 +46,7 @@ pub mod experiments;
 pub mod metrics;
 pub mod platform;
 pub mod run;
+pub mod sched;
 pub mod strategy;
 pub mod workload;
 

@@ -8,9 +8,9 @@
 //!
 //! A scheduler is a pure planning function — given when each node's data
 //! became available and an estimate of one node's write duration, it
-//! returns when each node may start. Both the real middleware (delaying
-//! the HDF5 plugin) and the cluster-scale simulator consume the same plan,
-//! so the laptop-scale and Kraken-scale code paths cannot drift apart.
+//! returns when each node may start. [`crate::strategy::Scheduler`]
+//! applies the plan to the simulated dedicated cores' node-file writes;
+//! the real middleware writes as soon as an iteration completes.
 
 /// A strategy deciding when each node's dedicated core starts writing.
 pub trait IoScheduler: Send + Sync {

@@ -42,10 +42,9 @@ impl Scheduler {
     }
 
     /// Plan write start times given per-node readiness and an estimated
-    /// single-file write duration. Delegates to `damaris_core::sched` so
-    /// the DES and the real middleware share one implementation.
+    /// single-file write duration (see [`crate::sched`]).
     pub fn plan_starts(&self, ready: &[f64], est_write_s: f64) -> Vec<f64> {
-        use damaris_core::sched::{Greedy, IoScheduler, Staggered, TokenBucket};
+        use crate::sched::{Greedy, IoScheduler, Staggered, TokenBucket};
         match self {
             Scheduler::Greedy | Scheduler::Balanced => Greedy.plan_starts(ready, est_write_s),
             Scheduler::Staggered { groups } => {
@@ -128,8 +127,8 @@ pub struct DamarisOptions {
     /// Drop iterations instead of blocking when the buffer is full
     /// (§V.C.1's choice).
     pub skip_when_full: bool,
-    /// Bytes shrink factor applied by an in-spare-time compression plugin
-    /// before writing (1.0 = off) — the §IV.D compression experiment.
+    /// Bytes shrink factor applied by in-spare-time compression before
+    /// writing (1.0 = off) — the §IV.D compression experiment.
     pub compression_ratio: f64,
     /// Dedicated-core seconds of plugin work per dump (e.g. in-situ
     /// analysis); 0 for pure I/O.

@@ -1,7 +1,8 @@
 //! # codec
 //!
-//! Lossless compression codecs for scientific data, used by the Damaris
-//! compression plugin to reproduce the paper's §IV.D result:
+//! Lossless compression codecs for scientific data, run by the Damaris
+//! storage engine over each variable's `codec=` chain to reproduce the
+//! paper's §IV.D result:
 //!
 //! > "In our previous work we used this spare time to add data compression
 //! > in files, and achieved a 600 % compression ratio without any overhead

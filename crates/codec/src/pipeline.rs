@@ -116,9 +116,9 @@ impl Pipeline {
         self.stages.is_empty()
     }
 
-    /// The recommended pipeline for smooth `f64` fields — what the Damaris
-    /// compression plugin uses by default. Reaches the paper's ~6:1 ratio
-    /// on CM1-like data.
+    /// The recommended pipeline for smooth `f64` fields (a good `codec=`
+    /// for the storage engine's CM1 variables). Reaches the paper's ~6:1
+    /// ratio on CM1-like data.
     pub fn default_f64() -> Self {
         Pipeline::from_spec("xor-delta8,shuffle8,rle,lzss").expect("builtin spec is valid")
     }

@@ -29,15 +29,13 @@
 //! * one or a few dedicated cores run [`server::server_loop`] event loops
 //!   over their transport consumer handle: they index incoming blocks in a
 //!   [`store::VariableStore`], detect iteration completion, and fire user
-//!   [`plugins`] (HDF5 output, compression, statistics, in-situ analysis)
+//!   [`plugins`] (per-node storage, streaming, statistics, in-situ analysis)
 //!   — all overlapped with the simulation's next compute phase; the state
 //!   machine behind the loop ([`server::ServerShared`]) is the one a
 //!   process world's dedicated rank feeds, so a plugin is written once;
 //! * when plugins cannot keep up and memory pressure rises, the
 //!   [`policy::SkipPolicy`] drops whole iterations instead of blocking the
 //!   simulation (§V.C.1);
-//! * [`sched`] provides the I/O scheduling strategies that lift aggregate
-//!   throughput from 10 GB/s to 12.7 GB/s (§IV.D);
 //! * [`baseline`] implements the two state-of-the-art approaches Damaris is
 //!   evaluated against — file-per-process and collective (two-phase) I/O —
 //!   over `mini-mpi` and `h5lite`.
@@ -106,7 +104,6 @@ pub mod node;
 pub mod plugins;
 pub mod policy;
 pub mod process;
-pub mod sched;
 pub mod server;
 pub mod store;
 

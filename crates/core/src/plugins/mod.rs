@@ -35,16 +35,14 @@
 //! Built-ins (registered from the configuration by one function, whichever
 //! world runs them):
 //!
-//! * [`H5Writer`] (`plugin="hdf5"`) — aggregates every client's blocks into
-//!   **one file per node per dump**, the aggregation-without-communication
-//!   at the heart of §IV.C;
-//! * [`CompressPlugin`] (`plugin="compress"`) — runs a [`codec::Pipeline`]
-//!   over blocks in the dedicated core's spare time (§IV.D's 600 %);
 //! * [`StatsPlugin`] (`plugin="stats"`) — streaming min/max/mean/σ per
 //!   variable, the "statistical analysis" plugin class;
-//! * [`StoragePlugin`] (`plugin="storage"`) — the real storage pipeline
-//!   behind `<store type="h5lite">`: per-variable codec compression into
-//!   one chunked h5lite file per node, fsync'd off the hot path (see
+//! * [`StoragePlugin`] — the storage pipeline behind `<store>`, the one
+//!   writer on the dedicated core: it aggregates every client's blocks
+//!   into **one chunked h5lite file per node** (the
+//!   aggregation-without-communication at the heart of §IV.C), compressing
+//!   each variable with its `codec=` pipeline in the core's spare time
+//!   (§IV.D) and fsyncing off the hot path (see
 //!   [`storage`](self::StorageEngine));
 //! * [`ServePlugin`] (`plugin="serve"`) — the subscriber streaming tier
 //!   behind `<serve listen="…">`: every completed iteration is published
@@ -52,14 +50,10 @@
 //!   (see `damaris_serve`); the frames are views of the blocks, released
 //!   after the last subscriber write.
 
-mod compress;
-mod hdf5;
 mod serve;
 mod stats;
 mod storage;
 
-pub use compress::CompressPlugin;
-pub use hdf5::H5Writer;
 pub use serve::ServePlugin;
 pub use stats::{StatsPlugin, VariableSummary};
 pub use storage::{StorageEngine, StoragePlugin, StorageStats};
@@ -69,24 +63,6 @@ use std::path::Path;
 use damaris_xml::schema::{Action, Configuration};
 
 use crate::store::StoredBlock;
-
-/// Map a configuration element type onto its h5lite on-disk dtype.
-pub(crate) fn elem_dtype(t: damaris_xml::schema::ElemType) -> h5lite::Dtype {
-    use damaris_xml::schema::ElemType as E;
-    use h5lite::Dtype;
-    match t {
-        E::I8 => Dtype::I8,
-        E::I16 => Dtype::I16,
-        E::I32 => Dtype::I32,
-        E::I64 => Dtype::I64,
-        E::U8 => Dtype::U8,
-        E::U16 => Dtype::U16,
-        E::U32 => Dtype::U32,
-        E::U64 => Dtype::U64,
-        E::F32 => Dtype::F32,
-        E::F64 => Dtype::F64,
-    }
-}
 
 /// Everything a plugin sees when an iteration completes on this node.
 pub struct IterationCtx<'a> {

@@ -11,7 +11,8 @@
 //!   iteration runs each variable's [`codec::Pipeline`] over the
 //!   iteration's blocks, then appends chunked datasets to **one h5lite
 //!   file per node** (`{simulation}_node{id}.dh5`, datasets at
-//!   `it{iteration:06}/{variable}/rank{client}`).
+//!   `it{iteration:06}/{variable}/rank{client}`, each tagged with its
+//!   variable's `unit` attribute when one is declared).
 //! * **Encode workers** (`<store workers="N">`, default = available
 //!   cores − clients, min 1): with N ≥ 2 a fixed pool of worker threads
 //!   fans the iteration's `(variable, source)` blocks out for chunked
@@ -41,7 +42,7 @@
 //!
 //! ```xml
 //! <architecture>
-//!   <store type="h5lite" path="out" sync="true" chunk_rows="64" workers="4"/>
+//!   <store path="out" sync="true" chunk_rows="64" workers="4"/>
 //! </architecture>
 //! <data>
 //!   <variable name="u" layout="row" codec="xor-delta8,shuffle8,rle"/>
@@ -63,7 +64,7 @@ use damaris_xml::VarId;
 use h5lite::{FileStats, FileWriter};
 use parking_lot::Mutex;
 
-use super::{elem_dtype, IterationCtx, Plugin};
+use super::{IterationCtx, Plugin};
 
 /// Lifetime counters of one [`StorageEngine`].
 ///
@@ -125,6 +126,24 @@ impl StorageStats {
     }
 }
 
+/// Map a configuration element type onto its h5lite on-disk dtype.
+fn elem_dtype(t: damaris_xml::schema::ElemType) -> h5lite::Dtype {
+    use damaris_xml::schema::ElemType as E;
+    use h5lite::Dtype;
+    match t {
+        E::I8 => Dtype::I8,
+        E::I16 => Dtype::I16,
+        E::I32 => Dtype::I32,
+        E::I64 => Dtype::I64,
+        E::U8 => Dtype::U8,
+        E::U16 => Dtype::U16,
+        E::U32 => Dtype::U32,
+        E::U64 => Dtype::U64,
+        E::F32 => Dtype::F32,
+        E::F64 => Dtype::F64,
+    }
+}
+
 /// Per-variable state resolved once at engine construction, so the
 /// steady-state write loop never parses a codec spec or re-derives a
 /// layout.
@@ -138,6 +157,8 @@ struct VarState {
     elem_bytes: usize,
     /// Whether storage persists this variable (`store="false"` opts out).
     store: bool,
+    /// The declared `unit="…"`, attached to each of its datasets.
+    unit: Option<String>,
     /// Pre-built compression pipeline, shared with every dataset builder
     /// (no per-dataset spec re-parse).
     pipeline: Option<Arc<Pipeline>>,
@@ -387,7 +408,7 @@ struct EngineCore {
     simulation: String,
     vars: Vec<VarState>,
     /// Opened lazily on the first stored iteration, so an all-skipped run
-    /// leaves no file — matching the HDF5 plugin's behaviour.
+    /// leaves no file.
     writer: Option<FileWriter<BufWriter<File>>>,
     flusher: Option<Flusher>,
     syncs: Arc<AtomicU64>,
@@ -592,6 +613,10 @@ impl EngineCore {
                     .write_bytes_with(data, &mut self.scratch)
                     .map_err(|e| format!("writing {ds_path}: {e}"))?,
             }
+            if let Some(unit) = &vs.unit {
+                w.set_attr(&ds_path, "unit", unit.as_str())
+                    .map_err(|e| e.to_string())?;
+            }
             self.datasets += 1;
             self.raw_bytes += data.len() as u64;
         }
@@ -682,7 +707,7 @@ impl StorageEngine {
             .map(PathBuf::from)
             .unwrap_or_else(|| fallback_dir.to_path_buf());
         let mut vars = Vec::with_capacity(cfg.registry().len());
-        for (_, e) in cfg.registry().vars() {
+        for (id, e) in cfg.registry().vars() {
             let pipeline = match &e.codec {
                 Some(spec) => Some(Arc::new(Pipeline::from_spec(spec).map_err(|err| {
                     format!("variable '{}': invalid codec pipeline: {err}", e.name)
@@ -700,6 +725,7 @@ impl StorageEngine {
                 shape,
                 elem_bytes: e.elem_type.size_bytes(),
                 store: e.store,
+                unit: cfg.variable_by_id(id).unit.clone(),
                 pipeline,
             });
         }
@@ -900,8 +926,9 @@ impl std::fmt::Debug for StorageEngine {
 /// visible.
 ///
 /// [`crate::NodeBuilder`] and [`crate::ProcessServer`] register one
-/// automatically when the configuration declares `<store>`; an `<action plugin="storage">` can
-/// thin its firing frequency like any other plugin.
+/// automatically when, and only when, the configuration declares
+/// `<store>`; an `<action plugin="storage" frequency="N">` then thins its
+/// firing frequency like any other plugin's.
 #[derive(Debug)]
 pub struct StoragePlugin {
     engine: Mutex<StorageEngine>,

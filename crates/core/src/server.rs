@@ -31,10 +31,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use crate::error::{DamarisError, DamarisResult};
 use crate::event::Event;
 use crate::node::NodeReport;
-use crate::plugins::{
-    CompressPlugin, H5Writer, IterationCtx, Plugin, ServePlugin, SignalCtx, StatsPlugin,
-    StoragePlugin,
-};
+use crate::plugins::{IterationCtx, Plugin, ServePlugin, SignalCtx, StatsPlugin, StoragePlugin};
 use crate::store::{StoredBlock, VariableStore};
 
 /// Progress bookkeeping for one in-flight iteration.
@@ -152,20 +149,19 @@ impl ServerShared {
     /// function behind [`crate::NodeBuilder::build`] and
     /// [`crate::ProcessServer::new`], so both worlds run the same services.
     /// A declared `<store>` / `<serve>` drives the storage pipeline / the
-    /// streaming tier regardless of `<action>` blocks (registered first, so
-    /// the action loop's existence check never duplicates them, and
-    /// returned so the owner can expose their counters); the others are
-    /// pulled in by the actions referencing them.
+    /// streaming tier regardless of `<action>` blocks (returned so the
+    /// owner can expose their counters; an `<action>` naming them only
+    /// thins their firing frequency); `stats` is pulled in by an action
+    /// referencing it. Any other plugin name must be registered by the
+    /// caller, or its actions are ignored.
     pub(crate) fn register_builtins(&self) -> DamarisResult<Builtins> {
-        let storage_plugin = || {
-            StoragePlugin::new(&self.cfg, self.node_id, &self.output_dir)
-                .map(Arc::new)
-                .map_err(DamarisError::InvalidState)
-        };
         let mut plugins = self.plugins.write();
         let mut builtins = Builtins::default();
         if self.cfg.architecture.store.is_some() {
-            let plugin = storage_plugin()?;
+            let plugin = Arc::new(
+                StoragePlugin::new(&self.cfg, self.node_id, &self.output_dir)
+                    .map_err(DamarisError::InvalidState)?,
+            );
             builtins.storage = Some(plugin.clone());
             plugins.push(plugin);
         }
@@ -177,18 +173,9 @@ impl ServerShared {
             builtins.serve = Some(plugin.clone());
             plugins.push(plugin);
         }
-        for action in &self.cfg.actions {
-            if plugins.iter().any(|p| p.name() == action.plugin) {
-                continue;
-            }
-            let builtin: Arc<dyn Plugin> = match action.plugin.as_str() {
-                "hdf5" => Arc::new(H5Writer::new()),
-                "compress" => Arc::new(CompressPlugin::new()),
-                "stats" => Arc::new(StatsPlugin::new()),
-                "storage" => storage_plugin()?,
-                _ => continue,
-            };
-            plugins.push(builtin);
+        let stats_wanted = self.cfg.actions.iter().any(|a| a.plugin == "stats");
+        if stats_wanted && !plugins.iter().any(|p| p.name() == "stats") {
+            plugins.push(Arc::new(StatsPlugin::new()));
         }
         Ok(builtins)
     }

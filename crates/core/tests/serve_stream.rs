@@ -10,7 +10,8 @@ use std::time::{Duration, Instant};
 use damaris_core::prelude::*;
 use damaris_serve::{Subscriber, SubscriberEvent};
 
-fn serve_config(queue_frames: u32) -> Configuration {
+/// A one-client thread node serving `u` and `v`, each `width` f64s.
+fn serve_config(queue_frames: u32, width: usize) -> Configuration {
     let xml = format!(
         r#"<simulation name="streamsim">
              <architecture>
@@ -22,7 +23,7 @@ fn serve_config(queue_frames: u32) -> Configuration {
                <serve listen="127.0.0.1:0" queue_frames="{queue_frames}"/>
              </architecture>
              <data>
-               <layout name="row" type="f64" dimensions="256"/>
+               <layout name="row" type="f64" dimensions="{width}"/>
                <variable name="u" layout="row"/>
                <variable name="v" layout="row"/>
              </data>
@@ -36,6 +37,30 @@ fn field(var: &str, iteration: u64) -> Vec<f64> {
     (0..256)
         .map(|i| base + iteration as f64 * 0.5 + i as f64 * 0.125)
         .collect()
+}
+
+/// 64 KiB per block, for the stall runs: few iterations outgrow the
+/// kernel's socket buffers on the silent subscriber's behalf.
+const WIDE: usize = 8192;
+
+fn wide_field(var: &str, iteration: u64) -> Vec<f64> {
+    let base = if var == "u" { 100.0 } else { 200.0 };
+    (0..WIDE)
+        .map(|i| base + iteration as f64 * 0.5 + i as f64 * 0.125)
+        .collect()
+}
+
+/// The ceiling (third field) of the kernel's `net.ipv4.{name}` triple:
+/// the most a TCP socket's send (`tcp_wmem`) or receive (`tcp_rmem`)
+/// buffer may grow to.
+fn tcp_buffer_max(name: &str) -> usize {
+    let path = format!("/proc/sys/net/ipv4/{name}");
+    let triple = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    triple
+        .split_whitespace()
+        .nth(2)
+        .and_then(|max| max.parse().ok())
+        .unwrap_or_else(|| panic!("{path}: no ceiling in {triple:?}"))
 }
 
 fn as_f64(bytes: &[u8]) -> Vec<f64> {
@@ -78,7 +103,7 @@ fn read_until_iter_end(
 #[test]
 fn live_node_streams_every_iteration_to_a_subscriber() {
     let node = DamarisNode::builder()
-        .config(serve_config(64))
+        .config(serve_config(64, 256))
         .clients(1)
         .build()
         .expect("node with <serve> builds");
@@ -135,7 +160,7 @@ fn live_node_streams_every_iteration_to_a_subscriber() {
 #[test]
 fn stalled_subscriber_never_stalls_end_iteration() {
     let node = DamarisNode::builder()
-        .config(serve_config(4))
+        .config(serve_config(4, WIDE))
         .clients(1)
         .build()
         .expect("node with <serve> builds");
@@ -145,27 +170,11 @@ fn stalled_subscriber_never_stalls_end_iteration() {
 
     // Confirm the link once, then go silent.
     let client = node.client(0).unwrap();
-    client.write("u", 0, &field("u", 0)).unwrap();
-    client.write("v", 0, &field("v", 0)).unwrap();
+    client.write("u", 0, &wide_field("u", 0)).unwrap();
+    client.write("v", 0, &wide_field("v", 0)).unwrap();
     client.end_iteration(0).unwrap();
     let mut warmup = BTreeMap::new();
     read_until_iter_end(&mut sub, 0, &mut warmup);
-
-    // Stall phase: 60 iterations into a queue of 4 frames, never read.
-    // The publisher must stay wait-free: each end_iteration is bounded
-    // and the overflow turns into dropped frames, not backpressure.
-    let mut worst = Duration::ZERO;
-    for it in 1..=60u64 {
-        client.write("u", it, &field("u", it)).unwrap();
-        client.write("v", it, &field("v", it)).unwrap();
-        let t0 = Instant::now();
-        client.end_iteration(it).unwrap();
-        worst = worst.max(t0.elapsed());
-    }
-    assert!(
-        worst < Duration::from_secs(1),
-        "end_iteration stalled behind a dead subscriber: {worst:?}"
-    );
 
     // Wait until the dedicated core has published everything it will
     // (`publishes` is bumped after the fan-out, so the drop counters of
@@ -178,10 +187,38 @@ fn stalled_subscriber_never_stalls_end_iteration() {
         }
         node.serve_stats().unwrap()
     };
-    let stats = published(61);
+
+    // Stall phase: publish into a queue of 4 frames that is never read
+    // until it overflows. The kernel's socket buffers absorb frames on the
+    // silent subscriber's behalf first, so overflow is certain only past
+    // their ceilings: publishing twice what both could hold without a
+    // single drop is a failure. The publisher must stay wait-free
+    // throughout: each end_iteration is bounded and the overflow turns
+    // into dropped frames, not backpressure.
+    let budget = 2 * (tcp_buffer_max("tcp_wmem") + tcp_buffer_max("tcp_rmem"));
+    let mut stalled_bytes = 0;
+    let mut worst = Duration::ZERO;
+    let mut it = 0u64;
+    let stats = loop {
+        it += 1;
+        client.write("u", it, &wide_field("u", it)).unwrap();
+        client.write("v", it, &wide_field("v", it)).unwrap();
+        let t0 = Instant::now();
+        client.end_iteration(it).unwrap();
+        worst = worst.max(t0.elapsed());
+        stalled_bytes += 2 * WIDE * std::mem::size_of::<f64>();
+        let stats = published(it + 1);
+        if stats.frames_dropped > 0 {
+            break stats;
+        }
+        assert!(
+            stalled_bytes < budget,
+            "overflow must drop: {stalled_bytes} B published to a silent subscriber, got {stats:?}"
+        );
+    };
     assert!(
-        stats.frames_dropped > 0,
-        "overflow must drop, got {stats:?}"
+        worst < Duration::from_secs(1),
+        "end_iteration stalled behind a dead subscriber: {worst:?}"
     );
     assert!(
         stats.publish_ns_max < 50_000_000,
@@ -217,14 +254,13 @@ fn stalled_subscriber_never_stalls_end_iteration() {
         other => panic!("unexpected event: {other:?}"),
     };
     let hang_guard = Instant::now() + Duration::from_secs(60);
-    let mut it = 60u64;
     let mut delivered = 0;
     while delivered < 3 {
         assert!(Instant::now() < hang_guard, "queue never drained");
         it += 1;
         let dropped_before = node.serve_stats().unwrap().frames_dropped;
-        client.write("u", it, &field("u", it)).unwrap();
-        client.write("v", it, &field("v", it)).unwrap();
+        client.write("u", it, &wide_field("u", it)).unwrap();
+        client.write("v", it, &wide_field("v", it)).unwrap();
         client.end_iteration(it).unwrap();
         if published(it + 1).frames_dropped == dropped_before {
             loop {
@@ -257,7 +293,7 @@ fn stalled_subscriber_never_stalls_end_iteration() {
             let bytes = resumed
                 .get(&(it, var.to_string(), 0))
                 .unwrap_or_else(|| panic!("{var} missing from delivered it{it}"));
-            assert_eq!(as_f64(bytes), field(var, it), "{var} it{it}");
+            assert_eq!(as_f64(bytes), wide_field(var, it), "{var} it{it}");
         }
     }
 
@@ -270,17 +306,7 @@ fn stalled_subscriber_never_stalls_end_iteration() {
 // The same guarantee with the dedicated core in a process of its own
 // ---------------------------------------------------------------------------
 
-/// 64 KiB per block, so the stall phase publishes far more than the
-/// kernel's socket buffers could absorb on the silent subscriber's behalf.
-const WIDE: usize = 8192;
 const STALL_ITERATIONS: u64 = 100;
-
-fn wide_field(var: &str, iteration: u64) -> Vec<f64> {
-    let base = if var == "u" { 100.0 } else { 200.0 };
-    (0..WIDE)
-        .map(|i| base + iteration as f64 * 0.5 + i as f64 * 0.125)
-        .collect()
-}
 
 fn wait_for(path: &std::path::Path, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(60);

@@ -85,7 +85,7 @@ pub struct VarEntry {
     pub byte_size: usize,
     /// Element type of the layout.
     pub elem_type: ElemType,
-    /// Whether storage plugins persist this variable.
+    /// Whether the `<store>` engine persists this variable.
     pub store: bool,
     /// Compression pipeline spec (`codec="…"`), validated at load time;
     /// `None` = store raw bytes.

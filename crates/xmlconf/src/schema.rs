@@ -15,6 +15,7 @@
 //!     <buffer size="67108864"/>
 //!     <queue capacity="256"/>
 //!     <skip mode="drop-iteration" high-watermark="0.8"/>
+//!     <store path="out"/>
 //!   </architecture>
 //!   <data>
 //!     <parameter name="nx" value="64"/>
@@ -26,16 +27,14 @@
 //!       <coord name="y" unit="m"/>
 //!       <coord name="z" unit="m"/>
 //!     </mesh>
-//!     <variable name="u" layout="grid3d" mesh="atmosphere" unit="m/s"/>
+//!     <variable name="u" layout="grid3d" mesh="atmosphere" unit="m/s"
+//!               codec="xor-delta4,shuffle4,rle"/>
 //!     <group name="moisture">
 //!       <variable name="qv" layout="grid3d" mesh="atmosphere"/>
 //!     </group>
 //!   </data>
 //!   <actions>
-//!     <action name="dump" plugin="hdf5" event="end-of-iteration" frequency="1"/>
-//!     <action name="pack" plugin="compress" event="end-of-iteration">
-//!       <param name="pipeline" value="xor-delta,rle"/>
-//!     </action>
+//!     <action name="summary" plugin="stats" event="end-of-iteration" frequency="4"/>
 //!   </actions>
 //! </simulation>
 //! ```
@@ -238,9 +237,9 @@ pub struct Variable {
     pub unit: Option<String>,
     /// Value centering on the mesh.
     pub centering: Centering,
-    /// Whether this variable is stored by the HDF5 plugin (default true).
+    /// Whether the `<store>` engine persists this variable (default true).
     pub store: bool,
-    /// Compression pipeline spec for storage plugins
+    /// Compression pipeline spec for the `<store>` engine
     /// (`codec="xor-delta8,shuffle8,rle"`), validated against
     /// [`codec::Pipeline::from_spec`] at load time. `None` = store raw.
     pub codec: Option<String>,
@@ -360,38 +359,6 @@ impl fmt::Display for QueueKind {
     }
 }
 
-/// Storage backend selected by `<store type="…">`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreKind {
-    /// The in-tree h5lite container format (`crates/format`), one file per
-    /// node, chunked datasets, per-dataset codec metadata.
-    #[default]
-    H5lite,
-}
-
-impl StoreKind {
-    /// Parse the `type="…"` attribute.
-    pub fn parse(s: &str) -> XmlResult<Self> {
-        Ok(match s.trim() {
-            "h5lite" => StoreKind::H5lite,
-            other => return Err(XmlError::schema(format!("unknown store type '{other}'"))),
-        })
-    }
-
-    /// Canonical name for serialization.
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreKind::H5lite => "h5lite",
-        }
-    }
-}
-
-impl fmt::Display for StoreKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Dedicated-core storage pipeline configuration (`<store>` inside
 /// `<architecture>`).
 ///
@@ -399,11 +366,11 @@ impl fmt::Display for StoreKind {
 /// variable's [`Variable::codec`] pipeline and appended to one h5lite file
 /// per node; flush/fsync runs on a background flusher thread so
 /// `end_iteration` latency is unaffected (the paper's §IV.D "600 %
-/// compression at no overhead" path).
+/// compression at no overhead" path). The one backend is the in-tree
+/// h5lite container format; `type="h5lite"` may name it, and any other
+/// `type` is rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Storage backend.
-    pub kind: StoreKind,
     /// Directory for the per-node files (`path="…"`); relative paths
     /// resolve against the node's output directory. `None` = the output
     /// directory itself.
@@ -424,7 +391,6 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            kind: StoreKind::H5lite,
             path: None,
             sync: true,
             chunk_rows: 64,
@@ -834,7 +800,6 @@ impl Configuration {
             });
         if let Some(store) = &self.architecture.store {
             let mut se = Element::new("store")
-                .with_attr("type", store.kind.name())
                 .with_attr("sync", if store.sync { "true" } else { "false" })
                 .with_attr("chunk_rows", store.chunk_rows.to_string());
             if let Some(workers) = store.workers {
@@ -1038,8 +1003,9 @@ fn parse_architecture(el: &Element) -> XmlResult<Architecture> {
     }
     if let Some(s) = el.child("store") {
         let mut store = StoreConfig::default();
-        if let Some(kind) = s.attr("type") {
-            store.kind = StoreKind::parse(kind)?;
+        match s.attr("type").map(str::trim) {
+            None | Some("h5lite") => {}
+            Some(other) => return Err(XmlError::schema(format!("unknown store type '{other}'"))),
         }
         store.path = s.attr("path").map(Into::into);
         store.sync = match s.attr("sync").unwrap_or("true") {
@@ -1624,7 +1590,6 @@ mod tests {
         </simulation>"#;
         let cfg = Configuration::from_str(xml).unwrap();
         let store = cfg.architecture.store.as_ref().unwrap();
-        assert_eq!(store.kind, StoreKind::H5lite);
         assert_eq!(store.path.as_deref(), Some("out/h5"));
         assert!(!store.sync);
         assert_eq!(store.chunk_rows, 32);
@@ -1649,7 +1614,7 @@ mod tests {
 
     #[test]
     fn store_defaults_and_bad_forms() {
-        // Bare <store/> gets the defaults: h5lite, synced, 64-row chunks.
+        // Bare <store/> gets the defaults: synced, 64-row chunks.
         let cfg = Configuration::from_str(
             r#"<simulation><architecture><store/></architecture></simulation>"#,
         )

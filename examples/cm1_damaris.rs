@@ -6,19 +6,17 @@
 //!
 //! * file-per-process (synchronous, one file per rank per dump),
 //! * collective two-phase (synchronous, one shared file per dump),
-//! * Damaris (asynchronous: 7 compute clients + 1 dedicated core, one
-//!   node file per dump, compression in the dedicated core's spare time).
+//! * Damaris (asynchronous: 7 compute clients + 1 dedicated core whose
+//!   `<store>` engine compresses every block with its variable's `codec`
+//!   in the core's spare time and appends it to one file per node).
 //!
 //! The program prints what the *simulation* saw: per-iteration write cost,
 //! total run time, files produced, bytes stored.
 //!
 //! Run with: `cargo run --release --example cm1_damaris`
 
-use std::sync::Arc;
-
 use damaris::apps::{Cm1, Cm1Config, ProxyApp};
 use damaris::core::baseline;
-use damaris::core::plugins::{CompressPlugin, H5Writer};
 use damaris::core::prelude::*;
 use damaris::mpi::World;
 
@@ -26,6 +24,7 @@ const NX: usize = 48;
 const NY: usize = 48;
 const NZ: usize = 24;
 const ITERATIONS: u64 = 4;
+const CODEC: &str = "xor-delta8,shuffle8,rle,lzss";
 
 fn config(clients: usize) -> String {
     // Five variables per client, one layout.
@@ -37,6 +36,7 @@ fn config(clients: usize) -> String {
                <buffer size="{}"/>
                <queue capacity="512"/>
                <skip mode="block" high-watermark="0.95"/>
+               <store/>
              </architecture>
              <data>
                <layout name="vol" type="f64" dimensions="{NZ},{NY},{NX}"/>
@@ -45,18 +45,12 @@ fn config(clients: usize) -> String {
                  <coord name="y" unit="m"/>
                  <coord name="z" unit="m"/>
                </mesh>
-               <variable name="u" layout="vol" mesh="atmosphere" unit="m/s"/>
-               <variable name="v" layout="vol" mesh="atmosphere" unit="m/s"/>
-               <variable name="w" layout="vol" mesh="atmosphere" unit="m/s"/>
-               <variable name="theta" layout="vol" mesh="atmosphere" unit="K"/>
-               <variable name="qv" layout="vol" mesh="atmosphere" unit="kg/kg"/>
+               <variable name="u" layout="vol" mesh="atmosphere" unit="m/s" codec="{CODEC}"/>
+               <variable name="v" layout="vol" mesh="atmosphere" unit="m/s" codec="{CODEC}"/>
+               <variable name="w" layout="vol" mesh="atmosphere" unit="m/s" codec="{CODEC}"/>
+               <variable name="theta" layout="vol" mesh="atmosphere" unit="K" codec="{CODEC}"/>
+               <variable name="qv" layout="vol" mesh="atmosphere" unit="kg/kg" codec="{CODEC}"/>
              </data>
-             <actions>
-               <action name="dump" plugin="hdf5" event="end-of-iteration">
-                 <param name="codec" value="xor-delta8,shuffle8,rle,lzss"/>
-               </action>
-               <action name="pack" plugin="compress" event="end-of-iteration"/>
-             </actions>
            </simulation>"#,
         64 << 20
     )
@@ -101,10 +95,6 @@ fn damaris_run(out: &std::path::Path) {
         .output_dir(out)
         .build()
         .expect("node starts");
-    let h5 = Arc::new(H5Writer::new());
-    let pack = Arc::new(CompressPlugin::new());
-    node.register_plugin(h5.clone());
-    node.register_plugin(pack.clone());
 
     let t0 = std::time::Instant::now();
     let handles: Vec<_> = node
@@ -129,7 +119,10 @@ fn damaris_run(out: &std::path::Path) {
         .iter()
         .map(|s| s.max_write_seconds)
         .fold(0.0, f64::max);
-    let (logical, stored) = h5.totals();
+    let logical = node.storage_stats().expect("<store> declared").raw_bytes;
+    let stored = std::fs::metadata(out.join("cm1_node0.dh5"))
+        .expect("node file")
+        .len();
     println!("--- damaris (7 compute + 1 dedicated) ---");
     println!(
         "wall: {wall:.2}s  iterations: {}",
@@ -145,13 +138,11 @@ fn damaris_run(out: &std::path::Path) {
         worst_write_s * 1e3
     );
     println!(
-        "files: {} (one per node per dump)  bytes: {logical} logical → {stored} stored ({:.1}:1)",
-        h5.written().len(),
+        "files: 1 (one per node per run)  bytes: {logical} logical → {stored} on disk ({:.1}:1)",
         logical as f64 / stored.max(1) as f64
     );
     println!(
-        "spare-time compression ratio: {:.1}:1  dedicated idle: {:.0} %",
-        pack.overall_ratio(),
+        "dedicated idle: {:.0} %",
         report.dedicated_idle_fraction * 100.0
     );
 }

@@ -2,15 +2,16 @@
 //!
 //! One SMP "node" with 3 compute cores (threads) and 1 dedicated core.
 //! Each compute core writes a temperature grid every iteration — one line
-//! of instrumentation per variable — and the dedicated core aggregates all
-//! blocks into one HDF5-like file per iteration, entirely off the
-//! simulation's critical path.
+//! of instrumentation per variable — and the dedicated core's storage
+//! engine (`<store/>`) compresses every block with the variable's `codec`
+//! and aggregates them all into one HDF5-like file per node, entirely off
+//! the simulation's critical path.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use std::sync::Arc;
 
-use damaris::core::plugins::{H5Writer, StatsPlugin};
+use damaris::core::plugins::StatsPlugin;
 use damaris::core::prelude::*;
 
 const CONFIG: &str = r#"
@@ -19,6 +20,7 @@ const CONFIG: &str = r#"
     <dedicated cores="1"/>
     <buffer size="8388608"/>
     <queue capacity="256"/>
+    <store/>
   </architecture>
   <data>
     <parameter name="n" value="64"/>
@@ -27,13 +29,9 @@ const CONFIG: &str = r#"
       <coord name="x" unit="m"/>
       <coord name="y" unit="m"/>
     </mesh>
-    <variable name="temperature" layout="grid" mesh="plane" unit="K"/>
+    <variable name="temperature" layout="grid" mesh="plane" unit="K"
+              codec="xor-delta8,shuffle8,rle"/>
   </data>
-  <actions>
-    <action name="dump" plugin="hdf5" event="end-of-iteration" frequency="1">
-      <param name="codec" value="xor-delta8,shuffle8,rle"/>
-    </action>
-  </actions>
 </simulation>"#;
 
 fn main() {
@@ -46,11 +44,9 @@ fn main() {
         .build()
         .expect("node starts");
 
-    // The HDF5 writer is auto-registered from the <actions> section; add a
-    // statistics plugin to show multiple services sharing the dedicated core.
-    let h5 = Arc::new(H5Writer::new());
+    // The storage engine is started by <store/>; add a statistics plugin to
+    // show multiple services sharing the dedicated core.
     let stats = Arc::new(StatsPlugin::new());
-    node.register_plugin(h5.clone());
     node.register_plugin(stats.clone());
 
     let iterations = 5u64;
@@ -104,15 +100,16 @@ fn main() {
             s.p99_write_seconds() * 1e3
         );
     }
-    for f in h5.written() {
-        println!(
-            "wrote {:?}: {} datasets, {} B logical → {} B stored",
-            f.path.file_name().expect("named file"),
-            f.datasets,
-            f.logical_bytes,
-            f.stored_bytes
-        );
-    }
+    let stored = node.storage_stats().expect("<store> declared");
+    let file = out_dir.join("quickstart_node0.dh5");
+    let file_bytes = std::fs::metadata(&file).expect("node file").len();
+    println!(
+        "wrote {:?}: {} iterations, {} datasets, {} B logical → {file_bytes} B on disk",
+        file.file_name().expect("named file"),
+        stored.iterations,
+        stored.datasets,
+        stored.raw_bytes
+    );
     let last = stats
         .summary(iterations - 1, "temperature")
         .expect("stats ran");

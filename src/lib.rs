@@ -10,20 +10,20 @@
 //! two-phase I/O, **dedicate one core per node** to data management. Compute
 //! cores publish variables into a node-local shared-memory segment (a single
 //! memcpy, ~0.1 s) and post an event to a shared message queue; the dedicated
-//! core drains the queue asynchronously, aggregates the node's blocks into
-//! one file per node, and runs user plugins (HDF5 output, compression,
-//! statistics, in-situ visualization) fully overlapped with the next compute
-//! phase.
+//! core drains the queue asynchronously, compresses and aggregates the
+//! node's blocks into one file per node (`<store>`), and runs user plugins
+//! (streaming, statistics, in-situ visualization) fully overlapped with the
+//! next compute phase.
 //!
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`shm`] — shared-memory segment, block allocator, message queue.
 //! * [`mpi`] — `mini-mpi`, an in-process MPI-like runtime (thread ranks).
 //! * [`xml`] — minimal XML parser + the Damaris configuration schema.
-//! * [`codec`] — compression codecs used by the compression plugin.
+//! * [`codec`] — compression codecs behind each variable's `codec=`.
 //! * [`h5`] — `h5lite`, an HDF5-like hierarchical file format.
 //! * [`core`] — the middleware itself: client API, dedicated-core server,
-//!   plugins, iteration-skip policy, I/O schedulers, synchronous baselines.
+//!   plugins, storage engine, iteration-skip policy, synchronous baselines.
 //! * [`serve`] — the subscriber streaming tier: completed iterations served
 //!   live over TCP to many concurrent consumers (`<serve listen="…"/>`).
 //! * [`apps`] — CM1-like and Nek5000-like proxy applications.
@@ -31,7 +31,7 @@
 //!   coupling used as the usability baseline.
 //! * [`pfs`] — a queueing model of a Lustre-like parallel file system.
 //! * [`cluster`] — a discrete-event simulator that replays the paper's
-//!   evaluation at 576–9216 cores.
+//!   evaluation at 576–9216 cores, with its I/O schedulers.
 //!
 //! ## Quickstart
 //!

@@ -1,11 +1,10 @@
 //! End-to-end integration: a full Damaris session on real threads and a
 //! real file system, verified by reading the output back; plus content
 //! equivalence between Damaris node files and both synchronous baselines.
-
-use std::sync::Arc;
+//! The dedicated core's one writer is the `<store>` engine: one file per
+//! node per run, datasets at `it{iteration:06}/{variable}/rank{client}`.
 
 use damaris::core::baseline;
-use damaris::core::plugins::H5Writer;
 use damaris::core::prelude::*;
 use damaris::h5::FileReader;
 use damaris::mpi::World;
@@ -23,15 +22,13 @@ fn config(n: usize) -> String {
                <dedicated cores="1"/>
                <buffer size="8388608"/>
                <queue capacity="128"/>
+               <store/>
              </architecture>
              <data>
                <layout name="row" type="f64" dimensions="{n}"/>
                <variable name="u" layout="row" unit="m/s"/>
                <variable name="theta" layout="row" unit="K"/>
              </data>
-             <actions>
-               <action name="dump" plugin="hdf5" event="end-of-iteration"/>
-             </actions>
            </simulation>"#
     )
 }
@@ -59,8 +56,6 @@ fn damaris_session_files_verified_by_reader() {
         .output_dir(&dir)
         .build()
         .expect("node");
-    let h5 = Arc::new(H5Writer::new());
-    node.register_plugin(h5.clone());
 
     let handles: Vec<_> = node
         .clients()
@@ -90,33 +85,29 @@ fn damaris_session_files_verified_by_reader() {
         report.plugin_errors
     );
 
-    // One file per iteration, each holding every client's blocks.
-    let written = h5.written();
-    assert_eq!(written.len(), ITERATIONS as usize);
+    // One file for the node, one group per iteration, each holding every
+    // client's blocks.
+    let mut reader = FileReader::open(dir.join("e2e_node7.dh5")).expect("file readable");
+    assert_eq!(reader.attr("", "node").and_then(|a| a.as_i64()), Some(7));
+    assert_eq!(
+        reader.list("").len(),
+        ITERATIONS as usize,
+        "one group per iteration"
+    );
     for it in 0..ITERATIONS {
-        let path = dir.join(format!("e2e_node7_it{it:06}.dh5"));
-        let mut reader = FileReader::open(&path).expect("file readable");
-        assert_eq!(
-            reader.attr("", "iteration").and_then(|a| a.as_i64()),
-            Some(it as i64)
-        );
         for rank in 0..CLIENTS {
             let (u, theta) = rank_data(rank, it, N);
+            let u_path = format!("it{it:06}/u/rank{rank}");
+            let theta_path = format!("it{it:06}/theta/rank{rank}");
+            assert_eq!(reader.read_pod::<f64>(&u_path).expect("u"), u);
+            assert_eq!(reader.read_pod::<f64>(&theta_path).expect("theta"), theta);
             assert_eq!(
-                reader.read_pod::<f64>(&format!("u/rank{rank}")).expect("u"),
-                u
-            );
-            assert_eq!(
-                reader
-                    .read_pod::<f64>(&format!("theta/rank{rank}"))
-                    .expect("theta"),
-                theta
-            );
-            assert_eq!(
-                reader
-                    .attr(&format!("u/rank{rank}"), "unit")
-                    .and_then(|a| a.as_str()),
+                reader.attr(&u_path, "unit").and_then(|a| a.as_str()),
                 Some("m/s")
+            );
+            assert_eq!(
+                reader.attr(&theta_path, "unit").and_then(|a| a.as_str()),
+                Some("K")
             );
         }
     }
@@ -166,8 +157,7 @@ fn all_three_paths_persist_identical_values() {
     });
 
     // Compare all three representations value for value.
-    let mut damaris =
-        FileReader::open(dir.join("damaris/e2e_node0_it000000.dh5")).expect("damaris file");
+    let mut damaris = FileReader::open(dir.join("damaris/e2e_node0.dh5")).expect("damaris file");
     let mut shared =
         FileReader::open(dir.join("coll/e2e_shared_it000000.dh5")).expect("shared file");
     for rank in 0..RANKS {
@@ -176,7 +166,7 @@ fn all_three_paths_persist_identical_values() {
         for var in ["u", "theta"] {
             let from_fpp = own.read_pod::<f64>(var).expect("fpp data");
             let from_damaris = damaris
-                .read_pod::<f64>(&format!("{var}/rank{rank}"))
+                .read_pod::<f64>(&format!("it000000/{var}/rank{rank}"))
                 .expect("damaris data");
             let from_shared = shared
                 .read_pod::<f64>(&format!("{var}/rank{rank}"))
@@ -231,10 +221,10 @@ fn two_nodes_write_disjoint_files() {
     // One file per node — "the output of dedicated cores can be easily
     // post-processed" (a handful of node files, not one per rank).
     for node_id in 0..2 {
-        let path = dir.join(format!("e2e_node{node_id}_it000000.dh5"));
+        let path = dir.join(format!("e2e_node{node_id}.dh5"));
         let reader = FileReader::open(&path).expect("node file exists");
         assert_eq!(
-            reader.list(""),
+            reader.list("it000000"),
             vec![("theta".to_string(), false), ("u".to_string(), false)]
         );
     }
@@ -252,8 +242,6 @@ fn zero_copy_path_equals_copy_path() {
         .output_dir(&dir)
         .build()
         .expect("node");
-    let h5 = Arc::new(H5Writer::new());
-    node.register_plugin(h5.clone());
     let handles: Vec<_> = node
         .clients()
         .map(|client| {
@@ -281,11 +269,13 @@ fn zero_copy_path_equals_copy_path() {
         h.join().expect("client");
     }
     node.shutdown().expect("shutdown");
-    let mut reader = FileReader::open(dir.join("e2e_node0_it000000.dh5")).expect("file");
+    let mut reader = FileReader::open(dir.join("e2e_node0.dh5")).expect("file");
     for rank in 0..2 {
         let (u, _) = rank_data(rank, 0, N);
         assert_eq!(
-            reader.read_pod::<f64>(&format!("u/rank{rank}")).expect("u"),
+            reader
+                .read_pod::<f64>(&format!("it000000/u/rank{rank}"))
+                .expect("u"),
             u
         );
     }

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use damaris::core::plugins::{FnPlugin, H5Writer};
+use damaris::core::plugins::FnPlugin;
 use damaris::core::prelude::*;
 use damaris::h5::{FileReader, H5Error};
 
@@ -81,57 +81,22 @@ fn failing_plugin_is_reported_but_not_fatal() {
 }
 
 #[test]
-fn bad_plugin_parameter_surfaces_as_error() {
-    let xml = XML.replace(
-        "</simulation>",
-        r#"<actions>
-             <action name="dump" plugin="hdf5" event="end-of-iteration">
-               <param name="codec" value="no-such-codec"/>
-             </action>
-           </actions></simulation>"#,
-    );
-    let node = DamarisNode::builder()
-        .config_str(&xml)
-        .expect("config")
-        .clients(1)
-        .output_dir(std::env::temp_dir().join("damaris-fault-codec"))
-        .build()
-        .expect("node");
-    let client = node.client(0).expect("client");
-    client.write("u", 0, &[1.0f64; 64]).expect("write");
-    client.end_iteration(0).expect("end");
-    client.finalize().expect("finalize");
-    let report = node.shutdown().expect("shutdown");
-    assert_eq!(report.plugin_errors.len(), 1);
-    assert!(
-        report.plugin_errors[0].contains("no-such-codec"),
-        "{:?}",
-        report.plugin_errors
-    );
-}
-
-#[test]
 fn corrupt_output_detected_on_read() {
     let dir = std::env::temp_dir().join(format!("damaris-fault-corrupt-{}", std::process::id()));
     let node = DamarisNode::builder()
-        .config_str(&XML.replace(
-            "</simulation>",
-            r#"<actions><action name="dump" plugin="hdf5"/></actions></simulation>"#,
-        ))
+        .config_str(&XML.replace("</architecture>", "<store/></architecture>"))
         .expect("config")
         .clients(1)
         .output_dir(&dir)
         .build()
         .expect("node");
-    let h5 = Arc::new(H5Writer::new());
-    node.register_plugin(h5.clone());
     let client = node.client(0).expect("client");
     client.write("u", 0, &[3.0f64; 64]).expect("write");
     client.end_iteration(0).expect("end");
     client.finalize().expect("finalize");
     node.shutdown().expect("shutdown");
 
-    let path = h5.written()[0].path.clone();
+    let path = dir.join("faults_node0.dh5");
     // Flip a byte in the trailer.
     let mut bytes = std::fs::read(&path).expect("read back");
     let n = bytes.len();
