@@ -12,9 +12,9 @@
 //! * periodic lateral boundaries, rigid lid and floor.
 //!
 //! The per-step flop count is a fixed function of the grid, reproducing
-//! CM1's hallmark predictability. Stencil sweeps parallelize over
-//! `z`-slabs with rayon — the compute phase really does use all of the
-//! node's compute cores, which is what the dedicated core steals one from.
+//! CM1's hallmark predictability. Stencil sweeps are written over
+//! `z`-slabs with rayon's iterators, but the in-tree `rayon` shim runs them
+//! sequentially: a step uses one core, whatever the node has.
 
 use rayon::prelude::*;
 

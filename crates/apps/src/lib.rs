@@ -12,7 +12,7 @@
 //!   extremely predictable run time", §IV.B) — so any run-time variability
 //!   comes from I/O. The proxy keeps that property: cost is a pure
 //!   function of the grid size.
-//! * [`Nek`] — the Nek5000 CFD solver (§V.C's in-situ platform): a
+//! * [`Nek`] — the Nek5000 CFD solver (§V.C's analysis platform): a
 //!   spectral-element kernel whose per-step cost is dominated by small
 //!   dense tensor contractions over Gauss-Lobatto-Legendre (GLL) points.
 //!

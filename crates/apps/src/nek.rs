@@ -5,7 +5,7 @@
 //! `D (p×p)` along each direction of every element's `p³` point grid. The
 //! proxy keeps exactly that cost structure: per step, for each element,
 //! three `p×p × p³` contractions plus an axpy — and produces a smooth
-//! velocity-magnitude field suitable for in-situ isosurfacing (§V.C).
+//! velocity-magnitude field, the kind of output §V.C analyses in situ.
 
 use rayon::prelude::*;
 

@@ -4,8 +4,7 @@
 //! one shared-memory copy, ~0.1 s for tens of MB, regardless of scale.
 //! `shm_write` measures exactly that path (allocate + memcpy + freeze +
 //! enqueue) at several payload sizes; the others characterize the message
-//! queue, codecs, the h5lite write path, the analysis kernels and the
-//! mini-MPI collectives.
+//! queue, codecs, the h5lite write path and the mini-MPI collectives.
 
 use std::time::Duration;
 
@@ -17,7 +16,6 @@ use damaris_shm::transport::{
 };
 use damaris_shm::{MessageQueue, SharedSegment};
 use h5lite::{Dtype, FileWriter};
-use insitu::{isosurface, Grid3};
 use mini_mpi::World;
 
 fn cm1_like_bytes(n_doubles: usize) -> Vec<u8> {
@@ -237,24 +235,6 @@ fn bench_h5lite(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_isosurface(c: &mut Criterion) {
-    let mut group = c.benchmark_group("insitu");
-    group.sample_size(15);
-    let n = 64;
-    let data: Vec<f64> = (0..n * n * n)
-        .map(|i| {
-            let (x, y, z) = (i % n, (i / n) % n, i / (n * n));
-            (((x * x + y * y + z * z) as f64).sqrt() - 40.0).abs()
-        })
-        .collect();
-    let grid = Grid3::new(&data, n, n, n);
-    group.throughput(Throughput::Elements((n * n * n) as u64));
-    group.bench_function("isosurface_64cubed", |b| {
-        b.iter(|| isosurface(&grid, 10.0));
-    });
-    group.finish();
-}
-
 fn bench_collectives(c: &mut Criterion) {
     let mut group = c.benchmark_group("mini_mpi");
     group.sample_size(10);
@@ -276,7 +256,6 @@ criterion_group!(
     bench_transport_post,
     bench_codecs,
     bench_h5lite,
-    bench_isosurface,
     bench_collectives
 );
 criterion_main!(benches);

@@ -14,12 +14,11 @@
 //! | `e6_scheduling` | §IV.D: smarter scheduling → 12.7 GB/s |
 //! | `e7_insitu` | §V.C.1: sync VisIt stalls, Damaris in-situ free |
 //! | `e8_backpressure` | §V.C.1: skip iterations instead of blocking |
-//! | `e9_usability` | §V.C.2: >100 LoC (libsim) vs <10 LoC (Damaris) |
-//! | `micro` (criterion) | shm / queue / codec / h5lite / kernel latencies |
+//! | `micro` (criterion) | shm / queue / codec / h5lite / collective latencies |
 //!
 //! This library provides the shared table renderer plus the experiments
 //! that exercise the *real* middleware rather than the cluster model
-//! (E5 on real CM1 data, E8 on a live node, E9 counting real source).
+//! (E5 on real CM1 data, E8 on a live node).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -210,39 +209,6 @@ pub fn e8_live_backpressure(block: bool, iterations: u64) -> BackpressureResult 
     }
 }
 
-/// Count instrumentation lines between `// BEGIN-INSTRUMENTATION(tag)` and
-/// `// END-INSTRUMENTATION(tag)` markers in a source file (E9). Blank
-/// lines and pure-comment lines are not counted, mirroring how the paper
-/// counts "lines of code".
-pub fn count_instrumentation_lines(source: &str, tag: &str) -> usize {
-    let begin = format!("BEGIN-INSTRUMENTATION({tag})");
-    let end = format!("END-INSTRUMENTATION({tag})");
-    let mut counting = false;
-    let mut count = 0;
-    for line in source.lines() {
-        if line.contains(&begin) {
-            counting = true;
-            continue;
-        }
-        if line.contains(&end) {
-            counting = false;
-            continue;
-        }
-        if counting {
-            let t = line.trim();
-            if !t.is_empty() && !t.starts_with("//") {
-                count += 1;
-            }
-        }
-    }
-    count
-}
-
-/// Locate the workspace-root `examples/` directory from any crate.
-pub fn examples_dir() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,22 +239,6 @@ mod tests {
         let block = e8_live_backpressure(true, 20);
         assert_eq!(block.skipped, 0);
         assert_eq!(block.iterations, 20);
-    }
-
-    #[test]
-    fn instrumentation_counter() {
-        let src = r#"
-            setup();
-            // BEGIN-INSTRUMENTATION(damaris)
-            client.write("u", it, &u)?; // one line per variable
-
-            // a comment, not counted
-            client.end_iteration(it)?;
-            // END-INSTRUMENTATION(damaris)
-            teardown();
-        "#;
-        assert_eq!(count_instrumentation_lines(src, "damaris"), 2);
-        assert_eq!(count_instrumentation_lines(src, "other"), 0);
     }
 
     #[test]

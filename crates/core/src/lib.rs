@@ -29,7 +29,7 @@
 //! * one or a few dedicated cores run [`server::server_loop`] event loops
 //!   over their transport consumer handle: they index incoming blocks in a
 //!   [`store::VariableStore`], detect iteration completion, and fire user
-//!   [`plugins`] (per-node storage, streaming, statistics, in-situ analysis)
+//!   [`plugins`] (per-node storage, streaming, statistics, user analysis)
 //!   — all overlapped with the simulation's next compute phase; the state
 //!   machine behind the loop ([`server::ServerShared`]) is the one a
 //!   process world's dedicated rank feeds, so a plugin is written once;

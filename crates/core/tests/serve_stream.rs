@@ -63,6 +63,13 @@ fn tcp_buffer_max(name: &str) -> usize {
         .unwrap_or_else(|| panic!("{path}: no ceiling in {triple:?}"))
 }
 
+/// Twice what the kernel's socket buffers could hold on a silent
+/// subscriber's behalf: once this many bytes are published to it, its
+/// 4-frame queue has certainly overflowed.
+fn stall_budget() -> usize {
+    2 * (tcp_buffer_max("tcp_wmem") + tcp_buffer_max("tcp_rmem"))
+}
+
 fn as_f64(bytes: &[u8]) -> Vec<f64> {
     bytes
         .chunks_exact(8)
@@ -195,7 +202,7 @@ fn stalled_subscriber_never_stalls_end_iteration() {
     // single drop is a failure. The publisher must stay wait-free
     // throughout: each end_iteration is bounded and the overflow turns
     // into dropped frames, not backpressure.
-    let budget = 2 * (tcp_buffer_max("tcp_wmem") + tcp_buffer_max("tcp_rmem"));
+    let budget = stall_budget();
     let mut stalled_bytes = 0;
     let mut worst = Duration::ZERO;
     let mut it = 0u64;
@@ -306,8 +313,6 @@ fn stalled_subscriber_never_stalls_end_iteration() {
 // The same guarantee with the dedicated core in a process of its own
 // ---------------------------------------------------------------------------
 
-const STALL_ITERATIONS: u64 = 100;
-
 fn wait_for(path: &std::path::Path, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(60);
     while !path.exists() {
@@ -333,15 +338,17 @@ fn stall_sim(h: &mut Damaris<'_>, input: &[u8]) -> Vec<u8> {
     };
     dump(h, 0);
     wait_for(&dir.join("go"), "subscriber never confirmed the link");
-    // Stall phase: nobody reads. The queue holds 4 frames; the rest must
-    // turn into dropped frames, never into a client that waits.
-    for it in 1..=STALL_ITERATIONS {
+    // Stall phase: nobody reads, for a whole byte budget, so the queue of
+    // 4 frames overflows whatever the timing; the rest must turn into
+    // dropped frames, never into a client that waits.
+    let stall = stall_budget().div_ceil(2 * WIDE * std::mem::size_of::<f64>()) as u64;
+    for it in 1..=stall {
         dump(h, it);
     }
     std::fs::write(dir.join("resume"), b"resume").expect("resume file");
     // Fresh iterations keep arriving while the subscriber drains: the LAG
     // notice goes out with the first one that fits the queue again.
-    let mut it = STALL_ITERATIONS;
+    let mut it = stall;
     let deadline = Instant::now() + Duration::from_secs(60);
     while !dir.join("done").exists() {
         assert!(Instant::now() < deadline, "subscriber never caught up");

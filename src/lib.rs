@@ -11,14 +11,15 @@
 //! cores publish variables into a node-local shared-memory segment (a single
 //! memcpy, ~0.1 s) and post an event to a shared message queue; the dedicated
 //! core drains the queue asynchronously, compresses and aggregates the
-//! node's blocks into one file per node (`<store>`), and runs user plugins
-//! (streaming, statistics, in-situ visualization) fully overlapped with the
-//! next compute phase.
+//! node's blocks into one file per node (`<store>`), and runs user analysis
+//! (a plugin on the dedicated core, or a live `<serve>` subscriber) fully
+//! overlapped with the next compute phase.
 //!
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`shm`] — shared-memory segment, block allocator, message queue.
-//! * [`mpi`] — `mini-mpi`, an in-process MPI-like runtime (thread ranks).
+//! * [`mpi`] — `mini-mpi`, an MPI-like runtime: thread ranks in one
+//!   process, or OS-process ranks over a socket mesh.
 //! * [`xml`] — minimal XML parser + the Damaris configuration schema.
 //! * [`codec`] — compression codecs behind each variable's `codec=`.
 //! * [`h5`] — `h5lite`, an HDF5-like hierarchical file format.
@@ -27,8 +28,6 @@
 //! * [`serve`] — the subscriber streaming tier: completed iterations served
 //!   live over TCP to many concurrent consumers (`<serve listen="…"/>`).
 //! * [`apps`] — CM1-like and Nek5000-like proxy applications.
-//! * [`insitu`] — in-situ analysis kernels and the VisIt-style synchronous
-//!   coupling used as the usability baseline.
 //! * [`pfs`] — a queueing model of a Lustre-like parallel file system.
 //! * [`cluster`] — a discrete-event simulator that replays the paper's
 //!   evaluation at 576–9216 cores, with its I/O schedulers.
@@ -83,7 +82,6 @@ pub use damaris_serve as serve;
 pub use damaris_shm as shm;
 pub use damaris_xml as xml;
 pub use h5lite as h5;
-pub use insitu;
 pub use mini_mpi as mpi;
 pub use pfs_sim as pfs;
 pub use sim_apps as apps;

@@ -24,12 +24,14 @@ fn config(mode: &str) -> String {
     )
 }
 
+/// Returns the wall time, the slowest single client write in seconds and
+/// the node's report.
 fn run(
     mode: &str,
     iterations: u64,
     plugin_ms: u64,
     compute_ms: u64,
-) -> (f64, damaris::core::node::NodeReport) {
+) -> (f64, f64, damaris::core::node::NodeReport) {
     let node = DamarisNode::builder()
         .config_str(&config(mode))
         .expect("config")
@@ -65,19 +67,21 @@ fn run(
                     client.end_iteration(it).expect("end");
                 }
                 client.finalize().expect("finalize");
+                client.stats().max_write_seconds
             })
         })
         .collect();
-    for h in handles {
-        h.join().expect("client");
-    }
+    let worst_write = handles
+        .into_iter()
+        .map(|h| h.join().expect("client"))
+        .fold(0.0, f64::max);
     let report = node.shutdown().expect("shutdown");
-    (t0.elapsed().as_secs_f64(), report)
+    (t0.elapsed().as_secs_f64(), worst_write, report)
 }
 
 #[test]
 fn drop_mode_skips_under_pressure_and_keeps_sim_fast() {
-    let (wall, report) = run("drop-iteration", 60, 10, 0);
+    let (wall, worst_write, report) = run("drop-iteration", 60, 10, 0);
     assert!(
         report.skipped_client_iterations > 0,
         "slow plugin must force skips: {report:?}"
@@ -91,11 +95,19 @@ fn drop_mode_skips_under_pressure_and_keeps_sim_fast() {
         wall < 1.2,
         "drop mode must not serialize on the plugin: {wall:.2}s"
     );
+    // Nor does any single write: a 16 KiB slab costs a memcpy
+    // (microseconds) while the plugin sleeps 10 ms per iteration. The bound
+    // allows scheduler noise; a write near the plugin's cost would mean
+    // the write path is coupled to it.
+    assert!(
+        worst_write < 0.02,
+        "writes must stay memcpy-fast beside a slow plugin, worst {worst_write:.4}s"
+    );
 }
 
 #[test]
 fn block_mode_loses_nothing() {
-    let (_, report) = run("block", 30, 5, 0);
+    let (_, _, report) = run("block", 30, 5, 0);
     assert_eq!(report.skipped_client_iterations, 0);
     assert_eq!(report.iterations_completed, 30);
 }
@@ -106,7 +118,7 @@ fn quiet_runs_never_skip_in_drop_mode() {
     // core keeps up, so drop mode behaves exactly like block mode. (With
     // zero compute time an infinitely fast producer must skip — that case
     // is covered above.)
-    let (_, report) = run("drop-iteration", 20, 0, 2);
+    let (_, _, report) = run("drop-iteration", 20, 0, 2);
     assert_eq!(report.skipped_client_iterations, 0);
     assert_eq!(report.iterations_completed, 20);
 }

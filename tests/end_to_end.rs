@@ -1,10 +1,15 @@
 //! End-to-end integration: a full Damaris session on real threads and a
 //! real file system, verified by reading the output back; plus content
-//! equivalence between Damaris node files and both synchronous baselines.
+//! equivalence between Damaris node files and both synchronous baselines;
+//! plus analysis on the dedicated core of a real CM1 run.
 //! The dedicated core's one writer is the `<store>` engine: one file per
 //! node per run, datasets at `it{iteration:06}/{variable}/rank{client}`.
 
+use std::sync::Arc;
+
+use damaris::apps::{Cm1, Cm1Config, ProxyApp};
 use damaris::core::baseline;
+use damaris::core::plugins::StatsPlugin;
 use damaris::core::prelude::*;
 use damaris::h5::FileReader;
 use damaris::mpi::World;
@@ -280,4 +285,77 @@ fn zero_copy_path_equals_copy_path() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A real CM1 run through a node: the `StatsPlugin` on the dedicated core
+/// sees physically sane data. Theta stays near the base state and the warm
+/// bubble's updraft strengthens over the early steps.
+#[test]
+fn cm1_statistics_on_the_dedicated_core_track_the_physics() {
+    const STEPS: u64 = 6;
+    let (nx, ny, nz) = (24, 24, 16);
+    let xml = format!(
+        r#"<simulation name="cm1-stats">
+             <architecture>
+               <dedicated cores="1"/>
+               <buffer size="33554432"/>
+               <queue capacity="128"/>
+             </architecture>
+             <data>
+               <layout name="vol" type="f64" dimensions="{nz},{ny},{nx}"/>
+               <variable name="theta" layout="vol" unit="K"/>
+               <variable name="w" layout="vol" unit="m/s"/>
+             </data>
+           </simulation>"#
+    );
+    let node = DamarisNode::builder()
+        .config_str(&xml)
+        .expect("config")
+        .clients(1)
+        .build()
+        .expect("node");
+    let stats = Arc::new(StatsPlugin::new());
+    node.register_plugin(stats.clone());
+    let client = node.client(0).expect("client");
+    std::thread::spawn(move || {
+        let mut h = Damaris::threads(client);
+        let mut sim = Cm1::new(Cm1Config {
+            nx,
+            ny,
+            nz,
+            ..Default::default()
+        });
+        for it in 0..STEPS {
+            sim.step();
+            for var in ["theta", "w"] {
+                h.write(var, it, sim.field(var).expect("field"))
+                    .expect("write");
+            }
+            h.end_iteration(it).expect("end");
+        }
+        h.finalize().expect("finalize");
+    })
+    .join()
+    .expect("sim thread");
+    let report = node.shutdown().expect("shutdown");
+    assert!(
+        report.plugin_errors.is_empty(),
+        "{:?}",
+        report.plugin_errors
+    );
+
+    let first_w = stats.summary(0, "w").expect("w stats");
+    let last_w = stats.summary(STEPS - 1, "w").expect("w stats");
+    assert!(
+        last_w.max > first_w.max,
+        "updraft should strengthen: w max {} -> {}",
+        first_w.max,
+        last_w.max
+    );
+    let theta = stats.summary(STEPS - 1, "theta").expect("theta stats");
+    assert!(
+        (299.0..305.0).contains(&theta.mean),
+        "theta mean {:.2}",
+        theta.mean
+    );
 }
