@@ -81,7 +81,7 @@ fn run(
 
 #[test]
 fn drop_mode_skips_under_pressure_and_keeps_sim_fast() {
-    let (wall, worst_write, report) = run("drop-iteration", 60, 10, 0);
+    let (wall, _, report) = run("drop-iteration", 60, 10, 0);
     assert!(
         report.skipped_client_iterations > 0,
         "slow plugin must force skips: {report:?}"
@@ -95,10 +95,22 @@ fn drop_mode_skips_under_pressure_and_keeps_sim_fast() {
         wall < 1.2,
         "drop mode must not serialize on the plugin: {wall:.2}s"
     );
-    // Nor does any single write: a 16 KiB slab costs a memcpy
-    // (microseconds) while the plugin sleeps 10 ms per iteration. The bound
+}
+
+#[test]
+fn slow_plugin_leaves_client_writes_at_memcpy_cost() {
+    // Analysis on the dedicated core never reaches the write path: a
+    // 16 KiB slab costs a memcpy (microseconds) while the plugin sleeps
+    // 10 ms per iteration. Drop mode never makes a write wait for space,
+    // so every recorded write is allocation + copy + publish. The bound
     // allows scheduler noise; a write near the plugin's cost would mean
     // the write path is coupled to it.
+    let (_, worst_write, report) = run("drop-iteration", 20, 10, 0);
+    assert_eq!(report.iterations_completed, 20);
+    assert!(
+        worst_write > 0.0,
+        "at least one write must be admitted: {report:?}"
+    );
     assert!(
         worst_write < 0.02,
         "writes must stay memcpy-fast beside a slow plugin, worst {worst_write:.4}s"
