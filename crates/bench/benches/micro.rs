@@ -3,18 +3,16 @@
 //! The headline micro number is the §IV.B claim: a Damaris "write" costs
 //! one shared-memory copy, ~0.1 s for tens of MB, regardless of scale.
 //! `shm_write` measures exactly that path (allocate + memcpy + freeze +
-//! enqueue) at several payload sizes; the others characterize the message
-//! queue, codecs, the h5lite write path and the mini-MPI collectives.
+//! post) at several payload sizes; the others characterize the event
+//! transport, codecs, the h5lite write path and the mini-MPI collectives.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use codec::{Codec, Pipeline};
-use damaris_shm::transport::{
-    EventChannel, EventConsumer, EventProducer, ShardedChannel, TransportKind,
-};
-use damaris_shm::{MessageQueue, SharedSegment};
+use damaris_shm::transport::{EventChannel, EventConsumer, EventProducer, ShardedChannel};
+use damaris_shm::SharedSegment;
 use h5lite::{Dtype, FileWriter};
 use mini_mpi::World;
 
@@ -37,7 +35,9 @@ fn bench_shm_write(c: &mut Criterion) {
     for mib in [1usize, 8, 45] {
         let bytes = mib << 20;
         let seg = SharedSegment::new(bytes * 2 + (1 << 20)).expect("segment");
-        let queue = MessageQueue::bounded(16);
+        let channel = ShardedChannel::new(1, 16);
+        let client = channel.producer(0);
+        let mut dedicated = channel.consumer(0, 1);
         let data = vec![300.0f64; bytes / 8];
         group.throughput(Throughput::Bytes(bytes as u64));
         group.bench_with_input(
@@ -48,8 +48,8 @@ fn bench_shm_write(c: &mut Criterion) {
                     // The complete sim-side Damaris write path.
                     let mut block = seg.allocate(bytes).expect("allocate");
                     block.write_pod(&data);
-                    queue.send(block.freeze()).expect("enqueue");
-                    let _ = queue.recv().expect("drain"); // drop frees the block
+                    client.send(block.freeze()).expect("post");
+                    let _ = dedicated.recv().expect("drain"); // drop frees the block
                 });
             },
         );
@@ -57,25 +57,10 @@ fn bench_shm_write(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_queue(c: &mut Criterion) {
-    let mut group = c.benchmark_group("message_queue");
-    group.measurement_time(Duration::from_secs(3));
-    let q: MessageQueue<u64> = MessageQueue::bounded(1024);
-    group.bench_function("send_recv", |b| {
-        b.iter(|| {
-            q.send(7).expect("send");
-            q.recv().expect("recv")
-        });
-    });
-    group.finish();
-}
-
-/// One full post+drain burst of `producers × EVENTS` events through a
-/// transport; the per-iteration time divided by the event count compares
-/// event-post cost across transports at growing contention (§IV.B's
-/// "independent of scale" claim). Expect mutex cost to climb with the
-/// producer count and sharded cost to stay flat — sharded wins clearly
-/// from 16 producers up.
+/// One full post+drain burst of `producers × EVENTS` events through the
+/// transport; the per-iteration time divided by the event count is the
+/// event-post cost at growing contention (§IV.B's "independent of scale"
+/// claim: it should stay flat as producers are added).
 ///
 /// Producer threads are long-lived and re-armed with a barrier each
 /// iteration, so thread spawn/join cost never pollutes the numbers
@@ -96,7 +81,7 @@ fn bench_transport_post(c: &mut Criterion) {
     }
 
     impl Pool {
-        fn spawn<C: EventChannel<u64>>(channel: &C, producers: usize) -> Pool {
+        fn spawn(channel: &ShardedChannel<u64>, producers: usize) -> Pool {
             let start = Arc::new(Barrier::new(producers + 1));
             let stop = Arc::new(AtomicBool::new(false));
             let handles = (0..producers)
@@ -144,50 +129,28 @@ fn bench_transport_post(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     for producers in [1usize, 4, 16, 64] {
         group.throughput(Throughput::Elements((producers * EVENTS) as u64));
-        for kind in [TransportKind::Mutex, TransportKind::Sharded] {
-            group.bench_with_input(
-                BenchmarkId::new(kind.name(), producers),
-                &producers,
-                |b, &producers| {
-                    // Capacity covers the burst: measure posting, not
-                    // backpressure sleeps.
-                    match kind {
-                        TransportKind::Mutex => {
-                            let q = MessageQueue::<u64>::bounded(producers * EVENTS);
-                            let pool = Pool::spawn(&q, producers);
-                            let consumer = q.consumer(0, 1);
-                            b.iter(|| {
-                                pool.fire(
-                                    || {
-                                        while consumer.try_recv().is_err() {
-                                            std::hint::spin_loop();
-                                        }
-                                    },
-                                    producers * EVENTS,
-                                )
-                            });
-                            pool.shutdown();
-                        }
-                        TransportKind::Sharded => {
-                            let ch = ShardedChannel::<u64>::new(producers, EVENTS);
-                            let pool = Pool::spawn(&ch, producers);
-                            let mut consumer = ch.consumer(0, 1);
-                            b.iter(|| {
-                                pool.fire(
-                                    || {
-                                        while consumer.try_recv().is_err() {
-                                            std::hint::spin_loop();
-                                        }
-                                    },
-                                    producers * EVENTS,
-                                )
-                            });
-                            pool.shutdown();
-                        }
-                    }
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("sharded", producers),
+            &producers,
+            |b, &producers| {
+                // Capacity covers the burst: measure posting, not
+                // backpressure sleeps.
+                let ch = ShardedChannel::<u64>::new(producers, EVENTS);
+                let pool = Pool::spawn(&ch, producers);
+                let mut consumer = ch.consumer(0, 1);
+                b.iter(|| {
+                    pool.fire(
+                        || {
+                            while consumer.try_recv().is_err() {
+                                std::hint::spin_loop();
+                            }
+                        },
+                        producers * EVENTS,
+                    )
+                });
+                pool.shutdown();
+            },
+        );
     }
     group.finish();
 }
@@ -252,7 +215,6 @@ fn bench_collectives(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_shm_write,
-    bench_queue,
     bench_transport_post,
     bench_codecs,
     bench_h5lite,

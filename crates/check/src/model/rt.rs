@@ -192,6 +192,10 @@ pub(crate) struct ExecState {
     pub locations: Vec<Location>,
     pub mutexes: Vec<MutexSt>,
     pub condvars: Vec<CondvarSt>,
+    /// Join of the views of every `SeqCst` fence executed so far: the
+    /// fences' single total order is their execution order, and each
+    /// fence both joins and extends this view (see `sync::fence`).
+    pub sc_fence: View,
     pub current: Tid,
     pub steps: usize,
     pub preemptions: usize,
@@ -678,6 +682,7 @@ where
             locations: Vec::new(),
             mutexes: Vec::new(),
             condvars: Vec::new(),
+            sc_fence: View::default(),
             current: 0,
             steps: 0,
             preemptions: 0,

@@ -17,7 +17,10 @@
 //! Deliberate simplifications (each is *stricter* than C11, so the
 //! checker can miss bugs that need them but never reports false
 //! failures): `compare_exchange_weak` never fails spuriously, `SeqCst`
-//! fences do not participate in a global fence order, condvars never
+//! fences are totally ordered by execution order and each one
+//! synchronizes with every earlier one (C11 only forbids a read after the
+//! later fence from missing a store before the earlier one; the model
+//! also hands over the rest of the view), condvars never
 //! wake spuriously or time out (a model must not rely on timeouts for
 //! progress — a lost wakeup shows up as a detected deadlock), and each
 //! thread may observe a non-latest value at a given location at most
@@ -254,6 +257,10 @@ pub fn fence(ord: Ordering) {
         }
         if has_release(ord) {
             me.rel_fence = Some(me.view.clone());
+        }
+        if ord == Ordering::SeqCst {
+            me.view.join(&st.sc_fence);
+            st.sc_fence = me.view.clone();
         }
     });
 }

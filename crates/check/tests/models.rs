@@ -1,4 +1,4 @@
-//! Bounded models of the four riskiest lock-free protocols in
+//! Bounded models of the five riskiest lock-free protocols in
 //! `damaris_shm`, exhaustively explored by the in-tree model checker.
 //!
 //! Each model mirrors the *exact* memory orderings of the production
@@ -16,7 +16,7 @@
 
 use damaris_sync::model::{
     self,
-    sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering},
+    sync::{fence, AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering},
     thread, Builder, FailureKind, Schedule,
 };
 use std::str::FromStr;
@@ -60,6 +60,13 @@ impl ModelRing {
         self.slots[tail % Self::CAP].store(value, Ordering::Relaxed);
         self.tail.store(tail.wrapping_add(1), Ordering::Release);
         true
+    }
+
+    /// `SpscRing::is_empty`: both indices Acquire, from any thread.
+    fn is_empty(&self) -> bool {
+        let tail = self.tail.load(Ordering::Acquire);
+        let head = self.head.load(Ordering::Acquire);
+        tail == head
     }
 
     fn try_pop(&self) -> Option<usize> {
@@ -470,6 +477,152 @@ fn eventcount_no_lost_wakeup() {
         report.executions
     );
     assert!(report.executions > 1);
+}
+
+// ---------------------------------------------------------------------------
+// 5. Transport doorbell: sleep-vs-push, no lost wakeup.
+//    Mirrors `shm/transport.rs` `ShardedInner::{doorbell, sleep}` as
+//    `ring_doorbell` and `StealingConsumer::recv_deadline(None)` use them:
+//    push (tail Release store) → SeqCst fence → sleeper-count SeqCst load
+//    → lock + notify_all when non-zero, against sweep → lock → register
+//    (SeqCst fetch_add) → SeqCst fence → re-check under the lock →
+//    untimed wait → deregister. The fences order each side's store before
+//    its load of the other side's location (Dekker); the lock makes the
+//    re-check and the wait one step for the notifier. The 64-spin before
+//    sleeping is left out: it only delays the same sleep.
+// ---------------------------------------------------------------------------
+
+struct DoorbellModel {
+    ring: ModelRing,
+    sleeping_consumers: AtomicUsize,
+    sleep_lock: Mutex<()>,
+    not_empty: Condvar,
+}
+
+impl DoorbellModel {
+    fn new() -> Self {
+        DoorbellModel {
+            ring: ModelRing::new(),
+            sleeping_consumers: AtomicUsize::new(0),
+            sleep_lock: Mutex::new(()),
+            not_empty: Condvar::new(),
+        }
+    }
+
+    /// The ring push of `guarded_push`, then `ring_doorbell`.
+    fn post(&self, value: usize) {
+        assert!(self.ring.try_push(value), "model ring sized for every post");
+        fence(Ordering::SeqCst);
+        if self.sleeping_consumers.load(Ordering::SeqCst) > 0 {
+            let _g = self.sleep_lock.lock();
+            self.not_empty.notify_all();
+        }
+    }
+
+    /// `ShardedInner::sleep` with the consumer's readiness check.
+    fn sleep(&self) {
+        let mut g = self.sleep_lock.lock();
+        self.sleeping_consumers.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if self.ring.is_empty() {
+            self.not_empty.wait(&mut g);
+        }
+        self.sleeping_consumers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// The broken twin: the same steps, but the re-check runs before the
+    /// lock is taken, so a push and its doorbell can land in between and
+    /// notify nobody.
+    fn sleep_recheck_outside_lock(&self) {
+        self.sleeping_consumers.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        let empty = self.ring.is_empty();
+        let mut g = self.sleep_lock.lock();
+        if empty {
+            self.not_empty.wait(&mut g);
+        }
+        self.sleeping_consumers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// `recv_deadline(None)`: sweep, else sleep, and sweep again.
+    fn recv(&self, sleep: fn(&Self)) -> usize {
+        loop {
+            if let Some(v) = self.ring.try_pop() {
+                return v;
+            }
+            sleep(self);
+        }
+    }
+}
+
+/// Two paced posts against an untimed consumer: it terminates in every
+/// schedule iff no wakeup can be lost (a lost one parks the consumer
+/// forever and the checker reports deadlock).
+fn doorbell_session(sleep: fn(&DoorbellModel)) {
+    let db = Arc::new(DoorbellModel::new());
+    let d2 = db.clone();
+    let producer = thread::spawn(move || {
+        d2.post(1);
+        d2.post(2);
+    });
+    assert_eq!(db.recv(sleep), 1);
+    assert_eq!(db.recv(sleep), 2);
+    producer.join().unwrap();
+}
+
+#[test]
+fn transport_doorbell_no_lost_wakeup() {
+    let report = model::model(|| doorbell_session(DoorbellModel::sleep));
+    println!(
+        "transport_doorbell_no_lost_wakeup: {} schedules explored",
+        report.executions
+    );
+    assert!(report.executions > 1);
+}
+
+/// A failing schedule of the broken twin found by the DFS, pinned as a
+/// regression: replaying it must keep reproducing the deadlock. (The
+/// teeth test below re-discovers one dynamically too.)
+const PINNED_DOORBELL_SCHEDULE: &str =
+    "0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.0.1.0.0.0.0.0.0.0.0.0.0.0.0.0.1.0.0.0.0.0.0.0";
+
+fn broken_doorbell() {
+    doorbell_session(DoorbellModel::sleep_recheck_outside_lock);
+}
+
+#[test]
+fn transport_doorbell_recheck_outside_lock_is_caught() {
+    let report = Builder::exhaustive().check(broken_doorbell);
+    let failure = report
+        .failure
+        .expect("a re-check outside the lock must lose a wakeup");
+    assert!(
+        matches!(failure.kind, FailureKind::Deadlock(_)),
+        "lost wakeup surfaces as deadlock, got: {failure}"
+    );
+    println!(
+        "transport_doorbell_recheck_outside_lock_is_caught: deadlock after {} schedules; replay: {}",
+        report.executions, failure.schedule
+    );
+    let replay = Builder::replay(failure.schedule).check(broken_doorbell);
+    assert!(matches!(
+        replay.failure.expect("schedule replays").kind,
+        FailureKind::Deadlock(_)
+    ));
+}
+
+#[test]
+fn pinned_doorbell_schedule_replays() {
+    let schedule = Schedule::from_str(PINNED_DOORBELL_SCHEDULE).unwrap();
+    let replay = Builder::replay(schedule).check(broken_doorbell);
+    assert!(
+        matches!(
+            replay.failure.as_ref().map(|f| &f.kind),
+            Some(FailureKind::Deadlock(_))
+        ),
+        "pinned schedule no longer reproduces the lost wakeup: {:?}",
+        replay.failure
+    );
 }
 
 // ---------------------------------------------------------------------------

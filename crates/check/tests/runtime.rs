@@ -126,6 +126,45 @@ fn fence_publication() {
     assert!(report.complete);
 }
 
+/// Store buffering: each thread stores one flag, then loads the other's.
+/// With a `SeqCst` fence between store and load, at least one thread
+/// sees the other's store; with Release/Acquire alone both may read 0.
+fn store_buffering(fenced: bool) -> model::Report {
+    Builder::exhaustive().check(move || {
+        let x = Arc::new(AtomicUsize::new(0));
+        let y = Arc::new(AtomicUsize::new(0));
+        let (x2, y2) = (x.clone(), y.clone());
+        let t = thread::spawn(move || {
+            x2.store(1, Ordering::Release);
+            if fenced {
+                fence(Ordering::SeqCst);
+            }
+            y2.load(Ordering::Acquire)
+        });
+        y.store(1, Ordering::Release);
+        if fenced {
+            fence(Ordering::SeqCst);
+        }
+        let seen_x = x.load(Ordering::Acquire);
+        let seen_y = t.join().unwrap();
+        assert!(seen_x + seen_y > 0, "both threads missed the other's store");
+    })
+}
+
+#[test]
+fn seqcst_fences_forbid_store_buffering() {
+    let fenced = store_buffering(true);
+    assert!(fenced.complete && fenced.executions > 1);
+    let unfenced = store_buffering(false);
+    assert!(
+        matches!(
+            unfenced.failure.map(|f| f.kind),
+            Some(FailureKind::Panic(_))
+        ),
+        "release/acquire alone must allow both stale reads"
+    );
+}
+
 /// Two threads blocking on each other's mutexes deadlock; the checker
 /// reports it rather than hanging.
 #[test]

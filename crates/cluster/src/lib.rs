@@ -53,5 +53,5 @@ pub mod workload;
 pub use metrics::RunMetrics;
 pub use platform::Platform;
 pub use run::run;
-pub use strategy::{DamarisOptions, Scheduler, Strategy, TransportKind, WorldKind};
+pub use strategy::{DamarisOptions, Scheduler, Strategy, WorldKind};
 pub use workload::Workload;

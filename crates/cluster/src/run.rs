@@ -9,18 +9,14 @@ use pfs_sim::{FileSpec, Pfs, WriteRequest};
 
 use crate::metrics::RunMetrics;
 use crate::platform::Platform;
-use crate::strategy::{DamarisOptions, Strategy, TransportKind, WorldKind};
+use crate::strategy::{DamarisOptions, Strategy, WorldKind};
 use crate::workload::Workload;
 
-/// Modeled cost of posting one event on the mutex transport with a single
-/// uncontended client (lock + condvar signal), calibrated against
-/// `benches/transport.rs` on commodity hardware. Under contention the
-/// expected cost grows linearly with the number of clients serialized on
-/// the node's one lock.
-const MUTEX_POST_SECONDS: f64 = 120e-9;
-/// Modeled cost of posting one event on the sharded transport: one slot
-/// write plus one release store into the client's own ring, flat in the
-/// client count.
+/// Modeled cost of posting one event in the thread world: one slot write,
+/// one release store and the doorbell's fence, into the client's own
+/// ring, so flat in the client count. Calibrated against the
+/// `transport_event_post` group of `benches/micro.rs` (post+drain time
+/// per event, 1 to 64 producers).
 const SHARDED_POST_SECONDS: f64 = 25e-9;
 /// Modeled cost of one shared-memory block allocation: one lock-free
 /// size-class queue pop, flat in the client count. Paid once per client
@@ -29,8 +25,8 @@ const SHARDED_POST_SECONDS: f64 = 25e-9;
 const ALLOC_SECONDS: f64 = 30e-9;
 /// Modeled sim-visible cost of posting one event in the process world:
 /// envelope encode plus hand-off to the per-peer socket writer thread —
-/// the wire write itself is asynchronous, so a post is *cheap* (cheaper
-/// than the mutex mailbox, even). Calibrated against
+/// the wire write itself is asynchronous, so a post is cheap. Calibrated
+/// against
 /// `benches/mpi_transport.rs` (`BENCH_mpi_transport.json`,
 /// `world = processes`, `post_ns` ≈ 150 ns). Flat in the client count:
 /// every client owns its own connection to the dedicated core.
@@ -218,23 +214,16 @@ fn run_damaris(
     let written_node_bytes = (node_bytes as f64 / opts.compression_ratio.max(1.0)) as u64;
     // Sim-visible cost of one dump: the shared-memory memcpy (§IV.B)
     // plus the event posts (one block publish + one end-of-iteration per
-    // client). The transport decides whether post cost scales with the
-    // contending client count (mutex) or stays flat (sharded).
+    // client).
     let shm_seconds = bytes_per_client as f64 / platform.shm_bw;
-    // In the thread world an event post is an in-memory queue operation
-    // (mutex contention vs flat sharded rings); in the process world a
-    // post is an enqueue to the socket writer thread (flat in the client
-    // count — one connection per client), and the real boundary cost is
-    // the descriptor round trip per dump for the iteration
-    // acknowledgement the cross-process free protocol needs.
+    // In the thread world an event post is a push into the client's own
+    // ring; in the process world a post is an enqueue to the socket
+    // writer thread (one connection per client), and the real boundary
+    // cost is the descriptor round trip per dump for the iteration
+    // acknowledgement the cross-process free protocol needs. Both are
+    // flat in the client count.
     let (post_each, ack_seconds) = match opts.world {
-        WorldKind::Threads => (
-            match opts.transport {
-                TransportKind::Mutex => MUTEX_POST_SECONDS * compute_cores as f64,
-                TransportKind::Sharded => SHARDED_POST_SECONDS,
-            },
-            0.0,
-        ),
+        WorldKind::Threads => (SHARDED_POST_SECONDS, 0.0),
         WorldKind::Processes => (UDS_POST_SECONDS, UDS_ACK_ROUNDTRIP_SECONDS),
     };
     let event_post_seconds = 2.0 * post_each + ack_seconds;
@@ -381,7 +370,7 @@ fn mean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{Scheduler, TransportKind};
+    use crate::strategy::Scheduler;
 
     fn quiet_kraken() -> Platform {
         Platform::kraken().without_jitter()
@@ -627,29 +616,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_transport_cuts_event_post_cost() {
-        // §IV.B: a post must not grow with core count. The mutex model
-        // serializes a node's clients on one lock, so its aggregate post
-        // time is ~(cores × base) per event; the sharded transport stays
-        // flat. Both are microseconds — invisible in wall time — but the
-        // accounting must show the contention gap and the wall-clock
-        // ordering must never invert.
+    fn event_post_cost_is_flat_in_scale() {
+        // §IV.B: a post costs the same at any core count, because each
+        // client posts into its own ring. Microseconds either way,
+        // invisible in wall time, but the accounting must show it flat.
         let p = quiet_kraken();
         let w = Workload::cm1(2);
-        let ranks = 9216;
-        let mutex = run(&p, &w, ranks, Strategy::damaris_greedy(), 13);
-        let sharded = run(&p, &w, ranks, Strategy::damaris_sharded(), 13);
-        assert!(mutex.event_post_seconds > 0.0 && sharded.event_post_seconds > 0.0);
-        assert!(
-            mutex.event_post_seconds > 5.0 * sharded.event_post_seconds,
-            "mutex {} vs sharded {}: contention model missing",
-            mutex.event_post_seconds,
-            sharded.event_post_seconds
-        );
-        assert!(sharded.wall_seconds <= mutex.wall_seconds);
-        assert!(sharded.alloc_seconds > 0.0);
+        let small = run(&p, &w, 576, Strategy::damaris_greedy(), 13);
+        let large = run(&p, &w, 9216, Strategy::damaris_greedy(), 13);
+        assert!(small.event_post_seconds > 0.0);
+        assert_eq!(small.event_post_seconds, large.event_post_seconds);
+        assert!(large.alloc_seconds > 0.0);
         // Baselines have no event queue and no shared segment at all.
-        let fpp = run(&p, &w, ranks, Strategy::FilePerProcess, 13);
+        let fpp = run(&p, &w, 9216, Strategy::FilePerProcess, 13);
         assert_eq!(fpp.event_post_seconds, 0.0);
         assert_eq!(fpp.alloc_seconds, 0.0);
     }
@@ -674,7 +653,6 @@ mod tests {
         .unwrap();
         let opts = DamarisOptions::from_config(&cfg);
         assert_eq!(opts.dedicated_cores, 2);
-        assert_eq!(opts.transport, TransportKind::Sharded);
         assert!(opts.skip_when_full);
         // 16 MiB buffer ÷ 8 KiB per iteration = 2048 staged dumps.
         assert_eq!(opts.buffer_dumps, 2048);
@@ -706,7 +684,7 @@ mod tests {
         let p = quiet_kraken();
         let w = Workload::cm1(2);
         let ranks = 9216;
-        let threads = run(&p, &w, ranks, Strategy::damaris_sharded(), 13);
+        let threads = run(&p, &w, ranks, Strategy::damaris_greedy(), 13);
         let processes = run(&p, &w, ranks, Strategy::damaris_processes(), 13);
         assert!(
             processes.event_post_seconds > threads.event_post_seconds,

@@ -3,7 +3,6 @@
 
 use pfs_sim::FileSpec;
 
-pub use damaris_shm::transport::TransportKind;
 pub use damaris_xml::schema::WorldKind;
 
 /// How the dedicated cores time and place their node-file writes.
@@ -133,10 +132,6 @@ pub struct DamarisOptions {
     /// Dedicated-core seconds of plugin work per dump (e.g. in-situ
     /// analysis); 0 for pure I/O.
     pub plugin_seconds_per_dump: f64,
-    /// Event-transport implementation: a mutex queue's post cost grows
-    /// with the number of contending compute cores, the sharded
-    /// transport's stays flat (mirrors `damaris_shm::transport`).
-    pub transport: TransportKind,
     /// Rank realization: `Threads` posts events through in-memory queues;
     /// `Processes` crosses a Unix-domain socket per event (mirrors
     /// `mini_mpi::World::run_spawned` + `damaris_core::process`, with
@@ -153,7 +148,6 @@ impl Default for DamarisOptions {
             skip_when_full: true,
             compression_ratio: 1.0,
             plugin_seconds_per_dump: 0.0,
-            transport: TransportKind::Mutex,
             world: WorldKind::Threads,
         }
     }
@@ -161,8 +155,7 @@ impl Default for DamarisOptions {
 
 impl DamarisOptions {
     /// Derive simulator options from a real middleware configuration, so
-    /// one XML file drives both the node runtime and the cluster model
-    /// (`<queue kind>` selects the transport here too).
+    /// one XML file drives both the node runtime and the cluster model.
     pub fn from_config(cfg: &damaris_xml::schema::Configuration) -> Self {
         let arch = &cfg.architecture;
         let bytes = cfg.bytes_per_iteration();
@@ -173,10 +166,6 @@ impl DamarisOptions {
                 .checked_div(bytes)
                 .map_or(2, |dumps| dumps.max(1)),
             skip_when_full: arch.skip.mode == damaris_xml::schema::SkipMode::DropIteration,
-            transport: match arch.queue_kind {
-                damaris_xml::schema::QueueKind::Mutex => TransportKind::Mutex,
-                damaris_xml::schema::QueueKind::Sharded => TransportKind::Sharded,
-            },
             world: arch.world,
             ..Default::default()
         }
@@ -211,14 +200,6 @@ impl Strategy {
     pub fn damaris_balanced() -> Self {
         Strategy::Damaris(DamarisOptions {
             scheduler: Scheduler::Balanced,
-            ..Default::default()
-        })
-    }
-
-    /// Damaris over the sharded lock-free event transport.
-    pub fn damaris_sharded() -> Self {
-        Strategy::Damaris(DamarisOptions {
-            transport: TransportKind::Sharded,
             ..Default::default()
         })
     }

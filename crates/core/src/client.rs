@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use damaris_shm::transport::{AnyTransport, EventChannel, EventProducer};
+use damaris_shm::transport::{EventProducer, ShardProducer};
 use damaris_shm::{Block, SharedSegment};
 use damaris_xml::schema::{Configuration, SkipMode};
 use damaris_xml::VarId;
@@ -185,22 +185,19 @@ impl ClientStats {
 
 /// Handle held by one compute core.
 ///
-/// Generic over the event transport `C`; the default is the
-/// runtime-selected [`AnyTransport`] chosen from the XML
-/// `<queue kind="…">` attribute. With the sharded transport the client's
-/// producer handle posts into the client's own lock-free ring.
+/// The client's producer handle posts into the client's own lock-free
+/// ring of the node's [`damaris_shm::ShardedChannel`].
 ///
 /// Cloning shares the identity and statistics of the same
 /// logical client — clients are usually moved into their compute thread
-/// instead. (Clones of a sharded client serialize their posts on a
-/// per-client guard, so sharing a clone across threads is safe but
-/// momentarily spins.)
-pub struct DamarisClient<C: EventChannel<Event> = AnyTransport<Event>> {
+/// instead. (Clones serialize their posts on a per-client guard, so
+/// sharing a clone across threads is safe but momentarily spins.)
+pub struct DamarisClient {
     pub(crate) id: usize,
     pub(crate) cfg: Arc<Configuration>,
     /// The node's shared segment.
     pub(crate) segment: SharedSegment,
-    pub(crate) producer: C::Producer,
+    pub(crate) producer: ShardProducer<Event>,
     pub(crate) policy: Arc<SkipPolicy>,
     pub(crate) stats: Arc<StatsRecorder>,
     /// Blocks published for the current iteration (reported at
@@ -211,7 +208,7 @@ pub struct DamarisClient<C: EventChannel<Event> = AnyTransport<Event>> {
     pub(crate) finalized: Arc<AtomicBool>,
 }
 
-impl<C: EventChannel<Event>> Clone for DamarisClient<C> {
+impl Clone for DamarisClient {
     fn clone(&self) -> Self {
         DamarisClient {
             id: self.id,
@@ -226,7 +223,7 @@ impl<C: EventChannel<Event>> Clone for DamarisClient<C> {
     }
 }
 
-impl<C: EventChannel<Event>> std::fmt::Debug for DamarisClient<C> {
+impl std::fmt::Debug for DamarisClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DamarisClient")
             .field("id", &self.id)
@@ -234,7 +231,7 @@ impl<C: EventChannel<Event>> std::fmt::Debug for DamarisClient<C> {
     }
 }
 
-impl<C: EventChannel<Event>> DamarisClient<C> {
+impl DamarisClient {
     /// This client's id (its rank within the node).
     pub fn id(&self) -> usize {
         self.id
@@ -306,7 +303,7 @@ impl<C: EventChannel<Event>> DamarisClient<C> {
     ///
     /// Variables on a `dimensions="dynamic"` layout have no fixed size —
     /// use [`DamarisClient::alloc_sized`] with this write's byte count.
-    pub fn alloc(&self, variable: &str, iteration: u64) -> DamarisResult<BlockWriter<C>> {
+    pub fn alloc(&self, variable: &str, iteration: u64) -> DamarisResult<BlockWriter> {
         let t0 = Instant::now();
         let var = self.var_id(variable)?;
         if self.cfg.registry().is_dynamic(var) {
@@ -328,7 +325,7 @@ impl<C: EventChannel<Event>> DamarisClient<C> {
         variable: &str,
         iteration: u64,
         bytes: usize,
-    ) -> DamarisResult<BlockWriter<C>> {
+    ) -> DamarisResult<BlockWriter> {
         let t0 = Instant::now();
         let var = self.var_id(variable)?;
         check_layout(&self.cfg, var, bytes)?;
@@ -341,7 +338,7 @@ impl<C: EventChannel<Event>> DamarisClient<C> {
         iteration: u64,
         bytes: usize,
         t0: Instant,
-    ) -> DamarisResult<BlockWriter<C>> {
+    ) -> DamarisResult<BlockWriter> {
         if !self
             .policy
             .admit(iteration, &self.segment, || self.producer.pressure())
@@ -366,7 +363,7 @@ impl<C: EventChannel<Event>> DamarisClient<C> {
     }
 
     /// Commit a block obtained from [`DamarisClient::alloc`].
-    pub fn commit(&self, writer: BlockWriter<C>) -> DamarisResult<WriteStatus> {
+    pub fn commit(&self, writer: BlockWriter) -> DamarisResult<WriteStatus> {
         writer.commit()
     }
 
@@ -473,8 +470,8 @@ impl<C: EventChannel<Event>> DamarisClient<C> {
 }
 
 /// An in-place block being filled by the simulation (zero-copy path).
-pub struct BlockWriter<C: EventChannel<Event> = AnyTransport<Event>> {
-    client: DamarisClient<C>,
+pub struct BlockWriter {
+    client: DamarisClient,
     var: VarId,
     iteration: u64,
     /// `None` when the skip policy dropped the iteration.
@@ -485,7 +482,7 @@ pub struct BlockWriter<C: EventChannel<Event> = AnyTransport<Event>> {
     t0: Instant,
 }
 
-impl<C: EventChannel<Event>> BlockWriter<C> {
+impl BlockWriter {
     /// Whether the skip policy dropped this iteration (the writer is inert).
     pub fn is_skipped(&self) -> bool {
         self.block.is_none()

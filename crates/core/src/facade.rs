@@ -278,9 +278,7 @@ pub trait SimHandle {
 // Trait impl for the thread-mode client
 // ---------------------------------------------------------------------------
 
-impl<C: damaris_shm::transport::EventChannel<crate::event::Event>> SimWriter
-    for crate::client::BlockWriter<C>
-{
+impl SimWriter for crate::client::BlockWriter {
     fn is_skipped(&self) -> bool {
         crate::client::BlockWriter::is_skipped(self)
     }
@@ -294,8 +292,8 @@ impl<C: damaris_shm::transport::EventChannel<crate::event::Event>> SimWriter
     }
 }
 
-impl<C: damaris_shm::transport::EventChannel<crate::event::Event>> SimHandle for DamarisClient<C> {
-    type Writer = crate::client::BlockWriter<C>;
+impl SimHandle for DamarisClient {
+    type Writer = crate::client::BlockWriter;
 
     fn id(&self) -> usize {
         DamarisClient::id(self)

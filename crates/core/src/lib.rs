@@ -19,13 +19,11 @@
 //!   into the node's shared-memory segment, streamed past the cache for
 //!   blocks ≥ [`damaris_shm::STREAM_MIN`], plus one event post — ~0.1 s for
 //!   typical per-core output, independent of scale (§IV.B);
-//! * events travel over a pluggable **transport**
-//!   ([`damaris_shm::EventChannel`]), selected by the XML
-//!   `<queue kind="mutex|sharded">` attribute (or
-//!   [`node::NodeBuilder::transport`]): `mutex` is the classic bounded
-//!   MPMC queue, `sharded` gives every client its own lock-free SPSC ring
-//!   drained by work-stealing dedicated cores, keeping the post cost flat
-//!   as clients scale;
+//! * events travel over the node's **transport**
+//!   ([`damaris_shm::ShardedChannel`]): every client has its own
+//!   lock-free SPSC ring, drained by work-stealing dedicated cores that
+//!   sleep until a post wakes them, keeping the post cost flat as clients
+//!   scale;
 //! * one or a few dedicated cores run [`server::server_loop`] event loops
 //!   over their transport consumer handle: they index incoming blocks in a
 //!   [`store::VariableStore`], detect iteration completion, and fire user

@@ -1,20 +1,17 @@
 //! Node lifecycle: wiring the segment, event transport, clients and
 //! dedicated cores.
 //!
-//! The transport is selected at build time from the XML
-//! `<queue kind="mutex|sharded">` attribute (see
-//! [`damaris_xml::schema::QueueKind`]) or overridden programmatically via
-//! [`NodeBuilder::transport`]; everything downstream is generic over
-//! [`EventChannel`].
+//! The transport is one [`ShardedChannel`]: a ring per client, sized so
+//! the rings together hold the XML `<queue capacity="…">` events.
 
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
-use damaris_shm::transport::{AnyTransport, EventChannel, TransportKind};
+use damaris_shm::transport::{EventChannel, ShardedChannel};
 use damaris_shm::SharedSegment;
-use damaris_xml::schema::{Configuration, QueueKind};
+use damaris_xml::schema::Configuration;
 use parking_lot::Mutex;
 
 use crate::client::{DamarisClient, StatsRecorder};
@@ -30,7 +27,6 @@ pub struct NodeBuilder {
     clients: Option<usize>,
     node_id: usize,
     output_dir: Option<PathBuf>,
-    transport: Option<TransportKind>,
 }
 
 impl NodeBuilder {
@@ -40,7 +36,6 @@ impl NodeBuilder {
             clients: None,
             node_id: 0,
             output_dir: None,
-            transport: None,
         }
     }
 
@@ -81,13 +76,6 @@ impl NodeBuilder {
         self
     }
 
-    /// Override the event-transport kind (normally taken from the XML
-    /// `<queue kind="…">` attribute).
-    pub fn transport(mut self, kind: TransportKind) -> Self {
-        self.transport = Some(kind);
-        self
-    }
-
     /// Construct the node: allocate the segment and queue, spawn the
     /// dedicated-core threads, pre-create the client handles.
     pub fn build(self) -> DamarisResult<DamarisNode> {
@@ -116,12 +104,11 @@ impl NodeBuilder {
             cfg.architecture.buffer_size,
             &cfg.registry().distinct_byte_sizes(),
         )?;
-        let kind = self.transport.unwrap_or(match cfg.architecture.queue_kind {
-            QueueKind::Mutex => TransportKind::Mutex,
-            QueueKind::Sharded => TransportKind::Sharded,
-        });
-        let transport: AnyTransport<Event> =
-            AnyTransport::for_kind(kind, n_clients, cfg.architecture.queue_capacity);
+        // The queue capacity is split evenly across the clients' rings
+        // (each rounded up to a power of two, at least 8), so aggregate
+        // back-pressure engages at about the configured depth.
+        let per_shard = cfg.architecture.queue_capacity.div_ceil(n_clients).max(8);
+        let transport: ShardedChannel<Event> = ShardedChannel::new(n_clients, per_shard);
 
         let shared = Arc::new(ServerShared::new(
             cfg.clone(),
@@ -207,16 +194,13 @@ pub struct NodeReport {
 /// One SMP node running Damaris: `clients` compute cores plus
 /// `dedicated_cores` data-management cores sharing a memory segment and an
 /// event transport.
-///
-/// Generic over the transport `C` (default: the runtime-selected
-/// [`AnyTransport`]); [`NodeBuilder::build`] always produces the default.
-pub struct DamarisNode<C: EventChannel<Event> = AnyTransport<Event>> {
+pub struct DamarisNode {
     cfg: Arc<Configuration>,
     segment: SharedSegment,
-    transport: C,
+    transport: ShardedChannel<Event>,
     shared: Arc<ServerShared>,
     server_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    clients: Vec<DamarisClient<C>>,
+    clients: Vec<DamarisClient>,
     output_dir: PathBuf,
     /// The auto-registered storage plugin, when `<store>` is declared —
     /// kept so callers can observe the pipeline without digging through
@@ -231,9 +215,7 @@ impl DamarisNode {
     pub fn builder() -> NodeBuilder {
         NodeBuilder::new()
     }
-}
 
-impl<C: EventChannel<Event>> DamarisNode<C> {
     /// The loaded configuration.
     pub fn config(&self) -> &Configuration {
         &self.cfg
@@ -246,12 +228,12 @@ impl<C: EventChannel<Event>> DamarisNode<C> {
 
     /// Owned handles for every client, in id order (move each into its
     /// compute thread).
-    pub fn clients(&self) -> impl Iterator<Item = DamarisClient<C>> + '_ {
+    pub fn clients(&self) -> impl Iterator<Item = DamarisClient> + '_ {
         self.clients.iter().cloned()
     }
 
     /// Handle for one client.
-    pub fn client(&self, id: usize) -> Option<DamarisClient<C>> {
+    pub fn client(&self, id: usize) -> Option<DamarisClient> {
         self.clients.get(id).cloned()
     }
 
@@ -581,113 +563,9 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_session_sharded_transport() {
-        // The same end-to-end flow with <queue kind="sharded">: per-client
-        // rings, one stealing consumer.
-        let xml = XML.replace(
-            "<queue capacity=\"64\"/>",
-            "<queue capacity=\"64\" kind=\"sharded\"/>",
-        );
-        let node = DamarisNode::builder()
-            .config_str(&xml)
-            .unwrap()
-            .clients(3)
-            .build()
-            .unwrap();
-        let stats = Arc::new(StatsPlugin::new());
-        node.register_plugin(stats.clone());
-        let handles: Vec<_> = node
-            .clients()
-            .map(|client| {
-                std::thread::spawn(move || {
-                    for it in 0..5 {
-                        let data = vec![client.id() as f64; 64];
-                        assert_eq!(client.write("u", it, &data).unwrap(), WriteStatus::Written);
-                        assert_eq!(client.write("v", it, &data).unwrap(), WriteStatus::Written);
-                        client.end_iteration(it).unwrap();
-                    }
-                    client.finalize().unwrap();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let report = node.shutdown().unwrap();
-        assert_eq!(report.iterations_completed, 5);
-        assert_eq!(report.skipped_client_iterations, 0);
-        assert!(
-            report.plugin_errors.is_empty(),
-            "{:?}",
-            report.plugin_errors
-        );
-        assert_eq!(stats.iterations_seen(), 5);
-        let s = stats.summary(4, "u").unwrap();
-        assert_eq!(s.count, 192);
-    }
-
-    #[test]
-    fn builder_transport_override_beats_xml() {
-        use damaris_shm::transport::TransportKind;
-        // XML says mutex (default); the builder forces sharded. One
-        // quick session proves the override path works end to end.
-        let node = DamarisNode::builder()
-            .config_str(XML)
-            .unwrap()
-            .clients(2)
-            .transport(TransportKind::Sharded)
-            .build()
-            .unwrap();
-        let stats = Arc::new(StatsPlugin::new());
-        node.register_plugin(stats.clone());
-        for client in node.clients() {
-            client.write("u", 0, &vec![1.0f64; 64]).unwrap();
-            client.end_iteration(0).unwrap();
-            client.finalize().unwrap();
-        }
-        let report = node.shutdown().unwrap();
-        assert_eq!(report.iterations_completed, 1);
-        assert_eq!(stats.iterations_seen(), 1);
-    }
-
-    #[test]
-    fn multiple_dedicated_cores_sharded_transport() {
+    fn multiple_dedicated_cores() {
         // 3 stealing consumers over 4 client shards; completion logic
         // must hold under cross-core racing and stealing.
-        let xml = XML.replace("cores=\"1\"", "cores=\"3\"").replace(
-            "<queue capacity=\"64\"/>",
-            "<queue capacity=\"64\" kind=\"sharded\"/>",
-        );
-        let node = DamarisNode::builder()
-            .config_str(&xml)
-            .unwrap()
-            .clients(4)
-            .build()
-            .unwrap();
-        let stats = Arc::new(StatsPlugin::new());
-        node.register_plugin(stats.clone());
-        let handles: Vec<_> = node
-            .clients()
-            .map(|client| {
-                std::thread::spawn(move || {
-                    for it in 0..20 {
-                        client.write("u", it, &vec![1.0f64; 64]).unwrap();
-                        client.end_iteration(it).unwrap();
-                    }
-                    client.finalize().unwrap();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let report = node.shutdown().unwrap();
-        assert_eq!(report.iterations_completed, 20);
-        assert_eq!(stats.iterations_seen(), 20);
-    }
-
-    #[test]
-    fn multiple_dedicated_cores() {
         let xml = XML.replace("cores=\"1\"", "cores=\"3\"");
         let node = DamarisNode::builder()
             .config_str(&xml)

@@ -32,10 +32,9 @@ const DROP_LOG_HORIZON: u64 = 1024;
 /// the simulation.
 ///
 /// The transport signal arrives as a plain occupancy fraction
-/// ([`damaris_shm::EventProducer::pressure`]) so the policy works
-/// unchanged over any [`damaris_shm::EventChannel`] implementation — for
-/// the sharded transport that number is the *aggregate* occupancy across
-/// every client's shard, not just this client's.
+/// ([`damaris_shm::EventProducer::pressure`]): the *aggregate* occupancy
+/// across every client's shard, floored by this client's own shard so a
+/// full ring engages the policy even while the others are idle.
 #[derive(Debug)]
 pub struct SkipPolicy {
     cfg: SkipConfig,

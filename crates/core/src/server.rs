@@ -4,18 +4,15 @@
 //! indexed blocks, completed iterations and plugin calls, wherever the
 //! dedicated core lives: it indexes blocks, detects iteration completion
 //! (all clients ended the step *and* all announced blocks arrived —
-//! necessary because
-//! several dedicated cores may drain events concurrently, and, with the
-//! sharded transport, because events from different clients may arrive
-//! reordered), fires plugins, and garbage-collects the iteration's shared
-//! memory. Two event sources feed it: [`server_loop`], one per dedicated
-//! core of a thread-world node, drains an [`EventConsumer`] handle of the
-//! node's event transport; [`crate::ProcessServer::serve`] decodes the
-//! envelopes of a process world's client ranks into the same events.
-//!
-//! The loop is transport-agnostic: a mutex [`damaris_shm::MessageQueue`]
-//! and a work-stealing [`damaris_shm::StealingConsumer`] plug in
-//! unchanged.
+//! necessary because several dedicated cores may drain events
+//! concurrently, and because the transport keeps order only per client,
+//! so events from different clients may arrive reordered), fires
+//! plugins, and garbage-collects the iteration's shared memory. Two
+//! event sources feed it: [`server_loop`], one per dedicated core of a
+//! thread-world node, drains that core's work-stealing
+//! [`StealingConsumer`] of the node's event transport;
+//! [`crate::ProcessServer::serve`] decodes the envelopes of a process
+//! world's client ranks into the same events.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
@@ -23,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use damaris_shm::transport::EventConsumer;
+use damaris_shm::transport::{EventConsumer, StealingConsumer};
 use damaris_xml::schema::{Action, Configuration, Trigger};
 use damaris_xml::EventId;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -456,7 +453,7 @@ impl ServerShared {
 }
 
 /// Run one dedicated core until the transport is closed and drained.
-pub fn server_loop<C: EventConsumer<Event>>(shared: Arc<ServerShared>, mut events: C) {
+pub fn server_loop(shared: Arc<ServerShared>, mut events: StealingConsumer<Event>) {
     loop {
         let wait_start = Instant::now();
         let event = match events.recv() {
@@ -472,7 +469,7 @@ mod tests {
     use super::*;
     use crate::plugins::FnPlugin;
     use damaris_shm::transport::{EventChannel, EventProducer, ShardedChannel};
-    use damaris_shm::{MessageQueue, SharedSegment};
+    use damaris_shm::SharedSegment;
     use std::sync::atomic::AtomicUsize;
 
     fn config(actions: &str) -> Arc<Configuration> {
@@ -501,24 +498,16 @@ mod tests {
         }
     }
 
-    /// Drive a server loop synchronously by closing the queue first.
+    /// Drive a server loop synchronously: post each event to its
+    /// source's shard, close the channel, then drain it with one
+    /// stealing consumer.
     fn run_events(shared: &Arc<ServerShared>, events: Vec<Event>) {
-        let queue = MessageQueue::bounded(events.len().max(1));
+        let shards = events.iter().map(Event::source).max().map_or(1, |s| s + 1);
+        let ch: ShardedChannel<Event> = ShardedChannel::new(shards, events.len().max(1));
         for e in events {
-            queue.send(e).unwrap();
+            ch.producer(e.source()).send(e).unwrap();
         }
-        queue.close();
-        server_loop(shared.clone(), queue);
-    }
-
-    /// Same, but through the sharded transport (events keyed by source).
-    fn run_events_sharded(shared: &Arc<ServerShared>, clients: usize, events: Vec<Event>) {
-        let ch: ShardedChannel<Event> = ShardedChannel::new(clients, events.len().max(1));
-        for e in events {
-            let p = ch.producer(e.source());
-            p.send(e).unwrap();
-        }
-        EventChannel::close(&ch);
+        ch.close();
         server_loop(shared.clone(), ch.consumer(0, 1));
     }
 
@@ -806,59 +795,21 @@ mod tests {
     }
 
     #[test]
-    fn iteration_completes_over_sharded_transport() {
-        // The same completion logic must hold when events arrive through
-        // per-client rings drained by a stealing consumer.
-        let cfg = config("");
-        let shared = Arc::new(ServerShared::new(cfg, 0, 2, std::env::temp_dir()));
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f = fired.clone();
-        shared
-            .plugins
-            .write()
-            .push(Arc::new(FnPlugin::new("probe", move |ctx| {
-                assert_eq!(ctx.blocks.len(), 2);
-                f.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            })));
-        let seg = SharedSegment::new(4096).unwrap();
-        run_events_sharded(
-            &shared,
-            2,
-            vec![
-                write_event(&seg, 0, 0),
-                Event::EndIteration {
-                    source: 0,
-                    iteration: 0,
-                    writes: 1,
-                    skipped: false,
-                },
-                write_event(&seg, 0, 1),
-                Event::EndIteration {
-                    source: 1,
-                    iteration: 0,
-                    writes: 1,
-                    skipped: false,
-                },
-            ],
-        );
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert_eq!(shared.iterations_completed.load(Ordering::Relaxed), 1);
-        assert_eq!(seg.used_bytes(), 0, "iteration memory reclaimed");
-    }
-
-    #[test]
     fn finalize_notifies_waiters() {
         let cfg = config("");
         let shared = Arc::new(ServerShared::new(cfg, 0, 2, std::env::temp_dir()));
-        let queue: MessageQueue<Event> = MessageQueue::bounded(8);
+        let ch: ShardedChannel<Event> = ShardedChannel::new(2, 8);
         let s2 = shared.clone();
-        let q2 = queue.clone();
-        let server = std::thread::spawn(move || server_loop(s2, q2));
-        queue.send(Event::ClientFinalize { source: 0 }).unwrap();
-        queue.send(Event::ClientFinalize { source: 1 }).unwrap();
+        let consumer = ch.consumer(0, 1);
+        let server = std::thread::spawn(move || server_loop(s2, consumer));
+        ch.producer(0)
+            .send(Event::ClientFinalize { source: 0 })
+            .unwrap();
+        ch.producer(1)
+            .send(Event::ClientFinalize { source: 1 })
+            .unwrap();
         assert!(shared.wait_all_finalized(std::time::Duration::from_secs(5)));
-        queue.close();
+        ch.close();
         server.join().unwrap();
         assert!(shared.idle_fraction() > 0.0);
     }

@@ -64,7 +64,7 @@ impl fmt::Display for ShmError {
 
 impl std::error::Error for ShmError {}
 
-/// Error returned by blocking [`crate::MessageQueue::send`].
+/// Error returned by blocking [`crate::EventProducer::send`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendError<T>(
     /// The message that could not be delivered (queue closed).
@@ -79,8 +79,8 @@ impl<T> fmt::Display for SendError<T> {
 
 impl<T: fmt::Debug> std::error::Error for SendError<T> {}
 
-/// Error returned by [`crate::MessageQueue::try_send`] and
-/// [`crate::MessageQueue::send_timeout`].
+/// Error returned by [`crate::EventProducer::try_send`] and
+/// [`crate::EventProducer::send_timeout`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TrySendError<T> {
     /// Queue is at capacity; the message is handed back.
@@ -100,7 +100,7 @@ impl<T> fmt::Display for TrySendError<T> {
 
 impl<T: fmt::Debug> std::error::Error for TrySendError<T> {}
 
-/// Error returned by blocking [`crate::MessageQueue::recv`].
+/// Error returned by blocking [`crate::EventConsumer::recv`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
 
@@ -112,8 +112,8 @@ impl fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// Error returned by [`crate::MessageQueue::try_recv`] and
-/// [`crate::MessageQueue::recv_timeout`].
+/// Error returned by [`crate::EventConsumer::try_recv`] and
+/// [`crate::EventConsumer::recv_timeout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TryRecvError {
     /// Queue is currently empty.

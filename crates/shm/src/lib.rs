@@ -25,10 +25,11 @@
 //!   returns the space to the allocator. Freeze, clone and drop keep the
 //!   reference count in a per-slot table inside the segment, so the whole
 //!   steady-state write path performs zero heap allocations.
-//! * [`MessageQueue`] — the bounded shared event queue through which
+//! * [`ShardedChannel`] — the shared event queue through which
 //!   simulation cores notify dedicated cores ("a shared message queue is
 //!   used for the simulation processes to send events to the dedicated
-//!   cores").
+//!   cores"): one lock-free ring per client, drained by work-stealing
+//!   consumers that sleep until a post wakes them (see [`transport`]).
 //!
 //! In the original middleware the segment is a POSIX shared-memory object
 //! shared by the processes of one SMP node. Here a *node* is one OS process
@@ -39,18 +40,21 @@
 //! ## Example
 //!
 //! ```
-//! use damaris_shm::{SharedSegment, MessageQueue};
+//! use damaris_shm::{EventChannel, EventConsumer, EventProducer, ShardedChannel, SharedSegment};
 //!
 //! let seg = SharedSegment::new(1 << 20).unwrap();
-//! let queue = MessageQueue::<(String, damaris_shm::BlockRef)>::bounded(16);
+//! // One client, 16 queued events.
+//! let channel = ShardedChannel::<(String, damaris_shm::BlockRef)>::new(1, 16);
+//! let client = channel.producer(0);
+//! let mut dedicated = channel.consumer(0, 1);
 //!
 //! // Simulation core: allocate, fill, freeze, notify.
 //! let mut block = seg.allocate(8 * 4).unwrap();
 //! block.write_pod(&[1.0f64, 2.0, 3.0, 4.0]);
-//! queue.send(("temperature".to_string(), block.freeze())).unwrap();
+//! client.send(("temperature".to_string(), block.freeze())).unwrap();
 //!
 //! // Dedicated core: receive and read in place, zero copies.
-//! let (name, data) = queue.recv().unwrap();
+//! let (name, data) = dedicated.recv().unwrap();
 //! assert_eq!(name, "temperature");
 //! assert_eq!(data.as_pod::<f64>()[1], 2.0);
 //! drop(data); // space returns to the allocator
@@ -65,7 +69,6 @@ pub mod arena;
 mod copy;
 pub mod error;
 pub mod mapping;
-pub mod queue;
 pub mod segment;
 pub mod spsc;
 pub mod transport;
@@ -73,10 +76,8 @@ pub mod transport;
 pub use copy::STREAM_MIN;
 pub use error::{RecvError, SendError, ShmError, TryRecvError, TrySendError};
 pub use mapping::ShmFile;
-pub use queue::MessageQueue;
 pub use segment::{Block, BlockRef, Pod, SegmentStats, SharedSegment};
 pub use spsc::SpscRing;
 pub use transport::{
-    AnyConsumer, AnyProducer, AnyTransport, EventChannel, EventConsumer, EventProducer,
-    ShardProducer, ShardedChannel, StealingConsumer, TransportKind,
+    EventChannel, EventConsumer, EventProducer, ShardProducer, ShardedChannel, StealingConsumer,
 };

@@ -1,35 +1,52 @@
-//! The event-transport abstraction: how client events reach dedicated
-//! cores.
+//! The event transport: how client events reach dedicated cores.
 //!
-//! Two implementations of [`EventChannel`]:
+//! Paper §III.B: "A shared message queue is used for the simulation
+//! processes to send events to the dedicated cores. These events activate
+//! the user-provided plugins. The message queue is also used for sending
+//! events that inform dedicated cores of the state of the simulation, and
+//! help Damaris adapting its behavior."
 //!
-//! * [`MessageQueue`] — the original bounded mutex+condvar MPMC queue.
-//!   Simple, strictly FIFO across *all* clients, but every post serializes
-//!   on one lock, so event-post cost grows with core count (§IV.B's
-//!   "independent of scale" claim degrades).
-//! * [`ShardedChannel`] — one cache-line-padded lock-free SPSC ring per
-//!   client plus consumer-side work stealing: each dedicated core owns a
-//!   disjoint shard set (`shard % n_cores == core`), drains it first, and
-//!   steals from lagging shards when its own set runs dry. A post touches
-//!   only the client's own ring: one slot write, one release store.
+//! [`ShardedChannel`] is that queue, built so that one client's post never
+//! waits on another's: one cache-line-padded lock-free SPSC ring per
+//! client plus consumer-side work stealing. Each dedicated core owns a
+//! disjoint shard set (`shard % n_cores == core`), drains it first, and
+//! steals from lagging shards when its own set runs dry. A post touches
+//! only the client's own ring (one slot write, one release store) and one
+//! `SeqCst` fence before the doorbell check.
 //!
-//! Both preserve the semantics the middleware relies on: per-client FIFO,
-//! no loss, no duplication, explicit [`EventChannel::close`] with
+//! It keeps the semantics the middleware relies on: per-client FIFO, no
+//! loss, no duplication, explicit [`EventChannel::close`] with
 //! drain-then-error on the consumer side, and blocking/timed/non-blocking
-//! variants on both ends. The mutex queue additionally guarantees global
-//! FIFO, which the server layer deliberately does not require (it already
-//! tolerates cross-client reordering via expected-block accounting).
+//! variants on both ends. Order *across* clients is not kept; the server
+//! layer does not need it (it tolerates cross-client reordering via
+//! expected-block accounting).
 //!
-//! [`AnyTransport`] packages the two behind one concrete type so callers
-//! can pick at runtime from the XML `<queue kind="…">` attribute.
+//! The bound matters: aggregate occupancy is the second backpressure
+//! signal (after segment occupancy) consumed by the iteration-skip policy.
+//!
+//! ## Sleeping
+//!
+//! A consumer with nothing to drain, and a producer whose shard is full,
+//! sleep on a condvar until a doorbell wakes them or their caller's
+//! deadline passes; there is no timed nap. The sleeper takes the sleep
+//! lock, registers in a sleeper count, issues a `SeqCst` fence and
+//! re-checks for work *under the lock* before waiting. The waker makes its
+//! change (push, pop, close, orphan hand-off), issues a `SeqCst` fence,
+//! and notifies under the lock only when the sleeper count is non-zero.
+//! The two fences make the store/load pairs Dekker-ordered: either the
+//! sleeper's re-check sees the change, or the waker sees the sleeper, and
+//! then its notify cannot land before the sleeper waits because the
+//! re-check and the wait happen under the lock it must take. Model-checked
+//! by `transport_doorbell_no_lost_wakeup` (crates/check/tests/models.rs);
+//! moving the re-check before the lock is caught as a deadlock by
+//! `transport_doorbell_recheck_outside_lock_is_caught`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use damaris_sync::{AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
+use damaris_sync::{fence, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 
 use crate::error::{RecvError, SendError, TryRecvError, TrySendError};
-use crate::queue::MessageQueue;
 use crate::spsc::{CachePadded, SpscRing};
 
 /// A transport carrying events from per-client producers to one or more
@@ -98,69 +115,6 @@ pub trait EventConsumer<T: Send>: Send + 'static {
     fn recv_timeout(&mut self, timeout: Duration) -> Result<T, TryRecvError>;
 }
 
-// ---- MessageQueue as the fallback transport ------------------------------
-
-impl<T: Send + 'static> EventChannel<T> for MessageQueue<T> {
-    type Producer = MessageQueue<T>;
-    type Consumer = MessageQueue<T>;
-
-    fn producer(&self, _client: usize) -> Self::Producer {
-        self.clone()
-    }
-
-    fn consumer(&self, _core: usize, _n_cores: usize) -> Self::Consumer {
-        self.clone()
-    }
-
-    fn close(&self) {
-        MessageQueue::close(self);
-    }
-
-    fn is_closed(&self) -> bool {
-        MessageQueue::is_closed(self)
-    }
-
-    fn len(&self) -> usize {
-        MessageQueue::len(self)
-    }
-
-    fn capacity(&self) -> usize {
-        MessageQueue::capacity(self)
-    }
-}
-
-impl<T: Send + 'static> EventProducer<T> for MessageQueue<T> {
-    fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        MessageQueue::send(self, msg)
-    }
-
-    fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-        MessageQueue::try_send(self, msg)
-    }
-
-    fn send_timeout(&self, msg: T, timeout: Duration) -> Result<(), TrySendError<T>> {
-        MessageQueue::send_timeout(self, msg, timeout)
-    }
-
-    fn pressure(&self) -> f64 {
-        MessageQueue::pressure(self)
-    }
-}
-
-impl<T: Send + 'static> EventConsumer<T> for MessageQueue<T> {
-    fn recv(&mut self) -> Result<T, RecvError> {
-        MessageQueue::recv(self)
-    }
-
-    fn try_recv(&mut self) -> Result<T, TryRecvError> {
-        MessageQueue::try_recv(self)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<T, TryRecvError> {
-        MessageQueue::recv_timeout(self, timeout)
-    }
-}
-
 // ---- the sharded transport -----------------------------------------------
 
 /// One client's shard: its ring plus the two access guards.
@@ -187,8 +141,9 @@ struct ShardedInner<T> {
     /// Producers currently asleep waiting for space.
     sleeping_producers: AtomicUsize,
     /// Wakeup channel for sleeping consumers (and producers). The mutex
-    /// protects nothing but the condvar wait itself — the hot send path
-    /// never touches it unless a consumer is actually asleep.
+    /// guards no data: it makes a sleeper's re-check and wait one step
+    /// for the wakers, and the hot send path never takes it unless a
+    /// consumer is actually asleep.
     sleep_lock: Mutex<()>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -274,26 +229,56 @@ impl<T: Send> ShardedChannel<T> {
 }
 
 impl<T> ShardedInner<T> {
-    /// Wake sleeping consumers after a push. Cheap when nobody sleeps.
+    /// Wake sleeping consumers after a push. Cheap when nobody sleeps:
+    /// one fence and one load of a counter only sleepers write.
     fn ring_doorbell(&self) {
-        // The push's Release store orders before this SeqCst load; a
-        // consumer increments `sleeping_consumers` (SeqCst) *before* its
-        // final empty re-scan, so either we observe the sleeper here or
-        // the sleeper's re-scan observes our push.
-        if self.sleeping_consumers.load(Ordering::SeqCst) > 0 {
-            let _g = self.sleep_lock.lock();
-            self.not_empty.notify_all();
-        }
+        self.doorbell(&self.sleeping_consumers, &self.not_empty);
     }
 
     /// Wake sleeping producers after a pop freed a slot.
     fn space_doorbell(&self) {
-        if self.sleeping_producers.load(Ordering::SeqCst) > 0 {
+        self.doorbell(&self.sleeping_producers, &self.not_full);
+    }
+
+    /// The waker's half of the sleep hand-off (see the module docs): the
+    /// fence orders the caller's push or pop before the sleeper-count
+    /// load, pairing with the fence in [`Self::sleep`].
+    fn doorbell(&self, sleepers: &AtomicUsize, cv: &Condvar) {
+        fence(Ordering::SeqCst);
+        if sleepers.load(Ordering::SeqCst) > 0 {
             let _g = self.sleep_lock.lock();
-            self.not_full.notify_all();
+            cv.notify_all();
         }
     }
 
+    /// The sleeper's half: register in `sleepers`, then re-check `ready`
+    /// and wait on `cv` without letting go of the sleep lock in between,
+    /// so a doorbell that misses the re-check still finds the sleeper
+    /// waiting. Waits until notified, or until `deadline` when one is
+    /// given; the caller re-sweeps either way.
+    fn sleep(
+        &self,
+        sleepers: &AtomicUsize,
+        cv: &Condvar,
+        deadline: Option<Instant>,
+        ready: impl FnOnce() -> bool,
+    ) {
+        let mut g = self.sleep_lock.lock();
+        sleepers.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if !ready() {
+            match deadline {
+                Some(d) => {
+                    cv.wait_until(&mut g, d);
+                }
+                None => cv.wait(&mut g),
+            }
+        }
+        sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Close and hand-off notify under the lock, so a sleeper between its
+    /// re-check and its wait cannot miss them.
     fn wake_everyone(&self) {
         let _g = self.sleep_lock.lock();
         self.not_empty.notify_all();
@@ -461,31 +446,15 @@ impl<T: Send> ShardProducer<T> {
                 damaris_sync::hint::spin_loop();
                 continue;
             }
-            self.inner.sleeping_producers.fetch_add(1, Ordering::SeqCst);
-            // Re-check after registering: a pop may have raced us.
-            let shard = &self.inner.shards[self.shard];
-            let full = shard.ring.len() >= shard.ring.capacity();
-            if full && !self.inner.closed.load(Ordering::SeqCst) {
-                let mut g = self.inner.sleep_lock.lock();
-                // Bounded nap: correctness never depends on a wakeup.
-                let nap = Duration::from_micros(200);
-                match deadline {
-                    Some(d) => {
-                        if Instant::now() >= d {
-                            drop(g);
-                            self.inner.sleeping_producers.fetch_sub(1, Ordering::SeqCst);
-                            return Err(TrySendError::Full(value));
-                        }
-                        let until = d.min(Instant::now() + nap);
-                        self.inner.not_full.wait_until(&mut g, until);
-                    }
-                    None => {
-                        self.inner.not_full.wait_for(&mut g, nap);
-                    }
-                }
-            }
-            self.inner.sleeping_producers.fetch_sub(1, Ordering::SeqCst);
             spins = 0;
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(TrySendError::Full(value));
+            }
+            let inner = &self.inner;
+            let ring = &inner.shards[self.shard].ring;
+            inner.sleep(&inner.sleeping_producers, &inner.not_full, deadline, || {
+                ring.len() < ring.capacity() || inner.closed.load(Ordering::SeqCst)
+            });
         }
     }
 }
@@ -619,32 +588,21 @@ impl<T: Send> StealingConsumer<T> {
                 damaris_sync::hint::spin_loop();
                 continue;
             }
-            // Register as sleeping, then re-scan before actually waiting
-            // (the eventcount handshake with `ring_doorbell`).
-            self.inner.sleeping_consumers.fetch_add(1, Ordering::SeqCst);
-            let work_visible = self.inner.shards.iter().any(|s| !s.ring.is_empty())
-                || self.inner.orphan_count.load(Ordering::SeqCst) > 0
-                || self.inner.closed.load(Ordering::SeqCst);
-            if !work_visible {
-                let mut g = self.inner.sleep_lock.lock();
-                let nap = Duration::from_micros(500);
-                match deadline {
-                    Some(d) => {
-                        if Instant::now() >= d {
-                            drop(g);
-                            self.inner.sleeping_consumers.fetch_sub(1, Ordering::SeqCst);
-                            return Err(TryRecvError::Empty);
-                        }
-                        let until = d.min(Instant::now() + nap);
-                        self.inner.not_empty.wait_until(&mut g, until);
-                    }
-                    None => {
-                        self.inner.not_empty.wait_for(&mut g, nap);
-                    }
-                }
-            }
-            self.inner.sleeping_consumers.fetch_sub(1, Ordering::SeqCst);
             spins = 0;
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(TryRecvError::Empty);
+            }
+            let inner = &self.inner;
+            inner.sleep(
+                &inner.sleeping_consumers,
+                &inner.not_empty,
+                deadline,
+                || {
+                    inner.shards.iter().any(|s| !s.ring.is_empty())
+                        || inner.orphan_count.load(Ordering::SeqCst) > 0
+                        || inner.closed.load(Ordering::SeqCst)
+                },
+            );
         }
     }
 }
@@ -653,8 +611,7 @@ impl<T> Drop for StealingConsumer<T> {
     /// Hand any batch-popped but undelivered events to the surviving
     /// consumers. Without this, a consumer dropped mid-batch (e.g. a
     /// dedicated-core thread unwinding out of a panicking plugin) would
-    /// silently destroy events the producers were told were delivered —
-    /// a loss mode the mutex transport does not have.
+    /// silently destroy events the producers were told were delivered.
     fn drop(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -693,199 +650,6 @@ impl<T: Send + 'static> EventConsumer<T> for StealingConsumer<T> {
     fn recv_timeout(&mut self, timeout: Duration) -> Result<T, TryRecvError> {
         // Overflow-safe: absurd timeouts become an untimed wait.
         self.recv_deadline(Instant::now().checked_add(timeout))
-    }
-}
-
-// ---- runtime-selected transport ------------------------------------------
-
-/// Which transport implementation to use, as named by the XML
-/// `<queue kind="…">` attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// The mutex+condvar [`MessageQueue`] (global FIFO, contended posts).
-    #[default]
-    Mutex,
-    /// Per-client SPSC rings with work stealing ([`ShardedChannel`]).
-    Sharded,
-}
-
-impl TransportKind {
-    /// Name used in XML and benchmark tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            TransportKind::Mutex => "mutex",
-            TransportKind::Sharded => "sharded",
-        }
-    }
-}
-
-/// Runtime-selected transport: either implementation behind one concrete
-/// type, so non-generic code paths (builders, FFI-ish surfaces) can defer
-/// the choice to configuration.
-pub enum AnyTransport<T: Send> {
-    /// Mutex-queue transport.
-    Mutex(MessageQueue<T>),
-    /// Sharded SPSC transport.
-    Sharded(ShardedChannel<T>),
-}
-
-impl<T: Send> Clone for AnyTransport<T> {
-    fn clone(&self) -> Self {
-        match self {
-            AnyTransport::Mutex(q) => AnyTransport::Mutex(q.clone()),
-            AnyTransport::Sharded(c) => AnyTransport::Sharded(c.clone()),
-        }
-    }
-}
-
-impl<T: Send + 'static> AnyTransport<T> {
-    /// Build the transport `kind` for `clients` producers with `capacity`
-    /// total queued events. The sharded transport splits the capacity
-    /// evenly across shards (rounding each shard up to a power of two, at
-    /// least 8), so aggregate backpressure engages at a comparable depth
-    /// to the mutex queue.
-    pub fn for_kind(kind: TransportKind, clients: usize, capacity: usize) -> Self {
-        match kind {
-            TransportKind::Mutex => AnyTransport::Mutex(MessageQueue::bounded(capacity)),
-            TransportKind::Sharded => {
-                let clients = clients.max(1);
-                let per_shard = capacity.div_ceil(clients).max(8);
-                AnyTransport::Sharded(ShardedChannel::new(clients, per_shard))
-            }
-        }
-    }
-
-    /// Which kind this transport is.
-    pub fn kind(&self) -> TransportKind {
-        match self {
-            AnyTransport::Mutex(_) => TransportKind::Mutex,
-            AnyTransport::Sharded(_) => TransportKind::Sharded,
-        }
-    }
-}
-
-/// Producer half of [`AnyTransport`].
-pub enum AnyProducer<T: Send> {
-    /// Mutex-queue producer (a queue handle).
-    Mutex(MessageQueue<T>),
-    /// Sharded producer (the client's shard handle).
-    Sharded(ShardProducer<T>),
-}
-
-impl<T: Send> Clone for AnyProducer<T> {
-    fn clone(&self) -> Self {
-        match self {
-            AnyProducer::Mutex(q) => AnyProducer::Mutex(q.clone()),
-            AnyProducer::Sharded(p) => AnyProducer::Sharded(p.clone()),
-        }
-    }
-}
-
-/// Consumer half of [`AnyTransport`].
-pub enum AnyConsumer<T: Send> {
-    /// Mutex-queue consumer (a queue handle).
-    Mutex(MessageQueue<T>),
-    /// Sharded work-stealing consumer.
-    Sharded(StealingConsumer<T>),
-}
-
-impl<T: Send + 'static> EventChannel<T> for AnyTransport<T> {
-    type Producer = AnyProducer<T>;
-    type Consumer = AnyConsumer<T>;
-
-    fn producer(&self, client: usize) -> AnyProducer<T> {
-        match self {
-            AnyTransport::Mutex(q) => AnyProducer::Mutex(EventChannel::producer(q, client)),
-            AnyTransport::Sharded(c) => AnyProducer::Sharded(c.producer(client)),
-        }
-    }
-
-    fn consumer(&self, core: usize, n_cores: usize) -> AnyConsumer<T> {
-        match self {
-            AnyTransport::Mutex(q) => AnyConsumer::Mutex(EventChannel::consumer(q, core, n_cores)),
-            AnyTransport::Sharded(c) => AnyConsumer::Sharded(c.consumer(core, n_cores)),
-        }
-    }
-
-    fn close(&self) {
-        match self {
-            AnyTransport::Mutex(q) => EventChannel::close(q),
-            AnyTransport::Sharded(c) => EventChannel::close(c),
-        }
-    }
-
-    fn is_closed(&self) -> bool {
-        match self {
-            AnyTransport::Mutex(q) => EventChannel::is_closed(q),
-            AnyTransport::Sharded(c) => EventChannel::is_closed(c),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            AnyTransport::Mutex(q) => EventChannel::len(q),
-            AnyTransport::Sharded(c) => EventChannel::len(c),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            AnyTransport::Mutex(q) => EventChannel::capacity(q),
-            AnyTransport::Sharded(c) => EventChannel::capacity(c),
-        }
-    }
-}
-
-impl<T: Send + 'static> EventProducer<T> for AnyProducer<T> {
-    fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        match self {
-            AnyProducer::Mutex(q) => EventProducer::send(q, msg),
-            AnyProducer::Sharded(p) => p.send(msg),
-        }
-    }
-
-    fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-        match self {
-            AnyProducer::Mutex(q) => EventProducer::try_send(q, msg),
-            AnyProducer::Sharded(p) => p.try_send(msg),
-        }
-    }
-
-    fn send_timeout(&self, msg: T, timeout: Duration) -> Result<(), TrySendError<T>> {
-        match self {
-            AnyProducer::Mutex(q) => EventProducer::send_timeout(q, msg, timeout),
-            AnyProducer::Sharded(p) => p.send_timeout(msg, timeout),
-        }
-    }
-
-    fn pressure(&self) -> f64 {
-        match self {
-            AnyProducer::Mutex(q) => EventProducer::pressure(q),
-            AnyProducer::Sharded(p) => p.pressure(),
-        }
-    }
-}
-
-impl<T: Send + 'static> EventConsumer<T> for AnyConsumer<T> {
-    fn recv(&mut self) -> Result<T, RecvError> {
-        match self {
-            AnyConsumer::Mutex(q) => EventConsumer::recv(q),
-            AnyConsumer::Sharded(c) => c.recv(),
-        }
-    }
-
-    fn try_recv(&mut self) -> Result<T, TryRecvError> {
-        match self {
-            AnyConsumer::Mutex(q) => EventConsumer::try_recv(q),
-            AnyConsumer::Sharded(c) => c.try_recv(),
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<T, TryRecvError> {
-        match self {
-            AnyConsumer::Mutex(q) => EventConsumer::recv_timeout(q, timeout),
-            AnyConsumer::Sharded(c) => c.recv_timeout(timeout),
-        }
     }
 }
 
@@ -945,6 +709,16 @@ mod tests {
             Err(TrySendError::Full(3))
         );
         assert_eq!(EventChannel::pressure(&ch), 1.0);
+        let mut c = ch.consumer(0, 1);
+        assert_eq!(c.try_recv(), Ok(1));
+        assert_eq!(c.try_recv(), Ok(2));
+        assert_eq!(c.try_recv(), Err(TryRecvError::Empty));
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn sharded_zero_capacity_panics() {
+        let _ = ShardedChannel::<u8>::new(1, 0);
     }
 
     #[test]
@@ -955,10 +729,17 @@ mod tests {
             c.recv_timeout(Duration::from_millis(5)),
             Err(TryRecvError::Empty)
         );
-        // Degenerate huge timeout must not panic (Instant overflow).
+        // Degenerate huge timeouts must not panic (Instant overflow) and
+        // still succeed when the channel can make progress at once.
         let p = ch.producer(1);
-        p.send(7).unwrap();
+        p.send_timeout(7, Duration::MAX).unwrap();
         assert_eq!(c.recv_timeout(Duration::from_secs(u64::MAX)).unwrap(), 7);
+        // And a huge-timeout waiter wakes on close rather than sleeping on.
+        let ch2 = ch.clone();
+        let waiter = thread::spawn(move || ch2.consumer(0, 1).recv_timeout(Duration::MAX));
+        thread::sleep(Duration::from_millis(20));
+        EventChannel::close(&ch);
+        assert_eq!(waiter.join().unwrap(), Err(TryRecvError::Closed));
     }
 
     #[test]
@@ -1023,35 +804,6 @@ mod tests {
     }
 
     #[test]
-    fn any_transport_for_kind() {
-        let m = AnyTransport::<u32>::for_kind(TransportKind::Mutex, 4, 64);
-        assert_eq!(m.kind(), TransportKind::Mutex);
-        assert_eq!(EventChannel::capacity(&m), 64);
-        let s = AnyTransport::<u32>::for_kind(TransportKind::Sharded, 4, 64);
-        assert_eq!(s.kind(), TransportKind::Sharded);
-        assert_eq!(EventChannel::capacity(&s), 64, "4 shards × 16");
-        let p = s.producer(2);
-        p.send(5).unwrap();
-        assert!(EventChannel::pressure(&s) > 0.0);
-        let mut c = s.consumer(0, 1);
-        assert_eq!(c.recv().unwrap(), 5);
-        EventChannel::close(&s);
-        assert!(EventChannel::is_closed(&s));
-        assert_eq!(c.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn mutex_queue_implements_event_channel() {
-        let q: MessageQueue<u32> = MessageQueue::bounded(4);
-        let p = EventChannel::producer(&q, 0);
-        let mut c = EventChannel::consumer(&q, 0, 1);
-        EventProducer::send(&p, 11).unwrap();
-        assert_eq!(EventConsumer::recv(&mut c).unwrap(), 11);
-        EventChannel::close(&q);
-        assert_eq!(EventConsumer::recv(&mut c), Err(RecvError));
-    }
-
-    #[test]
     fn dropped_consumer_batch_is_adopted_not_lost() {
         // Consumer A batch-pops several events into its local buffer but
         // only delivers one, then dies (plugin panic unwinds the server
@@ -1073,9 +825,8 @@ mod tests {
 
     #[test]
     fn mpmc_no_loss_no_duplication_sharded() {
-        // Mirror of queue.rs's mpmc_no_loss_no_duplication across the
-        // sharded transport: 4 producers × 500 events, 3 stealing
-        // consumers, every event seen exactly once.
+        // 4 producers × 500 events, 3 stealing consumers, every event
+        // seen exactly once.
         const PRODUCERS: usize = 4;
         const CONSUMERS: usize = 3;
         const PER_PRODUCER: usize = 500;
@@ -1111,5 +862,34 @@ mod tests {
         all.sort_unstable();
         let expected: Vec<usize> = (0..PRODUCERS * PER_PRODUCER).collect();
         assert_eq!(all, expected);
+    }
+
+    #[test]
+    fn paced_sends_never_lose_a_wakeup() {
+        // Each send waits for the previous event's ack, so the consumer
+        // runs out of spins and goes to sleep before most sends: each of
+        // them must wake it through the doorbell. The consumer waits
+        // untimed; a lost wakeup parks it, and the watchdog on the acks
+        // reports that instead of hanging the suite.
+        const SENDS: u32 = 5_000;
+        let ch: ShardedChannel<u32> = ShardedChannel::new(1, 8);
+        let mut c = ch.consumer(0, 1);
+        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
+        let consumer = thread::spawn(move || {
+            while let Ok(v) = c.recv() {
+                ack_tx.send(v).unwrap();
+            }
+        });
+        let p = ch.producer(0);
+        let watchdog = Instant::now() + Duration::from_secs(30);
+        for i in 0..SENDS {
+            p.send(i).unwrap();
+            let got = ack_rx
+                .recv_timeout(watchdog.saturating_duration_since(Instant::now()))
+                .unwrap_or_else(|_| panic!("event {i} never arrived (lost wakeup?)"));
+            assert_eq!(got, i);
+        }
+        EventChannel::close(&ch);
+        consumer.join().unwrap();
     }
 }

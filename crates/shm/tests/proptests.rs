@@ -1,6 +1,6 @@
 //! Property tests for the segment allocator and the message queue.
 
-use damaris_shm::{Block, MessageQueue, SharedSegment};
+use damaris_shm::{Block, SharedSegment};
 use proptest::prelude::*;
 
 /// A scripted allocator operation.
@@ -81,21 +81,6 @@ proptest! {
         let r = b.freeze();
         let back: Vec<u64> = r.as_pod::<f64>().iter().map(|f| f.to_bits()).collect();
         prop_assert_eq!(back, data);
-    }
-
-    /// Single-threaded queue use preserves exact FIFO content.
-    #[test]
-    fn queue_fifo(content in proptest::collection::vec(any::<u32>(), 0..128)) {
-        let q = MessageQueue::bounded(content.len().max(1));
-        for &x in &content {
-            q.send(x).unwrap();
-        }
-        q.close();
-        let mut out = Vec::new();
-        while let Ok(x) = q.recv() {
-            out.push(x);
-        }
-        prop_assert_eq!(out, content);
     }
 }
 

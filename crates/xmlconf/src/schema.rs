@@ -321,33 +321,33 @@ impl Default for SkipConfig {
     }
 }
 
-/// Which event-transport implementation carries client events to the
-/// dedicated cores (`<queue kind="…">`).
+/// The event transport that carries client events to the dedicated cores
+/// (`<queue kind="…">`). One remains; the type and the attribute stay so
+/// configurations that name it keep parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
-    /// The bounded mutex+condvar MPMC queue (global FIFO; posts contend
-    /// on one lock). The default, matching the original middleware.
-    #[default]
-    Mutex,
     /// One lock-free SPSC ring per client, drained by work-stealing
     /// dedicated cores. Event-post cost stays flat as clients scale.
+    #[default]
     Sharded,
 }
 
 impl QueueKind {
     /// Parse the `kind="…"` attribute.
     pub fn parse(s: &str) -> XmlResult<Self> {
-        Ok(match s.trim() {
-            "mutex" => QueueKind::Mutex,
-            "sharded" => QueueKind::Sharded,
-            other => return Err(XmlError::schema(format!("unknown queue kind '{other}'"))),
-        })
+        match s.trim() {
+            "sharded" => Ok(QueueKind::Sharded),
+            "mutex" => Err(XmlError::schema(
+                "queue kind 'mutex' was removed; the sharded transport is the only one \
+                 (drop the kind attribute or write kind=\"sharded\")",
+            )),
+            other => Err(XmlError::schema(format!("unknown queue kind '{other}'"))),
+        }
     }
 
     /// Canonical name for serialization.
     pub fn name(self) -> &'static str {
         match self {
-            QueueKind::Mutex => "mutex",
             QueueKind::Sharded => "sharded",
         }
     }
@@ -493,10 +493,10 @@ pub struct Architecture {
     pub clients: usize,
     /// Shared-memory segment capacity in bytes.
     pub buffer_size: usize,
-    /// Event queue capacity in messages (aggregate across shards for the
-    /// sharded transport).
+    /// Event queue capacity in messages, aggregate across the clients'
+    /// rings.
     pub queue_capacity: usize,
-    /// Event-transport implementation.
+    /// Event-transport implementation (there is one).
     pub queue_kind: QueueKind,
     /// Rank realization: threads in one process, or one OS process per
     /// rank over the socket transport.
@@ -784,8 +784,7 @@ impl Configuration {
             )
             .with_child(
                 Element::new("queue")
-                    .with_attr("capacity", self.architecture.queue_capacity.to_string())
-                    .with_attr("kind", self.architecture.queue_kind.name()),
+                    .with_attr("capacity", self.architecture.queue_capacity.to_string()),
             )
             .with_child({
                 let mut we =
@@ -1254,8 +1253,8 @@ mod tests {
         assert_eq!(cfg.architecture.queue_capacity, 256);
         assert_eq!(
             cfg.architecture.queue_kind,
-            QueueKind::Mutex,
-            "kind defaults to mutex"
+            QueueKind::Sharded,
+            "kind defaults to sharded"
         );
         assert_eq!(cfg.architecture.skip.mode, SkipMode::DropIteration);
         assert_eq!(cfg.variables.len(), 3);
@@ -1378,14 +1377,14 @@ mod tests {
         let cfg = Configuration::from_str(xml).unwrap();
         assert_eq!(cfg.architecture.queue_kind, QueueKind::Sharded);
         assert_eq!(cfg.architecture.queue_capacity, 128);
-        // kind="…" survives serialize → parse.
-        let back = Configuration::from_str(&cfg.to_xml()).unwrap();
-        assert_eq!(back.architecture.queue_kind, QueueKind::Sharded);
+        // Serialization leaves the one kind implicit; it parses back.
+        let text = cfg.to_xml();
+        assert!(!text.contains("kind=\"sharded\""), "{text}");
+        let back = Configuration::from_str(&text).unwrap();
         assert_eq!(back, cfg);
-        // Explicit mutex also round-trips; junk is rejected.
-        let xml = xml.replace("sharded", "mutex");
-        let cfg = Configuration::from_str(&xml).unwrap();
-        assert_eq!(cfg.architecture.queue_kind, QueueKind::Mutex);
+        // The removed mutex kind is an error that says so; junk too.
+        let err = Configuration::from_str(&xml.replace("sharded", "mutex")).unwrap_err();
+        assert!(err.to_string().contains("'mutex' was removed"), "{err}");
         let bad = Configuration::from_str(
             r#"<simulation><architecture><queue kind="warp"/></architecture></simulation>"#,
         );

@@ -7,9 +7,9 @@ Usage:
                               [--bound "metric<=1.10"] [--bound "metric>=4.0"]
 
 Both files must be records produced by the `damaris_bench` bench targets
-(`BENCH_transport.json`, `BENCH_storage.json`, …): an object with a
+(`BENCH_storage.json`, `BENCH_serve.json`, …): an object with a
 "samples" array of flat objects. Samples are matched on their identity
-keys (strings and integers, e.g. transport + clients); floats
+keys (strings and integers, e.g. series + pipeline); floats
 are metrics.
 
 Gating tiers — absolute timings are machine-dependent (a committed

@@ -9,7 +9,6 @@ set -u
 
 MIGRATED=(
   crates/shm/src/spsc.rs
-  crates/shm/src/queue.rs
   crates/shm/src/arena.rs
   crates/shm/src/segment.rs
   crates/shm/src/transport.rs

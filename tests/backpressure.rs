@@ -24,13 +24,23 @@ fn config(mode: &str) -> String {
     )
 }
 
+/// How the clients pace their dumps.
+#[derive(Clone, Copy)]
+enum Pace {
+    /// Dump back to back, as fast as the client can write.
+    BackToBack,
+    /// Before dumping iteration `it`, wait until the node has completed
+    /// `it - 1` and its segment and queue are empty again.
+    Quiet,
+}
+
 /// Returns the wall time, the slowest single client write in seconds and
 /// the node's report.
 fn run(
     mode: &str,
     iterations: u64,
     plugin_ms: u64,
-    compute_ms: u64,
+    pace: Pace,
 ) -> (f64, f64, damaris::core::node::NodeReport) {
     let node = DamarisNode::builder()
         .config_str(&config(mode))
@@ -49,39 +59,56 @@ fn run(
     // blocks of iterations that cannot complete without the laggard — a
     // genuine deadlock until the 60 s allocation timeout, seen on
     // single-core runners.
-    let barrier = Arc::new(std::sync::Barrier::new(2));
+    let barrier = std::sync::Barrier::new(2);
     let t0 = Instant::now();
-    let handles: Vec<_> = node
-        .clients()
-        .map(|client| {
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                let data = vec![2.5f64; 2048];
-                for it in 0..iterations {
-                    // Stand-in for the compute phase between dumps.
-                    if compute_ms > 0 {
-                        std::thread::sleep(Duration::from_millis(compute_ms));
+    let worst_write = std::thread::scope(|s| {
+        let handles: Vec<_> = node
+            .clients()
+            .map(|client| {
+                let (node, barrier) = (&node, &barrier);
+                s.spawn(move || {
+                    let data = vec![2.5f64; 2048];
+                    for it in 0..iterations {
+                        if let Pace::Quiet = pace {
+                            wait_until_quiet(node, it);
+                        }
+                        barrier.wait();
+                        client.write("field", it, &data).expect("write");
+                        client.end_iteration(it).expect("end");
                     }
-                    barrier.wait();
-                    client.write("field", it, &data).expect("write");
-                    client.end_iteration(it).expect("end");
-                }
-                client.finalize().expect("finalize");
-                client.stats().max_write_seconds
+                    client.finalize().expect("finalize");
+                    client.stats().max_write_seconds
+                })
             })
-        })
-        .collect();
-    let worst_write = handles
-        .into_iter()
-        .map(|h| h.join().expect("client"))
-        .fold(0.0, f64::max);
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .fold(0.0, f64::max)
+    });
     let report = node.shutdown().expect("shutdown");
     (t0.elapsed().as_secs_f64(), worst_write, report)
 }
 
+/// Wait until `node` has completed every iteration before `it` and holds
+/// no block and no queued event.
+fn wait_until_quiet(node: &DamarisNode, it: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while node.iterations_completed() < it
+        || node.segment_occupancy() > 0.0
+        || node.queue_pressure() > 0.0
+    {
+        assert!(
+            Instant::now() < deadline,
+            "node never went quiet before iteration {it}"
+        );
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn drop_mode_skips_under_pressure_and_keeps_sim_fast() {
-    let (wall, _, report) = run("drop-iteration", 60, 10, 0);
+    let (wall, _, report) = run("drop-iteration", 60, 10, Pace::BackToBack);
     assert!(
         report.skipped_client_iterations > 0,
         "slow plugin must force skips: {report:?}"
@@ -105,7 +132,7 @@ fn slow_plugin_leaves_client_writes_at_memcpy_cost() {
     // so every recorded write is allocation + copy + publish. The bound
     // allows scheduler noise; a write near the plugin's cost would mean
     // the write path is coupled to it.
-    let (_, worst_write, report) = run("drop-iteration", 20, 10, 0);
+    let (_, worst_write, report) = run("drop-iteration", 20, 10, Pace::BackToBack);
     assert_eq!(report.iterations_completed, 20);
     assert!(
         worst_write > 0.0,
@@ -119,18 +146,20 @@ fn slow_plugin_leaves_client_writes_at_memcpy_cost() {
 
 #[test]
 fn block_mode_loses_nothing() {
-    let (_, _, report) = run("block", 30, 5, 0);
+    let (_, _, report) = run("block", 30, 5, Pace::BackToBack);
     assert_eq!(report.skipped_client_iterations, 0);
     assert_eq!(report.iterations_completed, 30);
 }
 
 #[test]
 fn quiet_runs_never_skip_in_drop_mode() {
-    // Fast plugin AND a real compute phase between dumps: the dedicated
-    // core keeps up, so drop mode behaves exactly like block mode. (With
-    // zero compute time an infinitely fast producer must skip — that case
-    // is covered above.)
-    let (_, _, report) = run("drop-iteration", 20, 0, 2);
+    // Quiet by construction: every dump waits until the previous
+    // iteration completed and the segment and queue drained, so at most
+    // one slab per client (2 of 8) and two events per client are ever in
+    // flight, below the 0.5 watermark. Drop mode then behaves exactly like
+    // block mode. (With no pacing an infinitely fast producer must skip —
+    // that case is covered above.)
+    let (_, _, report) = run("drop-iteration", 20, 0, Pace::Quiet);
     assert_eq!(report.skipped_client_iterations, 0);
     assert_eq!(report.iterations_completed, 20);
 }
