@@ -4,11 +4,11 @@
 //! Measures, over a 2-rank world with 64-byte payloads:
 //!
 //! * **post latency** — mean nanoseconds a rank spends inside `send`
-//!   (the *sim-visible* cost: for the socket world this is envelope
-//!   encode + hand-off to the per-peer writer thread, not wire time);
+//!   (the *sim-visible* cost: for the socket world this is the envelope
+//!   hand-off to the rank's mesh thread, not wire time);
 //! * **roundtrip latency** — mean nanoseconds for send + matched receive
-//!   of the reply (the full delivery path: framing, socket, demux reader,
-//!   mailbox wakeup).
+//!   of the reply (the full delivery path: mesh-thread wakeup, framing,
+//!   socket, demux, mailbox wakeup).
 //!
 //! Prints a table and records `BENCH_mpi_transport.json` at the workspace
 //! root. The `processes` numbers calibrate the cluster DES's socket

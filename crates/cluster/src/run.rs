@@ -24,8 +24,8 @@ const SHARDED_POST_SECONDS: f64 = 25e-9;
 /// `shm_seconds`).
 const ALLOC_SECONDS: f64 = 30e-9;
 /// Modeled sim-visible cost of posting one event in the process world:
-/// envelope encode plus hand-off to the per-peer socket writer thread —
-/// the wire write itself is asynchronous, so a post is cheap. Calibrated
+/// the envelope hand-off to the rank's socket mesh thread — the wire
+/// write itself is asynchronous, so a post is cheap. Calibrated
 /// against
 /// `benches/mpi_transport.rs` (`BENCH_mpi_transport.json`,
 /// `world = processes`, `post_ns` ≈ 150 ns). Flat in the client count:
@@ -33,7 +33,7 @@ const ALLOC_SECONDS: f64 = 30e-9;
 const UDS_POST_SECONDS: f64 = 150e-9;
 /// Modeled cost of the per-dump iteration acknowledgement in the process
 /// world: the end-of-iteration descriptor's round trip over the socket
-/// (framing, socket hop, demux reader, mailbox wakeup — twice). This is
+/// (framing, socket hop, mesh-thread demux, mailbox wakeup — twice). This is
 /// where the process boundary actually costs: calibrated against the
 /// same bench's `roundtrip_ns` ≈ 19 µs, ~7× the in-process condvar
 /// roundtrip.
@@ -217,8 +217,8 @@ fn run_damaris(
     // client).
     let shm_seconds = bytes_per_client as f64 / platform.shm_bw;
     // In the thread world an event post is a push into the client's own
-    // ring; in the process world a post is an enqueue to the socket
-    // writer thread (one connection per client), and the real boundary
+    // ring; in the process world a post is an enqueue to the rank's
+    // socket mesh thread (one connection per client), and the real boundary
     // cost is the descriptor round trip per dump for the iteration
     // acknowledgement the cross-process free protocol needs. Both are
     // flat in the client count.

@@ -51,6 +51,9 @@
 pub mod comm;
 pub mod datatype;
 pub mod socket;
+// The poll(2)/eventfd(2) shim: `damaris_serve`'s file, compiled here too.
+#[path = "../../serve/src/sys.rs"]
+mod sys;
 pub mod testutil;
 pub mod world;
 

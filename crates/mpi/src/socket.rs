@@ -37,11 +37,20 @@
 //!
 //! Every message is one length-prefixed frame: `[u32 body_len][u8 kind]`
 //! followed by the body. Data frames carry `(seq, ctx, src, tag,
-//! payload)` — the in-process `Envelope` plus a per-link sequence number
-//! — and are demuxed by a per-peer reader thread into the local rank's
-//! mailbox. Sends go through a per-peer writer thread (a queue in
-//! between), so `send` keeps its eager, never-blocking semantics even
-//! when a socket back-pressures.
+//! payload)` — the in-process `Envelope` plus a per-link sequence number.
+//! One parser, `decode_frame`, reads every frame, blocking or not.
+//!
+//! ## The mesh thread
+//!
+//! Each rank runs one thread, `mini-mpi-mesh-<rank>`. It owns the
+//! listener, every peer connection (nonblocking) and all link state, and
+//! blocks only in `poll(2)` until a socket is ready or the next ping or
+//! deadline. Application threads reach it through one command queue plus
+//! an eventfd waker, so `send` never blocks, even when a socket
+//! back-pressures. Link state is plain data advanced by explicit events
+//! (a frame, a tick, a lost or fresh connection). Only a redial's
+//! `connect`, which a remote host can make block, runs on a short-lived
+//! thread.
 //!
 //! ## Failure semantics
 //!
@@ -66,20 +75,18 @@
 //! * only a broken stream — a sequence gap, an unexpected frame — poisons
 //!   the mailbox, failing every pending and future receive.
 //!
-//! Per rank the mesh runs a reader and a writer thread per peer plus one
-//! monitor thread, which pings, checks timeouts and accepts reconnects.
-//!
 //! ## Teardown
 //!
 //! When a rank's program finishes it reports its result to the parent
-//! over an out-of-band control connection, flushes a `Goodbye` frame to
-//! every peer, and only closes its sockets after receiving every live
-//! peer's `Goodbye` — a teardown barrier that guarantees no rank
-//! observes an end-of-stream while envelopes are still in flight.
+//! over an out-of-band control connection; its mesh thread then sends a
+//! `Goodbye` to every peer and only closes its sockets after receiving
+//! every live peer's `Goodbye` — a teardown barrier that guarantees no
+//! rank observes an end-of-stream while envelopes are still in flight.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -87,9 +94,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::comm::Comm;
+use crate::sys::{self, EventFd, PollFd, POLLIN, POLLOUT};
 use crate::world::{Envelope, Mailbox, SpawnOutcome, Transport, WorldInner};
 use crate::{SpawnError, SpawnOptions};
 
@@ -129,20 +137,6 @@ pub(crate) enum Stream {
 }
 
 impl Stream {
-    fn try_clone(&self) -> io::Result<Stream> {
-        Ok(match self {
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-        })
-    }
-
-    fn shutdown(&self) {
-        let _ = match self {
-            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-
     fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
         match self {
             Stream::Unix(s) => s.set_read_timeout(dur),
@@ -154,6 +148,15 @@ impl Stream {
         match self {
             Stream::Unix(s) => s.set_nonblocking(nb),
             Stream::Tcp(s) => s.set_nonblocking(nb),
+        }
+    }
+}
+
+impl AsRawFd for Stream {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Stream::Unix(s) => s.as_raw_fd(),
+            Stream::Tcp(s) => s.as_raw_fd(),
         }
     }
 }
@@ -199,6 +202,15 @@ impl Listener {
         match self {
             Listener::Unix(l) => l.set_nonblocking(nb),
             Listener::Tcp(l) => l.set_nonblocking(nb),
+        }
+    }
+}
+
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Unix(l) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
         }
     }
 }
@@ -276,6 +288,15 @@ pub(crate) fn tcp_connect_retry(addr: &str, deadline: Instant) -> io::Result<Str
             }
         }
         std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Dial rank `peer`'s mesh endpoint until `deadline`: its seed-mode
+/// address when there is one, else its endpoint in the rendezvous `dir`.
+fn dial(addr: &Option<String>, dir: &Path, peer: usize, deadline: Instant) -> io::Result<Stream> {
+    match addr {
+        Some(addr) => tcp_connect_retry(addr, deadline),
+        None => connect_endpoint(dir, &format!("r{peer}"), deadline),
     }
 }
 
@@ -447,786 +468,810 @@ pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.flush()
 }
 
-fn read_u32(buf: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(buf[at..at + 4].try_into().unwrap())
+fn malformed(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
 }
 
-fn read_u64(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().unwrap())
-}
+/// A frame body being parsed, one field at a time off the front.
+struct Fields<'a>(&'a [u8]);
 
-fn read_string(buf: &[u8], at: usize) -> Option<(String, usize)> {
-    if buf.len() < at + 4 {
-        return None;
+impl<'a> Fields<'a> {
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
+        if self.0.len() < n {
+            return Err(malformed("frame body shorter than its fields"));
+        }
+        let (field, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(field)
     }
-    let len = read_u32(buf, at) as usize;
-    if buf.len() < at + 4 + len {
-        return None;
+
+    fn u32(&mut self) -> io::Result<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("took 4 bytes"),
+        ))
     }
-    let s = String::from_utf8(buf[at + 4..at + 4 + len].to_vec()).ok()?;
-    Some((s, at + 4 + len))
+
+    fn u64(&mut self) -> io::Result<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("took 8 bytes"),
+        ))
+    }
+
+    /// A `u32` length, then that many bytes.
+    fn bytes(&mut self) -> io::Result<&'a [u8]> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    fn string(&mut self) -> io::Result<String> {
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| malformed("string is not UTF-8"))
+    }
 }
 
+/// Read one whole frame from a blocking stream.
 pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
-    let mut head = [0u8; 5];
-    r.read_exact(&mut head)?;
-    let body_len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
-    let kind = head[4];
-    // The length prefix is untrusted: validate before allocating, so a
-    // corrupted byte yields a clean "malformed frame" poison instead of
-    // a multi-gigabyte allocation.
+    let mut buf = vec![0u8; 5];
+    r.read_exact(&mut buf)?;
+    // Decoding the bare head validates the length before the body is
+    // allocated.
+    if decode_frame(&buf)?.is_none() {
+        buf.resize(5 + Fields(&buf).u32()? as usize, 0);
+        r.read_exact(&mut buf[5..])?;
+    }
+    let frame = decode_frame(&buf)?.map(|(frame, _)| frame);
+    frame.ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
+}
+
+/// Decode the frame at the front of `buf`: `Ok(None)` while it is still
+/// incomplete, otherwise the frame and the bytes it took. Every byte is
+/// untrusted: the length prefix is checked against [`MAX_FRAME_BODY`]
+/// before anything waits for (or allocates) the body, and every length
+/// inside it against the bytes that are there.
+pub(crate) fn decode_frame(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
+    let Some(head) = buf.get(..5) else {
+        return Ok(None);
+    };
+    let body_len = Fields(head).u32()? as usize;
     if body_len > MAX_FRAME_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame body of {body_len} bytes exceeds the frame limit"),
-        ));
+        return Err(malformed("frame body exceeds the frame limit"));
     }
-    let mut body = vec![0u8; body_len];
-    r.read_exact(&mut body)?;
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    match kind {
-        KIND_DATA => {
-            if body.len() < 32 {
-                return Err(bad("short data frame"));
-            }
-            let seq = read_u64(&body, 0);
-            let ctx = read_u64(&body, 8);
-            let src = read_u32(&body, 16) as usize;
-            let tag = read_u64(&body, 20);
-            let len = read_u32(&body, 28) as usize;
-            if body.len() != 32 + len {
-                return Err(bad("data frame length mismatch"));
-            }
-            Ok(Frame::Data {
-                seq,
-                env: Envelope {
-                    ctx,
-                    src,
-                    tag,
-                    payload: Bytes::copy_from_slice(&body[32..]),
-                },
-            })
-        }
-        KIND_GOODBYE => {
-            if body.len() != 8 {
-                return Err(bad("bad goodbye frame"));
-            }
-            Ok(Frame::Goodbye {
-                seq: read_u64(&body, 0),
-            })
-        }
-        KIND_HELLO => {
-            if body.len() != 4 {
-                return Err(bad("bad hello frame"));
-            }
-            Ok(Frame::Hello {
-                rank: read_u32(&body, 0),
-            })
-        }
-        KIND_RESULT => {
-            if body.len() < 8 {
-                return Err(bad("short result frame"));
-            }
-            let rank = read_u32(&body, 0);
-            let len = read_u32(&body, 4) as usize;
-            if body.len() != 8 + len {
-                return Err(bad("result frame length mismatch"));
-            }
-            Ok(Frame::Result {
-                rank,
-                data: body[8..].to_vec(),
-            })
-        }
-        KIND_PING => {
-            if body.len() != 8 {
-                return Err(bad("bad ping frame"));
-            }
-            Ok(Frame::Ping {
-                acked: read_u64(&body, 0),
-            })
-        }
-        KIND_PONG => {
-            if body.len() != 8 {
-                return Err(bad("bad pong frame"));
-            }
-            Ok(Frame::Pong {
-                acked: read_u64(&body, 0),
-            })
-        }
-        KIND_DEATH => {
-            if body.len() != 12 {
-                return Err(bad("bad death frame"));
-            }
-            Ok(Frame::Death {
-                seq: read_u64(&body, 0),
-                rank: read_u32(&body, 8),
-            })
-        }
-        KIND_RECONNECT => {
-            if body.len() != 12 {
-                return Err(bad("bad reconnect frame"));
-            }
-            Ok(Frame::Reconnect {
-                rank: read_u32(&body, 0),
-                next_expected: read_u64(&body, 4),
-            })
-        }
-        KIND_RECONNECT_ACK => {
-            if body.len() != 8 {
-                return Err(bad("bad reconnect-ack frame"));
-            }
-            Ok(Frame::ReconnectAck {
-                next_expected: read_u64(&body, 0),
-            })
-        }
-        KIND_REGISTER => {
-            if body.len() < 8 {
-                return Err(bad("short register frame"));
-            }
-            let rank = read_u32(&body, 0);
-            let Some((addr, end)) = read_string(&body, 4) else {
-                return Err(bad("bad register frame"));
-            };
-            if end != body.len() {
-                return Err(bad("register frame length mismatch"));
-            }
-            Ok(Frame::Register { rank, addr })
-        }
+    let Some(body) = buf.get(5..5 + body_len) else {
+        return Ok(None);
+    };
+    // Struct fields evaluate in the order written, which is wire order.
+    let mut f = Fields(body);
+    let frame = match head[4] {
+        KIND_DATA => Frame::Data {
+            seq: f.u64()?,
+            env: Envelope {
+                ctx: f.u64()?,
+                src: f.u32()? as usize,
+                tag: f.u64()?,
+                payload: Bytes::copy_from_slice(f.bytes()?),
+            },
+        },
+        KIND_GOODBYE => Frame::Goodbye { seq: f.u64()? },
+        KIND_HELLO => Frame::Hello { rank: f.u32()? },
+        KIND_RESULT => Frame::Result {
+            rank: f.u32()?,
+            data: f.bytes()?.to_vec(),
+        },
+        KIND_PING => Frame::Ping { acked: f.u64()? },
+        KIND_PONG => Frame::Pong { acked: f.u64()? },
+        KIND_DEATH => Frame::Death {
+            seq: f.u64()?,
+            rank: f.u32()?,
+        },
+        KIND_RECONNECT => Frame::Reconnect {
+            rank: f.u32()?,
+            next_expected: f.u64()?,
+        },
+        KIND_RECONNECT_ACK => Frame::ReconnectAck {
+            next_expected: f.u64()?,
+        },
+        KIND_REGISTER => Frame::Register {
+            rank: f.u32()?,
+            addr: f.string()?,
+        },
         KIND_TABLE => {
-            if body.len() < 4 {
-                return Err(bad("short table frame"));
-            }
-            let n = read_u32(&body, 0) as usize;
-            let mut addrs = Vec::with_capacity(n.min(4096));
-            let mut at = 4;
-            for _ in 0..n {
-                let Some((addr, next)) = read_string(&body, at) else {
-                    return Err(bad("bad table frame"));
-                };
-                addrs.push(addr);
-                at = next;
-            }
-            if at != body.len() {
-                return Err(bad("table frame length mismatch"));
-            }
-            Ok(Frame::Table { addrs })
+            let count = f.u32()?;
+            let addrs = (0..count).map(|_| f.string()).collect::<io::Result<_>>()?;
+            Frame::Table { addrs }
         }
-        other => Err(bad(&format!("unknown frame kind {other}"))),
+        other => return Err(malformed(&format!("unknown frame kind {other}"))),
+    };
+    if !f.0.is_empty() {
+        return Err(malformed("frame body longer than its fields"));
     }
+    Ok(Some((frame, 5 + body_len)))
 }
 
 // ---------------------------------------------------------------------------
 // Peer links
 // ---------------------------------------------------------------------------
 
-/// Per-link send-side state, guarded by `Link::q`.
-struct LinkQ {
-    /// Unsequenced control frames (pings, pongs, reconnect acks); always
-    /// written before sequenced traffic.
-    ctrl: VecDeque<Frame>,
-    /// Sequenced frames not yet acknowledged by the peer. The first
-    /// `sent` entries are on the current stream; the rest await
-    /// transmission (or retransmission after a reconnect).
-    unacked: VecDeque<(u64, Frame)>,
-    /// How many of `unacked` have been written to the current stream.
-    sent: usize,
-    /// Next outgoing sequence number.
-    next_seq_out: u64,
-    /// The live connection's write half; `None` while the link is down.
-    stream: Option<Stream>,
-    /// Bumped on every (re)connection, so a stale reader or writer error
-    /// cannot tear down a fresh stream.
-    generation: u64,
-    /// Local teardown: the writer exits once the queues are drained.
-    closed: bool,
-}
-
-/// One peer link: queue, receive cursor, liveness bookkeeping.
+/// One peer link's protocol state, owned by the mesh thread. Its
+/// transitions take no socket: each consumes a frame, a tick or a
+/// connection event, and frames to answer with go to `out`.
 struct Link {
     peer: usize,
-    q: Mutex<LinkQ>,
-    cv: Condvar,
-    /// Receive cursor: sequence number expected next from this peer.
-    /// Frames below it are duplicates (dropped after a retransmit).
-    next_expected_in: AtomicU64,
-    /// Milliseconds (mesh epoch) of the last inbound frame.
-    last_heard: AtomicU64,
-    /// Milliseconds+1 of an EOF-without-goodbye awaiting reconnect;
-    /// 0 = none pending.
-    eof_at: AtomicU64,
-    dead: AtomicBool,
-    goodbye_seen: AtomicBool,
+    next_seq_out: u64,
+    /// Sequenced frames (`Data`, `Goodbye`, `Death`) the peer has not
+    /// acknowledged; the first `sent` are on the current connection.
+    unacked: VecDeque<(u64, Frame)>,
+    sent: usize,
+    /// Receive cursor: frames below it are duplicates of delivered ones.
+    next_expected_in: u64,
+    last_heard: Instant,
+    /// When the connection closed without a goodbye; a reconnect clears it.
+    eof_at: Option<Instant>,
+    /// A connection is installed and past its handshake.
+    up: bool,
+    dead: bool,
+    goodbye_seen: bool,
 }
+
+/// The sequenced frame an inbound frame delivers, if any, or why the
+/// stream is broken.
+type Delivery = Result<Option<Frame>, String>;
 
 impl Link {
-    fn new(peer: usize) -> Link {
+    /// A link whose connection the rendezvous has just made.
+    fn new(peer: usize, now: Instant) -> Link {
         Link {
             peer,
-            q: Mutex::new(LinkQ {
-                ctrl: VecDeque::new(),
-                unacked: VecDeque::new(),
-                sent: 0,
-                next_seq_out: 0,
-                stream: None,
-                generation: 0,
-                closed: false,
-            }),
-            cv: Condvar::new(),
-            next_expected_in: AtomicU64::new(0),
-            last_heard: AtomicU64::new(0),
-            eof_at: AtomicU64::new(0),
-            dead: AtomicBool::new(false),
-            goodbye_seen: AtomicBool::new(false),
+            next_seq_out: 0,
+            unacked: VecDeque::new(),
+            sent: 0,
+            next_expected_in: 0,
+            last_heard: now,
+            eof_at: None,
+            up: true,
+            dead: false,
+            goodbye_seen: false,
         }
+    }
+
+    /// Queue a sequenced frame; dropped when the peer is dead.
+    fn send(&mut self, build: impl FnOnce(u64) -> Frame) {
+        if !self.dead {
+            let seq = self.next_seq_out;
+            self.unacked.push_back((seq, build(seq)));
+            self.next_seq_out += 1;
+        }
+    }
+
+    /// The sequenced frames not yet on the current connection, now counted
+    /// as sent; none while the link is down.
+    fn unsent(&mut self) -> impl Iterator<Item = &Frame> {
+        let from = self.sent;
+        if self.up {
+            self.sent = self.unacked.len();
+        }
+        self.unacked.range(from..self.sent).map(|(_, frame)| frame)
+    }
+
+    /// Forget the frames below `acked`, the peer's receive cursor.
+    fn apply_ack(&mut self, acked: u64) {
+        while self.unacked.front().is_some_and(|&(seq, _)| seq < acked) {
+            self.unacked.pop_front();
+            self.sent = self.sent.saturating_sub(1);
+        }
+    }
+
+    /// Take an inbound frame: the sequenced frame it delivers, if any, or
+    /// why the stream is broken (a sequence gap, an unexpected frame).
+    fn on_frame(&mut self, frame: Frame, now: Instant, out: &mut Vec<Frame>) -> Delivery {
+        self.last_heard = now;
+        let (peer, expected) = (self.peer, self.next_expected_in);
+        let seq = match frame {
+            Frame::Ping { acked } | Frame::Pong { acked } => {
+                self.apply_ack(acked);
+                if let Frame::Ping { .. } = frame {
+                    out.push(Frame::Pong { acked: expected });
+                }
+                return Ok(None);
+            }
+            // The link stays open after a goodbye: its sender waits in its
+            // teardown barrier for ours and pings until then, so going
+            // quiet here would get this live rank declared dead.
+            Frame::Data { seq, .. } | Frame::Death { seq, .. } | Frame::Goodbye { seq } => seq,
+            _ => return Err(format!("rank {peer} sent an unexpected control frame")),
+        };
+        if seq > expected {
+            let why = format!("stream desynchronized (got seq {seq}, expected {expected})");
+            return Err(format!("rank {peer} {why}"));
+        }
+        if seq < expected {
+            return Ok(None); // a retransmitted duplicate
+        }
+        self.next_expected_in += 1;
+        self.goodbye_seen |= matches!(frame, Frame::Goodbye { .. });
+        Ok(Some(frame))
+    }
+
+    /// The connection ended. `true` when the link should recover (the
+    /// peer neither said goodbye nor died): its EOF window starts, the
+    /// dialer redials and the acceptor waits for a `Reconnect`.
+    fn lost(&mut self, now: Instant) -> bool {
+        self.up = false;
+        self.sent = 0;
+        if self.dead || self.goodbye_seen {
+            return false;
+        }
+        self.eof_at.get_or_insert(now);
+        true
+    }
+
+    /// A reconnect handshake finished: forget what the peer already has
+    /// and rewind, so exactly the unacknowledged suffix is resent.
+    fn reconnected(&mut self, peer_next_expected: u64, now: Instant) {
+        self.apply_ack(peer_next_expected);
+        self.sent = 0;
+        self.up = true;
+        self.eof_at = None;
+        self.last_heard = now;
+    }
+
+    /// One heartbeat tick: ping an up link; say why the peer is dead if it
+    /// was silent past `timeout` or no reconnect came within `eof_window`.
+    fn tick(
+        &mut self,
+        now: Instant,
+        timeout: Duration,
+        eof_window: Duration,
+        out: &mut Vec<Frame>,
+    ) -> Option<String> {
+        if self.dead || self.goodbye_seen {
+            return None;
+        }
+        if self.up {
+            out.push(Frame::Ping {
+                acked: self.next_expected_in,
+            });
+        }
+        let since = |at: Instant| now.saturating_duration_since(at);
+        if since(self.last_heard) > timeout {
+            let ms = timeout.as_millis();
+            return Some(format!("heartbeat timeout ({ms} ms silent)"));
+        }
+        let eof_expired = self.eof_at.is_some_and(|at| since(at) > eof_window);
+        (!self.up && eof_expired).then(|| "connection closed before goodbye".into())
     }
 }
 
-/// Mesh-wide shared state: every reader/writer/monitor thread holds an
-/// `Arc<Mesh>`.
-struct Mesh {
-    rank: usize,
-    mailbox: Arc<Mailbox>,
-    links: Vec<Option<Arc<Link>>>,
-    hb_interval: Duration,
-    hb_timeout: Duration,
-    epoch: Instant,
-    /// Teardown-barrier wakeups (goodbye arrivals, deaths, poisons).
-    goodbye_mu: Mutex<()>,
-    goodbye_cv: Condvar,
-    /// Set at teardown; `stop_cv` wakes the monitor out of its tick.
-    stopped: Mutex<bool>,
-    stop_cv: Condvar,
-    /// Seed-mode peer table for redials; `None` entries in dir mode.
-    peer_addrs: Vec<Option<String>>,
-    /// Shared-dir rendezvous root (redial target in dir mode; also the
-    /// parent control endpoint).
-    dir: PathBuf,
+/// A connection's inbound bytes: whole frames are decoded off the front,
+/// a partial one waits for the rest.
+#[derive(Default)]
+pub(crate) struct FrameBuf {
+    buf: Vec<u8>,
+    start: usize,
 }
 
-impl Mesh {
-    /// The ping interval is a tenth of the timeout, clamped to 5–200 ms.
-    fn new(
-        rank: usize,
-        heartbeat_timeout_ms: u64,
-        peer_addrs: Vec<Option<String>>,
-        dir: &Path,
-    ) -> Mesh {
-        let hb_timeout = Duration::from_millis(heartbeat_timeout_ms.max(1));
-        Mesh {
-            rank,
-            mailbox: Arc::new(Mailbox::new()),
-            links: (0..peer_addrs.len())
-                .map(|p| (p != rank).then(|| Arc::new(Link::new(p))))
-                .collect(),
-            hb_interval: (hb_timeout / 10)
-                .clamp(Duration::from_millis(5), Duration::from_millis(200)),
-            hb_timeout,
-            epoch: Instant::now(),
-            goodbye_mu: Mutex::new(()),
-            goodbye_cv: Condvar::new(),
-            stopped: Mutex::new(false),
-            stop_cv: Condvar::new(),
-            peer_addrs,
-            dir: dir.to_path_buf(),
-        }
+impl FrameBuf {
+    pub(crate) fn extend(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.start = 0;
+        self.buf.extend_from_slice(bytes);
     }
 
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
+    pub(crate) fn next_frame(&mut self) -> io::Result<Option<Frame>> {
+        let Some((frame, used)) = decode_frame(&self.buf[self.start..])? else {
+            return Ok(None);
+        };
+        self.start += used;
+        Ok(Some(frame))
+    }
+}
+
+/// One nonblocking connection and the bytes on their way through it.
+/// Dropping it closes the stream along with every frame still queued for
+/// it: control frames belong to their connection, so a stale one cannot
+/// reach the next.
+struct Conn {
+    stream: Stream,
+    /// `poll` reported the stream readable (or closed) since the last read.
+    readable: bool,
+    inbox: FrameBuf,
+    /// Encoded outbound frames; `out[written..]` is not on the wire yet.
+    out: Vec<u8>,
+    written: usize,
+}
+
+impl Conn {
+    fn new(stream: Stream) -> io::Result<Conn> {
+        stream.set_nonblocking(true)?;
+        let (inbox, out) = (FrameBuf::default(), Vec::new());
+        Ok(Conn {
+            stream,
+            readable: true,
+            inbox,
+            out,
+            written: 0,
+        })
     }
 
-    /// Is this rank the dialing side of the link to `peer`? Mesh setup
-    /// dials every lower rank, so redials follow the same orientation.
-    fn dialer_of(&self, peer: usize) -> bool {
-        peer < self.rank
+    fn queue(&mut self, frame: &Frame) {
+        // `post` rejects envelopes above the frame limit.
+        write_frame(&mut self.out, frame).expect("frame within the limit");
     }
 
-    /// Enqueue a sequenced frame (Data/Goodbye/Death). Silently dropped
-    /// when the peer is already dead.
-    fn send_seq(&self, link: &Link, build: impl FnOnce(u64) -> Frame) {
-        if link.dead.load(Ordering::Acquire) {
-            return;
-        }
-        let mut q = link.q.lock();
-        let seq = q.next_seq_out;
-        q.next_seq_out += 1;
-        q.unacked.push_back((seq, build(seq)));
-        drop(q);
-        link.cv.notify_all();
+    fn pending(&self) -> bool {
+        self.written < self.out.len()
     }
 
-    /// Enqueue an unsequenced control frame (ping or pong).
-    fn send_ctrl(&self, link: &Link, frame: Frame) {
-        if link.dead.load(Ordering::Acquire) {
-            return;
-        }
-        link.q.lock().ctrl.push_back(frame);
-        link.cv.notify_all();
-    }
-
-    /// Drop retransmit-buffered frames the peer has acknowledged
-    /// (its receive cursor is `acked`: everything below is delivered).
-    fn apply_ack(&self, link: &Link, acked: u64) {
-        let mut q = link.q.lock();
-        while let Some(&(seq, _)) = q.unacked.front() {
-            if seq >= acked {
-                break;
-            }
-            q.unacked.pop_front();
-            q.sent = q.sent.saturating_sub(1);
-        }
-    }
-
-    /// Receive-side sequencing: accept exactly the expected frame, drop
-    /// retransmitted duplicates, treat a gap as stream corruption. The
-    /// cursor advances via compare-exchange so that when a stale reader
-    /// (replaced stream, not yet torn down) races the live one over a
-    /// retransmitted frame, exactly one of them delivers it — the loser
-    /// re-reads the cursor and sees a duplicate.
-    fn accept_seq(&self, link: &Link, seq: u64) -> bool {
-        loop {
-            let expected = link.next_expected_in.load(Ordering::Acquire);
-            if seq < expected {
-                return false; // duplicate of an already-delivered frame
-            }
-            if seq > expected {
-                self.mailbox.poison(format!(
-                    "rank {} stream desynchronized (got seq {seq}, expected {expected})",
-                    link.peer
-                ));
-                self.goodbye_cv.notify_all();
-                return false;
-            }
-            if link
-                .next_expected_in
-                .compare_exchange(expected, expected + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return true;
-            }
-        }
-    }
-
-    /// Idempotently declare `link`'s peer dead: mark the mailbox, wake
-    /// everything blocked on the link, and eagerly relay a sequenced
-    /// `Death` frame to every other live peer so all survivors converge
-    /// on the same membership view.
-    fn declare_dead(&self, link: &Link, reason: &str) {
-        if link.dead.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        eprintln!(
-            "mini-mpi rank {}: declared rank {} dead ({reason})",
-            self.rank, link.peer
-        );
-        {
-            let mut q = link.q.lock();
-            if let Some(s) = &q.stream {
-                s.shutdown();
-            }
-            q.stream = None;
-        }
-        self.mailbox.mark_dead(link.peer);
-        link.cv.notify_all();
-        self.goodbye_cv.notify_all();
-        let dead_rank = link.peer as u32;
-        for other in self.links.iter().flatten() {
-            if other.peer != link.peer {
-                self.send_seq(other, |seq| Frame::Death {
-                    seq,
-                    rank: dead_rank,
-                });
-            }
-        }
-    }
-
-    /// A peer relayed a death report. Reports about ourselves are
-    /// ignored (we are demonstrably alive; the reporter may sit on the
-    /// other side of a partition).
-    fn death_reported(&self, rank: usize, from: usize) {
-        if rank == self.rank || rank >= self.links.len() {
-            return;
-        }
-        if let Some(link) = &self.links[rank] {
-            self.declare_dead(link, &format!("reported dead by rank {from}"));
-        }
-    }
-
-    /// Wait up to `tick` for teardown; `true` once it has begun.
-    fn stop_within(&self, tick: Duration) -> bool {
-        let mut stopped = self.stopped.lock();
-        if !*stopped {
-            self.stop_cv.wait_for(&mut stopped, tick);
-        }
-        *stopped
-    }
-
-    /// Reader-side EOF/error handling.
-    fn reader_lost(&self, link: &Link, my_gen: u64) {
-        if link.goodbye_seen.load(Ordering::Acquire) || link.dead.load(Ordering::Acquire) {
-            return; // clean teardown or already-handled death
-        }
-        // Arm the reconnect window and wake the writer (the dialer side
-        // redials; the acceptor side waits for a Reconnect, bounded by
-        // the monitor's EOF window). A stale reader — its stream was
-        // already replaced by a reconnect — must not touch anything:
-        // clearing the fresh stream or arming the EOF window here would
-        // sabotage the link that just recovered.
-        {
-            let mut q = link.q.lock();
-            if q.generation != my_gen {
-                return;
-            }
-            q.stream = None;
-            q.sent = 0;
-        }
-        link.eof_at
-            .compare_exchange(0, self.now_ms() + 1, Ordering::AcqRel, Ordering::Relaxed)
-            .ok();
-        link.cv.notify_all();
-    }
-
-    /// Install a fresh stream on `link` (reconnect handshake, either
-    /// side): prune frames the peer acknowledged, rewind the send cursor
-    /// so the unacknowledged suffix is retransmitted, bump the
-    /// generation, and hand back the new generation id. The acceptor
-    /// passes `ack`: the stream's first frame is then a `ReconnectAck`
-    /// carrying our receive cursor, queued under the same lock as the
-    /// rewind so no retransmission can precede it.
-    fn install_stream(
-        &self,
-        link: &Link,
-        stream: Stream,
-        peer_next_expected: u64,
-        ack: bool,
-    ) -> io::Result<u64> {
-        let write_half = stream.try_clone()?;
-        let mut q = link.q.lock();
-        // Force any reader still blocked on the replaced stream (a
-        // delayed or black-holed-but-open socket never EOFs on its own)
-        // off the wire: were it left running, a late frame on the stale
-        // socket would race the fresh reader for the receive cursor.
-        if let Some(old) = q.stream.take() {
-            old.shutdown();
-        }
-        while let Some(&(seq, _)) = q.unacked.front() {
-            if seq >= peer_next_expected {
-                break;
-            }
-            q.unacked.pop_front();
-        }
-        // Control frames belong to the stream they were queued for: an
-        // unsent `ReconnectAck` of a handshake the dialer gave up on would
-        // reach the dialer's reader as an unexpected frame.
-        q.ctrl.clear();
-        if ack {
-            let next_expected = link.next_expected_in.load(Ordering::Acquire);
-            q.ctrl.push_back(Frame::ReconnectAck { next_expected });
-        }
-        q.sent = 0;
-        q.generation += 1;
-        let gen = q.generation;
-        q.stream = Some(write_half);
-        drop(q);
-        link.eof_at.store(0, Ordering::Release);
-        link.last_heard.store(self.now_ms(), Ordering::Release);
-        link.cv.notify_all();
-        Ok(gen)
-    }
-
-    /// Dialer-side redial with bounded backoff. Returns `false` when the
-    /// retries are exhausted (caller declares the peer dead).
-    fn redial(self: &Arc<Self>, link: &Arc<Link>) -> bool {
-        for backoff in RECONNECT_BACKOFF_MS {
-            std::thread::sleep(Duration::from_millis(backoff));
-            if link.dead.load(Ordering::Acquire) || link.q.lock().closed {
-                return true; // resolved elsewhere; nothing left to do
-            }
-            let deadline = Instant::now() + Duration::from_millis(250);
-            let dial = match &self.peer_addrs[link.peer] {
-                Some(addr) => tcp_connect_retry(addr, deadline),
-                None => connect_endpoint(&self.dir, &format!("r{}", link.peer), deadline),
-            };
-            let Ok(mut s) = dial else { continue };
-            if write_frame(
-                &mut s,
-                &Frame::Reconnect {
-                    rank: self.rank as u32,
-                    next_expected: link.next_expected_in.load(Ordering::Acquire),
-                },
-            )
-            .is_err()
-            {
-                continue;
-            }
-            let _ = s.set_read_timeout(Some(Duration::from_secs(2)));
-            // The acceptor queues its ack ahead of every other frame.
-            let Ok(Frame::ReconnectAck {
-                next_expected: peer_next,
-            }) = read_frame(&mut s)
-            else {
-                continue;
-            };
-            let _ = s.set_read_timeout(None);
-            let Ok(read_half) = s.try_clone() else {
-                continue;
-            };
-            let Ok(gen) = self.install_stream(link, s, peer_next, false) else {
-                continue;
-            };
-            spawn_reader(self.clone(), link.clone(), read_half, gen);
+    /// One read into the inbox (`poll` is level-triggered, so whatever is
+    /// left wakes the next pass). `false` once the stream ended or failed.
+    fn fill(&mut self, scratch: &mut [u8]) -> bool {
+        if !std::mem::take(&mut self.readable) {
             return true;
         }
-        false
-    }
-}
-
-/// Per-link reader thread body: demux inbound frames until goodbye,
-/// EOF, or death.
-fn spawn_reader(mesh: Arc<Mesh>, link: Arc<Link>, mut stream: Stream, my_gen: u64) {
-    let name = format!("mini-mpi-r{}-from-{}", mesh.rank, link.peer);
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || loop {
-            match read_frame(&mut stream) {
-                Ok(frame) => {
-                    link.last_heard.store(mesh.now_ms(), Ordering::Release);
-                    match frame {
-                        Frame::Data { seq, env } => {
-                            if mesh.accept_seq(&link, seq) {
-                                mesh.mailbox.push(env);
-                            }
-                        }
-                        Frame::Goodbye { seq } => {
-                            // Do NOT exit here: the peer that sent this
-                            // goodbye is parked in its teardown barrier
-                            // and keeps heartbeat-monitoring us until
-                            // *our* goodbye arrives. If this reader died
-                            // now, its pings would go unanswered and a
-                            // perfectly live rank would be declared dead
-                            // whenever ranks finish further apart than
-                            // the heartbeat timeout. Keep serving
-                            // Ping→Pong (and acks) until EOF/teardown.
-                            if mesh.accept_seq(&link, seq) {
-                                link.goodbye_seen.store(true, Ordering::Release);
-                                mesh.goodbye_cv.notify_all();
-                            }
-                        }
-                        Frame::Death { seq, rank } => {
-                            if mesh.accept_seq(&link, seq) {
-                                mesh.death_reported(rank as usize, link.peer);
-                            }
-                        }
-                        Frame::Ping { acked } => {
-                            mesh.apply_ack(&link, acked);
-                            let pong = Frame::Pong {
-                                acked: link.next_expected_in.load(Ordering::Acquire),
-                            };
-                            mesh.send_ctrl(&link, pong);
-                        }
-                        Frame::Pong { acked } => mesh.apply_ack(&link, acked),
-                        Frame::Hello { .. }
-                        | Frame::Result { .. }
-                        | Frame::Reconnect { .. }
-                        | Frame::ReconnectAck { .. }
-                        | Frame::Register { .. }
-                        | Frame::Table { .. } => {
-                            mesh.mailbox.poison(format!(
-                                "rank {} sent an unexpected control frame",
-                                link.peer
-                            ));
-                            mesh.goodbye_cv.notify_all();
-                            return;
-                        }
-                    }
-                }
-                Err(_) => {
-                    mesh.reader_lost(&link, my_gen);
-                    return;
-                }
+        match self.stream.read(scratch) {
+            Ok(0) => false,
+            Ok(n) => {
+                self.inbox.extend(&scratch[..n]);
+                true
             }
-        })
-        .expect("failed to spawn reader thread");
-}
-
-/// Per-link writer thread body: drains the control queue and the
-/// unacknowledged suffix onto the live stream; redials (dialer side) or
-/// parks (acceptor side) while the link is down.
-fn writer_loop(mesh: &Arc<Mesh>, link: &Arc<Link>) {
-    let mut cur_gen: u64 = u64::MAX;
-    let mut cur: Option<Stream> = None;
-    'outer: loop {
-        let mut batch: Vec<Frame> = Vec::new();
-        let mut want_redial = false;
-        {
-            let mut q = link.q.lock();
-            loop {
-                if link.dead.load(Ordering::Acquire) {
-                    return;
-                }
-                if q.stream.is_none() {
-                    if q.closed {
-                        return; // teardown with a down link: give up
-                    }
-                    if mesh.dialer_of(link.peer) {
-                        want_redial = true;
-                        break;
-                    }
-                    // Acceptor side: a Reconnect install (or death) wakes us.
-                    link.cv.wait(&mut q);
-                    continue;
-                }
-                if !q.ctrl.is_empty() || q.sent < q.unacked.len() {
-                    break;
-                }
-                if q.closed {
-                    return; // drained: every queued frame is on the wire
-                }
-                link.cv.wait(&mut q);
-            }
-            if !want_redial {
-                if q.generation != cur_gen || cur.is_none() {
-                    cur_gen = q.generation;
-                    cur = q.stream.as_ref().and_then(|s| s.try_clone().ok());
-                    if cur.is_none() {
-                        q.stream = None;
-                        q.sent = 0;
-                        continue 'outer;
-                    }
-                }
-                batch.extend(q.ctrl.drain(..));
-                let upto = q.unacked.len();
-                for i in q.sent..upto {
-                    batch.push(q.unacked[i].1.clone());
-                }
-                q.sent = upto;
-            }
-        }
-        if want_redial {
-            if !mesh.redial(link) {
-                mesh.declare_dead(link, "reconnect retries exhausted");
-                return;
-            }
-            cur = None;
-            continue;
-        }
-        let Some(stream) = cur.as_mut() else { continue };
-        if batch.iter().all(|frame| write_frame(stream, frame).is_ok()) {
-            continue;
-        }
-        // A failed write downs the link; the unacked suffix is resent
-        // after the reconnect.
-        let mut q = link.q.lock();
-        if q.generation == cur_gen {
-            // Shut the socket down (not just drop our clone): the reader
-            // may be blocked on the same fd without having seen an error
-            // yet, and must not survive into the next generation.
-            if let Some(s) = q.stream.take() {
-                s.shutdown();
-            }
-            q.sent = 0;
-        }
-        drop(q);
-        cur = None;
-    }
-}
-
-/// The mesh's one service thread. Once per heartbeat interval it accepts
-/// every reconnect queued on the non-blocking listener, pings every live
-/// link, and declares a peer dead on silence beyond the timeout or an
-/// expired EOF-without-goodbye reconnect window. Teardown wakes it out of
-/// its wait, so `shutdown` never waits out a tick.
-fn monitor_loop(mesh: &Arc<Mesh>, listener: Listener) {
-    let eof_window = mesh.hb_timeout.min(EOF_DEATH_WINDOW_CAP).as_millis() as u64;
-    let timeout_ms = mesh.hb_timeout.as_millis() as u64;
-    // A blocking accept would stall the tick; such a listener is dropped.
-    let listener = listener.set_nonblocking(true).is_ok().then_some(listener);
-    while !mesh.stop_within(mesh.hb_interval) {
-        // Drain the backlog; `WouldBlock` (or a transient error) ends it
-        // until the next tick.
-        while let Some(stream) = listener.as_ref().and_then(|l| l.accept().ok()) {
-            accept_reconnect(mesh, stream);
-        }
-        let now = mesh.now_ms();
-        for link in mesh.links.iter().flatten() {
-            if link.dead.load(Ordering::Acquire) || link.goodbye_seen.load(Ordering::Acquire) {
-                continue;
-            }
-            let up = link.q.lock().stream.is_some();
-            if up {
-                let ping = Frame::Ping {
-                    acked: link.next_expected_in.load(Ordering::Acquire),
-                };
-                mesh.send_ctrl(link, ping);
-            }
-            if now.saturating_sub(link.last_heard.load(Ordering::Acquire)) > timeout_ms {
-                mesh.declare_dead(link, &format!("heartbeat timeout ({timeout_ms} ms silent)"));
-                continue;
-            }
-            let eof = link.eof_at.load(Ordering::Acquire);
-            if eof != 0 && !up && now.saturating_sub(eof - 1) > eof_window {
-                mesh.declare_dead(link, "connection closed before goodbye");
+            Err(e) => {
+                e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::Interrupted
             }
         }
     }
-}
 
-/// Run the `Reconnect` handshake of one accepted connection on a
-/// short-lived thread: the frame identifies the dialer, and the link's
-/// unacknowledged suffix is retransmitted on the fresh stream.
-fn accept_reconnect(mesh: &Arc<Mesh>, mut stream: Stream) {
-    let _ = stream.set_nonblocking(false);
-    let mesh = mesh.clone();
-    let _ = std::thread::Builder::new()
-        .name(format!("mini-mpi-reconnect-{}", mesh.rank))
-        .spawn(move || {
-            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-            let Ok(Frame::Reconnect {
-                rank,
-                next_expected,
-            }) = read_frame(&mut stream)
-            else {
-                return;
-            };
-            let _ = stream.set_read_timeout(None);
-            let Some(link) = mesh.links.get(rank as usize).cloned().flatten() else {
-                return;
-            };
-            if link.dead.load(Ordering::Acquire) {
-                stream.shutdown();
-                return;
+    /// Write what the socket takes; `false` when the write failed.
+    fn flush(&mut self) -> bool {
+        while self.pending() {
+            match self.stream.write(&self.out[self.written..]) {
+                Ok(0) => return false,
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return e.kind() == io::ErrorKind::WouldBlock,
             }
-            let Ok(read_half) = stream.try_clone() else {
-                return;
-            };
-            let Ok(gen) = mesh.install_stream(&link, stream, next_expected, true) else {
-                return;
-            };
-            spawn_reader(mesh.clone(), link, read_half, gen);
-        });
+        }
+        self.out.clear();
+        self.written = 0;
+        true
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Peer mesh
 // ---------------------------------------------------------------------------
 
-/// One rank's view of a socket world: the shared mesh plus the worker
-/// threads joined at teardown. Lives inside [`WorldInner`].
-pub(crate) struct SocketPeers {
-    mesh: Arc<Mesh>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+/// What other threads hand the mesh thread.
+enum Cmd {
+    Send(usize, Envelope),
+    /// A redial's `connect` to a peer finished; `None` when it failed.
+    Dialed(usize, Option<Stream>),
+    /// Start the teardown barrier.
+    Shutdown,
 }
 
-/// Mesh configuration decoded from the child environment.
-struct MeshOpts {
-    force_tcp: bool,
-    seeds: Option<String>,
-    registry_bind: Option<String>,
-    /// Seed-list mode: the IP to advertise in the `Register` frame when
-    /// the interface auto-detection (the registration connection's local
-    /// address) picks the wrong one — multi-homed hosts, NAT.
-    advertise_ip: Option<String>,
-    heartbeat_timeout_ms: u64,
+/// What a rank's mesh shares with its other threads.
+struct Shared {
+    rank: usize,
+    mailbox: Mailbox,
+    cmds: Mutex<VecDeque<Cmd>>,
+    /// Signalled when `cmds` turns non-empty.
+    waker: EventFd,
+}
+
+impl Shared {
+    fn new(rank: usize) -> io::Result<Arc<Shared>> {
+        let (mailbox, cmds, waker) = (Mailbox::new(), Mutex::default(), EventFd::new()?);
+        Ok(Arc::new(Shared {
+            rank,
+            mailbox,
+            cmds,
+            waker,
+        }))
+    }
+
+    fn command(&self, cmd: Cmd) {
+        let mut cmds = self.cmds.lock();
+        let was_empty = cmds.is_empty();
+        cmds.push_back(cmd);
+        drop(cmds);
+        // The mesh thread drains the eventfd before it takes the queue,
+        // so one signal per non-empty spell cannot be lost.
+        if was_empty {
+            self.waker.signal();
+        }
+    }
+}
+
+/// The dialer side's way back to a connection. Each variant but `Idle`
+/// carries its attempt's index into `RECONNECT_BACKOFF_MS`.
+enum Redial {
+    Idle,
+    /// The attempt starts at the instant.
+    Wait(usize, Instant),
+    /// Its `connect` runs on a short-lived thread.
+    Connecting(usize),
+    /// `Reconnect` is sent; its ack is due by the instant.
+    Handshake(usize, Instant),
+}
+
+struct Peer {
+    link: Link,
+    conn: Option<Conn>,
+    redial: Redial,
+}
+
+/// The mesh thread's state: the listener, every peer connection and every
+/// link, owned by one thread that blocks only in `poll(2)`.
+struct MeshLoop {
+    shared: Arc<Shared>,
+    /// Indexed by rank; `None` at our own.
+    peers: Vec<Option<Peer>>,
+    /// Drained once a tick, and not polled: reconnects are rare, and an
+    /// `accept` that finds none costs more than the rest of a pass.
+    listener: Option<Listener>,
+    /// Accepted connections awaiting their `Reconnect`, with deadlines.
+    accepted: Vec<(Conn, Instant)>,
+    /// The ping interval: a tenth of the timeout, clamped to 5–200 ms.
+    hb_interval: Duration,
+    hb_timeout: Duration,
+    /// How long a reconnect may take: `min(timeout, 2 s)`.
+    eof_window: Duration,
+    next_tick: Instant,
+    /// Redial targets: seed-mode addresses, else `r<peer>` in `dir`.
+    peer_addrs: Vec<Option<String>>,
+    dir: PathBuf,
+    /// Set by `Shutdown`: when teardown stops waiting.
+    closing: Option<Instant>,
+    scratch: Vec<u8>,
+    /// `poll` reported the waker signalled.
+    woken: bool,
+}
+
+impl MeshLoop {
+    fn new(
+        shared: Arc<Shared>,
+        streams: Vec<Option<Stream>>,
+        listener: Option<Listener>,
+        heartbeat_timeout_ms: u64,
+        peer_addrs: Vec<Option<String>>,
+        dir: &Path,
+    ) -> io::Result<MeshLoop> {
+        let now = Instant::now();
+        let mut peers = Vec::with_capacity(streams.len());
+        for (peer, stream) in streams.into_iter().enumerate() {
+            let conn = stream.map(Conn::new).transpose()?;
+            peers.push(conn.map(|conn| Peer {
+                link: Link::new(peer, now),
+                conn: Some(conn),
+                redial: Redial::Idle,
+            }));
+        }
+        let hb_timeout = Duration::from_millis(heartbeat_timeout_ms.max(1));
+        let hb_interval =
+            (hb_timeout / 10).clamp(Duration::from_millis(5), Duration::from_millis(200));
+        Ok(MeshLoop {
+            shared,
+            peers,
+            // A blocking listener would stall the loop in `accept`.
+            listener: listener.filter(|l| l.set_nonblocking(true).is_ok()),
+            accepted: Vec::new(),
+            hb_interval,
+            hb_timeout,
+            eof_window: hb_timeout.min(EOF_DEATH_WINDOW_CAP),
+            next_tick: now + hb_interval,
+            peer_addrs,
+            dir: dir.to_path_buf(),
+            closing: None,
+            scratch: vec![0; 64 << 10],
+            woken: true,
+        })
+    }
+
+    fn run(mut self) {
+        let mut cmds = VecDeque::new();
+        loop {
+            let now = Instant::now();
+            if std::mem::take(&mut self.woken) {
+                self.shared.waker.drain();
+            }
+            cmds.append(&mut self.shared.cmds.lock());
+            for cmd in cmds.drain(..) {
+                self.command(cmd, now);
+            }
+            self.on_timers(now);
+            for p in 0..self.peers.len() {
+                self.read_peer(p, now);
+            }
+            self.read_accepted(now);
+            self.write_all();
+            if let Some(deadline) = self.closing {
+                let mut conns = self.peers.iter().flatten().filter_map(|p| p.conn.as_ref());
+                let flushed = conns.all(|c| !c.pending());
+                if (self.barrier_done() && flushed) || now >= deadline {
+                    return;
+                }
+            }
+            self.wait();
+        }
+    }
+
+    /// Block in `poll` until the waker or a socket is ready or the next
+    /// deadline (ping, redial, handshake, teardown) is due.
+    fn wait(&mut self) {
+        let redials = self.peers.iter().flatten().filter_map(|p| match p.redial {
+            Redial::Wait(_, at) | Redial::Handshake(_, at) => Some(at),
+            Redial::Idle | Redial::Connecting(_) => None,
+        });
+        let due = redials
+            .chain(self.accepted.iter().map(|&(_, at)| at))
+            .chain(self.closing)
+            .fold(self.next_tick, Instant::min);
+        let peers = self
+            .peers
+            .iter_mut()
+            .flatten()
+            .filter_map(|p| p.conn.as_mut());
+        let mut conns: Vec<_> = peers
+            .chain(self.accepted.iter_mut().map(|(c, _)| c))
+            .collect();
+        let mut fds = vec![PollFd::new(&self.shared.waker, POLLIN)];
+        for conn in &conns {
+            let out = if conn.pending() { POLLOUT } else { 0 };
+            fds.push(PollFd::new(&conn.stream, POLLIN | out));
+        }
+        // `poll` counts whole milliseconds: round up rather than spin.
+        let timeout = due.saturating_duration_since(Instant::now()) + Duration::from_millis(1);
+        let _ = sys::wait(&mut fds, Some(timeout)); // EINVAL, ENOMEM: wait again
+        self.woken = fds[0].ready();
+        for (conn, fd) in conns.iter_mut().zip(&fds[1..]) {
+            conn.readable = fd.ready();
+        }
+    }
+
+    fn command(&mut self, cmd: Cmd, now: Instant) {
+        match cmd {
+            Cmd::Send(dest, env) => {
+                if let Some(peer) = &mut self.peers[dest] {
+                    peer.link.send(|seq| Frame::Data { seq, env });
+                }
+            }
+            Cmd::Dialed(p, stream) => {
+                let Some(peer) = &mut self.peers[p] else {
+                    return;
+                };
+                let Redial::Connecting(attempt) = peer.redial else {
+                    return; // the peer died meanwhile
+                };
+                let Some(Ok(mut conn)) = stream.map(Conn::new) else {
+                    return self.conn_lost(p, now);
+                };
+                conn.queue(&Frame::Reconnect {
+                    rank: self.shared.rank as u32,
+                    next_expected: peer.link.next_expected_in,
+                });
+                peer.conn = Some(conn);
+                peer.redial = Redial::Handshake(attempt, now + self.eof_window);
+            }
+            Cmd::Shutdown => {
+                for peer in self.peers.iter_mut().flatten() {
+                    peer.link.send(|seq| Frame::Goodbye { seq });
+                }
+                self.closing = Some(now + GOODBYE_TIMEOUT);
+            }
+        }
+    }
+
+    /// Teardown may close once every live peer's goodbye has arrived
+    /// (dead peers are excused) or the mailbox is poisoned.
+    fn barrier_done(&self) -> bool {
+        let mut links = self.peers.iter().flatten().map(|p| &p.link);
+        self.shared.mailbox.is_poisoned().is_some() || links.all(|l| l.goodbye_seen || l.dead)
+    }
+
+    /// Redial attempts, expired handshakes and heartbeat ticks.
+    fn on_timers(&mut self, now: Instant) {
+        let tick = now >= self.next_tick;
+        if tick {
+            self.next_tick = now + self.hb_interval;
+            let deadline = now + self.eof_window;
+            while let Some(Ok(stream)) = self.listener.as_ref().map(Listener::accept) {
+                self.accepted
+                    .extend(Conn::new(stream).map(|c| (c, deadline)));
+            }
+        }
+        self.accepted.retain(|&(_, at)| at > now);
+        let mut out = Vec::new();
+        for p in 0..self.peers.len() {
+            let Some(peer) = &mut self.peers[p] else {
+                continue;
+            };
+            match peer.redial {
+                Redial::Wait(attempt, at) if at <= now => {
+                    peer.redial = Redial::Connecting(attempt);
+                    self.redial(p);
+                    continue;
+                }
+                Redial::Handshake(_, at) if at <= now => {
+                    self.conn_lost(p, now);
+                    continue;
+                }
+                _ => {}
+            }
+            if !tick {
+                continue;
+            }
+            let (timeout, window) = (self.hb_timeout, self.eof_window);
+            let died = peer.link.tick(now, timeout, window, &mut out);
+            if let Some(conn) = &mut peer.conn {
+                out.iter().for_each(|frame| conn.queue(frame));
+            }
+            out.clear();
+            if let Some(reason) = died {
+                self.declare_dead(p, &reason);
+            }
+        }
+    }
+
+    /// Start a redial of `peer`. Only `connect` may block (a remote host
+    /// decides how long), so it runs on a short-lived thread that hands the
+    /// stream back through the command queue, and nothing waits to join it;
+    /// the handshake runs in the loop.
+    fn redial(&self, peer: usize) {
+        let shared = self.shared.clone();
+        let (addr, dir) = (self.peer_addrs[peer].clone(), self.dir.clone());
+        let connect = move || {
+            let deadline = Instant::now() + Duration::from_millis(250);
+            let stream = dial(&addr, &dir, peer, deadline).ok();
+            shared.command(Cmd::Dialed(peer, stream));
+        };
+        let thread =
+            std::thread::Builder::new().name(format!("mini-mpi-dial-{}", self.shared.rank));
+        if thread.spawn(connect).is_err() {
+            self.shared.command(Cmd::Dialed(peer, None));
+        }
+    }
+
+    /// Read peer `p`'s connection and handle every whole frame.
+    fn read_peer(&mut self, p: usize, now: Instant) {
+        let Some(peer) = &mut self.peers[p] else {
+            return;
+        };
+        let Some(conn) = &mut peer.conn else {
+            return;
+        };
+        let mut open = conn.fill(&mut self.scratch);
+        let (mut out, mut deaths) = (Vec::new(), Vec::new());
+        while open {
+            // A malformed frame downs the connection.
+            let next = conn.inbox.next_frame();
+            open = next.is_ok();
+            let Ok(Some(frame)) = next else {
+                break;
+            };
+            if let Redial::Handshake(..) = peer.redial {
+                // The acceptor queues its ack ahead of every other frame.
+                let Frame::ReconnectAck { next_expected } = frame else {
+                    open = false;
+                    break;
+                };
+                peer.link.reconnected(next_expected, now);
+                peer.redial = Redial::Idle;
+                continue;
+            }
+            match peer.link.on_frame(frame, now, &mut out) {
+                Ok(Some(Frame::Data { env, .. })) => self.shared.mailbox.push(env),
+                Ok(Some(Frame::Death { rank, .. })) => deaths.push(rank as usize),
+                Ok(_) => {}
+                Err(why) => self.shared.mailbox.poison(why),
+            }
+        }
+        out.iter().for_each(|frame| conn.queue(frame));
+        if !open {
+            self.conn_lost(p, now);
+        }
+        for rank in deaths {
+            // Reports about ourselves are ignored: we are demonstrably
+            // alive, and the reporter may sit across a partition.
+            if rank != self.shared.rank && rank < self.peers.len() {
+                self.declare_dead(rank, &format!("reported dead by rank {p}"));
+            }
+        }
+    }
+
+    /// Peer `p`'s connection ended or failed, or a redial attempt did. The
+    /// dialer side (mesh setup dials every lower rank) tries the next
+    /// attempt after its backoff; once none is left, the peer is dead.
+    fn conn_lost(&mut self, p: usize, now: Instant) {
+        let Some(peer) = &mut self.peers[p] else {
+            return;
+        };
+        peer.conn = None;
+        let attempt = match peer.redial {
+            Redial::Connecting(attempt) | Redial::Handshake(attempt, _) => attempt + 1,
+            _ if peer.link.lost(now) && p < self.shared.rank => 0,
+            _ => return,
+        };
+        match RECONNECT_BACKOFF_MS.get(attempt) {
+            Some(&ms) => peer.redial = Redial::Wait(attempt, now + Duration::from_millis(ms)),
+            None => self.declare_dead(p, "reconnect retries exhausted"),
+        }
+    }
+
+    /// Read the `Reconnect` of each accepted connection.
+    fn read_accepted(&mut self, now: Instant) {
+        for (mut conn, at) in std::mem::take(&mut self.accepted) {
+            let open = conn.fill(&mut self.scratch);
+            match conn.inbox.next_frame() {
+                Ok(Some(Frame::Reconnect {
+                    rank,
+                    next_expected,
+                })) => self.reconnect_accepted(rank as usize, next_expected, conn, now),
+                Ok(None) if open => self.accepted.push((conn, at)),
+                _ => {} // anything else closes it
+            }
+        }
+    }
+
+    /// A `Reconnect` arrived: the connection replaces the link's old one
+    /// (closing it with whatever was still queued there) and opens with a
+    /// `ReconnectAck` carrying our receive cursor; the unacknowledged
+    /// suffix follows.
+    fn reconnect_accepted(&mut self, rank: usize, next: u64, mut conn: Conn, now: Instant) {
+        let Some(peer) = self.peers.get_mut(rank).and_then(Option::as_mut) else {
+            return;
+        };
+        if peer.link.dead {
+            return;
+        }
+        peer.link.reconnected(next, now);
+        conn.queue(&Frame::ReconnectAck {
+            next_expected: peer.link.next_expected_in,
+        });
+        peer.conn = Some(conn);
+        peer.redial = Redial::Idle;
+    }
+
+    /// Queue every link's unsent frames and write what each socket takes.
+    fn write_all(&mut self) {
+        for p in 0..self.peers.len() {
+            let Some(Peer {
+                link,
+                conn: Some(conn),
+                ..
+            }) = &mut self.peers[p]
+            else {
+                continue;
+            };
+            link.unsent().for_each(|frame| conn.queue(frame));
+            if !conn.flush() {
+                self.conn_lost(p, Instant::now());
+            }
+        }
+    }
+
+    /// Declare peer `p` dead, once: close its connection, mark the
+    /// mailbox, and relay a sequenced `Death` to every other live peer so
+    /// all survivors converge on the same membership view.
+    fn declare_dead(&mut self, p: usize, reason: &str) {
+        let Some(peer) = self.peers[p].as_mut().filter(|peer| !peer.link.dead) else {
+            return;
+        };
+        peer.link.dead = true;
+        peer.conn = None;
+        peer.redial = Redial::Idle;
+        let rank = self.shared.rank;
+        eprintln!("mini-mpi rank {rank}: declared rank {p} dead ({reason})");
+        self.shared.mailbox.mark_dead(p);
+        for other in self.peers.iter_mut().flatten() {
+            let rank = p as u32;
+            other.link.send(|seq| Frame::Death { seq, rank });
+        }
+    }
+}
+
+/// One rank's view of a socket world: what it shares with its mesh
+/// thread, and that thread. Lives inside [`WorldInner`].
+pub(crate) struct SocketPeers {
+    shared: Arc<Shared>,
+    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 /// Rank 0's in-process registry: collect `size` `Register` frames, then
@@ -1240,21 +1285,18 @@ fn run_registry(bind: &str, size: usize) -> io::Result<()> {
         let (s, _) = listener.accept()?;
         let mut s = Stream::Tcp(s);
         let _ = s.set_read_timeout(Some(CONNECT_TIMEOUT));
-        match read_frame(&mut s) {
-            Ok(Frame::Register { rank, addr }) => {
-                let rank = rank as usize;
-                if rank >= size || addrs[rank].is_some() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("registry: duplicate or out-of-range rank {rank}"),
-                    ));
-                }
-                addrs[rank] = Some(addr);
-                registered += 1;
-                conns.push((rank, s));
-            }
-            _ => s.shutdown(), // stray connection: close it, don't hold it open
+        // A stray connection closes as it drops.
+        let Ok(Frame::Register { rank, addr }) = read_frame(&mut s) else {
+            continue;
+        };
+        let rank = rank as usize;
+        if rank >= size || addrs[rank].is_some() {
+            let why = format!("registry: duplicate or out-of-range rank {rank}");
+            return Err(malformed(&why));
         }
+        addrs[rank] = Some(addr);
+        registered += 1;
+        conns.push((rank, s));
     }
     let table: Vec<String> = addrs.into_iter().map(|a| a.unwrap()).collect();
     for (rank, mut s) in conns {
@@ -1276,45 +1318,46 @@ fn run_registry(bind: &str, size: usize) -> io::Result<()> {
 
 impl SocketPeers {
     pub(crate) fn rank(&self) -> usize {
-        self.mesh.rank
+        self.shared.rank
     }
 
     pub(crate) fn mailbox(&self) -> &Mailbox {
-        &self.mesh.mailbox
+        &self.shared.mailbox
     }
 
-    /// Enqueue an envelope for `dest` (own rank: direct mailbox push).
-    /// Panics if the world is already poisoned — a send to (or via) a
-    /// broken mesh must fail loudly, exactly like a receive. A send to a
-    /// rank declared dead by the membership layer is silently dropped
-    /// (degraded mode: survivors keep working).
+    /// Hand an envelope for `dest` to the mesh thread (own rank: direct
+    /// mailbox push); never blocks. Panics if the world is already
+    /// poisoned — a send to (or via) a broken mesh must fail loudly,
+    /// exactly like a receive — or if the envelope exceeds the frame
+    /// limit. A send to a rank declared dead by the membership layer is
+    /// silently dropped (degraded mode: survivors keep working).
     pub(crate) fn post(&self, dest: usize, env: Envelope) {
-        if let Some(reason) = self.mesh.mailbox.is_poisoned() {
+        let shared = &self.shared;
+        if let Some(reason) = shared.mailbox.is_poisoned() {
             panic!("mini-mpi: send failed: {reason}");
         }
-        if dest == self.mesh.rank {
-            self.mesh.mailbox.push(env);
+        if dest == shared.rank {
+            shared.mailbox.push(env);
             return;
         }
-        let link = self.mesh.links[dest]
-            .as_ref()
-            .expect("non-self peer must have a link");
-        if link.dead.load(Ordering::Acquire) {
-            return;
-        }
-        self.mesh.send_seq(link, |seq| Frame::Data { seq, env });
+        assert!(
+            32 + env.payload.len() <= MAX_FRAME_BODY,
+            "mini-mpi: send failed: message of {} bytes exceeds the frame limit",
+            env.payload.len()
+        );
+        shared.command(Cmd::Send(dest, env));
     }
 
-    /// Establish the full mesh for `rank` of `size`: shared-dir
-    /// rendezvous by default, seed-list registry bootstrap when
-    /// `opts.seeds` is set.
-    fn connect(dir: &Path, rank: usize, size: usize, opts: &MeshOpts) -> io::Result<SocketPeers> {
+    /// Establish the full mesh for this rank: shared-dir rendezvous by
+    /// default, seed-list registry bootstrap when `env.seeds` is set.
+    fn connect(env: &ChildEnv) -> io::Result<SocketPeers> {
+        let (dir, rank, size) = (&env.dir, env.rank, env.size);
         let deadline = Instant::now() + CONNECT_TIMEOUT;
         let mut registry_thread = None;
         let mut peer_addrs: Vec<Option<String>> = vec![None; size];
         let mut streams: Vec<Option<Stream>> = (0..size).map(|_| None).collect();
 
-        let listener = if let Some(seeds) = &opts.seeds {
+        let listener = if let Some(seeds) = &env.seeds {
             // --- Seed-list bootstrap -----------------------------------
             let seed = seeds
                 .split(',')
@@ -1335,7 +1378,7 @@ impl SocketPeers {
             let data_listener = TcpListener::bind((bind_ip, 0))?;
             let data_port = data_listener.local_addr()?.port();
             if rank == 0 {
-                let bind = opts.registry_bind.clone().unwrap_or_else(|| seed.clone());
+                let bind = env.registry_bind.clone().unwrap_or_else(|| seed.clone());
                 let sz = size;
                 registry_thread = Some(
                     std::thread::Builder::new()
@@ -1351,7 +1394,7 @@ impl SocketPeers {
             // Every rank — rank 0 included — registers through the seed
             // address, so a proxy fronting it observes every link.
             let mut reg = tcp_connect_retry(&seed, deadline)?;
-            let advertise_ip = match &opts.advertise_ip {
+            let advertise_ip = match &env.advertise_ip {
                 Some(ip) => ip.clone(),
                 None if single_host => "127.0.0.1".to_string(),
                 None => match &reg {
@@ -1370,12 +1413,7 @@ impl SocketPeers {
             reg.set_read_timeout(Some(CONNECT_TIMEOUT))?;
             let table = match read_frame(&mut reg)? {
                 Frame::Table { addrs } if addrs.len() == size => addrs,
-                _ => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "registry handed back a malformed peer table",
-                    ))
-                }
+                _ => return Err(malformed("registry handed back a malformed peer table")),
             };
             drop(reg);
             for (peer, addr) in table.into_iter().enumerate() {
@@ -1383,101 +1421,63 @@ impl SocketPeers {
                     peer_addrs[peer] = Some(addr);
                 }
             }
-            // Mesh over the table: dial every lower rank, accept from
-            // every higher rank.
-            for (peer, slot) in streams.iter_mut().enumerate().take(rank) {
-                let addr = peer_addrs[peer].as_deref().unwrap();
-                let mut s = tcp_connect_retry(addr, deadline)?;
-                write_frame(&mut s, &Frame::Hello { rank: rank as u32 })?;
-                *slot = Some(s);
-            }
-            let listener = Listener::Tcp(data_listener);
-            accept_higher(&listener, rank, size, &mut streams)?;
-            listener
+            Listener::Tcp(data_listener)
         } else {
             // --- Shared-dir rendezvous ---------------------------------
-            let listener = bind_endpoint(dir, &format!("r{rank}"), opts.force_tcp)?;
-            for (peer, slot) in streams.iter_mut().enumerate().take(rank) {
-                let mut s = connect_endpoint(dir, &format!("r{peer}"), deadline)?;
-                write_frame(&mut s, &Frame::Hello { rank: rank as u32 })?;
-                *slot = Some(s);
-            }
-            accept_higher(&listener, rank, size, &mut streams)?;
-            listener
+            bind_endpoint(dir, &format!("r{rank}"), env.tcp)?
         };
-
-        let mesh = Arc::new(Mesh::new(rank, opts.heartbeat_timeout_ms, peer_addrs, dir));
-
-        let mut threads = Vec::new();
-        for (peer, slot) in streams.into_iter().enumerate() {
-            let Some(stream) = slot else { continue };
-            let link = mesh.links[peer].as_ref().unwrap().clone();
-            let gen = mesh
-                .install_stream(&link, stream.try_clone()?, 0, false)
-                .unwrap_or(1);
-            spawn_reader(mesh.clone(), link.clone(), stream, gen);
-            let mesh2 = mesh.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("mini-mpi-w{rank}-to-{peer}"))
-                    .spawn(move || writer_loop(&mesh2, &link))
-                    .expect("failed to spawn writer thread"),
-            );
+        // The mesh: dial every lower rank, accept from every higher rank.
+        for (peer, slot) in streams.iter_mut().enumerate().take(rank) {
+            let mut s = dial(&peer_addrs[peer], dir, peer, deadline)?;
+            write_frame(&mut s, &Frame::Hello { rank: rank as u32 })?;
+            *slot = Some(s);
         }
-        let mesh2 = mesh.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("mini-mpi-monitor-{rank}"))
-                .spawn(move || monitor_loop(&mesh2, listener))
-                .expect("failed to spawn monitor thread"),
-        );
-        if let Some(h) = registry_thread {
-            threads.push(h);
+        accept_higher(&listener, rank, size, &mut streams)?;
+
+        if let Some(registry) = registry_thread {
+            // Every rank has its table once the mesh is up.
+            let _ = registry.join();
         }
+        let hb_ms = env.heartbeat_timeout_ms;
+        SocketPeers::start(rank, streams, Some(listener), hb_ms, peer_addrs, dir)
+    }
+
+    /// Start the mesh thread over the rendezvous' streams (one per peer,
+    /// `None` at our own rank).
+    fn start(
+        rank: usize,
+        streams: Vec<Option<Stream>>,
+        listener: Option<Listener>,
+        heartbeat_timeout_ms: u64,
+        peer_addrs: Vec<Option<String>>,
+        dir: &Path,
+    ) -> io::Result<SocketPeers> {
+        let shared = Shared::new(rank)?;
+        let hb_ms = heartbeat_timeout_ms;
+        let mesh = MeshLoop::new(shared.clone(), streams, listener, hb_ms, peer_addrs, dir)?;
+        let thread = std::thread::Builder::new()
+            .name(format!("mini-mpi-mesh-{rank}"))
+            .spawn(move || {
+                let shared = mesh.shared.clone();
+                // A mesh bug must fail the rank's receives, not hang them.
+                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mesh.run())).is_err() {
+                    shared.mailbox.poison("the mesh thread panicked".into());
+                }
+            })?;
         Ok(SocketPeers {
-            mesh,
-            threads: Mutex::new(threads),
+            shared,
+            thread: Mutex::new(Some(thread)),
         })
     }
 
-    /// Teardown barrier: flush a goodbye to every live peer, wait until
-    /// every live peer's goodbye arrived (dead peers are excused, a
-    /// poisoned mesh gives up, the timeout bounds everything), then
-    /// drain the writers, stop the monitor and close the sockets.
+    /// Teardown barrier: the mesh thread sends a goodbye to every live
+    /// peer and keeps serving until every live peer's goodbye arrived
+    /// (dead peers are excused, a poisoned mailbox gives up,
+    /// `GOODBYE_TIMEOUT` bounds everything), then flushes and closes.
     fn shutdown(&self) {
-        let mesh = &self.mesh;
-        for link in mesh.links.iter().flatten() {
-            mesh.send_seq(link, |seq| Frame::Goodbye { seq });
-        }
-        let deadline = Instant::now() + GOODBYE_TIMEOUT;
-        {
-            let mut g = mesh.goodbye_mu.lock();
-            loop {
-                let all = mesh.links.iter().flatten().all(|l| {
-                    l.goodbye_seen.load(Ordering::Acquire) || l.dead.load(Ordering::Acquire)
-                });
-                if all || mesh.mailbox.is_poisoned().is_some() {
-                    break;
-                }
-                if mesh.goodbye_cv.wait_until(&mut g, deadline).timed_out() {
-                    break;
-                }
-            }
-        }
-        for link in mesh.links.iter().flatten() {
-            link.q.lock().closed = true;
-            link.cv.notify_all();
-        }
-        *mesh.stopped.lock() = true;
-        mesh.stop_cv.notify_all();
-        for handle in self.threads.lock().drain(..) {
-            let _ = handle.join();
-        }
-        for link in mesh.links.iter().flatten() {
-            let q = link.q.lock();
-            if let Some(s) = &q.stream {
-                s.shutdown();
-            }
+        self.shared.command(Cmd::Shutdown);
+        if let Some(thread) = self.thread.lock().take() {
+            let _ = thread.join();
         }
     }
 }
@@ -1492,24 +1492,14 @@ fn accept_higher(
 ) -> io::Result<()> {
     for _ in rank + 1..size {
         let mut s = listener.accept()?;
-        match read_frame(&mut s)? {
-            Frame::Hello { rank: peer } => {
-                let peer = peer as usize;
-                if peer <= rank || peer >= size || streams[peer].is_some() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected hello from rank {peer}"),
-                    ));
-                }
-                streams[peer] = Some(s);
-            }
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "expected hello frame",
-                ))
-            }
+        let Frame::Hello { rank: peer } = read_frame(&mut s)? else {
+            return Err(malformed("expected hello frame"));
+        };
+        let peer = peer as usize;
+        if peer <= rank || peer >= size || streams[peer].is_some() {
+            return Err(malformed(&format!("unexpected hello from rank {peer}")));
         }
+        streams[peer] = Some(s);
     }
     Ok(())
 }
@@ -1528,6 +1518,8 @@ pub(crate) struct ChildEnv {
     pub tcp: bool,
     pub seeds: Option<String>,
     pub registry_bind: Option<String>,
+    /// Seed-list mode: the IP to advertise when the registration
+    /// connection's local address is the wrong one (multi-homed, NAT).
     pub advertise_ip: Option<String>,
     pub heartbeat_timeout_ms: u64,
 }
@@ -1656,14 +1648,7 @@ where
     ) {
         fail(format!("control hello failed: {e}"));
     }
-    let mesh_opts = MeshOpts {
-        force_tcp: env.tcp,
-        seeds: env.seeds.clone(),
-        registry_bind: env.registry_bind.clone(),
-        advertise_ip: env.advertise_ip.clone(),
-        heartbeat_timeout_ms: env.heartbeat_timeout_ms,
-    };
-    let peers = match SocketPeers::connect(&env.dir, env.rank, env.size, &mesh_opts) {
+    let peers = match SocketPeers::connect(&env) {
         Ok(p) => p,
         Err(e) => fail(format!("rendezvous failed: {e}")),
     };
@@ -1974,125 +1959,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_roundtrip() {
-        let frames = [
-            Frame::Data {
-                seq: 11,
-                env: Envelope {
-                    ctx: 7,
-                    src: 3,
-                    tag: (1 << 63) | 42,
-                    payload: Bytes::copy_from_slice(b"hello"),
-                },
-            },
-            Frame::Goodbye { seq: 99 },
-            Frame::Hello { rank: 9 },
-            Frame::Result {
-                rank: 2,
-                data: vec![1, 2, 3],
-            },
-            Frame::Ping { acked: 17 },
-            Frame::Pong { acked: 18 },
-            Frame::Death { seq: 5, rank: 3 },
-            Frame::Reconnect {
-                rank: 4,
-                next_expected: 1234,
-            },
-            Frame::ReconnectAck {
-                next_expected: 4321,
-            },
-            Frame::Register {
-                rank: 1,
-                addr: "127.0.0.1:9999".into(),
-            },
-            Frame::Table {
-                addrs: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
-            },
-        ];
-        for frame in &frames {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, frame).unwrap();
-            let mut cursor = &buf[..];
-            match (frame, read_frame(&mut cursor).unwrap()) {
-                (Frame::Data { seq: s1, env: a }, Frame::Data { seq: s2, env: b }) => {
-                    assert_eq!((s1, a.ctx, a.src, a.tag), (&s2, b.ctx, b.src, b.tag));
-                    assert_eq!(&a.payload[..], &b.payload[..]);
-                }
-                (Frame::Goodbye { seq: a }, Frame::Goodbye { seq: b }) => assert_eq!(a, &b),
-                (Frame::Hello { rank: a }, Frame::Hello { rank: b }) => assert_eq!(a, &b),
-                (Frame::Result { rank, data }, Frame::Result { rank: r, data: d }) => {
-                    assert_eq!((rank, data), (&r, &d));
-                }
-                (Frame::Ping { acked: a }, Frame::Ping { acked: b }) => assert_eq!(a, &b),
-                (Frame::Pong { acked: a }, Frame::Pong { acked: b }) => assert_eq!(a, &b),
-                (Frame::Death { seq: s1, rank: r1 }, Frame::Death { seq: s2, rank: r2 }) => {
-                    assert_eq!((s1, r1), (&s2, &r2))
-                }
-                (
-                    Frame::Reconnect {
-                        rank: r1,
-                        next_expected: n1,
-                    },
-                    Frame::Reconnect {
-                        rank: r2,
-                        next_expected: n2,
-                    },
-                ) => assert_eq!((r1, n1), (&r2, &n2)),
-                (
-                    Frame::ReconnectAck { next_expected: a },
-                    Frame::ReconnectAck { next_expected: b },
-                ) => assert_eq!(a, &b),
-                (
-                    Frame::Register { rank: r1, addr: a1 },
-                    Frame::Register { rank: r2, addr: a2 },
-                ) => assert_eq!((r1, a1), (&r2, &a2)),
-                (Frame::Table { addrs: a }, Frame::Table { addrs: b }) => assert_eq!(a, &b),
-                _ => panic!("frame kind changed across the wire"),
-            }
-            assert!(cursor.is_empty(), "frame must consume exactly its bytes");
-        }
-    }
-
-    #[test]
-    fn truncated_frames_rejected() {
-        let mut buf = Vec::new();
-        write_frame(
-            &mut buf,
-            &Frame::Data {
-                seq: 0,
-                env: Envelope {
-                    ctx: 0,
-                    src: 0,
-                    tag: 0,
-                    payload: Bytes::copy_from_slice(&[1, 2, 3, 4]),
-                },
-            },
-        )
-        .unwrap();
-        for cut in 1..buf.len() {
-            let mut cursor = &buf[..cut];
-            assert!(read_frame(&mut cursor).is_err(), "cut at {cut} must fail");
-        }
-        // Control frames too: a truncated register/table must not parse.
-        for frame in [
-            Frame::Register {
-                rank: 0,
-                addr: "127.0.0.1:80".into(),
-            },
-            Frame::Table {
-                addrs: vec!["127.0.0.1:80".into()],
-            },
-        ] {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, &frame).unwrap();
-            for cut in 1..buf.len() {
-                let mut cursor = &buf[..cut];
-                assert!(read_frame(&mut cursor).is_err(), "cut at {cut} must fail");
-            }
-        }
-    }
-
-    #[test]
     fn resolve_port_zero_resolves_only_zero() {
         assert_eq!(
             resolve_port_zero("127.0.0.1:8080").unwrap(),
@@ -2120,26 +1986,87 @@ mod tests {
         assert!(stop.load(Ordering::Acquire));
     }
 
+    fn env(src: usize, tag: u64, payload: &[u8]) -> Envelope {
+        let payload = Bytes::copy_from_slice(payload);
+        let ctx = 0;
+        Envelope {
+            ctx,
+            src,
+            tag,
+            payload,
+        }
+    }
+
+    fn data(seq: u64, tag: u64) -> Frame {
+        let env = env(0, tag, &[]);
+        Frame::Data { seq, env }
+    }
+
+    /// Feed `frames` to `link`: the tags it delivers, and its replies.
+    fn deliver(link: &mut Link, frames: impl IntoIterator<Item = Frame>) -> (Vec<u64>, Vec<Frame>) {
+        let (now, mut out, mut tags) = (Instant::now(), Vec::new(), Vec::new());
+        for frame in frames {
+            if let Ok(Some(Frame::Data { env, .. })) = link.on_frame(frame, now, &mut out) {
+                tags.push(env.tag);
+            }
+        }
+        (tags, out)
+    }
+
+    #[test]
+    fn two_mesh_threads_exchange_envelopes_and_tear_down() {
+        // Two ranks in one process over a socket pair: each rank's program
+        // sends through the command queue while its mesh thread carries
+        // the frames, and the teardown barrier releases both.
+        let (a, b) = UnixStream::pair().unwrap();
+        let (a, b) = (Some(Stream::Unix(a)), Some(Stream::Unix(b)));
+        std::thread::scope(|scope| {
+            for (rank, streams) in [vec![None, a], vec![b, None]].into_iter().enumerate() {
+                scope.spawn(move || {
+                    let no_addrs = vec![None; 2];
+                    let peers =
+                        SocketPeers::start(rank, streams, None, 10_000, no_addrs, Path::new("."));
+                    let inner = Arc::new(WorldInner {
+                        transport: Transport::Socket(peers.unwrap()),
+                        bytes_sent: AtomicU64::new(0),
+                        messages_sent: AtomicU64::new(0),
+                    });
+                    let comm = Comm::new_world(inner.clone(), rank, Arc::new(vec![0, 1]));
+                    (0..200u64).for_each(|i| comm.send(1 - rank, 1, &[i]));
+                    for i in 0..200u64 {
+                        assert_eq!(comm.recv::<u64>(crate::Source::Rank(1 - rank), 1), [i]);
+                    }
+                    let Transport::Socket(peers) = &inner.transport else {
+                        unreachable!()
+                    };
+                    peers.shutdown();
+                    assert!(peers.mailbox().is_poisoned().is_none());
+                });
+            }
+        });
+    }
+
     #[test]
     fn reconnect_ack_is_the_only_frame_ahead_of_retransmits() {
-        // A dialer that gives up on a handshake (its read timeout, under
-        // load) can leave that handshake's ack queued but unsent. The
-        // next handshake's stream must open with exactly one ack and then
-        // the retransmits: a second ack reaches the dialer's reader and
+        // A dialer that gives up on a handshake (its deadline, under load)
+        // can leave that handshake's ack queued but unsent. The next
+        // handshake's stream must open with exactly one ack and then the
+        // retransmits: a second ack reaches the dialer's reader and
         // poisons its world.
-        let mesh = Arc::new(Mesh::new(0, 10_000, vec![None, None], Path::new(".")));
-        let link = mesh.links[1].clone().unwrap();
-        mesh.send_seq(&link, |seq| Frame::Death { seq, rank: 7 });
-        mesh.send_seq(&link, |seq| Frame::Death { seq, rank: 8 });
+        let shared = Shared::new(0).unwrap();
+        let (old_ours, old_theirs) = UnixStream::pair().unwrap();
+        let streams = vec![None, Some(Stream::Unix(old_ours))];
+        let mut mesh =
+            MeshLoop::new(shared, streams, None, 10_000, vec![None; 2], Path::new(".")).unwrap();
+        let peer = mesh.peers[1].as_mut().unwrap();
+        peer.link.send(|seq| Frame::Death { seq, rank: 7 });
+        peer.link.send(|seq| Frame::Death { seq, rank: 8 });
         let stale = Frame::ReconnectAck { next_expected: 0 };
-        link.q.lock().ctrl.push_back(stale);
+        peer.conn.as_mut().unwrap().queue(&stale);
         let (ours, theirs) = UnixStream::pair().unwrap();
-        let stream = Stream::Unix(ours);
-        mesh.install_stream(&link, stream, 0, true).unwrap();
-        let writer = {
-            let (mesh, link) = (mesh.clone(), link.clone());
-            std::thread::spawn(move || writer_loop(&mesh, &link))
-        };
+        let conn = Conn::new(Stream::Unix(ours)).unwrap();
+        mesh.reconnect_accepted(1, 0, conn, Instant::now());
+        mesh.write_all();
         let mut theirs = Stream::Unix(theirs);
         let kinds: Vec<String> = (0..3)
             .map(|_| match read_frame(&mut theirs).unwrap() {
@@ -2149,9 +2076,75 @@ mod tests {
             })
             .collect();
         assert_eq!(kinds, ["ack", "seq 0", "seq 1"]);
-        link.q.lock().closed = true;
-        link.cv.notify_all();
-        writer.join().unwrap();
+        // The stale ack went down with its connection, unsent.
+        assert!(read_frame(&mut Stream::Unix(old_theirs)).is_err());
+    }
+
+    #[test]
+    fn transient_drop_retransmits_exactly_the_unacked_suffix() {
+        // The schedule of `failure_injection`'s transient-drop test: the
+        // connection drops with frames in flight both ways, the dialer's
+        // `Reconnect` and the acceptor's ack carry each side's receive
+        // cursor, and each side resends exactly what the other lacks.
+        let now = Instant::now();
+        let (mut dialer, mut acceptor) = (Link::new(0, now), Link::new(1, now));
+        (0..6).for_each(|tag| dialer.send(|seq| data(seq, tag)));
+        (100..102).for_each(|tag| acceptor.send(|seq| data(seq, tag)));
+        let on_wire: Vec<Frame> = dialer.unsent().take(3).cloned().collect();
+        assert_eq!(deliver(&mut acceptor, on_wire).0, [0, 1, 2]);
+        let on_wire: Vec<Frame> = acceptor.unsent().take(1).cloned().collect();
+        assert_eq!(deliver(&mut dialer, on_wire).0, [100]);
+        assert!(dialer.lost(now) && acceptor.lost(now));
+        dialer.send(|seq| data(seq, 6)); // waits for the reconnect
+        assert_eq!(dialer.unsent().count(), 0);
+        acceptor.reconnected(dialer.next_expected_in, now);
+        dialer.reconnected(acceptor.next_expected_in, now);
+        let resent: Vec<Frame> = dialer.unsent().cloned().collect();
+        let late_duplicate = data(2, 2);
+        let to_acceptor = std::iter::once(late_duplicate).chain(resent);
+        assert_eq!(deliver(&mut acceptor, to_acceptor).0, [3, 4, 5, 6]);
+        let resent: Vec<Frame> = acceptor.unsent().cloned().collect();
+        assert_eq!(deliver(&mut dialer, resent).0, [101]);
+        // Pings carry the cursors back and empty both retransmit buffers.
+        deliver(&mut acceptor, [Frame::Ping { acked: 2 }]);
+        deliver(&mut dialer, [Frame::Ping { acked: 7 }]);
+        assert!(dialer.unacked.is_empty() && acceptor.unacked.is_empty());
+    }
+
+    #[test]
+    fn link_answers_pings_after_goodbye_and_breaks_on_gaps() {
+        let now = Instant::now();
+        let mut link = Link::new(1, now);
+        let (_, out) = deliver(
+            &mut link,
+            [Frame::Goodbye { seq: 0 }, Frame::Ping { acked: 0 }],
+        );
+        assert!(matches!(out[..], [Frame::Pong { acked: 1 }]));
+        // The peer's EOF after its goodbye is the end, not a failure.
+        assert!(!link.lost(now) && link.eof_at.is_none());
+        for stray in [data(5, 0), Frame::Hello { rank: 1 }] {
+            assert!(link.on_frame(stray, now, &mut Vec::new()).is_err());
+        }
+    }
+
+    #[test]
+    fn link_tick_pings_then_times_out() {
+        let now = Instant::now();
+        let (timeout, window) = (Duration::from_millis(100), Duration::from_millis(50));
+        let mut out = Vec::new();
+        let mut link = Link::new(1, now);
+        assert!(link.tick(now, timeout, window, &mut out).is_none());
+        assert!(matches!(out[..], [Frame::Ping { acked: 0 }]));
+        let why = link.tick(now + timeout * 2, timeout, window, &mut out);
+        assert!(why.unwrap().contains("heartbeat timeout"));
+        // A down link dies when its EOF window passes without a reconnect,
+        // and is not pinged meanwhile.
+        let mut link = Link::new(1, now);
+        assert!(link.lost(now));
+        out.clear();
+        assert!(link.tick(now, timeout, window, &mut out).is_none() && out.is_empty());
+        let why = link.tick(now + window * 2, timeout, window, &mut out);
+        assert_eq!(why.as_deref(), Some("connection closed before goodbye"));
     }
 
     #[test]

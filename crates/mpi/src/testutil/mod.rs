@@ -15,13 +15,15 @@
 //!   [`crate::SpawnOptions::on_spawn`] hook so tests can `SIGKILL` /
 //!   `SIGSTOP` / `SIGCONT` individual rank processes.
 //! * [`free_loopback_addr`] — a concrete free `127.0.0.1:<port>`.
+//! * [`decode_mesh_stream`] — the mesh's frame decoder, for fuzzing the
+//!   parser that reads every byte a peer sends.
 //!
 //! Fault schedules are expressed in *protocol* terms — "after the 3rd
 //! data frame from rank 2 to rank 0" — not wall-clock terms, which keeps
 //! the tests deterministic on loaded CI machines.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -30,7 +32,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::socket::{
-    read_frame, resolve_port_zero, tcp_connect_retry, write_frame, Frame, KIND_DATA, MAX_FRAME_BODY,
+    read_frame, resolve_port_zero, tcp_connect_retry, write_frame, Frame, FrameBuf,
 };
 
 /// A concrete free loopback address (`127.0.0.1:<port>`), suitable for
@@ -39,6 +41,24 @@ use crate::socket::{
 /// follows immediately.
 pub fn free_loopback_addr() -> io::Result<String> {
     resolve_port_zero("127.0.0.1:0")
+}
+
+/// Feed `chunks` through one connection's inbound buffer, as the mesh
+/// thread's partial reads do, and return every whole frame decoded and
+/// encoded again, in order. A trailing partial frame is left undecoded.
+pub fn decode_mesh_stream<'a>(
+    chunks: impl IntoIterator<Item = &'a [u8]>,
+) -> io::Result<Vec<Vec<u8>>> {
+    let (mut inbox, mut frames) = (FrameBuf::default(), Vec::new());
+    for chunk in chunks {
+        inbox.extend(chunk);
+        while let Some(frame) = inbox.next_frame()? {
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, &frame).expect("a decoded frame is within the limit");
+            frames.push(bytes);
+        }
+    }
+    Ok(frames)
 }
 
 /// Rank-to-pid registry fed by the [`crate::SpawnOptions::on_spawn`]
@@ -360,17 +380,17 @@ fn handle_link(
     let mut upstream = TcpStream::connect(real_addr)?;
     write_frame(&mut upstream, &handshake)?;
 
-    // Listener-to-dialer direction: verbatim unless black-holed.
+    // Listener-to-dialer direction: unchanged unless black-holed.
     {
         let mut from = upstream.try_clone()?;
         let mut to = dialer.try_clone()?;
         let shared = shared.clone();
         std::thread::spawn(move || {
-            while let Ok((head, body)) = read_raw_frame(&mut from) {
+            while let Ok(frame) = read_frame(&mut from) {
                 if shared.is_blackholed(low, high) {
                     continue;
                 }
-                if write_raw_frame(&mut to, &head, &body).is_err() {
+                if write_frame(&mut to, &frame).is_err() {
                     break;
                 }
             }
@@ -379,8 +399,8 @@ fn handle_link(
     }
 
     // Dialer-to-listener direction: count data frames, fire faults.
-    while let Ok((head, body)) = read_raw_frame(&mut dialer) {
-        if head[4] == KIND_DATA {
+    while let Ok(frame) = read_frame(&mut dialer) {
+        if let Frame::Data { .. } = frame {
             let seen = shared
                 .data_counts
                 .lock()
@@ -401,33 +421,10 @@ fn handle_link(
         if shared.is_blackholed(low, high) {
             continue;
         }
-        if write_raw_frame(&mut upstream, &head, &body).is_err() {
+        if write_frame(&mut upstream, &frame).is_err() {
             break;
         }
     }
     let _ = upstream.shutdown(Shutdown::Both);
     Ok(())
-}
-
-/// Read one frame without decoding it: the 5-byte `[len][kind]` head
-/// plus the raw body, forwarded verbatim.
-fn read_raw_frame(r: &mut impl Read) -> io::Result<([u8; 5], Vec<u8>)> {
-    let mut head = [0u8; 5];
-    r.read_exact(&mut head)?;
-    let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-    if len > MAX_FRAME_BODY {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "oversized frame through proxy",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok((head, body))
-}
-
-fn write_raw_frame(w: &mut impl Write, head: &[u8; 5], body: &[u8]) -> io::Result<()> {
-    w.write_all(head)?;
-    w.write_all(body)?;
-    w.flush()
 }

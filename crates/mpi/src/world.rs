@@ -8,8 +8,8 @@
 //!   lock ([`World::run`]);
 //! * **socket** (`Transport::Socket`) — ranks are OS processes connected
 //!   by a full mesh of Unix-domain sockets (TCP loopback fallback); a post
-//!   hands the envelope to a per-peer writer thread, a per-peer reader
-//!   thread demuxes incoming frames into the local mailbox
+//!   hands the envelope to the rank's one mesh thread, which writes it to
+//!   the peer's socket and demuxes incoming frames into the local mailbox
 //!   ([`World::run_spawned`]).
 //!
 //! Both feed the same mailbox/condvar matching logic in

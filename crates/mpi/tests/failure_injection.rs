@@ -473,8 +473,8 @@ fn stalled_rank_is_not_declared_dead() {
 /// not poison the survivors: the finished rank parks in its teardown
 /// barrier and keeps heartbeat-monitoring every link whose goodbye it
 /// has not yet received, so the still-working ranks must keep answering
-/// its pings after seeing *its* goodbye. Regression test: the reader
-/// thread used to exit on an inbound Goodbye, going silent on that link;
+/// its pings after seeing *its* goodbye. Regression test: the link used
+/// to stop reading on an inbound Goodbye, going silent on that link;
 /// the finished rank then falsely declared every still-working peer dead
 /// at the heartbeat timeout and abandoned its teardown barrier ~450 ms
 /// before the workers were done (observable as rank 0's process exiting
@@ -612,7 +612,7 @@ proptest! {
                 // Warm-up: every rank posts to every peer over the
                 // established mesh, but only survivor↔survivor
                 // deliveries are awaited — a victim's crash-stop races
-                // its writer-thread flush, so nothing may depend on a
+                // its mesh thread's flush, so nothing may depend on a
                 // victim's frames arriving.
                 for peer in 0..comm.size() {
                     if peer != comm.rank() {

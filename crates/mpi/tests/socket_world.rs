@@ -101,6 +101,33 @@ fn tcp_fallback_transport() {
     assert_eq!(from_le_u64s(&out[1]), vec![5]);
 }
 
+/// Each rank runs exactly one mesh thread, whatever the world size: it
+/// owns every peer link, so no rank pays a reader and a writer per peer.
+#[test]
+fn one_mesh_thread_per_rank() {
+    let out = World::run_spawned_test(4, "one_mesh_thread_per_rank", &[], |comm, _| {
+        // Once every link has carried a frame, the mesh is up.
+        comm.barrier();
+        let mut mesh_threads = 0u64;
+        for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
+            let comm_path = task.expect("task entry").path().join("comm");
+            // A thread that exits while we look has no comm to read.
+            let name = std::fs::read_to_string(comm_path).unwrap_or_default();
+            mesh_threads += u64::from(name.starts_with("mini-mpi"));
+        }
+        comm.barrier();
+        le_u64s(&[mesh_threads])
+    })
+    .expect("spawned world must succeed");
+    for (rank, bytes) in out.iter().enumerate() {
+        assert_eq!(
+            from_le_u64s(bytes),
+            vec![1],
+            "rank {rank}'s mini-mpi threads"
+        );
+    }
+}
+
 /// The deterministic rank program used by the transport-equivalence
 /// property test: a mix of p2p (in-order and out-of-order tags),
 /// collectives, split and dup, all parameterized by the input bytes.

@@ -1,6 +1,6 @@
-//! The two Linux calls the poll thread waits with: `poll(2)` over its
-//! sockets and an `eventfd(2)` counter that [`crate::StreamServer`]'s
-//! `publish` and `shutdown` write to.
+//! The two Linux calls a socket loop waits with: `poll(2)` over its sockets
+//! and an `eventfd(2)` counter other threads signal. Compiled into both
+//! `damaris_serve` (its poll thread) and `mini_mpi` (its mesh thread).
 //!
 //! No external crates: both are declared directly against libc (which
 //! `std` already links), the way `damaris_shm`'s mapping declares `mmap`.
@@ -14,7 +14,7 @@ use std::time::Duration;
 // eventfd is Linux-only; the flag values are the asm-generic ones (x86,
 // arm, riscv).
 #[cfg(not(target_os = "linux"))]
-compile_error!("damaris_serve waits with Linux's poll(2) and eventfd(2)");
+compile_error!("this crate waits with Linux's poll(2) and eventfd(2)");
 
 pub const POLLIN: c_short = 0x001;
 pub const POLLOUT: c_short = 0x004;
@@ -26,9 +26,8 @@ const EFD_CLOEXEC: c_int = 0o2_000_000;
 pub struct PollFd {
     fd: c_int,
     events: c_short,
-    /// Written by the kernel; the loop services every socket on every
-    /// pass, so it never reads which ones fired.
-    _revents: c_short,
+    /// Written by the kernel.
+    revents: c_short,
 }
 
 impl PollFd {
@@ -36,8 +35,14 @@ impl PollFd {
         PollFd {
             fd: fd.as_raw_fd(),
             events,
-            _revents: 0,
+            revents: 0,
         }
+    }
+
+    /// Whether the last [`wait`] found the descriptor ready or hung up.
+    #[allow(dead_code)] // serve's loop services every socket on every pass
+    pub fn ready(&self) -> bool {
+        self.revents != 0
     }
 }
 
