@@ -116,7 +116,7 @@ impl NodeBuilder {
             n_clients,
             output_dir.clone(),
         ));
-        let builtins = shared.register_builtins()?;
+        let builtins = shared.register_builtins(None)?;
 
         let n_cores = cfg.architecture.dedicated_cores;
         let mut server_handles = Vec::new();

@@ -15,7 +15,8 @@
 //! ([`crate::ProcessServer`]) run the same completion state machine and
 //! call the same plugins with the same [`IterationCtx`] — blocks ordered
 //! by `(variable, source)`, sources 0-based, bytes read **in place** in
-//! shared memory (the node segment, or the `/dev/shm` mapping).
+//! shared memory (the node segment, or the process world's segment file
+//! mapping).
 //!
 //! A plugin may keep clones of the blocks it is shown
 //! ([`damaris_shm::BlockRef`] is refcounted) for as long as it needs them,
@@ -48,7 +49,8 @@
 //!   behind `<serve listen="…">`: every completed iteration is published
 //!   to concurrent TCP subscribers with bounded per-subscriber queues
 //!   (see `damaris_serve`); the frames are views of the blocks, released
-//!   after the last subscriber write.
+//!   after the last subscriber write or, for a same-host subscriber that
+//!   reads them from the segment file, its release.
 
 mod serve;
 mod stats;

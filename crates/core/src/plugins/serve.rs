@@ -3,30 +3,40 @@
 //!
 //! [`ServePlugin`] runs on the dedicated core at iteration completion and
 //! publishes [`Payload::Shm`] clones of the completed blocks: the bytes
-//! never leave shared memory until the poll thread writes the last
-//! subscriber frame referencing them — the thread world's segment or the
-//! process world's `/dev/shm` mapping, whose client is told its blocks
-//! are free only then. Blocks carry 0-based client ids and arrive ordered
-//! by `(variable, source)` in both worlds, so DATA frames are
-//! byte-identical across them.
+//! stay in shared memory — the thread world's segment, or the process
+//! world's segment file (`damaris-segment.shm` in the world's spawn
+//! directory), whose client is told its blocks are free only after the
+//! last subscriber release. In the process world the server is bound over
+//! that file: a subscriber on the same host, of the same user, reads each
+//! block from it (a seek and a read) and sends back one RELEASE per
+//! iteration; any other subscriber gets the bytes inline over TCP, sent
+//! from the mapping. Blocks carry 0-based client ids and arrive ordered by
+//! `(variable, source)` in both worlds, so DATA payloads are
+//! byte-identical across worlds and modes.
 //!
 //! Auto-registered from `<serve listen="addr:port" …/>` — see
 //! `NodeBuilder::build` and `ProcessServer::new`.
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use damaris_serve::{Payload, PublishBlock, ServeOptions, ServeStats, StreamServer};
+use damaris_shm::ShmFile;
 use damaris_xml::schema::Configuration;
 
 use super::{IterationCtx, Plugin};
 
-/// How long shutdown lets the poll thread flush queued frames before
-/// force-closing slow subscribers.
+/// How long shutdown lets the poll thread flush queued frames and collect
+/// releases before force-closing slow subscribers.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
-fn bind_from_config(cfg: &Configuration, output_dir: &Path) -> Result<StreamServer, String> {
+fn bind_from_config(
+    cfg: &Configuration,
+    output_dir: &Path,
+    segment: Option<Arc<ShmFile>>,
+) -> Result<StreamServer, String> {
     let sc = cfg.architecture.serve.clone().unwrap_or_default();
     let addr_file = sc.addr_file.map(|p| {
         let p = PathBuf::from(p);
@@ -36,12 +46,15 @@ fn bind_from_config(cfg: &Configuration, output_dir: &Path) -> Result<StreamServ
             output_dir.join(p)
         }
     });
-    StreamServer::bind(ServeOptions {
-        listen: sc.listen.clone(),
-        queue_frames: sc.queue_frames as usize,
-        simulation: cfg.name.clone(),
-        addr_file,
-    })
+    StreamServer::bind_over(
+        ServeOptions {
+            listen: sc.listen.clone(),
+            queue_frames: sc.queue_frames as usize,
+            simulation: cfg.name.clone(),
+            addr_file,
+        },
+        segment,
+    )
     .map_err(|e| format!("serve: cannot bind '{}': {e}", sc.listen))
 }
 
@@ -53,10 +66,15 @@ pub struct ServePlugin {
 
 impl ServePlugin {
     /// Bind the streaming server per the `<serve>` element (relative
-    /// `addr_file` resolves against `output_dir`).
-    pub fn new(cfg: &Configuration, output_dir: &Path) -> Result<Self, String> {
+    /// `addr_file` resolves against `output_dir`), advertising `segment`
+    /// — the process world's segment file — to same-host subscribers.
+    pub fn new(
+        cfg: &Configuration,
+        output_dir: &Path,
+        segment: Option<Arc<ShmFile>>,
+    ) -> Result<Self, String> {
         Ok(ServePlugin {
-            server: bind_from_config(cfg, output_dir)?,
+            server: bind_from_config(cfg, output_dir, segment)?,
         })
     }
 
@@ -84,7 +102,8 @@ impl Plugin for ServePlugin {
                 variable: ctx.config.var_name(b.variable).to_string(),
                 source: b.source as u64,
                 // Zero-copy: the frame holds the shm block alive until
-                // the last subscriber write completes.
+                // the last subscriber write completes, or for a DATA_REF
+                // until the subscriber releases it.
                 payload: Payload::Shm(b.data.clone()),
             })
             .collect();

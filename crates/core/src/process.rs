@@ -10,7 +10,9 @@
 //!
 //! * a [`mini_mpi`] **socket world** ([`mini_mpi::World::run_spawned`]) —
 //!   one process per rank, envelopes over Unix-domain sockets;
-//! * a [`damaris_shm::ShmFile`] — a `/dev/shm` file every rank maps, so
+//! * a [`damaris_shm::ShmFile`] — `damaris-segment.shm` in the world's
+//!   spawn directory ([`mini_mpi::World::spawn_dir`], under `$TMPDIR`,
+//!   mode 0600), a file every rank maps, so
 //!   block payloads move through genuine shared memory while only tiny
 //!   *descriptors* (variable id, iteration, file offset, length) cross
 //!   the socket.
@@ -55,8 +57,10 @@
 //! allocator, so it says so in a message). All views minted from one
 //! envelope share one lease, and the `TAG_ACK` of that (client,
 //! iteration) is sent when the last of them drops — after the storage
-//! append, after the last subscriber frame, when the iteration leaves the
-//! `<serve retain>` window — from whichever thread dropped it. Until then
+//! append, after the last subscriber release (a same-host subscriber
+//! reads the blocks from the segment file and releases each iteration
+//! once it has; any other is sent them over TCP), when the iteration
+//! leaves the `<serve retain>` window — from whichever thread dropped it. Until then
 //! the blocks stay allocated in the client's slice, so the client's only
 //! back-pressure is its slice's occupancy, exactly as a thread client's is
 //! the segment's: [`SkipMode::DropIteration`] drops an iteration that
@@ -219,7 +223,7 @@ impl ProcessServer {
             drop(lease);
         })?;
         let shared = ServerShared::new(Arc::new(cfg), 0, clients, dir.to_path_buf());
-        shared.register_builtins()?;
+        shared.register_builtins(Some(&shm))?;
         let acks = Arc::new(Mutex::new(comm.dup()));
         comm.barrier(); // clients may open the file now
         Ok(ProcessServer {

@@ -150,8 +150,13 @@ impl ServerShared {
     /// owner can expose their counters; an `<action>` naming them only
     /// thins their firing frequency); `stats` is pulled in by an action
     /// referencing it. Any other plugin name must be registered by the
-    /// caller, or its actions are ignored.
-    pub(crate) fn register_builtins(&self) -> DamarisResult<Builtins> {
+    /// caller, or its actions are ignored. `segment` is the process
+    /// world's segment file, which the streaming tier advertises to
+    /// same-host subscribers.
+    pub(crate) fn register_builtins(
+        &self,
+        segment: Option<&Arc<damaris_shm::ShmFile>>,
+    ) -> DamarisResult<Builtins> {
         let mut plugins = self.plugins.write();
         let mut builtins = Builtins::default();
         if self.cfg.architecture.store.is_some() {
@@ -164,7 +169,7 @@ impl ServerShared {
         }
         if self.cfg.architecture.serve.is_some() {
             let plugin = Arc::new(
-                ServePlugin::new(&self.cfg, &self.output_dir)
+                ServePlugin::new(&self.cfg, &self.output_dir, segment.cloned())
                     .map_err(DamarisError::InvalidState)?,
             );
             builtins.serve = Some(plugin.clone());

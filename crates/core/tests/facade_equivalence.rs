@@ -858,17 +858,25 @@ type Captured = (
     Vec<(u64, u64)>,
 );
 
-/// Poll for the server's `addr` file, connect, subscribe to everything,
-/// wait for iteration 0 (proof the subscription is live), open the
-/// simulation's gate, and record the stream through iteration 3.
-fn capture_stream(dir: &std::path::Path) -> Captured {
-    use damaris_serve::{Subscriber, SubscriberEvent};
+/// How one leg of the streaming equivalence run reads the stream.
+#[derive(Debug, Clone, Copy)]
+enum Reader {
+    /// `damaris_serve::Subscriber`, which reads blocks from the segment
+    /// file exactly when the server advertises one (`segment`).
+    Subscriber { segment: bool },
+    /// Raw frames straight off the socket, subscribing without segment
+    /// mode: every block arrives inline over TCP.
+    RawTcp,
+}
+
+/// Poll for the server's `addr` file.
+fn server_addr(dir: &std::path::Path) -> std::net::SocketAddr {
     let addr_file = dir.join("addr");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    let addr = loop {
+    loop {
         // Written via tmp + rename, so a readable file is a complete one.
         if let Ok(s) = std::fs::read_to_string(&addr_file) {
-            break s
+            return s
                 .trim()
                 .parse::<std::net::SocketAddr>()
                 .expect("addr parses");
@@ -878,16 +886,84 @@ fn capture_stream(dir: &std::path::Path) -> Captured {
             "server never published its address"
         );
         std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+}
+
+/// The next frame of a raw connection, decoded with the protocol module.
+fn raw_message(conn: &mut std::net::TcpStream, buf: &mut Vec<u8>) -> damaris_serve::Message {
+    use std::io::Read;
+    loop {
+        if let Some((msg, used)) = damaris_serve::protocol::decode(buf).expect("well-formed frame")
+        {
+            buf.drain(..used);
+            return msg;
+        }
+        let mut chunk = [0u8; 16 << 10];
+        let n = conn.read(&mut chunk).expect("stream stays healthy");
+        assert!(n > 0, "server closed the stream");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// Connect as `reader`, subscribe to everything, wait for iteration 0
+/// (proof the subscription is live), open the simulation's gate, and
+/// record the stream through iteration 3.
+fn capture_stream(dir: &std::path::Path, reader: Reader) -> Captured {
+    use damaris_serve::protocol::{encode_bye, encode_subscribe};
+    use damaris_serve::{Message, Subscriber, SubscriberEvent};
+    use std::io::Write;
+    let addr = server_addr(dir);
+    // Both readers yield the same events; the raw one refuses DATA_REF.
+    let mut next: Box<dyn FnMut() -> SubscriberEvent> = match reader {
+        Reader::Subscriber { segment } => {
+            let mut sub = Subscriber::connect(addr).expect("subscriber connects");
+            assert_eq!(sub.simulation(), "serve-eq");
+            assert_eq!(sub.reads_segment(), segment, "segment mode taken");
+            sub.subscribe(&[]).expect("subscribe to all");
+            Box::new(move || sub.next_event().expect("stream stays healthy"))
+        }
+        Reader::RawTcp => {
+            let mut conn = std::net::TcpStream::connect(addr).expect("raw client connects");
+            let mut buf = Vec::new();
+            match raw_message(&mut conn, &mut buf) {
+                Message::Hello { segment, .. } => {
+                    assert!(
+                        segment.is_some(),
+                        "the process world advertises its segment"
+                    )
+                }
+                other => panic!("expected HELLO, got {other:?}"),
+            }
+            conn.write_all(&encode_subscribe(&[], false).unwrap())
+                .expect("subscribe over TCP");
+            Box::new(move || match raw_message(&mut conn, &mut buf) {
+                Message::Data {
+                    variable,
+                    iteration,
+                    source,
+                    bytes,
+                } => SubscriberEvent::Data {
+                    variable,
+                    iteration,
+                    source,
+                    bytes,
+                },
+                Message::IterEnd { iteration, blocks } => {
+                    if iteration == 3 {
+                        let _ = conn.write_all(&encode_bye());
+                    }
+                    SubscriberEvent::IterationEnd { iteration, blocks }
+                }
+                other => panic!("TCP-mode subscriber got {other:?}"),
+            })
+        }
     };
-    let mut sub = Subscriber::connect(addr).expect("subscriber connects");
-    assert_eq!(sub.simulation(), "serve-eq");
-    sub.subscribe(&[]).expect("subscribe to all");
 
     let mut data = std::collections::BTreeMap::new();
     let mut ends = Vec::new();
     let mut gated = false;
     loop {
-        match sub.next_event().expect("stream stays healthy") {
+        match next() {
             SubscriberEvent::Data {
                 variable,
                 iteration,
@@ -912,34 +988,40 @@ fn capture_stream(dir: &std::path::Path) -> Captured {
             SubscriberEvent::Bye => panic!("BYE at iteration {ends:?}, gate {gated}"),
         }
     }
-    let _ = sub.bye();
     (data, ends)
 }
 
-/// The streaming tier is world-independent: a subscriber watching the
-/// thread world's in-process server and one watching the process world's
-/// out-of-process server observe **byte-identical** DATA payloads and
-/// identical iteration boundaries, frame for frame.
+/// The streaming tier is world- and mode-independent: the thread world's
+/// in-process server (TCP), and the process world's out-of-process server
+/// read both from its segment file (`Subscriber`, segment mode) and
+/// inline over TCP (a raw-frame client), yield **byte-identical** DATA
+/// payloads and identical iteration boundaries, frame for frame.
 #[test]
 fn serve_frames_byte_identical_across_worlds() {
     let base = std::env::temp_dir().join("damaris-serve-eq");
     // Process-mode children re-execute this function from the top; only
     // the parent may touch the coordination directory or run a
-    // subscriber (children exit inside `launch_test`).
+    // subscriber (children exit inside `launch_test`, running the same
+    // `serve_sim` whichever process leg spawned them).
     let is_parent = mini_mpi::World::spawn_dir().is_none();
     if is_parent {
         std::fs::remove_dir_all(&base).ok();
     }
     let program = "serve_frames_byte_identical_across_worlds";
+    let legs = [
+        ("processes", "segment", Reader::Subscriber { segment: true }),
+        ("processes", "tcp", Reader::RawTcp),
+        ("threads", "tcp", Reader::Subscriber { segment: false }),
+    ];
     let mut captures = Vec::new();
-    for world in ["processes", "threads"] {
-        let dir = base.join(world);
+    for (world, mode, reader) in legs {
+        let dir = base.join(format!("{world}-{mode}"));
         if is_parent {
             std::fs::create_dir_all(&dir).expect("coordination dir");
         }
         let watcher = is_parent.then(|| {
             let d = dir.clone();
-            std::thread::spawn(move || capture_stream(&d))
+            std::thread::spawn(move || capture_stream(&d, reader))
         });
         let input = dir.to_str().expect("utf-8 tmpdir").as_bytes().to_vec();
         Damaris::launch_test(serve_config(world, &dir), program, &input, |h, i| {
@@ -954,9 +1036,10 @@ fn serve_frames_byte_identical_across_worlds() {
         );
     }
     let (pdata, pends) = &captures[0];
-    let (tdata, tends) = &captures[1];
-    assert_eq!(pdata, tdata, "DATA payloads must be byte-identical");
-    assert_eq!(pends, tends, "iteration boundaries must agree");
+    for (leg, (data, ends)) in legs.iter().zip(&captures).skip(1) {
+        assert_eq!(pdata, data, "DATA payloads must be byte-identical: {leg:?}");
+        assert_eq!(pends, ends, "iteration boundaries must agree: {leg:?}");
+    }
 
     // Sanity beyond mutual equality: full coverage and exact bytes.
     assert_eq!(pdata.len(), 4 * 2 * 2, "4 iterations × 2 vars × 2 clients");

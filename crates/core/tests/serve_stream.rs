@@ -512,6 +512,242 @@ fn stalled_subscriber_never_stalls_end_iteration_in_the_process_world() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+// ---------------------------------------------------------------------------
+// Segment mode: every DATA_REF range is released exactly once
+// ---------------------------------------------------------------------------
+
+/// The server address a process world wrote to `<dir>/addr`.
+fn serve_addr(dir: &std::path::Path) -> std::net::SocketAddr {
+    let addr_file = dir.join("addr");
+    wait_for(&addr_file, "server never published its address");
+    // Written via tmp + rename, so a readable file is a complete one.
+    std::fs::read_to_string(&addr_file)
+        .expect("addr file")
+        .trim()
+        .parse()
+        .expect("addr parses")
+}
+
+/// The client of the credit run: iteration 0, then — once both
+/// subscribers confirmed it — one dump every 2 ms until the dropping
+/// subscriber is gone, then three more.
+fn credit_sim(h: &mut Damaris<'_>, input: &[u8]) -> Vec<u8> {
+    let dir = std::path::Path::new(std::str::from_utf8(input).expect("utf-8 dir"));
+    let mut worst = Duration::ZERO;
+    let mut dump = |h: &mut Damaris<'_>, it: u64| {
+        h.write("u", it, &wide_field("u", it)).expect("write u");
+        h.write("v", it, &wide_field("v", it)).expect("write v");
+        let t0 = Instant::now();
+        h.end_iteration(it).expect("end iteration");
+        worst = worst.max(t0.elapsed());
+    };
+    dump(h, 0);
+    wait_for(
+        &dir.join("go-dropper"),
+        "dropping subscriber never confirmed",
+    );
+    wait_for(
+        &dir.join("go-hoarder"),
+        "hoarding subscriber never confirmed",
+    );
+    let mut it = 0;
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !dir.join("dropped").exists() {
+        assert!(Instant::now() < deadline, "subscriber never dropped");
+        it += 1;
+        dump(h, it);
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    for _ in 0..3 {
+        it += 1;
+        dump(h, it);
+    }
+    h.finalize().expect("finalize");
+    let mut out = (worst.as_micros() as u64).to_le_bytes().to_vec();
+    out.extend((it + 1).to_le_bytes());
+    out
+}
+
+/// A segment-mode `Subscriber` that leaves mid-iteration: it confirms
+/// iteration 0, then drops its socket right after the first block of a
+/// later iteration, holding that block's DATA_REF unreleased.
+fn dropping_subscriber(dir: &std::path::Path) {
+    let mut sub = Subscriber::connect(serve_addr(dir)).expect("subscriber connects");
+    assert!(sub.reads_segment(), "same host, same user: segment mode");
+    sub.subscribe(&[]).expect("subscribe");
+    read_until_iter_end(&mut sub, 0, &mut BTreeMap::new());
+    std::fs::write(dir.join("go-dropper"), b"go").expect("go file");
+    loop {
+        match sub.next_event().expect("stream healthy") {
+            SubscriberEvent::Data { iteration, .. } if iteration > 0 => break,
+            _ => {}
+        }
+    }
+    drop(sub);
+    std::fs::write(dir.join("dropped"), b"dropped").expect("dropped file");
+}
+
+/// What the hoarding subscriber saw: LAG notices, blocks read from the
+/// segment file, and the iterations it was given whole.
+type Hoard = (
+    Vec<(u64, u64)>,
+    BTreeMap<(u64, String, u64), Vec<u8>>,
+    Vec<u64>,
+);
+
+/// A raw segment-mode client that reads every frame, and every block from
+/// the segment file, but never sends RELEASE.
+fn hoarding_subscriber(dir: &std::path::Path) -> Hoard {
+    use damaris_serve::protocol::{decode, encode_subscribe};
+    use damaris_serve::Message;
+    use std::io::{Read, Write};
+    use std::os::unix::fs::FileExt;
+
+    let mut conn = std::net::TcpStream::connect(serve_addr(dir)).expect("connects");
+    let mut buf = Vec::new();
+    let mut next = |conn: &mut std::net::TcpStream| loop {
+        if let Some((msg, used)) = decode(&buf).expect("well-formed frame") {
+            buf.drain(..used);
+            return msg;
+        }
+        let mut chunk = [0u8; 4096];
+        let n = conn.read(&mut chunk).expect("stream healthy");
+        assert!(n > 0, "server closed without BYE");
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let segment = match next(&mut conn) {
+        Message::Hello {
+            segment: Some(info),
+            ..
+        } => std::fs::File::open(&info.path).expect("segment file opens"),
+        other => panic!("expected a segment in HELLO: {other:?}"),
+    };
+    conn.write_all(&encode_subscribe(&[], true).unwrap())
+        .expect("subscribe");
+    let (mut lags, mut data, mut ends) = (Vec::new(), BTreeMap::new(), Vec::new());
+    loop {
+        match next(&mut conn) {
+            Message::DataRef {
+                variable,
+                iteration,
+                source,
+                offset,
+                len,
+            } => {
+                let mut bytes = vec![0; len as usize];
+                segment.read_exact_at(&mut bytes, offset).expect("pread");
+                data.insert((iteration, variable, source), bytes);
+            }
+            Message::IterEnd { iteration, .. } => {
+                if iteration == 0 {
+                    std::fs::write(dir.join("go-hoarder"), b"go").expect("go file");
+                }
+                ends.push(iteration);
+            }
+            Message::Lag {
+                dropped_frames,
+                resume_iteration,
+            } => lags.push((dropped_frames, resume_iteration)),
+            Message::Bye => return (lags, data, ends),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+/// Segment mode on the credit path, with the dedicated core in a process
+/// of its own: a subscriber that drops its socket while holding an
+/// unreleased DATA_REF, and one that reads on but never releases, pin at
+/// most their queues' worth of blocks. The client never waits, every
+/// iteration completes, every range is released exactly once (no view is
+/// left alive), and the hoarder is told of its drop gap with a LAG after
+/// the whole iterations it did get.
+#[test]
+fn unreleased_segment_frames_never_stall_the_process_world() {
+    let dir = std::env::temp_dir().join("damaris-serve-credit");
+    // Process-mode children re-execute this function from the top; only
+    // the parent touches the coordination directory or subscribes.
+    let is_parent = mini_mpi::World::spawn_dir().is_none();
+    if is_parent {
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("coordination dir");
+    }
+    let xml = format!(
+        r#"<simulation name="streamsim">
+             <architecture>
+               <dedicated cores="1"/>
+               <clients count="1"/>
+               <buffer size="4194304"/>
+               <world kind="processes"/>
+               <skip mode="block"/>
+               <serve listen="127.0.0.1:0" queue_frames="8" addr_file="{}/addr"/>
+             </architecture>
+             <data>
+               <layout name="row" type="f64" dimensions="{WIDE}"/>
+               <variable name="u" layout="row"/>
+               <variable name="v" layout="row"/>
+             </data>
+           </simulation>"#,
+        dir.display()
+    );
+    let cfg = Configuration::from_str(&xml).expect("serve config is valid");
+    let watchers = is_parent.then(|| {
+        let (d1, d2) = (dir.clone(), dir.clone());
+        (
+            std::thread::spawn(move || dropping_subscriber(&d1)),
+            std::thread::spawn(move || hoarding_subscriber(&d2)),
+        )
+    });
+    let input = dir.to_str().expect("utf-8 tmpdir").as_bytes().to_vec();
+    let report = Damaris::launch_test(
+        cfg,
+        "unreleased_segment_frames_never_stall_the_process_world",
+        &input,
+        credit_sim,
+    )
+    .expect("process world succeeds");
+    let (dropper, hoarder) = watchers.expect("parent past launch");
+    dropper.join().expect("dropping subscriber");
+    let (lags, data, ends) = hoarder.join().expect("hoarding subscriber");
+
+    let out = &report.outputs[0];
+    let worst = Duration::from_micros(u64::from_le_bytes(out[..8].try_into().unwrap()));
+    let iterations = u64::from_le_bytes(out[8..16].try_into().unwrap());
+    assert!(
+        worst < Duration::from_secs(1),
+        "end_iteration stalled behind an unreleased subscriber: {worst:?}"
+    );
+    assert_eq!(report.iterations_completed, iterations);
+    assert_eq!(
+        report.skipped_client_iterations, 0,
+        "block mode, never full"
+    );
+    assert!(
+        report.plugin_errors.is_empty(),
+        "{:?}",
+        report.plugin_errors
+    );
+    // Eight frames hold three iterations of two DATA_REFs; the fourth
+    // does not fit, and none ever will again.
+    assert_eq!(ends, [0, 1, 2], "whole iterations until the credit ran out");
+    assert!(iterations > 4, "{iterations}");
+    assert_eq!(lags.len(), 1, "one drop gap, closed before BYE: {lags:?}");
+    assert!(lags[0].0 > 0 && lags[0].1 >= iterations, "{lags:?}");
+    for &it in &ends {
+        for var in ["u", "v"] {
+            let bytes = data
+                .get(&(it, var.to_string(), 0))
+                .unwrap_or_else(|| panic!("{var} missing from delivered it{it}"));
+            assert_eq!(as_f64(bytes), wide_field(var, it), "{var} it{it}");
+        }
+    }
+    assert_eq!(
+        data.len(),
+        2 * ends.len(),
+        "no block outside a whole iteration"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Without `<serve>` the tier stays dark: no listener, no stats.
 #[test]
 fn node_without_serve_exposes_no_streaming_endpoint() {

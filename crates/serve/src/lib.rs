@@ -11,7 +11,8 @@
 //! Three pieces:
 //!
 //! * [`protocol`] — the frame protocol (HELLO / SUBSCRIBE / DATA /
-//!   ITER-END / LAG / BYE) with hostile-length validation.
+//!   DATA-REF / ITER-END / LAG / RELEASE / BYE) with hostile-length
+//!   validation.
 //! * [`StreamServer`] — the fan-out server: one poll thread owns the
 //!   nonblocking sockets and blocks in `poll(2)` until one is ready or it
 //!   is woken; [`StreamServer::publish`] runs on the dedicated core's
@@ -23,8 +24,11 @@
 //! [`PublishBlock`]s and knows nothing about XML configuration or the
 //! `VariableStore` — `damaris_core` wires it in as a `ServePlugin`, which
 //! publishes zero-copy [`Payload::Shm`] views in both worlds: out of the
-//! thread world's shared segment, or out of the process world's
-//! `/dev/shm` mapping.
+//! thread world's shared segment, or out of the process world's segment
+//! file mapping. In the process world the server is bound over that file
+//! ([`StreamServer::bind_over`]): a subscriber on the same host, of the
+//! same user, reads the blocks from the file (segment mode, see
+//! [`protocol`]) and only descriptors and releases cross its socket.
 //!
 //! ```no_run
 //! use damaris_serve::{Subscriber, SubscriberEvent};

@@ -8,12 +8,24 @@
 //!
 //! | kind | name      | direction | body |
 //! |------|-----------|-----------|------|
-//! | 1    | HELLO     | S → C     | `u32 version`, `u16 n`, simulation name |
-//! | 2    | SUBSCRIBE | C → S     | `u16 count`, count × (`u16 n`, var name); 0 = all |
+//! | 1    | HELLO     | S → C     | `u32 version`, `u16 n`, simulation name, `u8 segment`; when 1: `u16 n`, segment path, `u64 len`, `u64 dev`, `u64 ino` |
+//! | 2    | SUBSCRIBE | C → S     | `u8 mode` (0 TCP, 1 segment), `u16 count`, count × (`u16 n`, var name); 0 = all |
 //! | 3    | DATA      | S → C     | `u16 n`, var name, `u64 iteration`, `u64 source`, `u64 len`, bytes |
 //! | 4    | ITER_END  | S → C     | `u64 iteration`, `u64 blocks` |
 //! | 5    | LAG       | S → C     | `u64 dropped_frames`, `u64 resume_iteration` |
 //! | 6    | BYE       | both      | empty |
+//! | 7    | DATA_REF  | S → C     | `u16 n`, var name, `u64 iteration`, `u64 source`, `u64 offset`, `u64 len` |
+//! | 8    | RELEASE   | C → S     | `u64 iteration` |
+//!
+//! **Segment mode.** A server laid beside a shared segment file (the
+//! process world's) advertises it in HELLO. A subscriber that can open
+//! that path and finds the same device, inode and length asks for segment
+//! mode in SUBSCRIBE; the server then sends each block that lies in the
+//! file as a DATA_REF — where the bytes are, not the bytes — and the
+//! subscriber reads them from the file. Once it has read an iteration's
+//! ITER_END it has copied all of that iteration's blocks and sends
+//! RELEASE: until then the server keeps the blocks pinned. Every other
+//! block still goes inline as DATA, so a subscriber decodes both.
 //!
 //! Frames are decoded from a byte buffer without copying the payload until
 //! a complete frame is present (the subscriber reads a DATA payload
@@ -22,20 +34,23 @@
 //! *before* any allocation (the mini-mpi rule: never trust a
 //! peer-supplied length).
 
+use std::ffi::OsStr;
 use std::io;
+use std::os::unix::ffi::OsStrExt;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use damaris_shm::BlockRef;
 
 /// Protocol version carried in HELLO.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on one frame's `len` field (kind + body). A frame claiming
 /// more than this is a protocol error, not an allocation request.
 pub const MAX_FRAME: usize = 256 << 20;
 
 /// Upper bound on the `len` field of a frame a subscriber sends
-/// (SUBSCRIBE or BYE): about 1 000 variable names of 60 bytes. The server
+/// (SUBSCRIBE, RELEASE or BYE): about 1 000 variable names of 60 bytes. The server
 /// refuses a longer claim, or any other kind, once the first five bytes
 /// are in, so a peer cannot make it buffer more than this.
 pub const MAX_CONTROL_FRAME: usize = 64 << 10;
@@ -46,11 +61,30 @@ pub(crate) const KIND_DATA: u8 = 3;
 pub(crate) const KIND_ITER_END: u8 = 4;
 pub(crate) const KIND_LAG: u8 = 5;
 pub(crate) const KIND_BYE: u8 = 6;
+pub(crate) const KIND_DATA_REF: u8 = 7;
+pub(crate) const KIND_RELEASE: u8 = 8;
+
+/// A shared segment file as HELLO advertises it: where it is and which
+/// file it is. A subscriber that opens `path` and finds another device,
+/// inode or length is looking at some other file (another host, another
+/// mount namespace) and stays on TCP.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SegmentInfo {
+    /// Path of the segment file on the server's host.
+    pub path: PathBuf,
+    /// File length in bytes; every DATA_REF range lies within it.
+    pub len: u64,
+    /// `st_dev` of the file.
+    pub dev: u64,
+    /// `st_ino` of the file.
+    pub ino: u64,
+}
 
 /// A DATA frame's payload: either a zero-copy view into shared memory
 /// (what `damaris_core` publishes in both worlds — the bytes stay in shm
-/// until the last subscriber frame referencing them is sent) or owned
-/// bytes (publishers with no segment: tools, benchmarks, tests).
+/// until the last subscriber frame referencing them is sent, or, for a
+/// DATA_REF, released) or owned bytes (publishers with no segment: tools,
+/// benchmarks, tests).
 #[derive(Debug, Clone)]
 pub enum Payload {
     /// Refcounted view into the shared segment.
@@ -86,6 +120,9 @@ impl Payload {
 pub struct Frame {
     header: Vec<u8>,
     payload: Option<Payload>,
+    /// DATA_REF: `payload` is pinned, not sent, until the subscriber
+    /// releases this iteration.
+    ref_iteration: Option<u64>,
 }
 
 fn header(kind: u8, body_capacity: usize) -> Vec<u8> {
@@ -102,24 +139,43 @@ fn seal(mut h: Vec<u8>, payload_len: usize) -> Vec<u8> {
 }
 
 fn push_str(h: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "name too long for the wire");
-    h.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    h.extend_from_slice(s.as_bytes());
+    push_bytes(h, s.as_bytes());
+}
+
+fn push_bytes(h: &mut Vec<u8>, b: &[u8]) {
+    debug_assert!(b.len() <= u16::MAX as usize, "name too long for the wire");
+    h.extend_from_slice(&(b.len() as u16).to_le_bytes());
+    h.extend_from_slice(b);
 }
 
 impl Frame {
-    /// Server greeting.
-    pub fn hello(simulation: &str) -> Frame {
-        let mut h = header(KIND_HELLO, 6 + simulation.len());
-        h.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
-        push_str(&mut h, simulation);
+    fn control(header: Vec<u8>) -> Frame {
         Frame {
-            header: seal(h, 0),
+            header: seal(header, 0),
             payload: None,
+            ref_iteration: None,
         }
     }
 
-    /// One block of one variable at one iteration.
+    /// Server greeting, advertising `segment` when the server has one.
+    pub fn hello(simulation: &str, segment: Option<&SegmentInfo>) -> Frame {
+        let mut h = header(KIND_HELLO, 7 + simulation.len());
+        h.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
+        push_str(&mut h, simulation);
+        match segment {
+            None => h.push(0),
+            Some(seg) => {
+                h.push(1);
+                push_bytes(&mut h, seg.path.as_os_str().as_bytes());
+                for v in [seg.len, seg.dev, seg.ino] {
+                    h.extend_from_slice(&v.to_le_bytes());
+                }
+            }
+        }
+        Frame::control(h)
+    }
+
+    /// One block of one variable at one iteration, bytes inline.
     pub fn data(variable: &str, iteration: u64, source: u64, payload: Payload) -> Frame {
         let mut h = header(KIND_DATA, 26 + variable.len());
         push_str(&mut h, variable);
@@ -129,6 +185,29 @@ impl Frame {
         Frame {
             header: seal(h, payload.len()),
             payload: Some(payload),
+            ref_iteration: None,
+        }
+    }
+
+    /// One block by reference: `payload` lies at `offset` of the
+    /// advertised segment file. The frame carries only where it is and
+    /// keeps `payload` pinned until the subscriber releases `iteration`.
+    pub fn data_ref(
+        variable: &str,
+        iteration: u64,
+        source: u64,
+        offset: u64,
+        payload: Payload,
+    ) -> Frame {
+        let mut h = header(KIND_DATA_REF, 34 + variable.len());
+        push_str(&mut h, variable);
+        for v in [iteration, source, offset, payload.len() as u64] {
+            h.extend_from_slice(&v.to_le_bytes());
+        }
+        Frame {
+            header: seal(h, 0),
+            payload: Some(payload),
+            ref_iteration: Some(iteration),
         }
     }
 
@@ -137,10 +216,7 @@ impl Frame {
         let mut h = header(KIND_ITER_END, 16);
         h.extend_from_slice(&iteration.to_le_bytes());
         h.extend_from_slice(&blocks.to_le_bytes());
-        Frame {
-            header: seal(h, 0),
-            payload: None,
-        }
+        Frame::control(h)
     }
 
     /// Slow-consumer notice: `dropped_frames` DATA frames were skipped;
@@ -149,18 +225,12 @@ impl Frame {
         let mut h = header(KIND_LAG, 16);
         h.extend_from_slice(&dropped_frames.to_le_bytes());
         h.extend_from_slice(&resume_iteration.to_le_bytes());
-        Frame {
-            header: seal(h, 0),
-            payload: None,
-        }
+        Frame::control(h)
     }
 
     /// Clean close (either direction).
     pub fn bye() -> Frame {
-        Frame {
-            header: seal(header(KIND_BYE, 0), 0),
-            payload: None,
-        }
+        Frame::control(header(KIND_BYE, 0))
     }
 
     /// Header bytes (length prefix, kind, fixed fields).
@@ -168,30 +238,42 @@ impl Frame {
         &self.header
     }
 
-    /// Out-of-line payload bytes (empty slice for header-only frames).
+    /// Out-of-line payload bytes (empty slice for header-only frames,
+    /// DATA_REF included).
     pub fn payload_bytes(&self) -> &[u8] {
-        self.payload.as_ref().map(Payload::as_slice).unwrap_or(&[])
+        match (&self.payload, self.ref_iteration) {
+            (Some(p), None) => p.as_slice(),
+            _ => &[],
+        }
     }
 
     /// Total wire size of the frame.
     pub fn wire_len(&self) -> usize {
-        self.header.len() + self.payload.as_ref().map(Payload::len).unwrap_or(0)
+        self.header.len() + self.payload_bytes().len()
     }
 
-    /// True for DATA frames (the only kind the lag policy may drop).
+    /// True for DATA and DATA_REF frames (the only kinds the lag policy
+    /// may drop).
     pub fn is_data(&self) -> bool {
-        self.header[4] == KIND_DATA
+        matches!(self.header[4], KIND_DATA | KIND_DATA_REF)
+    }
+
+    /// For a DATA_REF, the iteration whose RELEASE unpins it once sent.
+    pub fn ref_iteration(&self) -> Option<u64> {
+        self.ref_iteration
     }
 }
 
 /// Encode a client SUBSCRIBE frame. An empty list subscribes to every
-/// variable.
+/// variable; `segment` asks for segment mode (DATA_REF frames for blocks
+/// in the advertised segment file), which the server grants only when it
+/// advertised one.
 ///
 /// `InvalidInput` when the frame would exceed [`MAX_CONTROL_FRAME`]; a
 /// list within it has fewer than `u16::MAX` names of at most `u16::MAX`
 /// bytes each, so nothing is truncated.
-pub fn encode_subscribe(vars: &[&str]) -> io::Result<Vec<u8>> {
-    let body = 2 + vars.iter().map(|v| 2 + v.len()).sum::<usize>();
+pub fn encode_subscribe(vars: &[&str], segment: bool) -> io::Result<Vec<u8>> {
+    let body = 3 + vars.iter().map(|v| 2 + v.len()).sum::<usize>();
     if 1 + body > MAX_CONTROL_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -202,6 +284,7 @@ pub fn encode_subscribe(vars: &[&str]) -> io::Result<Vec<u8>> {
         ));
     }
     let mut h = header(KIND_SUBSCRIBE, body);
+    h.push(u8::from(segment));
     h.extend_from_slice(&(vars.len() as u16).to_le_bytes());
     for v in vars {
         push_str(&mut h, v);
@@ -214,6 +297,14 @@ pub fn encode_bye() -> Vec<u8> {
     seal(header(KIND_BYE, 0), 0)
 }
 
+/// Encode a RELEASE frame (client side): every block of `iteration` and
+/// earlier has been read from the segment.
+pub fn encode_release(iteration: u64) -> Vec<u8> {
+    let mut h = header(KIND_RELEASE, 8);
+    h.extend_from_slice(&iteration.to_le_bytes());
+    seal(h, 0)
+}
+
 /// A decoded inbound message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
@@ -223,11 +314,15 @@ pub enum Message {
         version: u32,
         /// Simulation name from the configuration.
         simulation: String,
+        /// The shared segment file DATA_REF frames point into, if any.
+        segment: Option<SegmentInfo>,
     },
     /// Client subscription request; empty = all variables.
     Subscribe {
         /// Requested variable names.
         vars: Vec<String>,
+        /// Segment mode requested.
+        segment: bool,
     },
     /// One block of one variable.
     Data {
@@ -239,6 +334,19 @@ pub enum Message {
         source: u64,
         /// Block payload.
         bytes: Vec<u8>,
+    },
+    /// One block by reference into the advertised segment file.
+    DataRef {
+        /// Variable name.
+        variable: String,
+        /// Simulation time step.
+        iteration: u64,
+        /// Writing client rank (0-based, identical across worlds).
+        source: u64,
+        /// Byte offset of the block in the segment file.
+        offset: u64,
+        /// Block length in bytes.
+        len: u64,
     },
     /// Iteration boundary.
     IterEnd {
@@ -253,6 +361,11 @@ pub enum Message {
         dropped_frames: u64,
         /// First iteration delivered after the gap.
         resume_iteration: u64,
+    },
+    /// Every DATA_REF block of this iteration and earlier has been read.
+    Release {
+        /// Last released iteration.
+        iteration: u64,
     },
     /// Clean close.
     Bye,
@@ -292,9 +405,22 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn string(&mut self) -> io::Result<String> {
+    fn bytes(&mut self) -> io::Result<&'a [u8]> {
         let n = self.u16()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad("name is not utf-8"))
+        self.take(n)
+    }
+
+    fn string(&mut self) -> io::Result<String> {
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| bad("name is not utf-8"))
+    }
+
+    /// A 0/1 flag byte.
+    fn flag(&mut self) -> io::Result<bool> {
+        match self.take(1)?[0] {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(bad("flag byte is neither 0 nor 1")),
+        }
     }
 
     fn done(&self) -> io::Result<()> {
@@ -388,6 +514,16 @@ pub(crate) fn data_head(buf: &[u8]) -> io::Result<Option<DataHead>> {
     }))
 }
 
+/// Check a DATA_REF's range against the advertised segment length before
+/// anything is allocated or read: at most [`MAX_FRAME`] bytes, lying
+/// wholly within the file, with no overflow. Returns the length.
+pub(crate) fn ref_len(offset: u64, len: u64, segment_len: u64) -> io::Result<usize> {
+    if len > MAX_FRAME as u64 || offset.checked_add(len).is_none_or(|end| end > segment_len) {
+        return Err(bad("DATA_REF range outside the segment"));
+    }
+    Ok(len as usize)
+}
+
 /// Try to decode one frame from the front of `buf`.
 ///
 /// Returns `Ok(None)` when the buffer does not yet hold a complete frame,
@@ -415,19 +551,41 @@ pub fn decode(buf: &[u8]) -> io::Result<Option<(Message, usize)>> {
         KIND_HELLO => {
             let version = r.u32()?;
             let simulation = r.string()?;
+            let segment = if r.flag()? {
+                Some(SegmentInfo {
+                    path: PathBuf::from(OsStr::from_bytes(r.bytes()?)),
+                    len: r.u64()?,
+                    dev: r.u64()?,
+                    ino: r.u64()?,
+                })
+            } else {
+                None
+            };
             Message::Hello {
                 version,
                 simulation,
+                segment,
             }
         }
         KIND_SUBSCRIBE => {
+            let segment = r.flag()?;
             let count = r.u16()? as usize;
             let mut vars = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
                 vars.push(r.string()?);
             }
-            Message::Subscribe { vars }
+            Message::Subscribe { vars, segment }
         }
+        KIND_DATA_REF => Message::DataRef {
+            variable: r.string()?,
+            iteration: r.u64()?,
+            source: r.u64()?,
+            offset: r.u64()?,
+            len: r.u64()?,
+        },
+        KIND_RELEASE => Message::Release {
+            iteration: r.u64()?,
+        },
         KIND_ITER_END => Message::IterEnd {
             iteration: r.u64()?,
             blocks: r.u64()?,
@@ -444,18 +602,19 @@ pub fn decode(buf: &[u8]) -> io::Result<Option<(Message, usize)>> {
 }
 
 /// [`decode`] for the server's side of a connection: the frame at the
-/// front of `buf` must be a SUBSCRIBE or BYE of at most
-/// [`MAX_CONTROL_FRAME`] bytes, and is refused as soon as its length and
-/// kind are buffered otherwise — not once the whole claimed length is in.
+/// front of `buf` must be a SUBSCRIBE, RELEASE (an 8-byte body) or BYE of
+/// at most [`MAX_CONTROL_FRAME`] bytes, and is refused as soon as its
+/// length and kind are buffered otherwise — not once the whole claimed
+/// length is in.
 pub(crate) fn decode_control(buf: &[u8]) -> io::Result<Option<(Message, usize)>> {
     if let Some(len) = frame_len(buf)? {
         if len > MAX_CONTROL_FRAME {
             return Err(bad("control frame over MAX_CONTROL_FRAME"));
         }
-        if let Some(&kind) = buf.get(4) {
-            if kind != KIND_SUBSCRIBE && kind != KIND_BYE {
-                return Err(bad(&format!("kind {kind} from a subscriber")));
-            }
+        match buf.get(4) {
+            Some(&KIND_RELEASE) if len != 9 => return Err(bad("RELEASE body is not 8 bytes")),
+            Some(&(KIND_SUBSCRIBE | KIND_RELEASE | KIND_BYE)) | None => {}
+            Some(&kind) => return Err(bad(&format!("kind {kind} from a subscriber"))),
         }
     }
     decode(buf)
@@ -471,14 +630,46 @@ mod tests {
         v
     }
 
+    fn owned(bytes: Vec<u8>) -> Payload {
+        Payload::Owned(Arc::new(bytes))
+    }
+
+    fn segment() -> SegmentInfo {
+        SegmentInfo {
+            path: "/tmp/world/damaris-segment.shm".into(),
+            len: 1 << 20,
+            dev: 2049,
+            ino: 77,
+        }
+    }
+
     #[test]
     fn frames_round_trip() {
         let cases: Vec<(Frame, Message)> = vec![
             (
-                Frame::hello("sim"),
+                Frame::hello("sim", None),
                 Message::Hello {
                     version: PROTOCOL_VERSION,
                     simulation: "sim".into(),
+                    segment: None,
+                },
+            ),
+            (
+                Frame::hello("sim", Some(&segment())),
+                Message::Hello {
+                    version: PROTOCOL_VERSION,
+                    simulation: "sim".into(),
+                    segment: Some(segment()),
+                },
+            ),
+            (
+                Frame::data_ref("u", 7, 3, 4096, owned(vec![1, 2, 3])),
+                Message::DataRef {
+                    variable: "u".into(),
+                    iteration: 7,
+                    source: 3,
+                    offset: 4096,
+                    len: 3,
                 },
             ),
             (
@@ -517,32 +708,43 @@ mod tests {
 
     #[test]
     fn subscribe_encodes_and_decodes() {
-        let bytes = encode_subscribe(&["u", "pressure"]).unwrap();
+        let bytes = encode_subscribe(&["u", "pressure"], false).unwrap();
         let (msg, used) = decode(&bytes).unwrap().unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(
             msg,
             Message::Subscribe {
-                vars: vec!["u".into(), "pressure".into()]
+                vars: vec!["u".into(), "pressure".into()],
+                segment: false,
             }
         );
-        let (msg, _) = decode(&encode_subscribe(&[]).unwrap()).unwrap().unwrap();
-        assert_eq!(msg, Message::Subscribe { vars: vec![] });
+        let (msg, _) = decode(&encode_subscribe(&[], true).unwrap())
+            .unwrap()
+            .unwrap();
+        assert_eq!(
+            msg,
+            Message::Subscribe {
+                vars: vec![],
+                segment: true
+            }
+        );
+        let (msg, used) = decode_control(&encode_release(9)).unwrap().unwrap();
+        assert_eq!((msg, used), (Message::Release { iteration: 9 }, 13));
     }
 
     #[test]
     fn subscribe_lists_over_the_control_cap_are_refused_not_truncated() {
         let name = "n".repeat(60);
         let thousand = vec![name.as_str(); 1000];
-        let bytes = encode_subscribe(&thousand).unwrap();
+        let bytes = encode_subscribe(&thousand, true).unwrap();
         assert!(bytes.len() - 4 <= MAX_CONTROL_FRAME);
         let (msg, _) = decode_control(&bytes).unwrap().unwrap();
-        assert!(matches!(msg, Message::Subscribe { vars } if vars.len() == 1000));
+        assert!(matches!(msg, Message::Subscribe { vars, .. } if vars.len() == 1000));
 
         let two_thousand = vec![name.as_str(); 2000];
         let long = "x".repeat(usize::from(u16::MAX) + 1);
         for vars in [two_thousand, vec![long.as_str()]] {
-            let err = encode_subscribe(&vars).unwrap_err();
+            let err = encode_subscribe(&vars, false).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         }
     }
@@ -559,8 +761,12 @@ mod tests {
         assert!(decode_control(&b).unwrap().is_none());
         b.push(KIND_DATA);
         assert!(decode_control(&b).is_err());
+        // RELEASE has exactly an 8-byte body.
+        let mut b = 100u32.to_le_bytes().to_vec();
+        b.push(KIND_RELEASE);
+        assert!(decode_control(&b).is_err());
         // A partial SUBSCRIBE within the cap waits for more bytes.
-        let bytes = encode_subscribe(&["u"]).unwrap();
+        let bytes = encode_subscribe(&["u"], true).unwrap();
         for cut in 0..bytes.len() {
             assert!(
                 decode_control(&bytes[..cut]).unwrap().is_none(),
@@ -612,5 +818,185 @@ mod tests {
         b.push(b'u');
         b.extend_from_slice(&[0; 8]);
         assert!(decode(&b).is_err());
+    }
+
+    /// Every parser a peer's bytes reach, over arbitrary, truncated and
+    /// byte-flipped input: an answer or an error, never a panic, and never
+    /// an allocation past `MAX_FRAME` however large the claimed lengths.
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// The largest single allocation this test binary has requested.
+        static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+        struct Recording;
+
+        // SAFETY: every call is forwarded unchanged to the system
+        // allocator; only the requested size is recorded.
+        unsafe impl GlobalAlloc for Recording {
+            // SAFETY: same contract as `System.alloc`, to which it forwards.
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+                // SAFETY: the caller's contract for `alloc`, passed on.
+                unsafe { System.alloc(layout) }
+            }
+
+            // SAFETY: same contract as `System.dealloc`, to which it forwards.
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: `ptr` came from `System` with this layout.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            // SAFETY: same contract as `System.realloc`, to which it forwards.
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                LARGEST.fetch_max(new_size, Ordering::Relaxed);
+                // SAFETY: the caller's contract for `realloc`, passed on.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        #[global_allocator]
+        static ALLOC: Recording = Recording;
+
+        /// A valid frame of every kind, both directions.
+        fn valid_frames() -> Vec<Vec<u8>> {
+            vec![
+                wire(&Frame::hello("sim", None)),
+                wire(&Frame::hello("sim", Some(&segment()))),
+                encode_subscribe(&["u", "pressure"], false).unwrap(),
+                encode_subscribe(&[], true).unwrap(),
+                wire(&Frame::data("u", 7, 3, owned(vec![5; 40]))),
+                wire(&Frame::data_ref("u", 7, 3, 4096, owned(vec![5; 40]))),
+                wire(&Frame::iter_end(7, 16)),
+                wire(&Frame::lag(40, 9)),
+                encode_release(7),
+                encode_bye(),
+            ]
+        }
+
+        /// Run every parser over `buf`: a frame either side accepts fits
+        /// in `buf`, and a frame that is wholly buffered gets an answer, a
+        /// message or an error, never a wait for more bytes.
+        fn parse_all(buf: &[u8]) {
+            let whole = matches!(frame_len(buf), Ok(Some(len)) if buf.len() >= 4 + len);
+            for parse in [decode, decode_control] {
+                match parse(buf) {
+                    Ok(Some((_, used))) => {
+                        assert!(used <= buf.len(), "consumed {used} of {}", buf.len())
+                    }
+                    Ok(None) => assert!(!whole, "whole frame left waiting: {buf:?}"),
+                    Err(_) => {}
+                }
+            }
+            match data_head(buf) {
+                Ok(Some(head)) => {
+                    assert!(head.fixed_len + head.payload_len <= 4 + MAX_FRAME);
+                    assert!(head.payload_len <= MAX_FRAME);
+                }
+                Ok(None) => assert!(
+                    !(whole && buf[4] == KIND_DATA),
+                    "whole DATA frame left waiting: {buf:?}"
+                ),
+                Err(_) => {}
+            }
+            let largest = LARGEST.load(Ordering::Relaxed);
+            assert!(largest <= MAX_FRAME, "allocated {largest} bytes");
+        }
+
+        fn cases() -> ProptestConfig {
+            ProptestConfig::with_cases(if cfg!(miri) { 24 } else { 512 })
+        }
+
+        proptest! {
+            #![proptest_config(cases())]
+
+            #[test]
+            fn arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
+                parse_all(&bytes);
+            }
+
+            /// A well-formed prefix and kind over an arbitrary body, and
+            /// arbitrary bytes of a next frame behind it, so each kind's
+            /// body parser sees hostile input.
+            #[test]
+            fn arbitrary_bodies(
+                kind in 0u8..=9,
+                body in proptest::collection::vec(any::<u8>(), 0..48),
+                slack in 0u32..3,
+                next in proptest::collection::vec(any::<u8>(), 0..16),
+            ) {
+                let mut buf = (body.len() as u32 + 1 + slack).to_le_bytes().to_vec();
+                buf.push(kind);
+                buf.extend_from_slice(&body);
+                buf.extend_from_slice(&next);
+                parse_all(&buf);
+            }
+
+            /// DATA's fixed part with every small name length and frame
+            /// length, so names that run past the frame (into the bytes of
+            /// the next one) are generated, not only ones past the buffer.
+            #[test]
+            fn data_fixed_part_lengths(
+                len in 1u32..80,
+                name_len in 0u16..80,
+                rest in proptest::collection::vec(any::<u8>(), 0..120),
+            ) {
+                let mut buf = len.to_le_bytes().to_vec();
+                buf.push(KIND_DATA);
+                buf.extend_from_slice(&name_len.to_le_bytes());
+                buf.extend_from_slice(&rest);
+                parse_all(&buf);
+            }
+
+            #[test]
+            fn truncated_valid_frames_wait(pick in any::<usize>(), cut in any::<usize>()) {
+                let frames = valid_frames();
+                let frame = &frames[pick % frames.len()];
+                let part = &frame[..cut % frame.len()];
+                assert!(decode(part).unwrap().is_none(), "{part:?}");
+                parse_all(part);
+            }
+
+            /// One byte of a valid frame flipped, alone and with a whole
+            /// next frame behind it.
+            #[test]
+            fn flipped_valid_frames(
+                pick in any::<usize>(),
+                at in any::<usize>(),
+                mask in 1u8..=255,
+            ) {
+                let frames = valid_frames();
+                let mut frame = frames[pick % frames.len()].clone();
+                let at = at % frame.len();
+                frame[at] ^= mask;
+                parse_all(&frame);
+                frame.extend_from_slice(&frames[(pick / 7) % frames.len()]);
+                parse_all(&frame);
+            }
+
+            /// A DATA_REF range is checked against the advertised length
+            /// before the subscriber allocates or reads anything.
+            #[test]
+            fn ref_ranges_outside_the_segment_are_refused(
+                offset in prop_oneof![any::<u64>(), (u64::MAX - (1 << 30))..=u64::MAX],
+                len in prop_oneof![any::<u64>(), 0..=2 * MAX_FRAME as u64],
+                segment_len in prop_oneof![any::<u64>(), (u64::MAX - (1 << 30))..=u64::MAX],
+            ) {
+                let inside = len <= MAX_FRAME as u64
+                    && offset.checked_add(len).is_some_and(|end| end <= segment_len);
+                assert_eq!(ref_len(offset, len, segment_len).is_ok(), inside);
+            }
+        }
+
+        #[test]
+        fn ref_range_edges() {
+            assert_eq!(ref_len(4096, 64, 4160).unwrap(), 64);
+            assert!(ref_len(4097, 64, 4160).is_err());
+            assert!(ref_len(u64::MAX, 2, u64::MAX).is_err());
+            assert!(ref_len(0, MAX_FRAME as u64 + 1, u64::MAX).is_err());
+        }
     }
 }

@@ -16,13 +16,27 @@
 //! cannot take a whole iteration gets none of it: the iteration is
 //! dropped for that subscriber, and once space frees up a LAG frame
 //! (dropped frame count + resume iteration) precedes the next delivered
-//! iteration. Iterations are therefore delivered whole or not at all —
-//! `drop-to-latest`, never `block-publisher`.
+//! iteration, or the BYE at shutdown. Iterations are therefore delivered
+//! whole or not at all — `drop-to-latest`, never `block-publisher`.
 //!
 //! **Catch-up.** The most recent published iteration is retained (the
 //! frames hold [`Payload::Shm`] clones, i.e. the bytes stay in the shared
 //! segment); a subscriber that joins late receives it as a snapshot
 //! before the live stream.
+//!
+//! **Segment mode.** A server bound over a segment file
+//! ([`StreamServer::bind_over`], the process world) advertises it in
+//! HELLO. A subscriber that opened the same file asks for segment mode,
+//! and each block proven to lie in that file — a [`Payload::Shm`] whose
+//! [`damaris_shm::BlockRef::backing_file`] is this very mapping — goes to
+//! it as a DATA_REF: a descriptor by which the subscriber reads the bytes
+//! from the file. A written DATA_REF moves from the queue to the
+//! subscriber's `unreleased` list and pins its block until the
+//! subscriber's RELEASE of that iteration (sent once it read the
+//! iteration's ITER_END), its disconnect, or the shutdown deadline.
+//! Queued plus unreleased frames count against `queue_frames`, so a
+//! subscriber that stops releasing is dropped whole iterations with a
+//! LAG, exactly like one that stops reading.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -33,9 +47,10 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use damaris_shm::ShmFile;
 use parking_lot::Mutex;
 
-use crate::protocol::{decode_control, Frame, Message, Payload};
+use crate::protocol::{decode_control, Frame, Message, Payload, SegmentInfo};
 use crate::sys::{self, EventFd, PollFd, POLLIN, POLLOUT};
 
 /// Server configuration (the `<serve>` XML element, decoupled from the
@@ -154,10 +169,14 @@ impl StatsInner {
     }
 }
 
-/// A published DATA frame plus the variable name subscribers filter on.
+/// A published block's frames plus the variable name subscribers filter
+/// on.
 struct DataFrame {
     variable: String,
+    /// The bytes inline (TCP subscribers).
     frame: Arc<Frame>,
+    /// A DATA_REF, when the block lies in the advertised segment file.
+    by_ref: Option<Arc<Frame>>,
 }
 
 /// One published iteration, kept for snapshot catch-up.
@@ -175,8 +194,13 @@ struct SubState {
     queue: VecDeque<Arc<Frame>>,
     /// Bytes of `queue.front()` already written (partial writes).
     write_pos: usize,
+    /// Written DATA_REF frames whose blocks the subscriber has not
+    /// released yet, oldest first.
+    unreleased: VecDeque<Arc<Frame>>,
     /// `None` until SUBSCRIBE arrives; `Some(empty)` = every variable.
     vars: Option<Vec<String>>,
+    /// Segment mode granted: DATA_REF frames where the block allows.
+    segment: bool,
     /// Highest iteration already offered to this subscriber (enqueued
     /// *or* dropped). Closes the catch-up/live race: the SUBSCRIBE
     /// handler and the publisher may both see the same publication, and
@@ -202,12 +226,15 @@ impl SubState {
 
 struct Inner {
     stats: StatsInner,
+    /// The segment file advertised in HELLO.
+    segment: Option<Arc<ShmFile>>,
+    /// The greeting every connection starts with.
+    hello: Arc<Frame>,
     /// Live subscriber states; the poll thread owns the sockets.
     subs: Mutex<Vec<Arc<Mutex<SubState>>>>,
     /// Most recent published iteration, for catch-up.
     latest: Mutex<Option<Arc<Publication>>>,
     queue_frames: usize,
-    simulation: String,
     closing: AtomicBool,
     /// Readable while a `publish` or `shutdown` waits for the poll thread.
     /// A counter, so a write is never lost: the poll thread drains it at
@@ -228,10 +255,14 @@ impl Inner {
             .data
             .iter()
             .filter(|d| s.wants(&d.variable))
-            .map(|d| &d.frame)
+            .map(|d| match &d.by_ref {
+                Some(r) if s.segment => r,
+                _ => &d.frame,
+            })
             .collect();
         let need = wanted.len() + 1 + usize::from(s.lagging);
-        if self.queue_frames.saturating_sub(s.queue.len()) < need {
+        let held = s.queue.len() + s.unreleased.len();
+        if self.queue_frames.saturating_sub(held) < need {
             // Whole-iteration drop: the subscriber either sees an
             // iteration completely or not at all.
             s.lagging = true;
@@ -269,6 +300,17 @@ impl StreamServer {
     /// Bind, write the `addr_file` if configured, and start the poll
     /// thread.
     pub fn bind(opts: ServeOptions) -> io::Result<StreamServer> {
+        Self::bind_over(opts, None)
+    }
+
+    /// [`StreamServer::bind`] beside a shared segment file: HELLO
+    /// advertises `segment`, and subscribers that open the same file read
+    /// the blocks that lie in it from there (see the module docs).
+    pub fn bind_over(
+        opts: ServeOptions,
+        segment: Option<Arc<ShmFile>>,
+    ) -> io::Result<StreamServer> {
+        let info = segment.as_deref().map(advertise).transpose()?;
         let listener = TcpListener::bind(&opts.listen)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
@@ -284,10 +326,11 @@ impl StreamServer {
         }
         let inner = Arc::new(Inner {
             stats: StatsInner::default(),
+            segment,
+            hello: Arc::new(Frame::hello(&opts.simulation, info.as_ref())),
             subs: Mutex::new(Vec::new()),
             latest: Mutex::new(None),
             queue_frames: opts.queue_frames.max(1),
-            simulation: opts.simulation.clone(),
             closing: AtomicBool::new(false),
             wake: EventFd::new()?,
         });
@@ -324,6 +367,15 @@ impl StreamServer {
         let data: Vec<DataFrame> = blocks
             .into_iter()
             .map(|b| DataFrame {
+                by_ref: self.segment_offset(&b.payload).map(|offset| {
+                    Arc::new(Frame::data_ref(
+                        &b.variable,
+                        iteration,
+                        b.source,
+                        offset,
+                        b.payload.clone(),
+                    ))
+                }),
                 frame: Arc::new(Frame::data(&b.variable, iteration, b.source, b.payload)),
                 variable: b.variable,
             })
@@ -357,21 +409,44 @@ impl StreamServer {
         st.publish_ns_max.fetch_max(ns, Ordering::Relaxed);
     }
 
+    /// Where `payload` lies in the advertised segment file: only a shm
+    /// view of this very mapping has an offset a subscriber can read at.
+    fn segment_offset(&self, payload: &Payload) -> Option<u64> {
+        let segment = self.inner.segment.as_ref()?;
+        let Payload::Shm(block) = payload else {
+            return None;
+        };
+        let (file, offset) = block.backing_file()?;
+        Arc::ptr_eq(file, segment).then_some(offset as u64)
+    }
+
     /// Stop serving: queue BYE to every subscriber, give the poll thread
-    /// until `drain` to flush, then close everything and join. Idempotent.
+    /// until `drain` to flush and collect releases, then close everything
+    /// and join. Idempotent.
     pub fn shutdown(&self, drain: Duration) {
         let Some((handle, exited)) = self.poll.lock().take() else {
             return;
         };
-        // Queue a BYE for every live subscriber; the poll thread keeps
-        // draining until queues are empty or the deadline passes.
+        // Queue a BYE for every live subscriber, after a LAG closing the
+        // drop gap it is in, if any (one that never releases never has
+        // room for an iteration again, so it would not learn of it
+        // otherwise); the poll thread keeps draining until queues are
+        // empty and DATA_REFs released, or the deadline passes.
         {
             let subs = self.inner.subs.lock();
             for sub in subs.iter() {
                 let mut s = sub.lock();
-                if !s.closed {
-                    s.queue.push_back(Arc::new(Frame::bye()));
+                if s.closed {
+                    continue;
                 }
+                if s.lagging {
+                    let resume = s.last_iter.map_or(0, |last| last + 1);
+                    let lag = Arc::new(Frame::lag(s.dropped, resume));
+                    s.queue.push_back(lag);
+                    s.lagging = false;
+                    self.inner.stats.lag_events.fetch_add(1, Ordering::Relaxed);
+                }
+                s.queue.push_back(Arc::new(Frame::bye()));
             }
         }
         self.inner.closing.store(true, Ordering::Release);
@@ -388,9 +463,12 @@ impl StreamServer {
         self.inner.wake.signal();
         let _ = handle.join();
         // Release the retained iteration and whatever a wedged consumer
-        // never took (and with them their shm references).
+        // never took or never released (and with them their shm
+        // references).
         for sub in self.inner.subs.lock().iter() {
-            sub.lock().queue.clear();
+            let mut s = sub.lock();
+            s.queue.clear();
+            s.unreleased.clear();
         }
         *self.inner.latest.lock() = None;
     }
@@ -400,6 +478,19 @@ impl Drop for StreamServer {
     fn drop(&mut self) {
         self.shutdown(Duration::from_millis(200));
     }
+}
+
+/// What HELLO says of `shm`: its path (absolute, so a subscriber with
+/// another working directory finds it), length, device and inode.
+fn advertise(shm: &ShmFile) -> io::Result<SegmentInfo> {
+    use std::os::unix::fs::MetadataExt;
+    let meta = shm.file().metadata()?;
+    Ok(SegmentInfo {
+        path: std::path::absolute(shm.path())?,
+        len: meta.len(),
+        dev: meta.dev(),
+        ino: meta.ino(),
+    })
 }
 
 /// How long the poll thread waits before retrying an `accept` that failed
@@ -422,6 +513,10 @@ struct Conn {
 fn poll_loop(inner: Arc<Inner>, listener: TcpListener, _exited: mpsc::Sender<()>) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
+    // Accept on the first pass, then only when the last wait found the
+    // listener ready (or a failed accept is due for its retry): an accept
+    // that finds nothing costs a syscall on every publish and release.
+    let mut accept_due = true;
     loop {
         // Drain before looking at the queues: a publish after this point
         // leaves the eventfd readable, so the wait below returns at once.
@@ -433,7 +528,7 @@ fn poll_loop(inner: Arc<Inner>, listener: TcpListener, _exited: mpsc::Sender<()>
         let mut accept_failed = false;
 
         // Accept every pending connection (unless shutting down).
-        if !closing {
+        if !closing && accept_due {
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
@@ -442,10 +537,7 @@ fn poll_loop(inner: Arc<Inner>, listener: TcpListener, _exited: mpsc::Sender<()>
                         }
                         let _ = stream.set_nodelay(true);
                         let state = Arc::new(Mutex::new(SubState::default()));
-                        state
-                            .lock()
-                            .queue
-                            .push_back(Arc::new(Frame::hello(&inner.simulation)));
+                        state.lock().queue.push_back(Arc::clone(&inner.hello));
                         inner.subs.lock().push(Arc::clone(&state));
                         let st = &inner.stats;
                         st.subscribers_connected.fetch_add(1, Ordering::Relaxed);
@@ -494,15 +586,22 @@ fn poll_loop(inner: Arc<Inner>, listener: TcpListener, _exited: mpsc::Sender<()>
             inner.subs.lock().retain(|s| !s.lock().closed);
         }
 
-        if closing && !conns.iter().any(|c| c.backlogged) {
-            break; // drained, or force-closed by shutdown's deadline
+        // Drained: every frame written and every DATA_REF released (or
+        // force-closed by shutdown's deadline).
+        if closing
+            && !conns
+                .iter()
+                .any(|c| c.backlogged || !c.state.lock().unreleased.is_empty())
+        {
+            break;
         }
 
         // Block until there is work: a connection to accept, bytes from a
         // subscriber, room in a backlogged socket, or a wake-up.
         fds.clear();
         fds.push(PollFd::new(&inner.wake, POLLIN));
-        if !closing && !accept_failed {
+        let listening = !closing && !accept_failed;
+        if listening {
             fds.push(PollFd::new(&listener, POLLIN));
         }
         for c in &conns {
@@ -520,6 +619,7 @@ fn poll_loop(inner: Arc<Inner>, listener: TcpListener, _exited: mpsc::Sender<()>
             // memory; nothing this thread can repair, so stop serving.
             break;
         }
+        accept_due = accept_failed || (listening && fds[1].ready());
     }
     for c in &conns {
         c.state.lock().closed = true;
@@ -580,25 +680,32 @@ fn service_conn(inner: &Inner, conn: &mut Conn, closing: bool) -> io::Result<boo
                 Err(e) => return Err(e),
             }
         }
-        s.queue.pop_front();
+        let sent = s
+            .queue
+            .pop_front()
+            .expect("the front frame was just written");
+        if sent.ref_iteration().is_some() {
+            s.unreleased.push_back(sent);
+        }
         s.write_pos = 0;
         inner.stats.frames_sent.fetch_add(1, Ordering::Relaxed);
     }
     Ok(!s.queue.is_empty())
 }
 
-/// Act on every whole control frame in `read_buf`. Returns `false` once
-/// the peer said BYE. A frame of another kind, or one claiming more than
-/// `MAX_CONTROL_FRAME` bytes, is refused as soon as its first five bytes
-/// are in.
+/// Act on every whole control frame in `read_buf` (SUBSCRIBE, RELEASE,
+/// BYE). Returns `false` once the peer said BYE. A frame of another kind,
+/// or one claiming more than `MAX_CONTROL_FRAME` bytes, is refused as
+/// soon as its first five bytes are in.
 fn handle_inbound(inner: &Inner, conn: &mut Conn, closing: bool) -> io::Result<bool> {
     let mut consumed = 0;
     while let Some((msg, used)) = decode_control(&conn.read_buf[consumed..])? {
         consumed += used;
         match msg {
-            Message::Subscribe { vars } => {
+            Message::Subscribe { vars, segment } => {
                 let mut s = conn.state.lock();
                 s.vars = Some(vars);
+                s.segment = segment && inner.segment.is_some();
                 // Snapshot catch-up: the latest completed iteration,
                 // queued ahead of any live publication (unless we are
                 // already shutting down).
@@ -610,6 +717,19 @@ fn handle_inbound(inner: &Inner, conn: &mut Conn, closing: bool) -> io::Result<b
                         }
                     }
                 }
+            }
+            Message::Release { iteration } => {
+                let mut s = conn.state.lock();
+                let written = s
+                    .unreleased
+                    .iter()
+                    .take_while(|f| f.ref_iteration().is_some_and(|it| it <= iteration))
+                    .count();
+                let released: Vec<_> = s.unreleased.drain(..written).collect();
+                // Unlocked before the blocks go: the last view's release
+                // may tell a client process its range is free.
+                drop(s);
+                drop(released);
             }
             Message::Bye => {
                 conn.state.lock().closed = true;

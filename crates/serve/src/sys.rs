@@ -40,7 +40,6 @@ impl PollFd {
     }
 
     /// Whether the last [`wait`] found the descriptor ready or hung up.
-    #[allow(dead_code)] // serve's loop services every socket on every pass
     pub fn ready(&self) -> bool {
         self.revents != 0
     }

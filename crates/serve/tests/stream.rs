@@ -307,7 +307,7 @@ fn data_frame_written_in_pieces_arrives_intact_through_next_event() {
         let server = s.spawn(|| {
             let (mut conn, _) = listener.accept().unwrap();
             conn.set_nodelay(true).unwrap();
-            conn.write_all(Frame::hello("pieces").header_bytes())
+            conn.write_all(Frame::hello("pieces", None).header_bytes())
                 .unwrap();
             for frame_cuts in &cuts {
                 let mut from = 0;
@@ -357,7 +357,8 @@ fn malformed_data_frames_are_refused_through_next_event() {
         std::thread::scope(|s| {
             let server = s.spawn(|| {
                 let (mut conn, _) = listener.accept().unwrap();
-                conn.write_all(Frame::hello("bad").header_bytes()).unwrap();
+                conn.write_all(Frame::hello("bad", None).header_bytes())
+                    .unwrap();
                 conn.write_all(&bad).unwrap();
                 // Hold the connection open: the refusal must not wait for
                 // more bytes or for end of stream.

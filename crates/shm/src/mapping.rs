@@ -1,5 +1,5 @@
-//! File-backed shared memory: a `/dev/shm` (or tmpfs) file mapped
-//! `MAP_SHARED` into every participating process.
+//! File-backed shared memory: a file (on tmpfs such as `/dev/shm`, or any
+//! local filesystem) mapped `MAP_SHARED` into every participating process.
 //!
 //! The in-process [`crate::SharedSegment`] backs its storage with a heap
 //! allocation — perfect for thread worlds, useless across a real process
@@ -47,13 +47,13 @@ mod sys {
 ///
 /// Every process that [`ShmFile::create`]s or [`ShmFile::open`]s the same
 /// path sees the same bytes. Dropping unmaps; the *creator* also unlinks
-/// the file, so segments do not accumulate in `/dev/shm` across runs.
+/// the file, so segments do not accumulate across runs.
 pub struct ShmFile {
     ptr: *mut u8,
     len: usize,
     path: PathBuf,
     owner: bool,
-    _file: File,
+    file: File,
 }
 
 // SAFETY: the mapping itself is just memory; all access goes through
@@ -76,19 +76,18 @@ impl ShmFile {
     }
 
     /// Create (or truncate) the file at `path`, size it to `len` bytes
-    /// and map it shared.
+    /// and map it shared. A new file is readable and writable by its owner
+    /// only (mode 0600): the simulation's data is nobody else's to read.
     pub fn create(path: impl AsRef<Path>, len: usize) -> Result<Self, ShmError> {
         if len == 0 {
             return Err(ShmError::ZeroSize);
         }
         let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(map_io)?;
+        let mut options = OpenOptions::new();
+        options.read(true).write(true).create(true).truncate(true);
+        #[cfg(unix)]
+        std::os::unix::fs::OpenOptionsExt::mode(&mut options, 0o600);
+        let file = options.open(&path).map_err(map_io)?;
         file.set_len(len as u64).map_err(map_io)?;
         Self::map(file, path, len, true)
     }
@@ -131,7 +130,7 @@ impl ShmFile {
             len,
             path,
             owner,
-            _file: file,
+            file,
         })
     }
 
@@ -155,6 +154,11 @@ impl ShmFile {
     /// Path of the backing file (share it with the other processes).
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// The open backing file (for its metadata: device and inode).
+    pub fn file(&self) -> &File {
+        &self.file
     }
 
     /// Base pointer of the mapping (page-aligned).
@@ -261,6 +265,17 @@ mod tests {
         drop(other);
         drop(shm); // owner unlinks
         assert!(!path.exists(), "creator must unlink the segment file");
+    }
+
+    #[test]
+    // Real mmap/libc syscalls: outside Miri's interpreter.
+    #[cfg_attr(miri, ignore)]
+    fn created_file_is_private_to_its_owner() {
+        use std::os::unix::fs::PermissionsExt;
+        let path = unique_path("mode");
+        let shm = ShmFile::create(&path, 4096).unwrap();
+        let mode = shm.file().metadata().unwrap().permissions().mode();
+        assert_eq!(mode & 0o077, 0, "segment file mode {mode:o}");
     }
 
     #[test]

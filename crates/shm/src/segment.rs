@@ -883,6 +883,16 @@ impl BlockRef {
     pub fn offset(&self) -> usize {
         self.offset
     }
+
+    /// The shared file the bytes lie in and their offset in that file, for
+    /// a segment laid over a [`crate::ShmFile`]; `None` for a heap segment,
+    /// whose offsets mean nothing to another process.
+    pub fn backing_file(&self) -> Option<(&Arc<crate::ShmFile>, usize)> {
+        match &self.seg.storage {
+            Storage::Heap { .. } => None,
+            Storage::Mapped { shm, base_offset } => Some((shm, base_offset + self.offset)),
+        }
+    }
 }
 
 impl std::fmt::Debug for BlockRef {

@@ -404,8 +404,10 @@ impl Default for StoreConfig {
 ///
 /// When present, the dedicated core runs a TCP streaming server
 /// (`damaris_serve`) beside the storage pipeline: every completed
-/// iteration's blocks are published as length-prefixed DATA frames to all
-/// connected subscribers, with per-subscriber bounded send queues
+/// iteration's blocks are published as length-prefixed frames to all
+/// connected subscribers (in the process world, same-host subscribers read
+/// the bytes from the segment file instead of the socket), with
+/// per-subscriber bounded send queues
 /// (drop-to-latest + LAG frame for slow consumers — the publisher never
 /// blocks) and snapshot catch-up of the most recent completed iteration
 /// for late joiners.
