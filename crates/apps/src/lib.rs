@@ -43,30 +43,4 @@ pub trait ProxyApp {
     fn bytes_per_dump(&self) -> usize {
         self.fields().iter().map(|(_, v)| v.len() * 8).sum()
     }
-
-    /// The Damaris XML configuration matching this proxy's output fields:
-    /// one `f64` layout per field, sized from the current state, with the
-    /// zero-allocation defaults (sharded event transport; the segment's
-    /// size classes are seeded from exactly these layout sizes). Deriving the
-    /// configuration from the proxy keeps instrumented examples and the
-    /// declared layouts from drifting apart.
-    fn damaris_config(&self, dedicated_cores: usize, buffer_size: usize) -> String {
-        let mut data = String::new();
-        for (name, values) in self.fields() {
-            data.push_str(&format!(
-                r#"<layout name="{name}_l" type="f64" dimensions="{}"/><variable name="{name}" layout="{name}_l"/>"#,
-                values.len()
-            ));
-        }
-        format!(
-            r#"<simulation name="proxy-app">
-                 <architecture>
-                   <dedicated cores="{dedicated_cores}"/>
-                   <buffer size="{buffer_size}"/>
-                   <queue capacity="1024" kind="sharded"/>
-                 </architecture>
-                 <data>{data}</data>
-               </simulation>"#
-        )
-    }
 }

@@ -81,25 +81,3 @@ proptest! {
         prop_assert_eq!(cm1.bytes_per_dump(), total);
     }
 }
-
-proptest! {
-    /// The generated Damaris configuration parses, interns every field in
-    /// declaration order, and its registry's layout sizes seed the
-    /// segment's size classes with exactly the proxy's block sizes.
-    #[test]
-    fn damaris_config_matches_fields(elements in 1usize..6, order in 2usize..6) {
-        let nek = Nek::new(NekConfig { elements, order, ..Default::default() });
-        let xml = nek.damaris_config(1, 64 << 20);
-        let cfg = damaris_xml::schema::Configuration::from_str(&xml).unwrap();
-        prop_assert_eq!(cfg.variables.len(), nek.fields().len());
-        let mut total = 0usize;
-        for (name, values) in nek.fields() {
-            let id = cfg.registry().var_id(name).unwrap();
-            prop_assert_eq!(cfg.registry().byte_size(id), values.len() * 8);
-            total += values.len() * 8;
-        }
-        prop_assert_eq!(total, nek.bytes_per_dump());
-        let classes = cfg.registry().distinct_byte_sizes();
-        prop_assert!(!classes.is_empty());
-    }
-}

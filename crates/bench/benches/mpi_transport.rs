@@ -11,12 +11,11 @@
 //!   socket, demux, mailbox wakeup).
 //!
 //! Prints a table and records `BENCH_mpi_transport.json` at the workspace
-//! root. The `processes` numbers calibrate the cluster DES's socket
-//! constants (`UDS_POST_SECONDS`, `UDS_ACK_ROUNDTRIP_SECONDS` in
-//! `cluster_sim::run`). Cross-world multipliers are recorded with an `_x`
-//! suffix — informational, never gated: the socket-vs-memory gap is a
-//! property of the kernel and scheduler, too machine-dependent for a
-//! fixed threshold. Absolute `_ns` metrics gate only under
+//! root. The `processes` post is what the cluster DES's assumed
+//! `UDS_POST_SECONDS` (in `cluster_sim::run`) stands for. Cross-world
+//! multipliers are recorded with an `_x` suffix — informational, never
+//! gated: the socket-vs-memory gap is a property of the kernel and
+//! scheduler, too machine-dependent for a fixed threshold. Absolute `_ns` metrics gate only under
 //! `check_bench_regression.py --strict` (same-machine baselines).
 //!
 //! This binary re-executes itself for the socket world: the `run_spawned`
@@ -114,9 +113,8 @@ fn main() {
         &rows,
     );
     println!(
-        "\nDES calibration: UDS_POST_SECONDS ≈ {:.1e}, UDS_ACK_ROUNDTRIP_SECONDS ≈ {:.1e}",
-        uds_post * 1e-9,
-        uds_rtt * 1e-9
+        "\nDES constant UDS_POST_SECONDS (assumed 1.5e-7) against this run: {:.1e}",
+        uds_post * 1e-9
     );
 
     let json = format!(

@@ -482,7 +482,7 @@ fn eventcount_no_lost_wakeup() {
 // ---------------------------------------------------------------------------
 // 5. Transport doorbell: sleep-vs-push, no lost wakeup.
 //    Mirrors `shm/transport.rs` `ShardedInner::{doorbell, sleep}` as
-//    `ring_doorbell` and `StealingConsumer::recv_deadline(None)` use them:
+//    `ring_doorbell` and `ShardConsumer::recv_deadline(None)` use them:
 //    push (tail Release store) → SeqCst fence → sleeper-count SeqCst load
 //    → lock + notify_all when non-zero, against sweep → lock → register
 //    (SeqCst fetch_add) → SeqCst fence → re-check under the lock →

@@ -25,19 +25,14 @@ const SHARDED_POST_SECONDS: f64 = 25e-9;
 const ALLOC_SECONDS: f64 = 30e-9;
 /// Modeled sim-visible cost of posting one event in the process world:
 /// the envelope hand-off to the rank's socket mesh thread — the wire
-/// write itself is asynchronous, so a post is cheap. Calibrated
-/// against
-/// `benches/mpi_transport.rs` (`BENCH_mpi_transport.json`,
-/// `world = processes`, `post_ns` ≈ 150 ns). Flat in the client count:
-/// every client owns its own connection to the dedicated core.
+/// write itself is asynchronous, so a post is cheap. Flat in the client
+/// count: every client owns its own connection to the dedicated core.
+///
+/// Assumed, not calibrated: nothing checks it against a measurement. The
+/// `processes` `post_ns` that `benches/mpi_transport.rs` records in
+/// `BENCH_mpi_transport.json` has read from 189 to 693 ns across runs on
+/// one 2-vCPU host.
 const UDS_POST_SECONDS: f64 = 150e-9;
-/// Modeled cost of the per-dump iteration acknowledgement in the process
-/// world: the end-of-iteration descriptor's round trip over the socket
-/// (framing, socket hop, mesh-thread demux, mailbox wakeup — twice). This is
-/// where the process boundary actually costs: calibrated against the
-/// same bench's `roundtrip_ns` ≈ 19 µs, ~7× the in-process condvar
-/// roundtrip.
-const UDS_ACK_ROUNDTRIP_SECONDS: f64 = 19e-6;
 
 /// Simulate one run of `workload` on `ranks` cores of `platform` under
 /// `strategy`, deterministically from `seed`.
@@ -218,15 +213,13 @@ fn run_damaris(
     let shm_seconds = bytes_per_client as f64 / platform.shm_bw;
     // In the thread world an event post is a push into the client's own
     // ring; in the process world a post is an enqueue to the rank's
-    // socket mesh thread (one connection per client), and the real boundary
-    // cost is the descriptor round trip per dump for the iteration
-    // acknowledgement the cross-process free protocol needs. Both are
-    // flat in the client count.
-    let (post_each, ack_seconds) = match opts.world {
-        WorldKind::Threads => (SHARDED_POST_SECONDS, 0.0),
-        WorldKind::Processes => (UDS_POST_SECONDS, UDS_ACK_ROUNDTRIP_SECONDS),
+    // socket mesh thread (one connection per client). Neither waits for
+    // the dedicated core, and both are flat in the client count.
+    let post_each = match opts.world {
+        WorldKind::Threads => SHARDED_POST_SECONDS,
+        WorldKind::Processes => UDS_POST_SECONDS,
     };
-    let event_post_seconds = 2.0 * post_each + ack_seconds;
+    let event_post_seconds = 2.0 * post_each;
 
     let mut pfs = Pfs::new(platform.pfs.clone(), seed);
     let mut rng = StdRng::seed_from_u64(seed ^ 0xda3a);
@@ -639,7 +632,7 @@ mod tests {
         let cfg = Configuration::from_str(
             r#"<simulation name="x">
                  <architecture>
-                   <dedicated cores="2"/>
+                   <dedicated cores="1"/>
                    <buffer size="16777216"/>
                    <queue capacity="256" kind="sharded"/>
                    <skip mode="drop-iteration" high-watermark="0.8"/>
@@ -652,7 +645,11 @@ mod tests {
         )
         .unwrap();
         let opts = DamarisOptions::from_config(&cfg);
-        assert_eq!(opts.dedicated_cores, 2);
+        assert_eq!(
+            opts.dedicated_cores,
+            DamarisOptions::default().dedicated_cores,
+            "one dedicated core per node"
+        );
         assert!(opts.skip_when_full);
         // 16 MiB buffer ÷ 8 KiB per iteration = 2048 staged dumps.
         assert_eq!(opts.buffer_dumps, 2048);
@@ -676,11 +673,10 @@ mod tests {
 
     #[test]
     fn process_world_costs_more_than_threads_but_stays_asynchronous() {
-        // The process boundary adds a ~19 µs ack round trip per dump —
-        // dwarfing in-memory queue operations (ns) but invisible next to
-        // the multi-second write phases: the dedicated-core design
-        // survives the process boundary. Constants calibrated from
-        // BENCH_mpi_transport.json (post ≈ 150 ns, roundtrip ≈ 19 µs).
+        // A socket post costs more than a ring push, yet stays invisible
+        // next to the multi-second write phases: the dedicated-core
+        // design survives the process boundary. No dump waits on an
+        // acknowledgement, so the post is the whole boundary cost.
         let p = quiet_kraken();
         let w = Workload::cm1(2);
         let ranks = 9216;
@@ -694,10 +690,10 @@ mod tests {
         );
         // Still asynchronous I/O: wall time within 1% of the thread world.
         assert!(processes.wall_seconds <= threads.wall_seconds * 1.01);
-        // And the per-dump accounting matches the constants: two posts
-        // plus one ack round trip per client dump.
+        // And the per-dump accounting matches the constant: two posts per
+        // client dump.
         let per_dump = processes.event_post_seconds / w.dumps as f64;
-        let expected = 2.0 * UDS_POST_SECONDS + UDS_ACK_ROUNDTRIP_SECONDS;
+        let expected = 2.0 * UDS_POST_SECONDS;
         assert!(
             (per_dump - expected).abs() < 1e-12,
             "per-dump socket cost {per_dump} != modeled {expected}"

@@ -116,7 +116,9 @@ fn balanced_placement(nodes: usize, n_osts: usize, dump: u64) -> Vec<FileSpec> {
 /// Options of the Damaris strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DamarisOptions {
-    /// Cores per node handed to data management.
+    /// Cores per node handed to data management. A model parameter only:
+    /// the middleware runs one dedicated core per node, which is the
+    /// default and what [`DamarisOptions::from_config`] yields.
     pub dedicated_cores: usize,
     /// Write scheduling/placement.
     pub scheduler: Scheduler,
@@ -134,8 +136,8 @@ pub struct DamarisOptions {
     pub plugin_seconds_per_dump: f64,
     /// Rank realization: `Threads` posts events through in-memory queues;
     /// `Processes` crosses a Unix-domain socket per event (mirrors
-    /// `mini_mpi::World::run_spawned` + `damaris_core::process`, with
-    /// costs calibrated from `BENCH_mpi_transport.json`).
+    /// `mini_mpi::World::run_spawned` + `damaris_core::process`, at an
+    /// assumed post cost; see `UDS_POST_SECONDS` in `run.rs`).
     pub world: WorldKind,
 }
 
@@ -160,7 +162,6 @@ impl DamarisOptions {
         let arch = &cfg.architecture;
         let bytes = cfg.bytes_per_iteration();
         DamarisOptions {
-            dedicated_cores: arch.dedicated_cores.max(1),
             buffer_dumps: arch
                 .buffer_size
                 .checked_div(bytes)

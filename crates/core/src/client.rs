@@ -29,7 +29,7 @@ use crate::policy::SkipPolicy;
 /// What happened to a write call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteStatus {
-    /// The block was published to the dedicated cores.
+    /// The block was published to the dedicated core.
     Written,
     /// The skip policy dropped the iteration (memory pressure).
     Skipped,
@@ -192,6 +192,15 @@ impl ClientStats {
 /// logical client — clients are usually moved into their compute thread
 /// instead. (Clones serialize their posts on a per-client guard, so
 /// sharing a clone across threads is safe but momentarily spins.)
+///
+/// Clients of one node are not kept in step with each other: only the
+/// segment's capacity bounds how far one client can run ahead of another,
+/// since an iteration's blocks stay in the segment until every client has
+/// ended it. This is intended. A simulation's own halo exchange already
+/// keeps its ranks within a step or two of each other, and a second bound
+/// here would only stall the leaders earlier. Free-running clients under
+/// `<skip mode="block">` can exhaust the segment; see the liveness caveat
+/// on [`SkipMode::Block`].
 pub struct DamarisClient {
     pub(crate) id: usize,
     pub(crate) cfg: Arc<Configuration>,
@@ -368,7 +377,7 @@ impl DamarisClient {
     }
 
     /// Raise a user event; actions declared with `event="name"` fire on the
-    /// dedicated cores.
+    /// dedicated core.
     ///
     /// A name no `<action>` references resolves to nothing and is silently
     /// dropped at this edge — no action could match it on the server side.
@@ -387,7 +396,7 @@ impl DamarisClient {
 
     /// Mark the iteration finished for this client. When every client of
     /// the node has ended iteration `k` (and all its blocks arrived), the
-    /// dedicated cores fire the end-of-iteration actions.
+    /// dedicated core fires the end-of-iteration actions.
     pub fn end_iteration(&self, iteration: u64) -> DamarisResult<()> {
         let writes = self.writes_this_iteration.swap(0, Ordering::AcqRel);
         let skipped = self.policy.was_dropped(iteration);
@@ -403,7 +412,7 @@ impl DamarisClient {
 
     /// Announce that this client will send nothing further. Idempotent
     /// (shared across clones of the same logical client): repeated calls
-    /// are no-ops, so the dedicated cores' finalize count can never
+    /// are no-ops, so the dedicated core's finalize count can never
     /// overshoot and release shutdown while another client still runs —
     /// the same contract process mode gives [`crate::facade::SimHandle`].
     pub fn finalize(&self) -> DamarisResult<()> {
@@ -503,7 +512,7 @@ impl BlockWriter {
         }
     }
 
-    /// Publish the block to the dedicated cores.
+    /// Publish the block to the dedicated core.
     pub fn commit(self) -> DamarisResult<WriteStatus> {
         match self.block {
             None => Ok(WriteStatus::Skipped),

@@ -13,7 +13,7 @@
 use damaris_shm::BlockRef;
 use damaris_xml::{EventId, VarId};
 
-/// A message from a simulation core to the dedicated cores.
+/// A message from a simulation core to the dedicated core.
 #[derive(Debug, Clone)]
 pub enum Event {
     /// A variable block was published into shared memory.

@@ -21,13 +21,13 @@
 //!   typical per-core output, independent of scale (§IV.B);
 //! * events travel over the node's **transport**
 //!   ([`damaris_shm::ShardedChannel`]): every client has its own
-//!   lock-free SPSC ring, drained by work-stealing dedicated cores that
-//!   sleep until a post wakes them, keeping the post cost flat as clients
+//!   lock-free SPSC ring, drained by the node's dedicated core, which
+//!   sleeps until a post wakes it, keeping the post cost flat as clients
 //!   scale;
-//! * one or a few dedicated cores run [`server::server_loop`] event loops
-//!   over their transport consumer handle: they index incoming blocks in a
-//!   [`store::VariableStore`], detect iteration completion, and fire user
-//!   [`plugins`] (per-node storage, streaming, statistics, user analysis)
+//! * one dedicated core per node runs the [`server::server_loop`] event
+//!   loop over the transport's consumer handle: it indexes incoming blocks
+//!   in a [`store::VariableStore`], detects iteration completion, and fires
+//!   user [`plugins`] (per-node storage, streaming, statistics, user analysis)
 //!   — all overlapped with the simulation's next compute phase; the state
 //!   machine behind the loop ([`server::ServerShared`]) is the one a
 //!   process world's dedicated rank feeds, so a plugin is written once;
@@ -45,8 +45,8 @@
 //! ## One API over two worlds
 //!
 //! The middleware runs in two realizations of the paper's architecture —
-//! dedicated cores as **threads** of the simulation process
-//! ([`DamarisNode`]) or as separate OS **processes** over sockets and a
+//! the dedicated core as a **thread** of the simulation process
+//! ([`DamarisNode`]) or as a separate OS **process** over sockets and a
 //! file-backed segment ([`process`]) — and both sit behind one facade:
 //! the [`facade::SimHandle`] trait and the enum-dispatched
 //! [`facade::Damaris`] handle. Simulation code is written exactly once

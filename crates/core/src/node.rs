@@ -1,5 +1,5 @@
-//! Node lifecycle: wiring the segment, event transport, clients and
-//! dedicated cores.
+//! Node lifecycle: wiring the segment, event transport, clients and the
+//! dedicated core.
 //!
 //! The transport is one [`ShardedChannel`]: a ring per client, sized so
 //! the rings together hold the XML `<queue capacity="…">` events.
@@ -77,7 +77,7 @@ impl NodeBuilder {
     }
 
     /// Construct the node: allocate the segment and queue, spawn the
-    /// dedicated-core threads, pre-create the client handles.
+    /// dedicated-core thread, pre-create the client handles.
     pub fn build(self) -> DamarisResult<DamarisNode> {
         let cfg = Arc::new(self.cfg.ok_or_else(|| {
             DamarisError::InvalidState("NodeBuilder needs a configuration".into())
@@ -86,12 +86,6 @@ impl NodeBuilder {
         if n_clients == 0 {
             return Err(DamarisError::InvalidState(
                 "a node needs at least one client".into(),
-            ));
-        }
-        if cfg.architecture.dedicated_cores == 0 {
-            return Err(DamarisError::InvalidState(
-                "dedicated cores = 0 selects the synchronous baselines; use damaris_core::baseline"
-                    .into(),
             ));
         }
         let output_dir = self.output_dir.unwrap_or_else(|| {
@@ -118,20 +112,14 @@ impl NodeBuilder {
         ));
         let builtins = shared.register_builtins(None)?;
 
-        let n_cores = cfg.architecture.dedicated_cores;
-        let mut server_handles = Vec::new();
-        for core in 0..n_cores {
+        let consumer = transport.consumer(0, 1);
+        let server = {
             let shared = shared.clone();
-            // Each dedicated core gets its own consumer handle owning a
-            // disjoint shard set (it steals from the rest when idle).
-            let consumer = transport.consumer(core, n_cores);
-            server_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("damaris-dedicated-{core}"))
-                    .spawn(move || server_loop(shared, consumer))
-                    .expect("failed to spawn dedicated core"),
-            );
-        }
+            std::thread::Builder::new()
+                .name("damaris-dedicated".into())
+                .spawn(move || server_loop(shared, consumer))
+                .expect("failed to spawn dedicated core")
+        };
 
         let clients: Vec<DamarisClient> = (0..n_clients)
             .map(|id| DamarisClient {
@@ -151,7 +139,7 @@ impl NodeBuilder {
             segment,
             transport,
             shared,
-            server_handles: Mutex::new(server_handles),
+            server: Mutex::new(Some(server)),
             clients,
             output_dir,
             storage: builtins.storage,
@@ -169,15 +157,15 @@ pub struct NodeReport {
     pub iterations_completed: u64,
     /// Client-iterations dropped by the skip policy.
     pub skipped_client_iterations: u64,
-    /// User signals processed by the dedicated cores.
+    /// User signals processed by the dedicated core.
     pub signals_delivered: u64,
-    /// Blocks the dedicated cores consumed.
+    /// Blocks the dedicated core consumed.
     pub blocks_received: u64,
     /// Payload bytes of those blocks.
     pub bytes_received: u64,
     /// Plugin error messages collected during the run.
     pub plugin_errors: Vec<String>,
-    /// Fraction of time the dedicated cores were idle (§IV.D).
+    /// Fraction of time the dedicated core was idle (§IV.D).
     pub dedicated_idle_fraction: f64,
     /// Peak shared-memory occupancy in bytes (of a process world's
     /// dedicated rank: the most it held views of at once).
@@ -191,15 +179,15 @@ pub struct NodeReport {
     pub dead_ranks: Vec<usize>,
 }
 
-/// One SMP node running Damaris: `clients` compute cores plus
-/// `dedicated_cores` data-management cores sharing a memory segment and an
-/// event transport.
+/// One SMP node running Damaris: `clients` compute cores plus one
+/// data-management core sharing a memory segment and an event transport.
 pub struct DamarisNode {
     cfg: Arc<Configuration>,
     segment: SharedSegment,
     transport: ShardedChannel<Event>,
     shared: Arc<ServerShared>,
-    server_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// The dedicated core's thread; `None` once shut down.
+    server: Mutex<Option<std::thread::JoinHandle<()>>>,
     clients: Vec<DamarisClient>,
     output_dir: PathBuf,
     /// The auto-registered storage plugin, when `<store>` is declared —
@@ -276,7 +264,7 @@ impl DamarisNode {
     }
 
     /// Iterations whose end-of-iteration actions have fired so far — the
-    /// dedicated cores' progress through the pipeline (useful for pacing
+    /// dedicated core's progress through the pipeline (useful for pacing
     /// producers against the analysis side without sampling occupancy).
     pub fn iterations_completed(&self) -> u64 {
         self.shared
@@ -289,15 +277,15 @@ impl DamarisNode {
         self.transport.pressure()
     }
 
-    /// Fraction of time the dedicated cores have been idle so far.
+    /// Fraction of time the dedicated core has been idle so far.
     pub fn dedicated_idle_fraction(&self) -> f64 {
         self.shared.idle_fraction()
     }
 
-    /// Wait for all clients to finalize, then stop the dedicated cores.
+    /// Wait for all clients to finalize, then stop the dedicated core.
     pub fn shutdown(&self) -> DamarisResult<NodeReport> {
-        let mut handles = self.server_handles.lock();
-        if handles.is_empty() {
+        let mut server = self.server.lock();
+        if server.is_none() {
             return Err(DamarisError::InvalidState("node already shut down".into()));
         }
         if !self.shared.wait_all_finalized(Duration::from_secs(120)) {
@@ -306,10 +294,11 @@ impl DamarisNode {
             ));
         }
         self.transport.close();
-        for h in handles.drain(..) {
-            h.join()
-                .map_err(|_| DamarisError::InvalidState("dedicated core thread panicked".into()))?;
-        }
+        server
+            .take()
+            .expect("checked above")
+            .join()
+            .map_err(|_| DamarisError::InvalidState("dedicated core thread panicked".into()))?;
         self.shared.finalize_plugins();
         Ok(self.shared.report(Vec::new(), self.segment.stats().peak))
     }
@@ -538,15 +527,13 @@ mod tests {
                 .is_err(),
             "zero clients"
         );
-        let sync_xml = XML.replace("cores=\"1\"", "cores=\"0\"");
-        assert!(
-            DamarisNode::builder()
-                .config_str(&sync_xml)
-                .unwrap()
-                .build()
-                .is_err(),
-            "dedicated=0 must point at baselines"
-        );
+        for cores in ["0", "3"] {
+            let xml = XML.replace("cores=\"1\"", &format!("cores=\"{cores}\""));
+            assert!(
+                DamarisNode::builder().config_str(&xml).is_err(),
+                "a node has one dedicated core, not {cores}"
+            );
+        }
     }
 
     #[test]
@@ -563,12 +550,12 @@ mod tests {
     }
 
     #[test]
-    fn multiple_dedicated_cores() {
-        // 3 stealing consumers over 4 client shards; completion logic
-        // must hold under cross-core racing and stealing.
-        let xml = XML.replace("cores=\"1\"", "cores=\"3\"");
+    fn four_free_running_clients_complete_every_iteration() {
+        // One dedicated core draining 4 client shards while the clients
+        // run unsynchronized: events of different clients interleave in
+        // any order, and completion must still fire every iteration once.
         let node = DamarisNode::builder()
-            .config_str(&xml)
+            .config_str(XML)
             .unwrap()
             .clients(4)
             .build()

@@ -106,7 +106,7 @@ pub struct SignalCtx<'a> {
     pub action: &'a Action,
 }
 
-/// A data-management service running on the dedicated cores.
+/// A data-management service running on the dedicated core.
 pub trait Plugin: Send + Sync {
     /// Identifier matched against `<action plugin="…">`.
     fn name(&self) -> &str;
@@ -123,7 +123,7 @@ pub trait Plugin: Send + Sync {
     }
 
     /// Called once at shutdown, after every client finalized (or died) and
-    /// the dedicated cores drained — the place to close files and release
+    /// the dedicated core drained — the place to close files and release
     /// long-lived resources (the storage pipeline finishes and syncs its
     /// per-node file here), every block clone included. Errors are
     /// collected into the report's plugin errors, never fatal.

@@ -32,8 +32,8 @@
 //!   `fsync`s through a duplicated file handle
 //!   ([`h5lite::FileWriter::sync_data`] semantics, coalescing a backlog
 //!   of requests into one sync). [`StorageEngine::finish`] closes the
-//!   file with [`h5lite::FileWriter::finish_synced`] when
-//!   `<store sync="true">` (the default).
+//!   file with [`h5lite::FileWriter::finish_synced`]. Storage always
+//!   syncs; there is no switch to turn it off.
 //! * [`StorageStats`] carries per-stage timings (drain / encode / append
 //!   / sync nanoseconds, worker busy time) so the overlap is observable,
 //!   not asserted.
@@ -42,7 +42,7 @@
 //!
 //! ```xml
 //! <architecture>
-//!   <store path="out" sync="true" chunk_rows="64" workers="4"/>
+//!   <store path="out" chunk_rows="64" workers="4"/>
 //! </architecture>
 //! <data>
 //!   <variable name="u" layout="row" codec="xor-delta8,shuffle8,rle"/>
@@ -402,7 +402,6 @@ impl Drop for Stager {
 /// thread.
 struct EngineCore {
     root: PathBuf,
-    sync: bool,
     chunk_rows: u64,
     node_id: usize,
     simulation: String,
@@ -450,15 +449,13 @@ impl EngineCore {
         std::fs::create_dir_all(&self.root)
             .map_err(|e| format!("creating {:?}: {e}", self.root))?;
         let file = File::create(&path).map_err(|e| format!("creating {path:?}: {e}"))?;
-        if self.sync {
-            let dup = file
-                .try_clone()
-                .map_err(|e| format!("duplicating handle of {path:?}: {e}"))?;
-            self.flusher = Some(
-                Flusher::spawn(dup, self.syncs.clone(), self.sync_ns.clone())
-                    .map_err(|e| format!("spawning storage flusher: {e}"))?,
-            );
-        }
+        let dup = file
+            .try_clone()
+            .map_err(|e| format!("duplicating handle of {path:?}: {e}"))?;
+        self.flusher = Some(
+            Flusher::spawn(dup, self.syncs.clone(), self.sync_ns.clone())
+                .map_err(|e| format!("spawning storage flusher: {e}"))?,
+        );
         let mut w =
             FileWriter::new(BufWriter::new(file)).map_err(|e| format!("opening {path:?}: {e}"))?;
         w.set_attr("", "simulation", self.simulation.as_str())
@@ -658,12 +655,9 @@ impl EngineCore {
         let Some(mut w) = self.writer.take() else {
             return Ok(self.file_stats);
         };
-        let stats = if self.sync {
-            w.finish_synced()
-        } else {
-            w.finish()
-        }
-        .map_err(|e| format!("finishing {:?}: {e}", self.file_path()))?;
+        let stats = w
+            .finish_synced()
+            .map_err(|e| format!("finishing {:?}: {e}", self.file_path()))?;
         self.file_stats = Some(stats);
         Ok(Some(stats))
     }
@@ -747,7 +741,6 @@ impl StorageEngine {
         Ok(StorageEngine {
             core: Arc::new(Mutex::new(EngineCore {
                 root,
-                sync: store.sync,
                 chunk_rows: store.chunk_rows,
                 node_id,
                 simulation: cfg.name.clone(),
@@ -1098,7 +1091,7 @@ mod tests {
             r#"<simulation name="dynsp">
                  <architecture>
                    <buffer size="1048576"/>
-                   <store type="h5lite" sync="false"/>
+                   <store type="h5lite"/>
                  </architecture>
                  <data>
                    <layout name="patch" type="f64" dimensions="dynamic" max_size="8192"/>

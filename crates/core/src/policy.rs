@@ -1,5 +1,5 @@
 //! Backpressure: what happens when data is produced faster than the
-//! dedicated cores can drain it.
+//! dedicated core can drain it.
 //!
 //! Paper §V.C.1: "A challenging problem arises when the analysis tasks take
 //! more than the duration of a simulation's time step to complete. In this

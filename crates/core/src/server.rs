@@ -4,15 +4,13 @@
 //! indexed blocks, completed iterations and plugin calls, wherever the
 //! dedicated core lives: it indexes blocks, detects iteration completion
 //! (all clients ended the step *and* all announced blocks arrived —
-//! necessary because several dedicated cores may drain events
-//! concurrently, and because the transport keeps order only per client,
-//! so events from different clients may arrive reordered), fires
-//! plugins, and garbage-collects the iteration's shared memory. Two
-//! event sources feed it: [`server_loop`], one per dedicated core of a
-//! thread-world node, drains that core's work-stealing
-//! [`StealingConsumer`] of the node's event transport;
-//! [`crate::ProcessServer::serve`] decodes the envelopes of a process
-//! world's client ranks into the same events.
+//! necessary because the transport keeps order only per client, so one
+//! client's end of a step may arrive before another client's blocks of
+//! it), fires plugins, and garbage-collects the iteration's shared memory.
+//! Two event sources feed it, one per world, each from the node's one
+//! dedicated core: [`server_loop`] drains a thread-world node's
+//! [`ShardConsumer`]; [`crate::ProcessServer::serve`] decodes the
+//! envelopes of a process world's client ranks into the same events.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
@@ -20,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use damaris_shm::transport::{EventConsumer, StealingConsumer};
+use damaris_shm::transport::{EventConsumer, ShardConsumer};
 use damaris_xml::schema::{Action, Configuration, Trigger};
 use damaris_xml::EventId;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -59,7 +57,7 @@ pub(crate) struct Builtins {
     pub(crate) serve: Option<Arc<ServePlugin>>,
 }
 
-/// State shared between all dedicated cores of a node (and the node handle).
+/// State shared between a node's dedicated core and the node handle.
 pub struct ServerShared {
     pub(crate) cfg: Arc<Configuration>,
     pub(crate) node_id: usize,
@@ -90,9 +88,9 @@ pub struct ServerShared {
     pub(crate) blocks_received: AtomicU64,
     /// Payload bytes of those blocks.
     pub(crate) bytes_received: AtomicU64,
-    /// Nanoseconds the dedicated cores spent doing work.
+    /// Nanoseconds the dedicated core spent doing work.
     pub(crate) busy_nanos: AtomicU64,
-    /// Nanoseconds the dedicated cores spent idle (waiting for events) —
+    /// Nanoseconds the dedicated core spent idle (waiting for events) —
     /// the §IV.D "idle 92–99 % of the time" measurement at node scale.
     pub(crate) idle_nanos: AtomicU64,
 }
@@ -252,7 +250,7 @@ impl ServerShared {
         out
     }
 
-    /// Fraction of time the dedicated cores sat idle so far.
+    /// Fraction of time the dedicated core sat idle so far.
     pub fn idle_fraction(&self) -> f64 {
         let busy = self.busy_nanos.load(Ordering::Relaxed) as f64;
         let idle = self.idle_nanos.load(Ordering::Relaxed) as f64;
@@ -326,9 +324,7 @@ impl ServerShared {
     fn fire_signal(&self, event: EventId, source: usize, iteration: u64) {
         let name = self.cfg.registry().event_name(event);
         let plugins = self.plugins.read();
-        let store = self.store.lock();
-        let blocks: Vec<StoredBlock> = store.iteration_blocks(iteration).cloned().collect();
-        drop(store);
+        let blocks = self.store.lock().snapshot(iteration);
         for action in &self.signal_actions[event.index()] {
             for plugin in plugins.iter().filter(|p| p.name() == action.plugin) {
                 let ctx = SignalCtx {
@@ -365,8 +361,7 @@ impl ServerShared {
             if accounted < self.n_clients || (store.count(it) as u64) < p.expected_blocks {
                 return false;
             }
-            // Removing the entry under the lock is what keeps two racing
-            // server threads from both firing the iteration.
+            // Removing the entry is what makes the iteration fire once.
             iterations.remove(&it);
             // Completed iterations stay indexed for the retain window so a
             // late subscriber's snapshot catch-up cannot race collection;
@@ -457,8 +452,8 @@ impl ServerShared {
     }
 }
 
-/// Run one dedicated core until the transport is closed and drained.
-pub fn server_loop(shared: Arc<ServerShared>, mut events: StealingConsumer<Event>) {
+/// Run the dedicated core until the transport is closed and drained.
+pub fn server_loop(shared: Arc<ServerShared>, mut events: ShardConsumer<Event>) {
     loop {
         let wait_start = Instant::now();
         let event = match events.recv() {
@@ -504,8 +499,8 @@ mod tests {
     }
 
     /// Drive a server loop synchronously: post each event to its
-    /// source's shard, close the channel, then drain it with one
-    /// stealing consumer.
+    /// source's shard, close the channel, then drain it with the
+    /// consumer.
     fn run_events(shared: &Arc<ServerShared>, events: Vec<Event>) {
         let shards = events.iter().map(Event::source).max().map_or(1, |s| s + 1);
         let ch: ShardedChannel<Event> = ShardedChannel::new(shards, events.len().max(1));
@@ -557,8 +552,9 @@ mod tests {
 
     #[test]
     fn out_of_order_block_after_end_iteration_still_completes() {
-        // Mimics two dedicated cores racing: EndIteration processed before
-        // the matching Write. The expected-block count holds firing back.
+        // Completion must not depend on delivery order: a client's
+        // EndIteration handled before its matching Write. The
+        // expected-block count holds firing back.
         let cfg = config("");
         let shared = Arc::new(ServerShared::new(cfg, 0, 1, std::env::temp_dir()));
         let fired = Arc::new(AtomicUsize::new(0));

@@ -4,10 +4,10 @@
 //! helps searching for particular blocks from data management services."
 //!
 //! The index is one ordered map keyed by `(iteration, variable, source,
-//! seq)`: per-variable queries are range scans that come back already
-//! ordered by writer rank (no filter + sort per query), point lookups are
-//! O(log n), and an iteration's blocks can be split off wholesale when it
-//! completes.
+//! seq)`: an iteration's blocks are one range scan that comes back already
+//! ordered by variable and writer rank (no filter + sort per query), and
+//! they can be split off wholesale when the iteration leaves the retain
+//! window.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
@@ -56,13 +56,6 @@ fn iter_range(iteration: u64) -> (Bound<BlockKey>, Bound<BlockKey>) {
     )
 }
 
-fn var_range(iteration: u64, variable: VarId) -> (Bound<BlockKey>, Bound<BlockKey>) {
-    (
-        Bound::Included((iteration, variable.raw(), 0, 0)),
-        Bound::Included((iteration, variable.raw(), usize::MAX, u32::MAX)),
-    )
-}
-
 impl VariableStore {
     /// Empty store.
     pub fn new() -> Self {
@@ -99,38 +92,9 @@ impl VariableStore {
         self.by_key.range(iter_range(iteration)).map(|(_, b)| b)
     }
 
-    /// Blocks of one variable at one iteration, ordered by source — a
-    /// range scan of the ordered index, no per-query filtering or sorting.
-    pub fn variable_blocks(&self, variable: VarId, iteration: u64) -> Vec<&StoredBlock> {
-        self.by_key
-            .range(var_range(iteration, variable))
-            .map(|(_, b)| b)
-            .collect()
-    }
-
-    /// Search a specific block (paper: "searching for particular blocks").
-    pub fn find(&self, variable: VarId, iteration: u64, source: usize) -> Option<&StoredBlock> {
-        let lo = (iteration, variable.raw(), source, 0);
-        let hi = (iteration, variable.raw(), source, u32::MAX);
-        self.by_key
-            .range((Bound::Included(lo), Bound::Included(hi)))
-            .map(|(_, b)| b)
-            .next()
-    }
-
     /// Number of blocks held for an iteration — O(log iterations).
     pub fn count(&self, iteration: u64) -> usize {
         self.counts.get(&iteration).copied().unwrap_or(0)
-    }
-
-    /// Total live blocks across iterations.
-    pub fn total(&self) -> usize {
-        self.counts.values().sum()
-    }
-
-    /// Iterations currently holding data, ascending.
-    pub fn iterations(&self) -> Vec<u64> {
-        self.counts.keys().copied().collect()
     }
 
     /// Mark an iteration complete (every expected block indexed). The
@@ -140,29 +104,12 @@ impl VariableStore {
         self.completed.insert(iteration);
     }
 
-    /// Highest iteration marked complete, if any. This is what a late
-    /// subscriber catches up from — callers no longer need to know the
-    /// iteration id out of band.
-    pub fn latest_complete_iteration(&self) -> Option<u64> {
-        self.completed.iter().next_back().copied()
-    }
-
     /// Snapshot of one iteration: cloned blocks ordered by `(variable,
     /// source)` — one range scan of the ordered index. Clones hold
     /// [`BlockRef`]s, so the snapshot stays readable even if the store
     /// GCs the iteration afterwards.
     pub fn snapshot(&self, iteration: u64) -> Vec<StoredBlock> {
-        self.by_key
-            .range(iter_range(iteration))
-            .map(|(_, b)| b.clone())
-            .collect()
-    }
-
-    /// Snapshot of the most recent completed iteration (see
-    /// [`VariableStore::snapshot`]); `None` before the first completion.
-    pub fn latest_snapshot(&self) -> Option<(u64, Vec<StoredBlock>)> {
-        let it = self.latest_complete_iteration()?;
-        Some((it, self.snapshot(it)))
+        self.iteration_blocks(iteration).cloned().collect()
     }
 
     /// Garbage-collect completed iterations beyond the retain window:
@@ -184,8 +131,7 @@ impl VariableStore {
     /// Drop an iteration's blocks, releasing their shared memory.
     /// Returns the removed blocks ordered by `(variable, source)`;
     /// callers may still hold clones.
-    pub fn remove_iteration(&mut self, iteration: u64) -> Vec<StoredBlock> {
-        self.completed.remove(&iteration);
+    fn remove_iteration(&mut self, iteration: u64) -> Vec<StoredBlock> {
         if self.counts.remove(&iteration).is_none() {
             return Vec::new();
         }
@@ -220,29 +166,28 @@ mod tests {
         }
     }
 
+    /// `(variable, source, value)` of an iteration's blocks, in index order.
+    fn keys(store: &VariableStore, it: u64) -> Vec<(VarId, usize, f64)> {
+        store
+            .iteration_blocks(it)
+            .map(|b| (b.variable, b.source, b.data.as_pod::<f64>()[0]))
+            .collect()
+    }
+
     #[test]
-    fn index_and_query() {
+    fn iteration_blocks_come_back_ordered_by_variable_then_source() {
         let seg = SharedSegment::new(4096).unwrap();
         let mut store = VariableStore::new();
-        let (u, v, w) = (var(0), var(1), var(2));
+        let (u, v) = (var(0), var(1));
+        store.insert(block(&seg, v, 0, 0, 3.0));
         store.insert(block(&seg, u, 0, 1, 1.0));
         store.insert(block(&seg, u, 0, 0, 2.0));
-        store.insert(block(&seg, v, 0, 0, 3.0));
         store.insert(block(&seg, u, 1, 0, 4.0));
 
         assert_eq!(store.count(0), 3);
-        assert_eq!(store.total(), 4);
-        assert_eq!(store.iterations(), vec![0, 1]);
-
-        let u0 = store.variable_blocks(u, 0);
-        assert_eq!(u0.len(), 2);
-        assert_eq!(u0[0].source, 0, "ordered by source");
-        assert_eq!(u0[1].source, 1);
-
-        let found = store.find(v, 0, 0).unwrap();
-        assert_eq!(found.data.as_pod::<f64>()[0], 3.0);
-        assert!(store.find(v, 0, 1).is_none());
-        assert!(store.find(w, 0, 0).is_none());
+        assert_eq!(store.count(1), 1);
+        assert_eq!(keys(&store, 0), vec![(u, 0, 2.0), (u, 1, 1.0), (v, 0, 3.0)]);
+        assert_eq!(keys(&store, 1), vec![(u, 0, 4.0)]);
     }
 
     #[test]
@@ -253,29 +198,31 @@ mod tests {
         store.insert(block(&seg, u, 0, 0, 1.0));
         store.insert(block(&seg, u, 0, 0, 2.0));
         assert_eq!(store.count(0), 2, "seq keeps duplicates distinct");
-        assert_eq!(store.variable_blocks(u, 0).len(), 2);
+        assert_eq!(
+            keys(&store, 0),
+            vec![(u, 0, 1.0), (u, 0, 2.0)],
+            "in write order"
+        );
     }
 
     #[test]
-    fn remove_iteration_releases_memory() {
+    fn gc_releases_memory_and_leaves_other_iterations_alone() {
         let seg = SharedSegment::new(4096).unwrap();
         let mut store = VariableStore::new();
         let u = var(0);
         store.insert(block(&seg, u, 0, 0, 1.0));
         store.insert(block(&seg, u, 0, 1, 2.0));
         store.insert(block(&seg, u, 1, 0, 3.0));
-        assert!(seg.used_bytes() > 0);
-        let removed = store.remove_iteration(0);
-        assert_eq!(removed.len(), 2);
-        drop(removed);
-        assert_eq!(store.total(), 1, "iteration 1 untouched");
-        assert_eq!(store.count(1), 1);
-        let removed = store.remove_iteration(1);
-        assert_eq!(removed.len(), 1);
-        drop(removed);
+        store.mark_complete(0);
+        let dropped = store.gc_completed(0);
+        assert_eq!(dropped.len(), 2);
+        drop(dropped);
+        assert_eq!(store.count(0), 0);
+        assert_eq!(keys(&store, 1), vec![(u, 0, 3.0)], "iteration 1 untouched");
+        store.mark_complete(1);
+        drop(store.gc_completed(0));
         assert_eq!(seg.used_bytes(), 0, "blocks freed after store GC");
-        assert_eq!(store.total(), 0);
-        assert!(store.remove_iteration(0).is_empty(), "idempotent");
+        assert!(store.gc_completed(0).is_empty(), "nothing left to collect");
     }
 
     #[test]
@@ -283,28 +230,12 @@ mod tests {
         let seg = SharedSegment::new(4096).unwrap();
         let mut store = VariableStore::new();
         store.insert(block(&seg, var(0), u64::MAX, 0, 1.0));
+        store.insert(block(&seg, var(0), u64::MAX - 1, 0, 2.0));
         assert_eq!(store.count(u64::MAX), 1);
-        assert_eq!(store.remove_iteration(u64::MAX).len(), 1);
-        assert_eq!(store.total(), 0);
-    }
-
-    #[test]
-    fn latest_complete_tracks_marking_order() {
-        let seg = SharedSegment::new(4096).unwrap();
-        let mut store = VariableStore::new();
-        assert_eq!(store.latest_complete_iteration(), None);
-        store.insert(block(&seg, var(0), 0, 0, 1.0));
-        assert_eq!(
-            store.latest_complete_iteration(),
-            None,
-            "inserted ≠ complete"
-        );
-        store.insert(block(&seg, var(0), 1, 0, 2.0));
-        // Out-of-order completion (multiple dedicated cores): latest is
-        // the max marked, not the last marked.
-        store.mark_complete(1);
-        store.mark_complete(0);
-        assert_eq!(store.latest_complete_iteration(), Some(1));
+        store.mark_complete(u64::MAX);
+        assert_eq!(store.gc_completed(0).len(), 1);
+        assert_eq!(store.count(u64::MAX), 0);
+        assert_eq!(store.count(u64::MAX - 1), 1, "the step below stays");
     }
 
     #[test]
@@ -316,8 +247,7 @@ mod tests {
         store.insert(block(&seg, u, 3, 0, 3.0));
         store.mark_complete(3);
 
-        let (it, snap) = store.latest_snapshot().unwrap();
-        assert_eq!(it, 3);
+        let snap = store.snapshot(3);
         assert_eq!(snap.len(), 2);
         assert_eq!(
             (snap[0].variable, snap[0].source),
@@ -331,7 +261,7 @@ mod tests {
         let dropped = store.gc_completed(0);
         assert_eq!(dropped.len(), 2);
         drop(dropped);
-        assert_eq!(store.total(), 0);
+        assert_eq!(store.count(3), 0);
         assert!(seg.used_bytes() > 0, "snapshot clones pin the bytes");
         assert_eq!(snap[1].data.as_pod::<f64>()[0], 4.0);
         drop(snap);
@@ -348,38 +278,31 @@ mod tests {
             drop(store.gc_completed(2));
         }
         // The two newest completed iterations survive for catch-up.
-        assert_eq!(store.iterations(), vec![3, 4]);
-        assert_eq!(store.latest_complete_iteration(), Some(4));
+        let held = |store: &VariableStore| -> Vec<u64> {
+            (0..8).filter(|&it| store.count(it) > 0).collect()
+        };
+        assert_eq!(held(&store), vec![3, 4]);
         assert!(!store.snapshot(4).is_empty());
         // Widening the window later never resurrects dropped iterations.
         assert!(store.gc_completed(3).is_empty());
-        assert_eq!(store.iterations(), vec![3, 4]);
+        assert_eq!(held(&store), vec![3, 4]);
         // An incomplete iteration is never GCed, whatever the window.
         store.insert(block(&seg, var(0), 7, 0, 7.0));
         let dropped = store.gc_completed(0);
         assert_eq!(dropped.len(), 2, "only the completed pair went");
         drop(dropped);
-        assert_eq!(store.iterations(), vec![7]);
-        assert_eq!(store.latest_complete_iteration(), None);
-    }
-
-    #[test]
-    fn remove_iteration_clears_completion() {
-        let seg = SharedSegment::new(4096).unwrap();
-        let mut store = VariableStore::new();
-        store.insert(block(&seg, var(0), 0, 0, 1.0));
-        store.mark_complete(0);
-        drop(store.remove_iteration(0));
-        assert_eq!(store.latest_complete_iteration(), None);
-        assert!(store.gc_completed(0).is_empty(), "nothing left to collect");
+        assert_eq!(held(&store), vec![7]);
     }
 
     #[test]
     fn empty_queries_are_safe() {
-        let store = VariableStore::new();
+        let mut store = VariableStore::new();
         assert_eq!(store.count(9), 0);
-        assert!(store.variable_blocks(var(0), 9).is_empty());
-        assert!(store.iterations().is_empty());
         assert_eq!(store.iteration_blocks(3).count(), 0);
+        assert!(store.snapshot(3).is_empty());
+        assert!(store.gc_completed(0).is_empty());
+        // Completing an iteration that holds no blocks is harmless too.
+        store.mark_complete(9);
+        assert!(store.gc_completed(0).is_empty());
     }
 }

@@ -26,10 +26,10 @@
 //!   reference count in a per-slot table inside the segment, so the whole
 //!   steady-state write path performs zero heap allocations.
 //! * [`ShardedChannel`] — the shared event queue through which
-//!   simulation cores notify dedicated cores ("a shared message queue is
-//!   used for the simulation processes to send events to the dedicated
-//!   cores"): one lock-free ring per client, drained by work-stealing
-//!   consumers that sleep until a post wakes them (see [`transport`]).
+//!   simulation cores notify the dedicated core ("a shared message queue
+//!   is used for the simulation processes to send events to the dedicated
+//!   cores"): one lock-free ring per client, drained by one consumer that
+//!   sleeps until a post wakes it (see [`transport`]).
 //!
 //! In the original middleware the segment is a POSIX shared-memory object
 //! shared by the processes of one SMP node. Here a *node* is one OS process
@@ -79,5 +79,5 @@ pub use mapping::ShmFile;
 pub use segment::{Block, BlockRef, Pod, SegmentStats, SharedSegment};
 pub use spsc::SpscRing;
 pub use transport::{
-    EventChannel, EventConsumer, EventProducer, ShardProducer, ShardedChannel, StealingConsumer,
+    EventChannel, EventConsumer, EventProducer, ShardConsumer, ShardProducer, ShardedChannel,
 };

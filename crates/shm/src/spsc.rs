@@ -8,9 +8,9 @@
 //! other clients.
 //!
 //! The ring itself only guarantees safety under one pusher and one popper
-//! *at a time*; [`crate::transport::ShardedChannel`] layers tiny atomic
-//! guards on top so cloned client handles and work-stealing consumers
-//! serialize their access without a real lock.
+//! *at a time*; [`crate::transport::ShardedChannel`] serializes cloned
+//! client handles with a tiny per-ring push guard, and admits one live
+//! consumer per channel.
 
 use damaris_sync::{AtomicUsize, Ordering};
 use std::cell::UnsafeCell;
@@ -113,9 +113,9 @@ impl<T> SpscRing<T> {
     ///
     /// # Safety contract
     /// Must not be called concurrently with another `try_pop` on the same
-    /// ring (single consumer *at a time*; the sharded channel's per-shard
-    /// drain guard provides the required mutual exclusion and the
-    /// Acquire/Release ordering that makes consumer hand-off sound).
+    /// ring (single consumer *at a time*; the sharded channel admits one
+    /// live consumer, and its Acquire/Release hand-off between successive
+    /// consumers orders one's pops before the next one's).
     pub fn try_pop(&self) -> Option<T> {
         // Mirror image of `try_push`, same model test: the Acquire on
         // tail pairs with the producer's Release to make the slot write

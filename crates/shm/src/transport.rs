@@ -1,4 +1,4 @@
-//! The event transport: how client events reach dedicated cores.
+//! The event transport: how client events reach the dedicated core.
 //!
 //! Paper §III.B: "A shared message queue is used for the simulation
 //! processes to send events to the dedicated cores. These events activate
@@ -8,11 +8,11 @@
 //!
 //! [`ShardedChannel`] is that queue, built so that one client's post never
 //! waits on another's: one cache-line-padded lock-free SPSC ring per
-//! client plus consumer-side work stealing. Each dedicated core owns a
-//! disjoint shard set (`shard % n_cores == core`), drains it first, and
-//! steals from lagging shards when its own set runs dry. A post touches
-//! only the client's own ring (one slot write, one release store) and one
-//! `SeqCst` fence before the doorbell check.
+//! client, drained by the node's one dedicated core. The consumer pops
+//! straight from the rings, starting each scan one shard past the last one
+//! it popped from, so a busy client cannot starve the others. A post
+//! touches only the client's own ring (one slot write, one release store)
+//! and one `SeqCst` fence before the doorbell check.
 //!
 //! It keeps the semantics the middleware relies on: per-client FIFO, no
 //! loss, no duplication, explicit [`EventChannel::close`] with
@@ -21,18 +21,23 @@
 //! layer does not need it (it tolerates cross-client reordering via
 //! expected-block accounting).
 //!
+//! One consumer at a time: the rings allow one popper each, so
+//! [`EventChannel::consumer`] panics while another consumer of the same
+//! channel is alive. A consumer that is dropped holds nothing back — every
+//! undelivered event is still in its ring for the next consumer.
+//!
 //! The bound matters: aggregate occupancy is the second backpressure
 //! signal (after segment occupancy) consumed by the iteration-skip policy.
 //!
 //! ## Sleeping
 //!
-//! A consumer with nothing to drain, and a producer whose shard is full,
+//! The consumer with nothing to drain, and a producer whose shard is full,
 //! sleep on a condvar until a doorbell wakes them or their caller's
 //! deadline passes; there is no timed nap. The sleeper takes the sleep
 //! lock, registers in a sleeper count, issues a `SeqCst` fence and
 //! re-checks for work *under the lock* before waiting. The waker makes its
-//! change (push, pop, close, orphan hand-off), issues a `SeqCst` fence,
-//! and notifies under the lock only when the sleeper count is non-zero.
+//! change (push, pop, close), issues a `SeqCst` fence, and notifies under
+//! the lock only when the sleeper count is non-zero.
 //! The two fences make the store/load pairs Dekker-ordered: either the
 //! sleeper's re-check sees the change, or the waker sees the sleeper, and
 //! then its notify cannot land before the sleeper waits because the
@@ -49,8 +54,8 @@ use damaris_sync::{fence, AtomicBool, AtomicUsize, Condvar, Mutex, Ordering};
 use crate::error::{RecvError, SendError, TryRecvError, TrySendError};
 use crate::spsc::{CachePadded, SpscRing};
 
-/// A transport carrying events from per-client producers to one or more
-/// dedicated-core consumers.
+/// A transport carrying events from per-client producers to the node's
+/// dedicated-core consumer.
 pub trait EventChannel<T: Send>: Clone + Send + Sync + 'static {
     /// Client-side handle; cheap to clone, owned per client.
     type Producer: EventProducer<T>;
@@ -60,14 +65,19 @@ pub trait EventChannel<T: Send>: Clone + Send + Sync + 'static {
     /// Handle for client `client` (its rank within the node).
     fn producer(&self, client: usize) -> Self::Producer;
 
-    /// Handle for dedicated core `core` of `n_cores` total. The pair
-    /// partitions shard ownership; every consumer can still reach all
-    /// events (by stealing), so any single consumer fully drains the
-    /// channel.
+    /// The dedicated core's handle, which drains every client's events.
+    /// A node has one dedicated core, so `(core, n_cores)` must be
+    /// `(0, 1)`; both parameters stay only until the benchmark harness
+    /// stops passing them.
+    ///
+    /// # Panics
+    ///
+    /// If `(core, n_cores)` is not `(0, 1)`, or while another consumer of
+    /// this channel is alive.
     fn consumer(&self, core: usize, n_cores: usize) -> Self::Consumer;
 
-    /// Close the channel: subsequent sends fail, consumers drain what
-    /// remains and then see `Closed`/`RecvError`.
+    /// Close the channel: subsequent sends fail, the consumer drains what
+    /// remains and then sees `Closed`/`RecvError`.
     fn close(&self);
 
     /// Whether [`close`](EventChannel::close) has been called.
@@ -117,26 +127,21 @@ pub trait EventConsumer<T: Send>: Send + 'static {
 
 // ---- the sharded transport -----------------------------------------------
 
-/// One client's shard: its ring plus the two access guards.
+/// One client's shard: its ring plus the push guard.
 struct Shard<T> {
     ring: SpscRing<T>,
     /// Serializes pushes from clones of the same client handle. Held for
     /// one ring push — an uncontended CAS in the common one-handle case.
     push_guard: CachePadded<AtomicBool>,
-    /// Serializes pops between the owning consumer and thieves, keeping
-    /// the ring's single-consumer contract while allowing work stealing.
-    drain_guard: CachePadded<AtomicBool>,
 }
 
 struct ShardedInner<T> {
     shards: Box<[Shard<T>]>,
     closed: AtomicBool,
-    /// Events a dropped consumer had batch-popped but not yet delivered;
-    /// surviving consumers adopt them (see `StealingConsumer::drop`).
-    orphans: Mutex<std::collections::VecDeque<T>>,
-    /// Cheap emptiness signal for `orphans`, read on every sweep.
-    orphan_count: AtomicUsize,
-    /// Consumers currently asleep waiting for events.
+    /// Whether a consumer is alive: the rings' one-popper contract. Taken
+    /// by [`EventChannel::consumer`], given back by the consumer's `Drop`.
+    consumer_live: AtomicBool,
+    /// Consumers currently asleep waiting for events (zero or one).
     sleeping_consumers: AtomicUsize,
     /// Producers currently asleep waiting for space.
     sleeping_producers: AtomicUsize,
@@ -149,8 +154,8 @@ struct ShardedInner<T> {
     not_full: Condvar,
 }
 
-/// Sharded lock-free event transport: per-client SPSC rings with
-/// work-stealing consumers. See the module docs for the design.
+/// Sharded lock-free event transport: per-client SPSC rings drained by
+/// one consumer. See the module docs for the design.
 pub struct ShardedChannel<T> {
     inner: Arc<ShardedInner<T>>,
 }
@@ -184,7 +189,6 @@ impl<T: Send> ShardedChannel<T> {
             .map(|_| Shard {
                 ring: SpscRing::with_capacity(shard_capacity),
                 push_guard: CachePadded(AtomicBool::new(false)),
-                drain_guard: CachePadded(AtomicBool::new(false)),
             })
             .collect::<Vec<_>>()
             .into_boxed_slice();
@@ -192,8 +196,7 @@ impl<T: Send> ShardedChannel<T> {
             inner: Arc::new(ShardedInner {
                 shards,
                 closed: AtomicBool::new(false),
-                orphans: Mutex::new(std::collections::VecDeque::new()),
-                orphan_count: AtomicUsize::new(0),
+                consumer_live: AtomicBool::new(false),
                 sleeping_consumers: AtomicUsize::new(0),
                 sleeping_producers: AtomicUsize::new(0),
                 sleep_lock: Mutex::new(()),
@@ -223,13 +226,12 @@ impl<T: Send> ShardedChannel<T> {
         // Relaxed suffices (the verdict path in `all_drained` keeps its
         // SeqCst load; see `push_guard_send_vs_close` in
         // crates/check/tests/models.rs).
-        let queued: usize = self.inner.shards.iter().map(|s| s.ring.len()).sum();
-        queued + self.inner.orphan_count.load(Ordering::Relaxed)
+        self.inner.shards.iter().map(|s| s.ring.len()).sum()
     }
 }
 
 impl<T> ShardedInner<T> {
-    /// Wake sleeping consumers after a push. Cheap when nobody sleeps:
+    /// Wake a sleeping consumer after a push. Cheap when nobody sleeps:
     /// one fence and one load of a counter only sleepers write.
     fn ring_doorbell(&self) {
         self.doorbell(&self.sleeping_consumers, &self.not_empty);
@@ -277,8 +279,8 @@ impl<T> ShardedInner<T> {
         sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Close and hand-off notify under the lock, so a sleeper between its
-    /// re-check and its wait cannot miss them.
+    /// Close notifies under the lock, so a sleeper between its re-check
+    /// and its wait cannot miss it.
     fn wake_everyone(&self) {
         let _g = self.sleep_lock.lock();
         self.not_empty.notify_all();
@@ -288,7 +290,7 @@ impl<T> ShardedInner<T> {
 
 impl<T: Send + 'static> EventChannel<T> for ShardedChannel<T> {
     type Producer = ShardProducer<T>;
-    type Consumer = StealingConsumer<T>;
+    type Consumer = ShardConsumer<T>;
 
     /// Clients beyond the shard count share the last shards
     /// (`client % shards`); correctness is preserved by the push guard,
@@ -300,15 +302,21 @@ impl<T: Send + 'static> EventChannel<T> for ShardedChannel<T> {
         }
     }
 
-    fn consumer(&self, core: usize, n_cores: usize) -> StealingConsumer<T> {
-        assert!(n_cores > 0 && core < n_cores, "consumer index out of range");
-        StealingConsumer {
+    fn consumer(&self, core: usize, n_cores: usize) -> ShardConsumer<T> {
+        assert_eq!(
+            (core, n_cores),
+            (0, 1),
+            "a node has one dedicated core: the consumer is core 0 of 1"
+        );
+        // Acquire pairs with the Release in `ShardConsumer::drop`: the
+        // previous consumer's pops happen-before this one's.
+        assert!(
+            !self.inner.consumer_live.swap(true, Ordering::Acquire),
+            "this channel already has a live consumer; its rings allow one popper"
+        );
+        ShardConsumer {
             inner: self.inner.clone(),
-            core,
-            n_cores,
-            next_owned: 0,
-            next_steal: 0,
-            pending: std::collections::VecDeque::with_capacity(DRAIN_BATCH),
+            next: 0,
         }
     }
 
@@ -459,30 +467,16 @@ impl<T: Send> ShardProducer<T> {
     }
 }
 
-/// Consumer half of a [`ShardedChannel`]: drains its owned shard set
-/// first, then steals from any other shard.
-///
-/// Pops are batched: acquiring a shard's drain guard pulls up to
-/// `DRAIN_BATCH` events into a local buffer, amortizing the guard CAS
-/// and the shard scan to a fraction of an atomic op per event.
-pub struct StealingConsumer<T> {
+/// Consumer half of a [`ShardedChannel`]: the one handle that pops from
+/// every client's ring.
+pub struct ShardConsumer<T> {
     inner: Arc<ShardedInner<T>>,
-    core: usize,
-    n_cores: usize,
-    /// Rotating start offset within the owned set (fairness).
-    next_owned: usize,
-    /// Rotating start offset for steal scans.
-    next_steal: usize,
-    /// Events already popped from a shard, not yet handed to the caller.
-    pending: std::collections::VecDeque<T>,
+    /// The shard the next scan starts at: one past the last shard popped,
+    /// so the scan rotates over the clients.
+    next: usize,
 }
 
-/// Maximum events pulled from one shard per guard acquisition. Bounds how
-/// stale the per-shard fairness rotation can get while keeping the
-/// per-event cost O(1).
-const DRAIN_BATCH: usize = 64;
-
-impl<T: Send> StealingConsumer<T> {
+impl<T: Send> ShardConsumer<T> {
     /// The closed-and-drained verdict, raceproof against in-flight
     /// pushes: rings empty, then every push guard observed free, then
     /// rings empty *again*. A producer that passed its in-guard closed
@@ -490,77 +484,20 @@ impl<T: Send> StealingConsumer<T> {
     /// after its push landed (the second scan sees the event).
     fn all_drained(&self) -> bool {
         let shards = &self.inner.shards;
-        self.inner.orphan_count.load(Ordering::SeqCst) == 0
-            && shards.iter().all(|s| s.ring.is_empty())
+        shards.iter().all(|s| s.ring.is_empty())
             && shards.iter().all(|s| !s.push_guard.load(Ordering::SeqCst))
             && shards.iter().all(|s| s.ring.is_empty())
     }
 
-    /// Batch-pop from `shard` into `pending` if its drain guard can be
-    /// taken right now. Returns how many events were pulled.
-    fn try_drain(&mut self, shard: usize) -> usize {
-        let s = &self.inner.shards[shard];
-        // Cheap pre-check without the guard: empty shards are skipped for
-        // one Acquire load, keeping scans over many idle clients cheap.
-        if s.ring.is_empty() {
-            return 0;
-        }
-        if s.drain_guard.swap(true, Ordering::Acquire) {
-            return 0; // another consumer holds this shard
-        }
-        let mut pulled = 0;
-        while pulled < DRAIN_BATCH {
-            match s.ring.try_pop() {
-                Some(v) => {
-                    self.pending.push_back(v);
-                    pulled += 1;
-                }
-                None => break,
-            }
-        }
-        s.drain_guard.store(false, Ordering::Release);
-        if pulled > 0 {
-            self.inner.space_doorbell();
-        }
-        pulled
-    }
-
-    /// One full sweep: own pending batch, orphaned batches of dropped
-    /// consumers, then owned shards (starting at a rotating offset),
-    /// then a steal pass over all remaining shards.
+    /// Pop one event from the first non-empty shard at or after `next`.
     fn sweep(&mut self) -> Option<T> {
-        if let Some(v) = self.pending.pop_front() {
-            return Some(v);
-        }
-        if self.inner.orphan_count.load(Ordering::SeqCst) > 0 {
-            let mut orphans = self.inner.orphans.lock();
-            let take = orphans.len().min(DRAIN_BATCH);
-            self.pending.extend(orphans.drain(..take));
-            drop(orphans);
-            if take > 0 {
-                self.inner.orphan_count.fetch_sub(take, Ordering::SeqCst);
-                return self.pending.pop_front();
-            }
-        }
         let n = self.inner.shards.len();
-        let stride = self.n_cores;
-        let lane = self.core % stride;
-        let owned_count = n / stride + usize::from(lane < n % stride);
-        for i in 0..owned_count {
-            let shard = ((self.next_owned + i) % owned_count) * stride + lane;
-            if self.try_drain(shard) > 0 {
-                self.next_owned = (self.next_owned + i + 1) % owned_count;
-                return self.pending.pop_front();
-            }
-        }
         for i in 0..n {
-            let shard = (self.next_steal + i) % n;
-            if shard % stride == lane {
-                continue; // already swept above
-            }
-            if self.try_drain(shard) > 0 {
-                self.next_steal = (shard + 1) % n;
-                return self.pending.pop_front();
+            let shard = (self.next + i) % n;
+            if let Some(v) = self.inner.shards[shard].ring.try_pop() {
+                self.next = (shard + 1) % n;
+                self.inner.space_doorbell();
+                return Some(v);
             }
         }
         None
@@ -578,8 +515,8 @@ impl<T: Send> StealingConsumer<T> {
                 if self.all_drained() {
                     return Err(TryRecvError::Closed);
                 }
-                // Items remain but another consumer holds the guards;
-                // loop again rather than sleeping.
+                // A producer still holds its push guard, or its event
+                // landed after the sweep: sweep again rather than sleeping.
                 damaris_sync::hint::spin_loop();
                 continue;
             }
@@ -599,7 +536,6 @@ impl<T: Send> StealingConsumer<T> {
                 deadline,
                 || {
                     inner.shards.iter().any(|s| !s.ring.is_empty())
-                        || inner.orphan_count.load(Ordering::SeqCst) > 0
                         || inner.closed.load(Ordering::SeqCst)
                 },
             );
@@ -607,27 +543,15 @@ impl<T: Send> StealingConsumer<T> {
     }
 }
 
-impl<T> Drop for StealingConsumer<T> {
-    /// Hand any batch-popped but undelivered events to the surviving
-    /// consumers. Without this, a consumer dropped mid-batch (e.g. a
-    /// dedicated-core thread unwinding out of a panicking plugin) would
-    /// silently destroy events the producers were told were delivered.
+impl<T> Drop for ShardConsumer<T> {
+    /// Let the next consumer in. Nothing else to hand over: every event
+    /// not yet returned is still in its ring.
     fn drop(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut orphans = self.inner.orphans.lock();
-        let moved = self.pending.len();
-        orphans.extend(self.pending.drain(..));
-        drop(orphans);
-        self.inner.orphan_count.fetch_add(moved, Ordering::SeqCst);
-        // Wake everyone: a sleeping consumer must adopt these even if no
-        // new push ever rings the doorbell again.
-        self.inner.wake_everyone();
+        self.inner.consumer_live.store(false, Ordering::Release);
     }
 }
 
-impl<T: Send + 'static> EventConsumer<T> for StealingConsumer<T> {
+impl<T: Send + 'static> EventConsumer<T> for ShardConsumer<T> {
     fn recv(&mut self) -> Result<T, RecvError> {
         match self.recv_deadline(None) {
             Ok(v) => Ok(v),
@@ -735,6 +659,7 @@ mod tests {
         p.send_timeout(7, Duration::MAX).unwrap();
         assert_eq!(c.recv_timeout(Duration::from_secs(u64::MAX)).unwrap(), 7);
         // And a huge-timeout waiter wakes on close rather than sleeping on.
+        drop(c);
         let ch2 = ch.clone();
         let waiter = thread::spawn(move || ch2.consumer(0, 1).recv_timeout(Duration::MAX));
         thread::sleep(Duration::from_millis(20));
@@ -779,22 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn stealing_consumer_reaches_unowned_shards() {
-        // 4 shards, 2 consumers: consumer 0 owns shards 0 and 2. Fill only
-        // shard 1 (owned by consumer 1, which never runs) — consumer 0
-        // must steal everything.
-        let ch: ShardedChannel<u32> = ShardedChannel::new(4, 8);
-        let p = ch.producer(1);
-        for i in 0..6 {
-            p.send(i).unwrap();
-        }
-        ch.close();
-        let mut c0 = ch.consumer(0, 2);
-        let drained: Vec<u32> = std::iter::from_fn(|| c0.recv().ok()).collect();
-        assert_eq!(drained, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn producer_overflow_maps_to_existing_shards() {
         let ch: ShardedChannel<u32> = ShardedChannel::new(2, 4);
         let p5 = ch.producer(5); // 5 % 2 == shard 1
@@ -804,61 +713,79 @@ mod tests {
     }
 
     #[test]
-    fn dropped_consumer_batch_is_adopted_not_lost() {
-        // Consumer A batch-pops several events into its local buffer but
-        // only delivers one, then dies (plugin panic unwinds the server
-        // thread). Consumer B must still receive the rest.
+    fn consumer_created_after_a_drop_receives_the_rest() {
+        // Consumer A delivers one event, then dies (a plugin panic unwinds
+        // the server thread). Consumer B, created afterwards, must still
+        // receive every other event: nothing sat in A when it went.
         let ch: ShardedChannel<u32> = ShardedChannel::new(2, 16);
-        let p = ch.producer(0);
-        for i in 0..5 {
-            p.send(i).unwrap();
+        for i in 0..6 {
+            ch.producer(i as usize % 2).send(i).unwrap();
         }
-        let mut a = ch.consumer(0, 2);
-        assert_eq!(a.try_recv().unwrap(), 0, "A delivers one of its batch");
-        drop(a); // 1..=4 were already popped into A's pending buffer
-        assert_eq!(EventChannel::len(&ch), 4, "orphans still count as queued");
+        let mut a = ch.consumer(0, 1);
+        let first = a.try_recv().unwrap();
+        drop(a);
+        assert_eq!(EventChannel::len(&ch), 5, "the rest is still queued");
         EventChannel::close(&ch);
-        let mut b = ch.consumer(1, 2);
-        let rest: Vec<u32> = std::iter::from_fn(|| b.recv().ok()).collect();
-        assert_eq!(rest, vec![1, 2, 3, 4], "B adopts A's stranded batch");
+        let mut b = ch.consumer(0, 1);
+        let mut all: Vec<u32> = std::iter::from_fn(|| b.recv().ok()).collect();
+        all.push(first);
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2, 3, 4, 5], "none lost, none duplicated");
     }
 
     #[test]
-    fn mpmc_no_loss_no_duplication_sharded() {
-        // 4 producers × 500 events, 3 stealing consumers, every event
-        // seen exactly once.
+    #[should_panic(expected = "already has a live consumer")]
+    fn second_live_consumer_panics() {
+        let ch: ShardedChannel<u32> = ShardedChannel::new(2, 4);
+        let _first = ch.consumer(0, 1);
+        let _second = ch.consumer(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "one dedicated core")]
+    fn consumer_other_than_core_0_of_1_panics() {
+        let _ = ShardedChannel::<u32>::new(2, 4).consumer(1, 2);
+    }
+
+    #[test]
+    fn mpsc_no_loss_no_duplication_sharded() {
+        // 4 producers × 500 events into one consumer: every event seen
+        // exactly once, in order per producer.
         const PRODUCERS: usize = 4;
-        const CONSUMERS: usize = 3;
         const PER_PRODUCER: usize = 500;
         let ch: ShardedChannel<usize> = ShardedChannel::new(PRODUCERS, 16);
-        let mut producers = Vec::new();
-        for p in 0..PRODUCERS {
-            let prod = ch.producer(p);
-            producers.push(thread::spawn(move || {
-                for i in 0..PER_PRODUCER {
-                    prod.send(p * PER_PRODUCER + i).unwrap();
-                }
-            }));
-        }
-        let mut consumers = Vec::new();
-        for core in 0..CONSUMERS {
-            let mut cons = ch.consumer(core, CONSUMERS);
-            consumers.push(thread::spawn(move || {
-                let mut seen = Vec::new();
-                while let Ok(v) = cons.recv() {
-                    seen.push(v);
-                }
-                seen
-            }));
-        }
+        let mut cons = ch.consumer(0, 1);
+        let consumer = thread::spawn(move || {
+            let mut seen = Vec::new();
+            while let Ok(v) = cons.recv() {
+                seen.push(v);
+            }
+            seen
+        });
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let prod = ch.producer(p);
+                thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        prod.send(p * PER_PRODUCER + i).unwrap();
+                    }
+                })
+            })
+            .collect();
         for p in producers {
             p.join().unwrap();
         }
         EventChannel::close(&ch);
-        let mut all: Vec<usize> = Vec::new();
-        for c in consumers {
-            all.extend(c.join().unwrap());
+        let seen = consumer.join().unwrap();
+        for p in 0..PRODUCERS {
+            let own: Vec<usize> = seen
+                .iter()
+                .copied()
+                .filter(|v| v / PER_PRODUCER == p)
+                .collect();
+            assert!(own.windows(2).all(|w| w[0] < w[1]), "producer {p} FIFO");
         }
+        let mut all = seen;
         all.sort_unstable();
         let expected: Vec<usize> = (0..PRODUCERS * PER_PRODUCER).collect();
         assert_eq!(all, expected);

@@ -321,13 +321,13 @@ impl Default for SkipConfig {
     }
 }
 
-/// The event transport that carries client events to the dedicated cores
+/// The event transport that carries client events to the dedicated core
 /// (`<queue kind="…">`). One remains; the type and the attribute stay so
 /// configurations that name it keep parsing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
-    /// One lock-free SPSC ring per client, drained by work-stealing
-    /// dedicated cores. Event-post cost stays flat as clients scale.
+    /// One lock-free SPSC ring per client, drained by the node's one
+    /// dedicated core. Event-post cost stays flat as clients scale.
     #[default]
     Sharded,
 }
@@ -364,20 +364,18 @@ impl fmt::Display for QueueKind {
 ///
 /// When present, every iteration's stored blocks are compressed with each
 /// variable's [`Variable::codec`] pipeline and appended to one h5lite file
-/// per node; flush/fsync runs on a background flusher thread so
+/// per node; fsync runs on a background flusher thread so
 /// `end_iteration` latency is unaffected (the paper's §IV.D "600 %
-/// compression at no overhead" path). The one backend is the in-tree
-/// h5lite container format; `type="h5lite"` may name it, and any other
-/// `type` is rejected.
+/// compression at no overhead" path). Storage always syncs: `sync="true"`
+/// may say so, and any other `sync` value is rejected. The one backend is
+/// the in-tree h5lite container format; `type="h5lite"` may name it, and
+/// any other `type` is rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
     /// Directory for the per-node files (`path="…"`); relative paths
     /// resolve against the node's output directory. `None` = the output
     /// directory itself.
     pub path: Option<String>,
-    /// Whether the flusher thread syncs file contents to disk
-    /// (`sync="false"` trades crash durability for speed; default true).
-    pub sync: bool,
     /// Rows per chunk for chunked datasets, along the slowest-varying
     /// dimension (`chunk_rows="…"`, default 64).
     pub chunk_rows: u64,
@@ -392,7 +390,6 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             path: None,
-            sync: true,
             chunk_rows: 64,
             workers: None,
         }
@@ -484,11 +481,12 @@ impl fmt::Display for WorldKind {
 }
 
 /// Node-level resource configuration.
+///
+/// A node has one dedicated core (`<dedicated cores="1"/>`, the only value
+/// accepted): one thread in the thread world, one rank in the process
+/// world.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Architecture {
-    /// Cores per node dedicated to data management (≥ 1 for Damaris mode,
-    /// 0 selects the synchronous baselines).
-    pub dedicated_cores: usize,
     /// Compute cores (simulation clients) per node (`<clients count="…"/>`).
     /// Lets one configuration describe the whole node, so launchers
     /// (`damaris_core::Damaris::launch`) need no out-of-band client count.
@@ -525,7 +523,6 @@ pub struct Architecture {
 impl Default for Architecture {
     fn default() -> Self {
         Architecture {
-            dedicated_cores: 1,
             clients: 1,
             buffer_size: 64 << 20,
             queue_capacity: 1024,
@@ -775,10 +772,6 @@ impl Configuration {
         let mut root = Element::new("simulation").with_attr("name", &self.name);
         let mut arch = Element::new("architecture")
             .with_child(
-                Element::new("dedicated")
-                    .with_attr("cores", self.architecture.dedicated_cores.to_string()),
-            )
-            .with_child(
                 Element::new("clients").with_attr("count", self.architecture.clients.to_string()),
             )
             .with_child(
@@ -800,9 +793,8 @@ impl Configuration {
                 we
             });
         if let Some(store) = &self.architecture.store {
-            let mut se = Element::new("store")
-                .with_attr("sync", if store.sync { "true" } else { "false" })
-                .with_attr("chunk_rows", store.chunk_rows.to_string());
+            let mut se =
+                Element::new("store").with_attr("chunk_rows", store.chunk_rows.to_string());
             if let Some(workers) = store.workers {
                 se = se.with_attr("workers", workers.to_string());
             }
@@ -944,10 +936,15 @@ fn required_attr(el: &Element, name: &str) -> XmlResult<String> {
 fn parse_architecture(el: &Element) -> XmlResult<Architecture> {
     let mut arch = Architecture::default();
     if let Some(d) = el.child("dedicated") {
-        arch.dedicated_cores = d
-            .attr_parse("cores")
-            .map_err(XmlError::schema)?
-            .unwrap_or(arch.dedicated_cores);
+        match d.attr_parse::<usize>("cores").map_err(XmlError::schema)? {
+            None | Some(1) => {}
+            Some(n) => {
+                return Err(XmlError::schema(format!(
+                    "<dedicated cores=\"{n}\"> is not supported: a node has one dedicated \
+                     core (write cores=\"1\" or drop the element)"
+                )))
+            }
+        }
     }
     if let Some(c) = el.child("clients") {
         arch.clients = c
@@ -1009,11 +1006,15 @@ fn parse_architecture(el: &Element) -> XmlResult<Architecture> {
             Some(other) => return Err(XmlError::schema(format!("unknown store type '{other}'"))),
         }
         store.path = s.attr("path").map(Into::into);
-        store.sync = match s.attr("sync").unwrap_or("true") {
-            "true" | "1" | "yes" => true,
-            "false" | "0" | "no" => false,
-            other => return Err(XmlError::schema(format!("bad store sync flag '{other}'"))),
-        };
+        match s.attr("sync").map(str::trim) {
+            None | Some("true") => {}
+            Some(other) => {
+                return Err(XmlError::schema(format!(
+                    "<store sync=\"{other}\"> is not supported: storage always syncs \
+                     (write sync=\"true\" or drop the attribute)"
+                )))
+            }
+        }
         store.chunk_rows = s
             .attr_parse("chunk_rows")
             .map_err(XmlError::schema)?
@@ -1250,7 +1251,6 @@ mod tests {
     fn full_configuration_loads() {
         let cfg = Configuration::from_str(FULL).unwrap();
         assert_eq!(cfg.name, "cm1");
-        assert_eq!(cfg.architecture.dedicated_cores, 1);
         assert_eq!(cfg.architecture.buffer_size, 64 << 20);
         assert_eq!(cfg.architecture.queue_capacity, 256);
         assert_eq!(
@@ -1581,7 +1581,7 @@ mod tests {
         let xml = r#"<simulation name="s">
           <architecture>
             <buffer size="1048576"/>
-            <store type="h5lite" path="out/h5" sync="false" chunk_rows="32" workers="4"/>
+            <store type="h5lite" path="out/h5" sync="true" chunk_rows="32" workers="4"/>
           </architecture>
           <data>
             <layout name="row" type="f64" dimensions="64"/>
@@ -1592,7 +1592,6 @@ mod tests {
         let cfg = Configuration::from_str(xml).unwrap();
         let store = cfg.architecture.store.as_ref().unwrap();
         assert_eq!(store.path.as_deref(), Some("out/h5"));
-        assert!(!store.sync);
         assert_eq!(store.chunk_rows, 32);
         assert_eq!(store.workers, Some(4));
         assert_eq!(
@@ -1615,14 +1614,14 @@ mod tests {
 
     #[test]
     fn store_defaults_and_bad_forms() {
-        // Bare <store/> gets the defaults: synced, 64-row chunks.
+        // Bare <store/> gets the defaults: 64-row chunks (storage always
+        // syncs).
         let cfg = Configuration::from_str(
             r#"<simulation><architecture><store/></architecture></simulation>"#,
         )
         .unwrap();
         let store = cfg.architecture.store.unwrap();
         assert_eq!(store, StoreConfig::default());
-        assert!(store.sync);
         assert_eq!(store.chunk_rows, 64);
         assert_eq!(store.workers, None, "workers defaults to auto");
         // No <store> element means no storage pipeline.
@@ -1636,7 +1635,11 @@ mod tests {
             ),
             (
                 r#"<simulation><architecture><store sync="maybe"/></architecture></simulation>"#,
-                "bad store sync flag",
+                "storage always syncs",
+            ),
+            (
+                r#"<simulation><architecture><store sync="false"/></architecture></simulation>"#,
+                "storage always syncs",
             ),
             (
                 r#"<simulation><architecture><store chunk_rows="0"/></architecture></simulation>"#,
@@ -1747,9 +1750,30 @@ mod tests {
     }
 
     #[test]
+    fn one_dedicated_core_per_node() {
+        let with = |dedicated: &str| {
+            Configuration::from_str(&format!(
+                r#"<simulation name="d"><architecture>{dedicated}<buffer size="4096"/></architecture></simulation>"#
+            ))
+        };
+        // cores="1" and a missing element both describe the one core.
+        let one = with(r#"<dedicated cores="1"/>"#).unwrap();
+        assert_eq!(one, with("").unwrap());
+        assert_eq!(one, with("<dedicated/>").unwrap());
+        // Any other count is rejected with the same message.
+        for cores in ["0", "2", "16"] {
+            let err = with(&format!(r#"<dedicated cores="{cores}"/>"#)).unwrap_err();
+            assert!(
+                err.to_string().contains("a node has one dedicated core"),
+                "cores={cores}: {err}"
+            );
+        }
+        assert!(with(r#"<dedicated cores="two"/>"#).is_err());
+    }
+
+    #[test]
     fn defaults_when_sections_missing() {
         let cfg = Configuration::from_str("<simulation name=\"x\"/>").unwrap();
-        assert_eq!(cfg.architecture.dedicated_cores, 1);
         assert!(cfg.variables.is_empty());
         assert_eq!(cfg.bytes_per_iteration(), 0);
     }
