@@ -16,12 +16,6 @@
 //!    type="h5lite">`, each `write()` call individually timed. The codec
 //!    and file work ride the dedicated core, so the medians must agree —
 //!    CI gates `storage_on_off_p50_ratio <= 1.10`.
-//! 4. **Encode scaling, 1→N workers**: the engine's chunk fan-out
-//!    replayed directly — the chunk set of a CM1 snapshot encoded by a
-//!    worker pool of 1, 2 and 4 threads, each worker with its own
-//!    [`codec::EncodeScratch`]. The derived `encode_scaling_x4` (4-worker
-//!    throughput over 1-worker) is CI-gated `>= 1.5` on hosts with at
-//!    least 4 cores, report-only elsewhere.
 //!
 //! Results go to stdout as tables and to `BENCH_storage.json` at the
 //! workspace root for CI's regression guard.
@@ -51,13 +45,6 @@ const DEFAULT_PIPELINE: &str = "xor-delta8,shuffle8,rle,lzss";
 const CM1_STEPS: usize = 10;
 /// Encode repetitions per pipeline; throughput takes the best run.
 const ENCODE_REPEATS: usize = 3;
-/// Worker counts for the encode-scaling series (must include 1 and 4:
-/// `encode_scaling_x4` is derived from them).
-const SCALING_WORKERS: &[usize] = &[1, 2, 4];
-/// Chunk granularity of the scaling series — the engine's unit of
-/// encode fan-out (64 chunk_rows × a row of 4096 f64s = 32 KiB blocks
-/// in the end-to-end section; 64 KiB here keeps per-chunk work real).
-const SCALING_CHUNK: usize = 64 << 10;
 
 /// Iterations per client before measurement starts.
 const WARMUP_ITERS: u64 = 10;
@@ -125,54 +112,6 @@ fn measure_codecs(bytes: &[u8]) -> Vec<CodecSample> {
             CodecSample {
                 pipeline: spec,
                 factor: codec::compression_ratio(bytes.len(), packed.len()),
-                throughput: bytes.len() as f64 / best.max(1e-9),
-            }
-        })
-        .collect()
-}
-
-struct ScalingSample {
-    workers: usize,
-    throughput: f64,
-}
-
-/// The engine's multi-worker encode stage, replayed in isolation: a
-/// shared queue of chunks, `workers` threads each encoding with a
-/// private scratch, wall-clocked from a barrier. Per worker count the
-/// best of [`ENCODE_REPEATS`] runs is kept.
-fn measure_encode_scaling(bytes: &[u8]) -> Vec<ScalingSample> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let p = Pipeline::from_spec(DEFAULT_PIPELINE).expect("spec is valid");
-    let chunks: Vec<&[u8]> = bytes.chunks(SCALING_CHUNK).collect();
-    SCALING_WORKERS
-        .iter()
-        .map(|&workers| {
-            let mut best = f64::INFINITY;
-            for _ in 0..ENCODE_REPEATS {
-                let next = AtomicUsize::new(0);
-                let barrier = Barrier::new(workers + 1);
-                let elapsed = thread::scope(|scope| {
-                    for _ in 0..workers {
-                        scope.spawn(|| {
-                            let mut scratch = codec::EncodeScratch::new();
-                            barrier.wait();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(chunk) = chunks.get(i) else { break };
-                                std::hint::black_box(p.encode_with(chunk, &mut scratch));
-                            }
-                            barrier.wait();
-                        });
-                    }
-                    barrier.wait(); // all workers ready
-                    let t0 = Instant::now();
-                    barrier.wait(); // all chunks encoded
-                    t0.elapsed().as_secs_f64()
-                });
-                best = best.min(elapsed);
-            }
-            ScalingSample {
-                workers,
                 throughput: bytes.len() as f64 / best.max(1e-9),
             }
         })
@@ -325,17 +264,6 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    eprintln!("storage_path: encode scaling, 1 -> N workers…");
-    let scaling = measure_encode_scaling(&bytes);
-    print_table(
-        "storage — encode throughput vs worker-pool size",
-        &["workers", "MB/s"],
-        &scaling
-            .iter()
-            .map(|s| vec![s.workers.to_string(), format!("{:.0}", s.throughput / 1e6)])
-            .collect::<Vec<_>>(),
-    );
-
     let dir: PathBuf =
         std::env::temp_dir().join(format!("damaris-bench-storage-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("bench store dir");
@@ -365,20 +293,9 @@ fn main() {
         .expect("default pipeline measured")
         .factor;
     let on_off_ratio = on.write_ns_p50 / off.write_ns_p50.max(1e-9);
-    let at = |w: usize| {
-        scaling
-            .iter()
-            .find(|s| s.workers == w)
-            .expect("scaling series covers it")
-            .throughput
-    };
-    // Named `_x4`, not `_ratio`: it is higher-better and absolute-bounded
-    // (`>= 1.5` where cores allow), not drift-gated against a baseline.
-    let scaling_x4 = at(4) / at(1).max(1e-9);
     println!(
         "default pipeline '{DEFAULT_PIPELINE}': {default_factor:.2}x; \
-         store on/off write p50 ratio {on_off_ratio:.3}; \
-         encode scaling x4 {scaling_x4:.2}"
+         store on/off write p50 ratio {on_off_ratio:.3}"
     );
 
     // Machine-readable trajectory record at the workspace root. The
@@ -397,12 +314,6 @@ fn main() {
             c.pipeline, c.factor, c.throughput
         ));
     }
-    for s in &scaling {
-        json.push_str(&format!(
-            "    {{\"series\": \"encode_scaling\", \"workers\": {}, \"encode_throughput\": {:.1}}},\n",
-            s.workers, s.throughput
-        ));
-    }
     for s in [&off, &on] {
         json.push_str(&format!(
             "    {{\"series\": \"write\", \"store\": \"{}\", \"write_ns_p50\": {:.1}, \"write_ns_p90\": {:.1}}},\n",
@@ -410,7 +321,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "    {{\"series\": \"derived\", \"compression_factor_default\": {default_factor:.3}, \"storage_on_off_p50_ratio\": {on_off_ratio:.3}, \"encode_scaling_x4\": {scaling_x4:.3}, \"store_on_write_ns_p90\": {:.1}}}\n",
+        "    {{\"series\": \"derived\", \"compression_factor_default\": {default_factor:.3}, \"storage_on_off_p50_ratio\": {on_off_ratio:.3}, \"store_on_write_ns_p90\": {:.1}}}\n",
         on.write_ns_p90
     ));
     json.push_str("  ]\n}\n");

@@ -92,7 +92,7 @@ pub mod shuffle;
 
 pub use delta::XorDelta;
 pub use lzss::Lzss;
-pub use pipeline::{EncodeScratch, Pipeline, ScratchPool};
+pub use pipeline::{EncodeScratch, Pipeline};
 pub use rle::Rle;
 pub use shuffle::Shuffle;
 

@@ -243,68 +243,6 @@ impl EncodeScratch {
     }
 }
 
-/// A checkout pool of [`EncodeScratch`] instances for worker threads.
-///
-/// A parallel encode stage (e.g. the Damaris storage engine's worker pool)
-/// takes one scratch per worker at spawn and returns it at shutdown; the
-/// buffers keep their grown capacity across checkouts, so a pool that is
-/// drained and refilled between runs stays allocation-free in steady state.
-/// Aggregate counters over the *parked* scratches let tests assert reuse
-/// without reaching into individual workers.
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    parked: Vec<EncodeScratch>,
-    issued: usize,
-}
-
-impl ScratchPool {
-    /// Pool pre-seeded with `n` empty scratches.
-    pub fn with_capacity(n: usize) -> Self {
-        ScratchPool {
-            parked: (0..n).map(|_| EncodeScratch::new()).collect(),
-            issued: 0,
-        }
-    }
-
-    /// Check out a scratch, reusing a parked one (warmest first) when
-    /// available and growing the pool otherwise.
-    pub fn take(&mut self) -> EncodeScratch {
-        self.issued += 1;
-        self.parked.pop().unwrap_or_default()
-    }
-
-    /// Return a scratch to the pool, keeping its grown buffers warm.
-    pub fn put(&mut self, scratch: EncodeScratch) {
-        self.issued = self.issued.saturating_sub(1);
-        self.parked.push(scratch);
-    }
-
-    /// Scratches currently checked out.
-    pub fn issued(&self) -> usize {
-        self.issued
-    }
-
-    /// Scratches currently parked in the pool.
-    pub fn parked(&self) -> usize {
-        self.parked.len()
-    }
-
-    /// Total encodes across parked scratches.
-    pub fn encodes(&self) -> u64 {
-        self.parked.iter().map(|s| s.encodes()).sum()
-    }
-
-    /// Total buffer growths across parked scratches.
-    pub fn grows(&self) -> u64 {
-        self.parked.iter().map(|s| s.grows()).sum()
-    }
-
-    /// Bytes held across all parked scratches.
-    pub fn capacity_bytes(&self) -> usize {
-        self.parked.iter().map(|s| s.capacity_bytes()).sum()
-    }
-}
-
 impl Codec for Pipeline {
     fn name(&self) -> String {
         self.spec.clone()
@@ -529,39 +467,6 @@ mod tests {
             1,
             "the first encode reserved the worst case"
         );
-    }
-
-    #[test]
-    fn scratch_pool_keeps_buffers_warm_across_checkouts() {
-        let data = cm1_like_field(4 * 1024);
-        let p = Pipeline::default_f64();
-        let mut pool = ScratchPool::with_capacity(2);
-        assert_eq!(pool.parked(), 2);
-
-        // First generation of checkouts warms the buffers up.
-        let mut s0 = pool.take();
-        let mut s1 = pool.take();
-        assert_eq!(pool.issued(), 2);
-        let _ = p.encode_with(&data, &mut s0);
-        let _ = p.encode_with(&data, &mut s1);
-        pool.put(s0);
-        pool.put(s1);
-        let warm_cap = pool.capacity_bytes();
-        let warm_grows = pool.grows();
-        assert!(warm_cap > 0);
-
-        // Second generation reuses the same grown buffers: capacity is
-        // unchanged and no further grows happen on same-sized input.
-        let mut s0 = pool.take();
-        let mut s1 = pool.take();
-        let _ = p.encode_with(&data, &mut s0);
-        let _ = p.encode_with(&data, &mut s1);
-        pool.put(s0);
-        pool.put(s1);
-        assert_eq!(pool.capacity_bytes(), warm_cap);
-        assert_eq!(pool.grows(), warm_grows);
-        assert_eq!(pool.encodes(), 4);
-        assert_eq!(pool.issued(), 0);
     }
 
     #[test]

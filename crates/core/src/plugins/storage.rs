@@ -5,7 +5,7 @@
 //! time — "we leveraged the idle time of dedicated cores to compress the
 //! data prior to writing it" (~600 % compression on CM1 data) — while the
 //! client-visible write cost stays the shared-memory copy alone. This
-//! module is that path made real, parallel and overlapped:
+//! module is that path made real and overlapped:
 //!
 //! * [`StorageEngine`] — the shared implementation. Every handed-off
 //!   iteration runs each variable's [`codec::Pipeline`] over the
@@ -13,13 +13,10 @@
 //!   file per node** (`{simulation}_node{id}.dh5`, datasets at
 //!   `it{iteration:06}/{variable}/rank{client}`, each tagged with its
 //!   variable's `unit` attribute when one is declared).
-//! * **Encode workers** (`<store workers="N">`, default = available
-//!   cores − clients, min 1): with N ≥ 2 a fixed pool of worker threads
-//!   fans the iteration's `(variable, source)` blocks out for chunked
-//!   encoding, each worker owning its own [`EncodeScratch`] out of a
-//!   [`codec::ScratchPool`] (steady-state encodes stay allocation-free
-//!   per worker). Results are reassembled in block order before the
-//!   append, so the file is **byte-identical** to the serial engine's.
+//! * **One encoder**: the storing thread encodes every block itself,
+//!   through one reused [`EncodeScratch`] (steady-state encodes stay
+//!   allocation-free), so the file bytes depend only on the blocks, in
+//!   either world, on any host.
 //! * **Double-buffered staging**: [`StoragePlugin`] hands the drained
 //!   block set to the engine's stager thread through a rendezvous channel
 //!   and returns immediately — iteration N encodes and
@@ -31,18 +28,19 @@
 //!   flushes its userspace buffer; a background **flusher thread**
 //!   `fsync`s through a duplicated file handle
 //!   ([`h5lite::FileWriter::sync_data`] semantics, coalescing a backlog
-//!   of requests into one sync). [`StorageEngine::finish`] closes the
-//!   file with [`h5lite::FileWriter::finish_synced`]. Storage always
-//!   syncs; there is no switch to turn it off.
+//!   of requests into one sync); a failed sync is reported like a failed
+//!   write. [`StorageEngine::finish`] closes the file with
+//!   [`h5lite::FileWriter::finish_synced`]. Storage always syncs; there
+//!   is no switch to turn it off.
 //! * [`StorageStats`] carries per-stage timings (drain / encode / append
-//!   / sync nanoseconds, worker busy time) so the overlap is observable,
+//!   / sync nanoseconds, codec busy time) so the overlap is observable,
 //!   not asserted.
 //!
 //! Configured from the XML surface:
 //!
 //! ```xml
 //! <architecture>
-//!   <store path="out" chunk_rows="64" workers="4"/>
+//!   <store path="out" chunk_rows="64"/>
 //! </architecture>
 //! <data>
 //!   <variable name="u" layout="row" codec="xor-delta8,shuffle8,rle"/>
@@ -56,7 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-use codec::pipeline::{EncodeScratch, ScratchPool};
+use codec::pipeline::EncodeScratch;
 use codec::Pipeline;
 use damaris_shm::BlockRef;
 use damaris_xml::schema::Configuration;
@@ -99,30 +97,27 @@ pub struct StorageStats {
     /// to the stager — includes the backpressure wait when the previous
     /// iteration is still in flight.
     pub drain_ns: u64,
-    /// Nanoseconds of the encode stage (fan-out + collect, wall time).
+    /// Nanoseconds of the encode stage (wall time).
     pub encode_ns: u64,
     /// Nanoseconds of the append stage (dataset appends + userspace
     /// flush).
     pub append_ns: u64,
     /// Nanoseconds the flusher spent in `fsync`.
     pub sync_ns: u64,
-    /// Summed nanoseconds encode workers (or the inline encoder when
-    /// `workers == 1`) spent busy on chunks.
+    /// Nanoseconds the encoder spent in codec calls, a share of
+    /// `encode_ns`.
     pub worker_busy_ns: u64,
-    /// Effective encode worker count.
-    pub workers: u64,
 }
 
 impl StorageStats {
-    /// Fraction of the encode stage's wall time the workers were busy,
-    /// averaged over the pool — 1.0 means perfect utilisation, 1/N means
-    /// the fan-out degenerated to one worker. 0.0 before any encode ran.
+    /// Fraction of the encode stage's wall time spent in codec calls; the
+    /// rest is chunk bookkeeping and skipped raw blocks. 0.0 before any
+    /// encode ran.
     pub fn worker_busy_frac(&self) -> f64 {
-        let denom = self.encode_ns.saturating_mul(self.workers.max(1));
-        if denom == 0 {
+        if self.encode_ns == 0 {
             return 0.0;
         }
-        self.worker_busy_ns as f64 / denom as f64
+        self.worker_busy_ns as f64 / self.encode_ns as f64
     }
 }
 
@@ -187,6 +182,11 @@ impl VarState {
     }
 }
 
+/// Errors queued by the engine's background threads, drained into the
+/// result of the next [`StorageEngine::submit_iteration`] or of
+/// [`StorageEngine::finish`].
+type ErrorList = Arc<Mutex<Vec<String>>>;
+
 /// Background fsync thread over a duplicated file handle. The writing
 /// thread stays on its buffered writer; requests arriving while a sync is
 /// in flight coalesce into the next one.
@@ -196,7 +196,17 @@ struct Flusher {
 }
 
 impl Flusher {
-    fn spawn(file: File, syncs: Arc<AtomicU64>, sync_ns: Arc<AtomicU64>) -> std::io::Result<Self> {
+    /// A failed sync is queued on `errors` rather than retried: the kernel
+    /// may clear a write-back error once it has reported it, so a later
+    /// sync (even the final one) can succeed over data that never reached
+    /// the disk.
+    fn spawn(
+        file: File,
+        path: PathBuf,
+        syncs: Arc<AtomicU64>,
+        sync_ns: Arc<AtomicU64>,
+        errors: ErrorList,
+    ) -> std::io::Result<Self> {
         let (tx, rx) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("damaris-storage-flusher".into())
@@ -205,9 +215,12 @@ impl Flusher {
                     // Coalesce the backlog into one fsync.
                     while rx.try_recv().is_ok() {}
                     let t0 = Instant::now();
-                    if file.sync_data().is_ok() {
-                        syncs.fetch_add(1, Ordering::Relaxed);
-                        sync_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    match file.sync_data() {
+                        Ok(()) => {
+                            syncs.fetch_add(1, Ordering::Relaxed);
+                            sync_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                        }
+                        Err(e) => errors.lock().push(format!("syncing {path:?}: {e}")),
                     }
                 }
             })?;
@@ -235,9 +248,9 @@ impl Drop for Flusher {
     }
 }
 
-/// One block's encoded chunks, concatenated — pooled and reused across
-/// iterations so the parallel encode stage stops allocating once buffers
-/// reach the working-set size.
+/// One block's encoded chunks, concatenated — recycled across iterations
+/// so the encode stage stops allocating once buffers reach the
+/// working-set size.
 #[derive(Default)]
 struct EncodedChunks {
     buf: Vec<u8>,
@@ -261,111 +274,6 @@ impl EncodedChunks {
             *pos += len;
             Some(chunk)
         })
-    }
-}
-
-/// A raw input view shipped to an encode worker. Not a self-contained
-/// owner — see the safety contract on [`EngineCore::process_iteration`]:
-/// the dispatcher keeps the bytes alive until every dispatched task's
-/// result (or the pool's shutdown) has been observed.
-struct SendSlice {
-    ptr: *const u8,
-    len: usize,
-}
-
-// SAFETY: the pointee is plain bytes; the dispatch protocol above
-// guarantees the pointee outlives every access from the worker.
-unsafe impl Send for SendSlice {}
-
-struct EncodeTask {
-    /// Index into the dispatching iteration's block list, for in-order
-    /// reassembly.
-    seq: u32,
-    pipeline: Arc<Pipeline>,
-    input: SendSlice,
-    chunk_bytes: usize,
-    /// Pooled output buffer, carried with the task so workers never
-    /// allocate on the steady-state path.
-    out: EncodedChunks,
-}
-
-struct EncodeDone {
-    seq: u32,
-    out: EncodedChunks,
-    busy_ns: u64,
-    encodes: u64,
-    grows: u64,
-}
-
-/// Fixed pool of encode worker threads. Tasks are dealt round-robin over
-/// per-worker channels; results funnel back over one channel and are
-/// reassembled by `seq`. Each worker checks one [`EncodeScratch`] out of
-/// a shared [`ScratchPool`] for its lifetime.
-struct EncodePool {
-    task_txs: Vec<mpsc::Sender<EncodeTask>>,
-    done_rx: Mutex<mpsc::Receiver<EncodeDone>>,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl EncodePool {
-    fn spawn(n: usize) -> std::io::Result<Self> {
-        let (done_tx, done_rx) = mpsc::channel::<EncodeDone>();
-        let scratches = Arc::new(Mutex::new(ScratchPool::with_capacity(n)));
-        let mut task_txs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for i in 0..n {
-            let (tx, rx) = mpsc::channel::<EncodeTask>();
-            let done_tx = done_tx.clone();
-            let scratches = scratches.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("damaris-encode-{i}"))
-                .spawn(move || {
-                    let mut scratch = scratches.lock().take();
-                    while let Ok(mut task) = rx.recv() {
-                        let t0 = Instant::now();
-                        let (e0, g0) = (scratch.encodes(), scratch.grows());
-                        // SAFETY: per the dispatch protocol the input
-                        // outlives this task; it is only read here,
-                        // before the EncodeDone send.
-                        let data =
-                            unsafe { std::slice::from_raw_parts(task.input.ptr, task.input.len) };
-                        task.out.clear();
-                        for chunk in data.chunks(task.chunk_bytes) {
-                            let enc = task.pipeline.encode_with(chunk, &mut scratch);
-                            task.out.push_chunk(enc);
-                        }
-                        let msg = EncodeDone {
-                            seq: task.seq,
-                            out: std::mem::take(&mut task.out),
-                            busy_ns: t0.elapsed().as_nanos() as u64,
-                            encodes: scratch.encodes() - e0,
-                            grows: scratch.grows() - g0,
-                        };
-                        drop(task); // drop the input view before signalling
-                        if done_tx.send(msg).is_err() {
-                            break;
-                        }
-                    }
-                    scratches.lock().put(scratch);
-                })?;
-            task_txs.push(tx);
-            handles.push(handle);
-        }
-        Ok(EncodePool {
-            task_txs,
-            done_rx: Mutex::new(done_rx),
-            handles: Mutex::new(handles),
-        })
-    }
-}
-
-impl Drop for EncodePool {
-    fn drop(&mut self) {
-        // Closing the task channels ends the worker loops.
-        self.task_txs.clear();
-        for h in self.handles.lock().drain(..) {
-            let _ = h.join();
-        }
     }
 }
 
@@ -412,6 +320,7 @@ struct EngineCore {
     flusher: Option<Flusher>,
     syncs: Arc<AtomicU64>,
     sync_ns: Arc<AtomicU64>,
+    errors: ErrorList,
     iterations: u64,
     skipped_iterations: u64,
     datasets: u64,
@@ -420,15 +329,10 @@ struct EngineCore {
     encode_ns: u64,
     append_ns: u64,
     worker_busy_ns: u64,
-    /// Encode/grow counts reported back by pool workers (worker scratches
-    /// are not visible here, so deltas ride on each result).
-    pool_encodes: u64,
-    pool_grows: u64,
-    /// Reused encode scratch for the inline (`workers == 1`) path — the
-    /// no-steady-state-allocation guarantee. It serves every variable, as a
-    /// pool worker's serves every task: blocks are encoded one after
-    /// another, so a scratch per variable would only keep two buffers per
-    /// variable resident (10 MiB for five 1 MiB variables instead of 2 MiB).
+    /// Reused encode scratch — the no-steady-state-allocation guarantee.
+    /// It serves every variable: blocks are encoded one after another, so
+    /// a scratch per variable would only keep two buffers per variable
+    /// resident (10 MiB for five 1 MiB variables instead of 2 MiB).
     scratch: EncodeScratch,
     /// Recycled encode output buffers.
     chunk_bufs: Vec<EncodedChunks>,
@@ -453,8 +357,14 @@ impl EngineCore {
             .try_clone()
             .map_err(|e| format!("duplicating handle of {path:?}: {e}"))?;
         self.flusher = Some(
-            Flusher::spawn(dup, self.syncs.clone(), self.sync_ns.clone())
-                .map_err(|e| format!("spawning storage flusher: {e}"))?,
+            Flusher::spawn(
+                dup,
+                path.clone(),
+                self.syncs.clone(),
+                self.sync_ns.clone(),
+                self.errors.clone(),
+            )
+            .map_err(|e| format!("spawning storage flusher: {e}"))?,
         );
         let mut w =
             FileWriter::new(BufWriter::new(file)).map_err(|e| format!("opening {path:?}: {e}"))?;
@@ -467,18 +377,10 @@ impl EngineCore {
     }
 
     /// Store one iteration's blocks (ordered by `(variable, source)`),
-    /// two-phase: encode every codec'd block's chunks (fanned out to
-    /// `pool` when present, inline otherwise), then append everything in
-    /// block order so the file bytes never depend on the worker count.
-    ///
-    /// Safety contract of the fan-out: tasks carry raw views of
-    /// `blocks`' payloads, so this function never returns between
-    /// dispatching a task and observing its result (or the closure of
-    /// the result channel, which proves every worker — and thus every
-    /// queued task holding a view — is gone).
+    /// two-phase: encode every codec'd block's chunks, then append
+    /// everything in block order.
     fn process_iteration(
         &mut self,
-        pool: Option<&EncodePool>,
         iteration: u64,
         blocks: &[(VarId, usize, &[u8])],
     ) -> Result<(), String> {
@@ -497,86 +399,25 @@ impl EngineCore {
         let t_enc = Instant::now();
         let mut encoded: Vec<Option<EncodedChunks>> = Vec::with_capacity(blocks.len());
         encoded.resize_with(blocks.len(), || None);
-        match pool {
-            Some(pool) => {
-                let n = pool.task_txs.len();
-                let mut dispatched = 0usize;
-                let mut send_failed = false;
-                for (i, &(var, _, data)) in blocks.iter().enumerate() {
-                    let Some(v) = self.vars.get(var.index()) else {
-                        continue;
-                    };
-                    let Some(p) = (if v.store { v.pipeline.clone() } else { None }) else {
-                        continue;
-                    };
-                    let mut dyn_shape = [0u64; 1];
-                    let chunk_bytes =
-                        v.chunk_bytes_for(v.shape_for(data.len(), &mut dyn_shape), self.chunk_rows);
-                    let mut out = self.chunk_bufs.pop().unwrap_or_default();
-                    out.clear();
-                    let task = EncodeTask {
-                        seq: i as u32,
-                        pipeline: p,
-                        input: SendSlice {
-                            ptr: data.as_ptr(),
-                            len: data.len(),
-                        },
-                        chunk_bytes,
-                        out,
-                    };
-                    if pool.task_txs[dispatched % n].send(task).is_err() {
-                        send_failed = true;
-                        break;
-                    }
-                    dispatched += 1;
-                }
-                // Collect every dispatched result before any fallible
-                // step — the tasks borrow `blocks`' bytes.
-                let rx = pool.done_rx.lock();
-                let mut recv_failed = false;
-                for _ in 0..dispatched {
-                    match rx.recv() {
-                        Ok(done) => {
-                            self.worker_busy_ns += done.busy_ns;
-                            self.pool_encodes += done.encodes;
-                            self.pool_grows += done.grows;
-                            encoded[done.seq as usize] = Some(done.out);
-                        }
-                        Err(_) => {
-                            recv_failed = true;
-                            break;
-                        }
-                    }
-                }
-                drop(rx);
-                if send_failed || recv_failed {
-                    // The result channel only closes when every worker
-                    // exited, which also dropped any still-queued tasks.
-                    return Err("storage encode worker pool shut down unexpectedly".into());
-                }
+        for (i, &(var, _, data)) in blocks.iter().enumerate() {
+            let Some(v) = self.vars.get(var.index()) else {
+                continue;
+            };
+            let Some(p) = (if v.store { v.pipeline.clone() } else { None }) else {
+                continue;
+            };
+            let t0 = Instant::now();
+            let mut dyn_shape = [0u64; 1];
+            let chunk_bytes =
+                v.chunk_bytes_for(v.shape_for(data.len(), &mut dyn_shape), self.chunk_rows);
+            let mut out = self.chunk_bufs.pop().unwrap_or_default();
+            out.clear();
+            for chunk in data.chunks(chunk_bytes) {
+                let enc = p.encode_with(chunk, &mut self.scratch);
+                out.push_chunk(enc);
             }
-            None => {
-                for (i, &(var, _, data)) in blocks.iter().enumerate() {
-                    let Some(v) = self.vars.get(var.index()) else {
-                        continue;
-                    };
-                    let Some(p) = (if v.store { v.pipeline.clone() } else { None }) else {
-                        continue;
-                    };
-                    let t0 = Instant::now();
-                    let mut dyn_shape = [0u64; 1];
-                    let chunk_bytes =
-                        v.chunk_bytes_for(v.shape_for(data.len(), &mut dyn_shape), self.chunk_rows);
-                    let mut out = self.chunk_bufs.pop().unwrap_or_default();
-                    out.clear();
-                    for chunk in data.chunks(chunk_bytes) {
-                        let enc = p.encode_with(chunk, &mut self.scratch);
-                        out.push_chunk(enc);
-                    }
-                    self.worker_busy_ns += t0.elapsed().as_nanos() as u64;
-                    encoded[i] = Some(out);
-                }
-            }
+            self.worker_busy_ns += t0.elapsed().as_nanos() as u64;
+            encoded[i] = Some(out);
         }
         self.encode_ns += t_enc.elapsed().as_nanos() as u64;
 
@@ -630,14 +471,14 @@ impl EngineCore {
         Ok(())
     }
 
-    fn stats_locked(&self, workers: usize, drain_ns: u64) -> StorageStats {
+    fn stats_locked(&self, drain_ns: u64) -> StorageStats {
         StorageStats {
             iterations: self.iterations,
             skipped_iterations: self.skipped_iterations,
             datasets: self.datasets,
             raw_bytes: self.raw_bytes,
-            encodes: self.pool_encodes + self.scratch.encodes(),
-            scratch_grows: self.pool_grows + self.scratch.grows(),
+            encodes: self.scratch.encodes(),
+            scratch_grows: self.scratch.grows(),
             flush_requests: self.flush_requests,
             syncs: self.syncs.load(Ordering::Relaxed),
             drain_ns,
@@ -645,7 +486,6 @@ impl EngineCore {
             append_ns: self.append_ns,
             sync_ns: self.sync_ns.load(Ordering::Relaxed),
             worker_busy_ns: self.worker_busy_ns,
-            workers: workers as u64,
         }
     }
 
@@ -675,10 +515,8 @@ impl Drop for EngineCore {
 /// docs for the pipeline it realizes.
 pub struct StorageEngine {
     core: Arc<Mutex<EngineCore>>,
-    pool: Option<Arc<EncodePool>>,
-    workers: usize,
     drain_ns: Arc<AtomicU64>,
-    stage_errors: Arc<Mutex<Vec<String>>>,
+    errors: ErrorList,
     stager: Option<Stager>,
 }
 
@@ -687,12 +525,8 @@ impl StorageEngine {
     /// apply when absent) and the per-variable `codec` attributes.
     ///
     /// `fallback_dir` hosts the per-node file when `<store>` declares no
-    /// `path`. The worker count comes from `<store workers="N">`, or
-    /// defaults to the cores the dedicated-core placement leaves idle
-    /// (available cores − clients, min 1); with one worker encoding runs
-    /// inline on the storing thread and no pool is spawned. Codec specs
-    /// were validated at configuration load, so a failure here means the
-    /// configuration bypassed validation.
+    /// `path`. Codec specs were validated at configuration load, so a
+    /// failure here means the configuration bypassed validation.
     pub fn new(cfg: &Configuration, node_id: usize, fallback_dir: &Path) -> Result<Self, String> {
         let store = cfg.architecture.store.clone().unwrap_or_default();
         let root = store
@@ -723,21 +557,7 @@ impl StorageEngine {
                 pipeline,
             });
         }
-        let workers = match store.workers {
-            Some(n) => n as usize,
-            None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .saturating_sub(cfg.architecture.clients)
-                .max(1),
-        };
-        let pool = if workers >= 2 {
-            Some(Arc::new(EncodePool::spawn(workers).map_err(|e| {
-                format!("spawning {workers} storage encode workers: {e}")
-            })?))
-        } else {
-            None
-        };
+        let errors = ErrorList::default();
         Ok(StorageEngine {
             core: Arc::new(Mutex::new(EngineCore {
                 root,
@@ -749,6 +569,7 @@ impl StorageEngine {
                 flusher: None,
                 syncs: Arc::new(AtomicU64::new(0)),
                 sync_ns: Arc::new(AtomicU64::new(0)),
+                errors: errors.clone(),
                 iterations: 0,
                 skipped_iterations: 0,
                 datasets: 0,
@@ -757,16 +578,12 @@ impl StorageEngine {
                 encode_ns: 0,
                 append_ns: 0,
                 worker_busy_ns: 0,
-                pool_encodes: 0,
-                pool_grows: 0,
                 scratch: EncodeScratch::new(),
                 chunk_bufs: Vec::new(),
                 file_stats: None,
             })),
-            pool,
-            workers,
             drain_ns: Arc::new(AtomicU64::new(0)),
-            stage_errors: Arc::new(Mutex::new(Vec::new())),
+            errors,
             stager: None,
         })
     }
@@ -777,17 +594,11 @@ impl StorageEngine {
         self.core.lock().file_path()
     }
 
-    /// Effective encode worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Counter snapshot (scratch counters summed over the inline scratch
-    /// and the pool workers').
+    /// Counter snapshot.
     pub fn stats(&self) -> StorageStats {
         self.core
             .lock()
-            .stats_locked(self.workers, self.drain_ns.load(Ordering::Relaxed))
+            .stats_locked(self.drain_ns.load(Ordering::Relaxed))
     }
 
     /// File summary from [`StorageEngine::finish`], if it ran and a file
@@ -798,17 +609,15 @@ impl StorageEngine {
 
     /// Store one completed iteration synchronously: `blocks` yields
     /// `(variable, 0-based client, payload)` views, **ordered by
-    /// `(variable, client)`** for cross-world file equivalence. Encoding
-    /// still fans out to the worker pool; the call returns after the
+    /// `(variable, client)`** for cross-world file equivalence. The call
+    /// encodes and appends on the calling thread and returns after the
     /// append. The overlapped path is [`StorageEngine::submit_iteration`].
     pub fn store_iteration<'b, I>(&mut self, iteration: u64, blocks: I) -> Result<(), String>
     where
         I: IntoIterator<Item = (VarId, usize, &'b [u8])>,
     {
         let views: Vec<(VarId, usize, &[u8])> = blocks.into_iter().collect();
-        self.core
-            .lock()
-            .process_iteration(self.pool.as_deref(), iteration, &views)
+        self.core.lock().process_iteration(iteration, &views)
     }
 
     /// Hand one completed iteration to the stager thread and return as
@@ -817,8 +626,8 @@ impl StorageEngine {
     /// encoding/writing, bounding the pipeline to one in-flight
     /// iteration. Blocks must be ordered by `(variable, client)`.
     ///
-    /// Errors from previously staged iterations surface on the next
-    /// submit (or at [`StorageEngine::finish`]).
+    /// Errors from previously staged iterations and from background syncs
+    /// surface on the next submit (or at [`StorageEngine::finish`]).
     pub fn submit_iteration(&mut self, iteration: u64, blocks: StagedSet) -> Result<(), String> {
         let t0 = Instant::now();
         self.ensure_stager();
@@ -831,7 +640,7 @@ impl StorageEngine {
             .map_err(|_| "storage stager thread exited".to_string())?;
         self.drain_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let mut errs = self.stage_errors.lock();
+        let mut errs = self.errors.lock();
         if errs.is_empty() {
             Ok(())
         } else {
@@ -845,8 +654,7 @@ impl StorageEngine {
         }
         let (tx, rx) = mpsc::sync_channel::<StagedIteration>(0);
         let core = self.core.clone();
-        let pool = self.pool.clone();
-        let errors = self.stage_errors.clone();
+        let errors = self.errors.clone();
         let handle = std::thread::Builder::new()
             .name("damaris-storage-stager".into())
             .spawn(move || {
@@ -856,9 +664,7 @@ impl StorageEngine {
                         .iter()
                         .map(|(var, source, data)| (*var, *source, data.as_slice()))
                         .collect();
-                    let res =
-                        core.lock()
-                            .process_iteration(pool.as_deref(), staged.iteration, &views);
+                    let res = core.lock().process_iteration(staged.iteration, &views);
                     if let Err(e) = res {
                         errors
                             .lock()
@@ -876,18 +682,28 @@ impl StorageEngine {
     }
 
     /// Close the per-node file: drain the stager, stop the flusher, write
-    /// the footer and — when `<store sync>` holds (the default) — `fsync`
-    /// everything ([`h5lite::FileWriter::finish_synced`]). Idempotent;
-    /// returns `None` when no iteration ever stored data. Errors queued
-    /// by staged iterations surface here.
+    /// the footer and `fsync` everything
+    /// ([`h5lite::FileWriter::finish_synced`]). Idempotent; returns `None`
+    /// when no iteration ever stored data. Errors queued by staged
+    /// iterations and by background syncs surface here.
     pub fn finish(&mut self) -> Result<Option<FileStats>, String> {
         // Joining the stager drains any in-flight iteration first.
         self.stager.take();
-        let errs: Vec<String> = self.stage_errors.lock().drain(..).collect();
-        if !errs.is_empty() {
-            return Err(errs.join("; "));
+        let res = if self.errors.lock().is_empty() {
+            // Joins the flusher, whose last sync may still queue an error.
+            self.core.lock().finish()
+        } else {
+            Ok(None)
+        };
+        let mut errs: Vec<String> = self.errors.lock().drain(..).collect();
+        match res {
+            Ok(stats) if errs.is_empty() => Ok(stats),
+            Ok(_) => Err(errs.join("; ")),
+            Err(e) => {
+                errs.push(e);
+                Err(errs.join("; "))
+            }
         }
-        self.core.lock().finish()
     }
 }
 
@@ -901,7 +717,6 @@ impl std::fmt::Debug for StorageEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StorageEngine")
             .field("file", &self.file_path())
-            .field("workers", &self.workers)
             .field("stats", &self.stats())
             .finish()
     }
@@ -1049,7 +864,6 @@ mod tests {
         );
         assert!(counters.encode_ns > 0, "encode stage timed");
         assert!(counters.append_ns > 0, "append stage timed");
-        assert!(counters.workers >= 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1058,7 +872,7 @@ mod tests {
         // Two codec'd variables of different sizes take turns in the one
         // inline scratch: it grows to the larger once, then never again.
         let cfg = config(
-            r#"<store type="h5lite" workers="1"/>"#,
+            r#"<store type="h5lite"/>"#,
             r#"<layout name="wide" type="f64" dimensions="16,8"/>
                <variable name="w" layout="wide" codec="xor-delta8,shuffle8,rle"/>"#,
         );
@@ -1208,53 +1022,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_workers_write_byte_identical_files() {
-        // workers=1 (inline) vs workers=3 (pool) over a mix of codec'd,
-        // raw and dynamic blocks: files must match byte for byte.
-        let arch = |workers: &str| {
-            format!(
-                r#"<buffer size="1048576"/>
-                   <store type="h5lite" chunk_rows="2"{workers}/>"#
-            )
-        };
-        let vars = r#"<layout name="patch" type="f64" dimensions="dynamic" max_size="8192"/>
-                      <variable name="amr" layout="patch" codec="xor-delta8,rle"/>"#;
-        let make = |workers: &str, tag: &str| {
-            let cfg = config(&arch(workers), vars);
-            let dir = tmpdir(tag);
-            (StorageEngine::new(&cfg, 0, &dir).unwrap(), cfg, dir)
-        };
-        let (mut serial, cfg, dir_a) = make(r#" workers="1""#, "wrk1");
-        let (mut parallel, _, dir_b) = make(r#" workers="3""#, "wrk3");
-        assert_eq!(serial.workers(), 1);
-        assert_eq!(parallel.workers(), 3);
-        let u = cfg.registry().var_id("u").unwrap();
-        let raw = cfg.registry().var_id("raw").unwrap();
-        let amr = cfg.registry().var_id("amr").unwrap();
-        for it in 0..5u64 {
-            let a = bytes_of(&field(it as f64));
-            let b = bytes_of(&field(it as f64 * 3.0));
-            let c = bytes_of(&(0..17 + it).map(|i| i as f64).collect::<Vec<_>>());
-            let blocks = [
-                (u, 0usize, a.as_slice()),
-                (u, 1usize, a.as_slice()),
-                (raw, 0usize, b.as_slice()),
-                (amr, 1usize, c.as_slice()),
-            ];
-            serial.store_iteration(it, blocks).unwrap();
-            parallel.store_iteration(it, blocks).unwrap();
-        }
-        serial.finish().unwrap().unwrap();
-        parallel.finish().unwrap().unwrap();
-        let sa = std::fs::read(serial.file_path()).unwrap();
-        let sb = std::fs::read(parallel.file_path()).unwrap();
-        assert_eq!(sa, sb, "worker count must not change file bytes");
-        let ps = parallel.stats();
-        assert_eq!(ps.workers, 3);
-        assert!(ps.worker_busy_ns > 0, "pool workers did the encoding");
-        assert!(ps.encodes >= 5 * 3, "worker encodes counted in stats");
-        std::fs::remove_dir_all(&dir_a).ok();
-        std::fs::remove_dir_all(&dir_b).ok();
+    fn failed_background_sync_is_reported() {
+        // fdatasync on a socket fails with EINVAL: the flusher must queue
+        // the error, not drop it and count no sync.
+        let (sock, _peer) = std::os::unix::net::UnixStream::pair().unwrap();
+        let file = File::from(std::os::fd::OwnedFd::from(sock));
+        let syncs = Arc::new(AtomicU64::new(0));
+        let errors = ErrorList::default();
+        let flusher = Flusher::spawn(
+            file,
+            PathBuf::from("sock"),
+            syncs.clone(),
+            Arc::new(AtomicU64::new(0)),
+            errors.clone(),
+        )
+        .unwrap();
+        flusher.request();
+        drop(flusher); // joins after the requested sync ran
+        let errs = errors.lock().clone();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert!(errs[0].contains("syncing \"sock\""), "{errs:?}");
+        assert_eq!(syncs.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -659,7 +659,7 @@ fn amr_block_mode_oversized_fails_fast_on_both_worlds() {
 // The storage pipeline: `<store>` must produce equivalent files per world
 // ---------------------------------------------------------------------------
 
-fn store_config(world: &str, dir: &std::path::Path, extra: &str) -> Configuration {
+fn store_config(world: &str, dir: &std::path::Path) -> Configuration {
     // The path must be deterministic (no PIDs): process-mode children
     // re-derive it from the configuration on the wire. Distinct per
     // world so the two runs cannot clobber each other's file.
@@ -671,7 +671,7 @@ fn store_config(world: &str, dir: &std::path::Path, extra: &str) -> Configuratio
                <buffer size="8388608"/>
                <queue capacity="256"/>
                <world kind="{world}"/>
-               <store type="h5lite" path="{}" chunk_rows="4"{extra}/>
+               <store type="h5lite" path="{}" chunk_rows="4"/>
              </architecture>
              <data>
                <layout name="grid" type="f64" dimensions="8,16"/>
@@ -723,18 +723,15 @@ fn store_produces_byte_identical_files_across_worlds() {
     let pdir = base.join("processes");
     let tdir = base.join("threads");
     let program = "store_produces_byte_identical_files_across_worlds";
-    let processes = Damaris::launch_test(
-        store_config("processes", &pdir, ""),
-        program,
-        &[4],
-        |h, i| store_sim(h, i),
-    )
-    .expect("processes world succeeds");
-    let threads =
-        Damaris::launch_test(store_config("threads", &tdir, ""), program, &[4], |h, i| {
+    let processes =
+        Damaris::launch_test(store_config("processes", &pdir), program, &[4], |h, i| {
             store_sim(h, i)
         })
-        .expect("threads world succeeds");
+        .expect("processes world succeeds");
+    let threads = Damaris::launch_test(store_config("threads", &tdir), program, &[4], |h, i| {
+        store_sim(h, i)
+    })
+    .expect("threads world succeeds");
     assert_equivalent(&processes, &threads);
 
     let pfile = pdir.join("store-eq_node0.dh5");
@@ -754,32 +751,6 @@ fn store_produces_byte_identical_files_across_worlds() {
     );
     assert_eq!(r.read_pod::<f64>("it000003/v/rank1").unwrap(), expect);
     assert_eq!(r.read_pod::<f64>("it000003/w/rank1").unwrap(), slab(1, 3));
-    std::fs::remove_dir_all(&base).ok();
-}
-
-/// The parallel encode pool must be invisible in the output: with
-/// `<store workers="3">` the per-node files stay byte-identical across
-/// worlds *and* byte-identical to the serial (`workers="1"`) engine —
-/// chunk fan-out changes who encodes, never what lands in the file.
-#[test]
-fn store_parallel_workers_byte_identical_across_worlds() {
-    let base = std::env::temp_dir().join("damaris-store-eq-workers");
-    let program = "store_parallel_workers_byte_identical_across_worlds";
-    let mut files = Vec::new();
-    for (world, workers) in [
-        ("processes", r#" workers="3""#),
-        ("threads", r#" workers="3""#),
-        ("threads", r#" workers="1""#),
-    ] {
-        let dir = base.join(format!("{world}{}", files.len()));
-        Damaris::launch_test(store_config(world, &dir, workers), program, &[3], |h, i| {
-            store_sim(h, i)
-        })
-        .expect("world succeeds");
-        files.push(std::fs::read(dir.join("store-eq_node0.dh5")).expect("per-node file written"));
-    }
-    assert_eq!(files[0], files[1], "worlds diverged under workers=3");
-    assert_eq!(files[1], files[2], "parallel encode changed the bytes");
     std::fs::remove_dir_all(&base).ok();
 }
 

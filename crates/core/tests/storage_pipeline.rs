@@ -158,9 +158,7 @@ fn store_event_path_pays_handoff_not_encode() {
     assert!(st.encode_ns > 0, "encode stage was timed: {st:?}");
     assert!(st.append_ns > 0, "append stage was timed: {st:?}");
     assert!(st.sync_ns > 0, "background fsync was timed: {st:?}");
-    // The encode stage reports its worker pool (1 = inline on small
-    // hosts) and its busy time.
-    assert!(st.workers >= 1, "{st:?}");
+    // The encode stage reports its codec busy time.
     assert!(st.worker_busy_ns > 0, "{st:?}");
     let frac = st.worker_busy_frac();
     assert!(

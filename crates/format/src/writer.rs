@@ -353,13 +353,13 @@ impl<'a, W: Write + Seek> DatasetBuilder<'a, W> {
         Ok(())
     }
 
-    /// Append a dataset whose chunks were already encoded elsewhere — the
-    /// reassembly half of a parallel encode stage. Workers run
+    /// Append a dataset whose chunks were already encoded — the append
+    /// half of a two-phase store. The caller runs
     /// [`Pipeline::encode_with`] over the same chunk boundaries
     /// [`DatasetBuilder::write_bytes_with`] would use (`rows_per_chunk`
-    /// rows of the slowest dimension), and the writer thread appends the
-    /// results here in order, producing a file byte-identical to the
-    /// serial path.
+    /// rows of the slowest dimension) and passes the results here in
+    /// order, producing a file byte-identical to
+    /// [`DatasetBuilder::write_bytes_with`]'s.
     ///
     /// `logical_len` is the *uncompressed* byte length the chunks decode
     /// to; it must match the dataset shape, and the chunk count must match

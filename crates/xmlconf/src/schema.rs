@@ -379,10 +379,10 @@ pub struct StoreConfig {
     /// Rows per chunk for chunked datasets, along the slowest-varying
     /// dimension (`chunk_rows="…"`, default 64).
     pub chunk_rows: u64,
-    /// Encode worker threads inside the storage engine (`workers="N"`,
-    /// must be ≥ 1). `None` = auto: available cores minus the configured
-    /// clients, at least 1 — the cores the dedicated-core placement leaves
-    /// idle on the node.
+    /// `workers="1"` as written, or `None` when the attribute is absent.
+    /// The engine encodes on its one stager thread, so `1` is the only
+    /// value accepted; the field stays only so a configuration that spells
+    /// it out still round-trips.
     pub workers: Option<u32>,
 }
 
@@ -1023,8 +1023,11 @@ fn parse_architecture(el: &Element) -> XmlResult<Architecture> {
             return Err(XmlError::schema("<store chunk_rows> must be ≥ 1"));
         }
         store.workers = s.attr_parse("workers").map_err(XmlError::schema)?;
-        if store.workers == Some(0) {
-            return Err(XmlError::schema("<store workers> must be ≥ 1"));
+        if let Some(n) = store.workers.filter(|&n| n != 1) {
+            return Err(XmlError::schema(format!(
+                "<store workers=\"{n}\"> is not supported: the engine encodes on its one \
+                 stager thread (write workers=\"1\" or drop the attribute)"
+            )));
         }
         arch.store = Some(store);
     }
@@ -1581,7 +1584,7 @@ mod tests {
         let xml = r#"<simulation name="s">
           <architecture>
             <buffer size="1048576"/>
-            <store type="h5lite" path="out/h5" sync="true" chunk_rows="32" workers="4"/>
+            <store type="h5lite" path="out/h5" sync="true" chunk_rows="32" workers="1"/>
           </architecture>
           <data>
             <layout name="row" type="f64" dimensions="64"/>
@@ -1593,7 +1596,7 @@ mod tests {
         let store = cfg.architecture.store.as_ref().unwrap();
         assert_eq!(store.path.as_deref(), Some("out/h5"));
         assert_eq!(store.chunk_rows, 32);
-        assert_eq!(store.workers, Some(4));
+        assert_eq!(store.workers, Some(1));
         assert_eq!(
             cfg.variables[0].codec.as_deref(),
             Some("xor-delta8,shuffle8,rle")
@@ -1623,7 +1626,7 @@ mod tests {
         let store = cfg.architecture.store.unwrap();
         assert_eq!(store, StoreConfig::default());
         assert_eq!(store.chunk_rows, 64);
-        assert_eq!(store.workers, None, "workers defaults to auto");
+        assert_eq!(store.workers, None);
         // No <store> element means no storage pipeline.
         let cfg = Configuration::from_str("<simulation name=\"x\"/>").unwrap();
         assert!(cfg.architecture.store.is_none());
@@ -1645,17 +1648,39 @@ mod tests {
                 r#"<simulation><architecture><store chunk_rows="0"/></architecture></simulation>"#,
                 "chunk_rows",
             ),
-            (
-                r#"<simulation><architecture><store workers="0"/></architecture></simulation>"#,
-                "workers",
-            ),
-            (
-                r#"<simulation><architecture><store workers="many"/></architecture></simulation>"#,
-                "workers",
-            ),
         ] {
             let err = Configuration::from_str(xml).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn store_encodes_on_one_thread() {
+        let with = |attr: &str| {
+            Configuration::from_str(&format!(
+                r#"<simulation><architecture><store{attr}/></architecture></simulation>"#
+            ))
+        };
+        // No attribute and workers="1" both describe the one encoder.
+        let absent = with("").unwrap().architecture.store.unwrap();
+        assert_eq!(absent.workers, None);
+        let one = with(r#" workers="1""#).unwrap().architecture.store.unwrap();
+        assert_eq!(one.workers, Some(1));
+        assert_eq!(one.chunk_rows, absent.chunk_rows);
+        // Any other value is a schema error that names the attribute.
+        for (workers, needle) in [
+            ("2", "one stager thread"),
+            ("0", "one stager thread"),
+            ("many", "malformed"),
+        ] {
+            let err = with(&format!(r#" workers="{workers}""#)).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                matches!(err, XmlError::Schema(_))
+                    && msg.contains("workers")
+                    && msg.contains(needle),
+                "workers={workers}: {msg}"
+            );
         }
     }
 

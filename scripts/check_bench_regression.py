@@ -3,7 +3,7 @@
 
 Usage:
     check_bench_regression.py BASELINE.json CURRENT.json
-                              [--threshold 0.25] [--strict] [--report-only]
+                              [--threshold 0.25] [--strict]
                               [--bound "metric<=1.10"] [--bound "metric>=4.0"]
 
 Both files must be records produced by the `damaris_bench` bench targets
@@ -28,8 +28,7 @@ Missing samples and missing metrics (layout changes) always fail, so a
 bench cannot silently drop coverage. Metrics measured as 0 in the
 baseline are skipped. A file whose "samples" array carries no measured
 metric at all (a bench that crashed mid-write, or an empty baseline)
-makes every comparison vacuous: that is a hard failure in gating mode
-and a loud stderr warning under --report-only.
+makes every comparison vacuous: that is a hard failure.
 
 `--bound "metric<=VAL"` / `--bound "metric>=VAL"` (repeatable) add
 absolute acceptance bounds checked against CURRENT only — for
@@ -38,11 +37,6 @@ factor or a within-run overhead ratio, where the claim itself (not
 drift from a baseline) is what CI must enforce. A bound whose metric
 appears in no current sample fails, so a renamed metric cannot
 silently disarm its gate.
-
-`--report-only` prints every violation but always exits 0 — for gates
-whose precondition the runner cannot meet (e.g. a parallel-scaling
-bound on a single-core CI box), where the numbers are still worth a
-line in the log.
 
 Stdlib only; exit code 0 = pass, 1 = regression, 2 = usage/parse error.
 """
@@ -127,11 +121,6 @@ def main(argv):
         help="also gate absolute metrics (same-machine baselines only)",
     )
     parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="print violations but exit 0 (gate precondition not met here)",
-    )
-    parser.add_argument(
         "--bound",
         action="append",
         default=[],
@@ -167,9 +156,8 @@ def main(argv):
                 f"WARNING: {msg} — every regression check on '{name}' is vacuous",
                 file=sys.stderr,
             )
-        if not args.report_only:
-            print(f"bench '{name}': empty sample set fails in gating mode")
-            return 1
+        print(f"bench '{name}': an empty sample set fails")
+        return 1
 
     base_by_key = {sample_key(s): s for s in baseline.get("samples", [])}
     cur_by_key = {sample_key(s): s for s in current.get("samples", [])}
@@ -213,9 +201,6 @@ def main(argv):
         print(f"bench regression in '{name}' ({len(failures)} failures):")
         for f in failures:
             print(f"  {f}")
-        if args.report_only:
-            print("report-only: violations listed above are not enforced here")
-            return 0
         return 1
     print(
         f"bench '{name}': {checked} metrics within "
