@@ -1080,25 +1080,25 @@ proptest! {
 /// Tentpole acceptance: the seed-list (host:port registry) rendezvous
 /// with a short heartbeat timeout must be behaviourally invisible when nothing
 /// fails — byte-identical client outputs and a field-identical
-/// [`SimReport`] versus both the shared-dir process world and the
+/// [`SimReport`] versus both the default-rendezvous process world and the
 /// thread world, with an empty `dead_ranks` and `degraded == false`
 /// everywhere.
 #[test]
-fn seed_list_rendezvous_is_equivalent_to_shared_dir() {
-    let program = "seed_list_rendezvous_is_equivalent_to_shared_dir";
+fn seed_list_rendezvous_is_equivalent_to_default_rendezvous() {
+    let program = "seed_list_rendezvous_is_equivalent_to_default_rendezvous";
     let input = [5u8, 11u8];
     let mut seeded_cfg = config("processes", 2, 4 << 20, "");
     seeded_cfg.architecture.seeds = Some("127.0.0.1:0".to_string());
     seeded_cfg.architecture.heartbeat_timeout_ms = Some(5_000);
     let seeded = Damaris::launch_test(seeded_cfg, program, &input, |h, i| simulate(h, i))
         .expect("seed-list world succeeds");
-    let shared_dir = Damaris::launch_test(
+    let default = Damaris::launch_test(
         config("processes", 2, 4 << 20, ""),
         program,
         &input,
         |h, i| simulate(h, i),
     )
-    .expect("shared-dir world succeeds");
+    .expect("default-rendezvous world succeeds");
     let threads = Damaris::launch_test(
         config("threads", 2, 4 << 20, ""),
         program,
@@ -1106,9 +1106,9 @@ fn seed_list_rendezvous_is_equivalent_to_shared_dir() {
         |h, i| simulate(h, i),
     )
     .expect("threads world succeeds");
-    assert_equivalent(&seeded, &shared_dir);
-    assert_equivalent(&shared_dir, &threads);
-    for report in [&seeded, &shared_dir, &threads] {
+    assert_equivalent(&seeded, &default);
+    assert_equivalent(&default, &threads);
+    for report in [&seeded, &default, &threads] {
         assert!(
             report.dead_ranks.is_empty(),
             "a no-fault run reports no deaths"

@@ -373,6 +373,31 @@ fn segment_file_cleaned_up() {
     );
 }
 
+#[test]
+fn launch_input_of_256_kib_reaches_every_client() {
+    // The configuration and the input travel in the registry's reply to
+    // each rank; one environment string would cap them near 64 KiB.
+    let xml = XML.replace(
+        r#"<queue capacity="64"/>"#,
+        r#"<queue capacity="64"/><clients count="2"/><world kind="processes"/>"#,
+    );
+    let cfg = Configuration::from_str(&xml).unwrap();
+    let input: Vec<u8> = (0..256u32 << 10).map(|i| (i % 253) as u8).collect();
+    let program = "launch_input_of_256_kib_reaches_every_client";
+    let report = Damaris::launch_test(cfg, program, &input, |h, input| {
+        h.write("u", 0, &[input.len() as f64; 64]).unwrap();
+        h.end_iteration(0).unwrap();
+        h.finalize().unwrap();
+        input.to_vec()
+    })
+    .expect("a 256 KiB input must launch");
+    assert_eq!(report.iterations_completed, 1);
+    assert_eq!(report.outputs.len(), 2);
+    for (client, out) in report.outputs.iter().enumerate() {
+        assert!(out == &input, "client {client} got another input");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Leases: a view outlives its iteration, its range does not get reused
 // ---------------------------------------------------------------------------

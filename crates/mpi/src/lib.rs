@@ -68,22 +68,19 @@ pub struct SpawnOptions {
     /// libtest harness runs only the calling test (use
     /// [`World::run_spawned_test`]).
     pub harness_args: bool,
-    /// Force the TCP loopback transport instead of Unix-domain sockets
-    /// (the fallback is otherwise automatic when UDS is unavailable).
-    pub tcp: bool,
     /// How long the parent waits for all ranks before killing stragglers
     /// and reporting [`SpawnError::Timeout`].
     pub timeout: std::time::Duration,
     /// Seed-list rendezvous: a comma-separated `host:port,…` list. When
-    /// set, ranks bootstrap by dialing the first seed, where rank 0 runs
-    /// an in-process registry handing out the full peer table, and the
-    /// mesh runs over TCP — no shared filesystem directory is needed for
-    /// rendezvous. A port of `0` is resolved to a free port by the
-    /// parent before spawning. `None` keeps the shared-dir rendezvous.
+    /// set, the launching parent binds its registry as a TCP listener at
+    /// the first seed (a port of `0` becomes the port it got), ranks
+    /// register by dialing that seed, and the mesh runs over TCP. `None`
+    /// keeps the registry on a Unix socket in the spawn directory (TCP
+    /// loopback when its path is too long) and the mesh on Unix sockets.
     pub seeds: Option<String>,
-    /// Where rank 0's registry actually binds when it differs from the
-    /// advertised seed (e.g. a fault-injection proxy fronts the seed
-    /// address). Defaults to the first seed.
+    /// Where the parent's registry actually binds when it differs from the
+    /// first seed, which ranks still dial (e.g. a fault-injection proxy
+    /// fronts the seed address). Defaults to the first seed.
     pub registry_bind: Option<String>,
     /// How long a peer link may go without any inbound frame before the
     /// peer is declared dead (default 10 s). Every link is reliable: it
@@ -102,7 +99,6 @@ impl std::fmt::Debug for SpawnOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpawnOptions")
             .field("harness_args", &self.harness_args)
-            .field("tcp", &self.tcp)
             .field("timeout", &self.timeout)
             .field("seeds", &self.seeds)
             .field("registry_bind", &self.registry_bind)
@@ -116,7 +112,6 @@ impl Default for SpawnOptions {
     fn default() -> Self {
         SpawnOptions {
             harness_args: false,
-            tcp: false,
             timeout: std::time::Duration::from_secs(120),
             seeds: None,
             registry_bind: None,

@@ -3,18 +3,22 @@
 //! Test-only infrastructure (no `cfg(test)` gate so integration tests in
 //! other crates can use it; nothing here runs unless constructed):
 //!
-//! * [`FaultProxy`] — an in-process TCP proxy that fronts the seed-list
-//!   registry of a spawned world. Because every rank registers through
-//!   the seed address, the proxy observes every `Register` frame and
-//!   rewrites the advertised data address to a per-rank forwarder it
+//! * [`FaultProxy`] — an in-process TCP proxy that fronts the launching
+//!   parent's registry in a seed-list world. Because every rank registers
+//!   through the seed address, the proxy observes every `Register` frame
+//!   and rewrites the advertised mesh address to a per-rank forwarder it
 //!   owns, so **every mesh link flows through the proxy** and can be
 //!   manipulated deterministically: dropped once (transient failure),
 //!   black-holed (network partition: the connection stays open but all
-//!   frames are silently swallowed), or delayed per frame.
+//!   frames are silently swallowed), or delayed per frame. After the
+//!   welcome it splices the registry connection, so each rank's result
+//!   and its end still reach the parent.
 //! * [`PidMap`] — records `(rank, pid)` pairs via the
 //!   [`crate::SpawnOptions::on_spawn`] hook so tests can `SIGKILL` /
 //!   `SIGSTOP` / `SIGCONT` individual rank processes.
-//! * [`free_loopback_addr`] — a concrete free `127.0.0.1:<port>`.
+//! * [`free_loopback_addr`] — a concrete free `127.0.0.1:<port>`, the one
+//!   place a port is bound, released and bound again later (racy, and
+//!   acceptable only in tests).
 //! * [`decode_mesh_stream`] — the mesh's frame decoder, for fuzzing the
 //!   parser that reads every byte a peer sends.
 //!
@@ -23,6 +27,7 @@
 //! the tests deterministic on loaded CI machines.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{BuildHasher, RandomState};
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,16 +36,48 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::socket::{
-    read_frame, resolve_port_zero, tcp_connect_retry, write_frame, Frame, FrameBuf,
-};
+use crate::socket::{read_frame, write_frame, Frame, FrameBuf};
 
 /// A concrete free loopback address (`127.0.0.1:<port>`), suitable for
-/// [`crate::SpawnOptions::seeds`]. The port is bound and released, so a
-/// parallel process could in principle steal it; in practice spawn
-/// follows immediately.
+/// [`crate::SpawnOptions::seeds`]. The port is bound and released, so
+/// another process could take it before it is bound again; it lies below
+/// the kernel's ephemeral range to make that unlikely.
 pub fn free_loopback_addr() -> io::Result<String> {
     resolve_port_zero("127.0.0.1:0")
+}
+
+/// Resolve a trailing `:0` in a `host:port` address to a concrete free
+/// port by briefly binding a listener there. The port is picked below the
+/// kernel's ephemeral range, which every `:0` bind and every outgoing
+/// connection draw from: with rank processes binding and dialing on all
+/// sides, a port from that range is soon taken again. Below it, only
+/// another explicit bind to the same port can collide, and the search
+/// starts at a random port.
+fn resolve_port_zero(addr: &str) -> io::Result<String> {
+    let Some((host, port)) = addr.rsplit_once(':') else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("address '{addr}' is not host:port"),
+        ));
+    };
+    if port != "0" {
+        return Ok(addr.to_string());
+    }
+    const FIRST: u16 = 10_000;
+    let range = std::fs::read_to_string("/proc/sys/net/ipv4/ip_local_port_range");
+    let low = range
+        .ok()
+        .and_then(|r| r.split_whitespace().next()?.parse().ok());
+    let span = u64::from(low.unwrap_or(32_768u16).saturating_sub(FIRST));
+    let start = RandomState::new().hash_one(addr);
+    for i in 0..span {
+        let port = FIRST + ((start.wrapping_add(i)) % span) as u16;
+        if TcpListener::bind((host, port)).is_ok() {
+            return Ok(format!("{host}:{port}"));
+        }
+    }
+    let l = TcpListener::bind((host, 0))?;
+    Ok(format!("{host}:{}", l.local_addr()?.port()))
 }
 
 /// Feed `chunks` through one connection's inbound buffer, as the mesh
@@ -200,8 +237,9 @@ impl ProxyShared {
 /// Deterministic TCP fault proxy for seed-list worlds; see the module
 /// docs. Construct it, point [`crate::SpawnOptions::seeds`] at
 /// [`FaultProxy::seeds`] and [`crate::SpawnOptions::registry_bind`] at
-/// [`FaultProxy::registry_bind`], and every mesh link of the spawned
-/// world is routed through the proxy.
+/// [`FaultProxy::registry_bind`] (where the launching parent binds its
+/// registry), and every mesh link of the spawned world is routed through
+/// the proxy.
 pub struct FaultProxy {
     seed_addr: String,
     shared: Arc<ProxyShared>,
@@ -242,8 +280,8 @@ impl FaultProxy {
         self.seed_addr.clone()
     }
 
-    /// Where rank 0's registry must actually bind (the proxy dials this
-    /// address and relays registrations to it).
+    /// Where the parent's registry must actually bind (the proxy dials
+    /// this address and relays registrations to it).
     pub fn registry_bind(&self) -> String {
         self.shared.registry_addr.clone()
     }
@@ -290,9 +328,10 @@ fn seed_accept_loop(listener: TcpListener, shared: Arc<ProxyShared>) {
     }
 }
 
-/// One rank registering: rewrite its advertised data address to a fresh
-/// forwarder, relay the registration to the real registry, and pipe the
-/// peer table back.
+/// One rank registering: rewrite its advertised mesh address to a fresh
+/// forwarder, relay the registration to the parent's registry and the
+/// welcome back, then splice the connection so the rank's result and its
+/// end reach the parent.
 fn handle_register(mut client: TcpStream, shared: Arc<ProxyShared>) -> io::Result<()> {
     client.set_read_timeout(Some(Duration::from_secs(30)))?;
     let Frame::Register { rank, addr } = read_frame(&mut client)? else {
@@ -314,10 +353,8 @@ fn handle_register(mut client: TcpStream, shared: Arc<ProxyShared>) -> io::Resul
             .spawn(move || forwarder_loop(forwarder, rank as usize, real_addr, shared))
             .expect("failed to spawn forwarder thread");
     }
-    let mut upstream = tcp_connect_retry(
-        &shared.registry_addr,
-        Instant::now() + Duration::from_secs(30),
-    )?;
+    // The parent bound its registry before spawning any rank.
+    let mut upstream = TcpStream::connect(&shared.registry_addr)?;
     write_frame(
         &mut upstream,
         &Frame::Register {
@@ -325,9 +362,12 @@ fn handle_register(mut client: TcpStream, shared: Arc<ProxyShared>) -> io::Resul
             addr: fwd_addr,
         },
     )?;
-    // The table only arrives once every rank has registered.
-    let table = read_frame(&mut upstream)?;
-    write_frame(&mut client, &table)
+    // The welcome only arrives once every rank has registered.
+    let welcome = read_frame(&mut upstream)?;
+    write_frame(&mut client, &welcome)?;
+    client.set_read_timeout(None)?;
+    io::copy(&mut client, &mut upstream)?;
+    upstream.shutdown(Shutdown::Write)
 }
 
 /// Accept mesh connections destined for rank `low`'s data listener.
@@ -427,4 +467,23 @@ fn handle_link(
     }
     let _ = upstream.shutdown(Shutdown::Both);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn resolve_port_zero_resolves_only_zero() {
+        assert_eq!(
+            resolve_port_zero("127.0.0.1:8080").unwrap(),
+            "127.0.0.1:8080"
+        );
+        let resolved = resolve_port_zero("127.0.0.1:0").unwrap();
+        assert!(resolved.starts_with("127.0.0.1:"));
+        assert_ne!(resolved, "127.0.0.1:0");
+        // Rebinding it works: nothing took it meanwhile.
+        assert!(TcpListener::bind(&resolved).is_ok());
+        assert!(resolve_port_zero("no-port-here").is_err());
+    }
 }

@@ -323,13 +323,15 @@ impl World {
     /// Unix-domain sockets (TCP loopback fallback), by re-executing the
     /// current binary once per rank.
     ///
-    /// Rendezvous happens through a temporary directory whose path — along
-    /// with the rank id, world size and `input` — is handed to each child
-    /// via environment variables (`MINI_MPI_DIR`, `MINI_MPI_RANK`, …).
-    /// Inside a child, the matching `run_spawned` call recognises the
-    /// environment, runs `f` as that rank, reports the result to the
-    /// parent over an out-of-band control connection and exits — code
-    /// after the call never runs in children.
+    /// The calling process is the rendezvous registry: each child finds
+    /// it, its spawn directory and its rank id in environment variables
+    /// (`MINI_MPI_DIR`, `MINI_MPI_RANK`, …), registers its mesh address
+    /// and receives the peer table and `input` back. Inside a child, the
+    /// matching `run_spawned` call recognises the environment, runs `f`
+    /// as that rank, reports the result to the parent over its registry
+    /// connection and exits — code after the call never runs in children.
+    /// The parent waits in one `poll(2)` loop on the calling thread and
+    /// starts no thread of its own.
     ///
     /// `program` must uniquely identify this call site across re-execution
     /// of the binary: for a plain binary whose `main` reaches this call,
@@ -375,9 +377,8 @@ impl World {
         socket::run_spawned_impl(size, program, input, opts, f)
     }
 
-    /// [`World::run_spawned`] with explicit [`SpawnOptions`] (force the
-    /// TCP fallback, seed-list rendezvous, the heartbeat timeout, the
-    /// spawn timeout, …).
+    /// [`World::run_spawned`] with explicit [`SpawnOptions`] (seed-list
+    /// rendezvous, the heartbeat timeout, the spawn timeout, …).
     pub fn run_spawned_with<F>(
         size: usize,
         program: &str,
@@ -418,7 +419,7 @@ impl World {
         socket::child_env().is_some()
     }
 
-    /// The rendezvous directory of the surrounding socket world, if this
+    /// The spawn directory of the surrounding socket world, if this
     /// process is a spawned rank. Rank programs can use it to share
     /// auxiliary files (e.g. a shared-memory segment) without further
     /// coordination.

@@ -46,10 +46,10 @@ fn wait_dead_view(comm: &Comm, expected: &[usize], deadline: Duration) -> Durati
     }
 }
 
-/// Seed-list rendezvous bootstraps a working mesh with no shared-dir
-/// endpoint files, and produces the same results as the shared-dir path.
+/// Seed-list rendezvous bootstraps a working TCP mesh, and produces the
+/// same results as the default rendezvous over Unix sockets.
 #[test]
-fn seed_list_rendezvous_matches_shared_dir() {
+fn seed_list_rendezvous_matches_default_rendezvous() {
     let ring = |comm: &mut Comm, _input: &[u8]| {
         let next = (comm.rank() + 1) % comm.size();
         let prev = (comm.rank() + comm.size() - 1) % comm.size();
@@ -65,25 +65,28 @@ fn seed_list_rendezvous_matches_shared_dir() {
     };
     let via_seeds = World::run_spawned_with(
         3,
-        "seed_list_rendezvous_matches_shared_dir",
+        "seed_list_rendezvous_matches_default_rendezvous",
         &[],
         seeded,
         ring,
     )
     .expect("seed-list world must succeed");
-    let shared_dir = SpawnOptions {
+    let default = SpawnOptions {
         harness_args: true,
         ..SpawnOptions::default()
     };
-    let via_dir = World::run_spawned_with(
+    let via_default = World::run_spawned_with(
         3,
-        "seed_list_rendezvous_matches_shared_dir",
+        "seed_list_rendezvous_matches_default_rendezvous",
         &[],
-        shared_dir,
+        default,
         ring,
     )
-    .expect("shared-dir world must succeed");
-    assert_eq!(via_seeds, via_dir, "rendezvous paths must be equivalent");
+    .expect("default-rendezvous world must succeed");
+    assert_eq!(
+        via_seeds, via_default,
+        "rendezvous paths must be equivalent"
+    );
     assert_eq!(from_le_u64s(&via_seeds[0]), vec![7, 3]);
 }
 

@@ -83,16 +83,27 @@ fn mesh_frame_samples() -> Vec<Vec<u8>> {
                 payload,
             ],
         ),
-        frame(1, &[&u64s(99)]),                                 // Goodbye: seq
-        frame(2, &[&u32s(9)]),                                  // Hello: rank
-        frame(3, &[&u32s(2), &u32s(3), &[1, 2, 3]]),            // Result: rank, data
-        frame(4, &[&u64s(17)]),                                 // Ping: acked
-        frame(5, &[&u64s(18)]),                                 // Pong: acked
-        frame(6, &[&u64s(5), &u32s(3)]),                        // Death: seq, rank
-        frame(7, &[&u32s(4), &u64s(1234)]),                     // Reconnect: rank, next
-        frame(8, &[&u64s(4321)]),                               // ReconnectAck: next
-        frame(9, &[&u32s(1), &string("127.0.0.1:9999")]),       // Register: rank, addr
-        frame(10, &[&u32s(2), &string("a:1"), &string("b:2")]), // Table: addrs
+        frame(1, &[&u64s(99)]),                           // Goodbye: seq
+        frame(2, &[&u32s(9)]),                            // Hello: rank
+        frame(3, &[&u32s(2), &u32s(3), &[1, 2, 3]]),      // Result: rank, data
+        frame(4, &[&u64s(17)]),                           // Ping: acked
+        frame(5, &[&u64s(18)]),                           // Pong: acked
+        frame(6, &[&u64s(5), &u32s(3)]),                  // Death: seq, rank
+        frame(7, &[&u32s(4), &u64s(1234)]),               // Reconnect: rank, next
+        frame(8, &[&u64s(4321)]),                         // ReconnectAck: next
+        frame(9, &[&u32s(1), &string("127.0.0.1:9999")]), // Register: rank, addr
+        // Welcome: heartbeat timeout, peer table, launch input.
+        frame(
+            10,
+            &[
+                &u64s(10_000),
+                &u32s(2),
+                &string("a:1"),
+                &string("unix:/tmp/r1.sock"),
+                &u32s(3),
+                &[7, 8, 9],
+            ],
+        ),
     ]
 }
 

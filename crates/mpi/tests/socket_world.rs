@@ -6,6 +6,10 @@
 //! and becomes that rank. The `program` string must therefore equal the
 //! test function's name.
 
+use std::process::Command;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
 use mini_mpi::{Comm, Source, SpawnError, SpawnOptions, World};
 use proptest::prelude::*;
 
@@ -83,49 +87,110 @@ fn collectives_and_split_over_sockets() {
     }
 }
 
+/// The launch input travels in the registry's reply, not in the
+/// environment, where Linux caps each string at 128 KiB.
 #[test]
-fn tcp_fallback_transport() {
-    let opts = SpawnOptions {
-        harness_args: true,
-        tcp: true,
-        ..SpawnOptions::default()
-    };
-    let out = World::run_spawned_with(2, "tcp_fallback_transport", &[5], opts, |comm, input| {
-        let other = 1 - comm.rank();
-        comm.send(other, 1, &[input[0] as u64 + comm.rank() as u64]);
-        let got = comm.recv::<u64>(Source::Rank(other), 1)[0];
-        le_u64s(&[got])
+fn mebibyte_input_round_trips() {
+    let input: Vec<u8> = (0..1u32 << 20).map(|i| (i % 251) as u8).collect();
+    let out = World::run_spawned_test(2, "mebibyte_input_round_trips", &input, |_, input| {
+        input.to_vec()
     })
-    .expect("TCP fallback world must succeed");
-    assert_eq!(from_le_u64s(&out[0]), vec![6]);
-    assert_eq!(from_le_u64s(&out[1]), vec![5]);
+    .expect("a 1 MiB input must launch");
+    assert_eq!(out.len(), 2);
+    for (rank, echoed) in out.iter().enumerate() {
+        assert!(echoed == &input, "rank {rank} got another input back");
+    }
+}
+
+/// The `mini-mpi*` threads listed under `task_dir`. Thread-world rank
+/// threads (`mini-mpi-rank-*`) are left out: other tests in this binary
+/// run thread worlds in the same parent process meanwhile.
+fn mini_mpi_threads(task_dir: &str) -> u64 {
+    let mut threads = 0;
+    for task in std::fs::read_dir(task_dir).expect("procfs") {
+        let comm_path = task.expect("task entry").path().join("comm");
+        // A thread that exits while we look has no comm to read.
+        let name = std::fs::read_to_string(comm_path).unwrap_or_default();
+        threads += u64::from(name.starts_with("mini-mpi") && !name.starts_with("mini-mpi-rank-"));
+    }
+    threads
 }
 
 /// Each rank runs exactly one mesh thread, whatever the world size: it
 /// owns every peer link, so no rank pays a reader and a writer per peer.
+/// The launching parent supervises from its calling thread and starts
+/// none.
 #[test]
 fn one_mesh_thread_per_rank() {
     let out = World::run_spawned_test(4, "one_mesh_thread_per_rank", &[], |comm, _| {
         // Once every link has carried a frame, the mesh is up.
         comm.barrier();
-        let mut mesh_threads = 0u64;
-        for task in std::fs::read_dir("/proc/self/task").expect("procfs") {
-            let comm_path = task.expect("task entry").path().join("comm");
-            // A thread that exits while we look has no comm to read.
-            let name = std::fs::read_to_string(comm_path).unwrap_or_default();
-            mesh_threads += u64::from(name.starts_with("mini-mpi"));
-        }
+        let mesh_threads = mini_mpi_threads("/proc/self/task");
+        let parent = std::os::unix::process::parent_id();
+        let parent_threads = mini_mpi_threads(&format!("/proc/{parent}/task"));
         comm.barrier();
-        le_u64s(&[mesh_threads])
+        le_u64s(&[mesh_threads, parent_threads])
     })
     .expect("spawned world must succeed");
     for (rank, bytes) in out.iter().enumerate() {
+        let [mesh, parent] = from_le_u64s(bytes)[..] else {
+            panic!("rank {rank} reported {bytes:?}");
+        };
+        assert_eq!(mesh, 1, "rank {rank}'s mini-mpi threads");
         assert_eq!(
-            from_le_u64s(bytes),
-            vec![1],
-            "rank {rank}'s mini-mpi threads"
+            parent, 0,
+            "the parent's mini-mpi threads, seen by rank {rank}"
         );
     }
+}
+
+/// A rank that dies before the peer table went out fails the launch at
+/// once: the parent kills the others instead of leaving them to wait for
+/// a peer that will never register.
+#[test]
+fn rank_exit_before_rendezvous_fails_the_launch_at_once() {
+    let kill_rank_1: Arc<dyn Fn(usize, u32) + Send + Sync> = Arc::new(|rank, pid| {
+        if rank == 1 {
+            // Delivered before rank 2 is even spawned.
+            let pid = pid.to_string();
+            let killed = Command::new("kill").args(["-s", "KILL", &pid]).status();
+            assert!(killed.is_ok_and(|s| s.success()), "kill rank 1");
+        }
+    });
+    let opts = SpawnOptions {
+        harness_args: true,
+        timeout: Duration::from_secs(60),
+        on_spawn: Some(kill_rank_1),
+        ..SpawnOptions::default()
+    };
+    let started = Instant::now();
+    let outcome = World::run_spawned_outcome(
+        3,
+        "rank_exit_before_rendezvous_fails_the_launch_at_once",
+        &[],
+        opts,
+        |comm, _| {
+            comm.barrier();
+            le_u64s(&[comm.rank() as u64])
+        },
+    )
+    .expect("a failed launch is an outcome, not an orchestration error");
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "the launch failed after {took:?}"
+    );
+    assert_eq!(
+        outcome.failed_ranks(),
+        vec![0, 1, 2],
+        "{:?}",
+        outcome.failures
+    );
+    assert!(
+        outcome.failures[0].contains("rank 1 exited before the rendezvous"),
+        "{:?}",
+        outcome.failures
+    );
 }
 
 /// The deterministic rank program used by the transport-equivalence

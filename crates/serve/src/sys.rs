@@ -1,14 +1,16 @@
-//! The two Linux calls a socket loop waits with: `poll(2)` over its sockets
-//! and an `eventfd(2)` counter other threads signal. Compiled into both
-//! `damaris_serve` (its poll thread) and `mini_mpi` (its mesh thread).
+//! The Linux calls a socket loop waits with: `poll(2)` over its sockets,
+//! an `eventfd(2)` counter other threads signal, and `pidfd_open(2)`, which
+//! makes a child's exit one more readable descriptor. Compiled into both
+//! `damaris_serve` (its poll thread) and `mini_mpi` (its mesh thread and
+//! the launching parent's supervision loop).
 //!
-//! No external crates: both are declared directly against libc (which
+//! No external crates: each is declared directly against libc (which
 //! `std` already links), the way `damaris_shm`'s mapping declares `mmap`.
 
 use std::fs::File;
 use std::io::{self, Read, Write};
-use std::os::fd::{AsRawFd, FromRawFd};
-use std::os::raw::{c_int, c_short, c_uint, c_ulong};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+use std::os::raw::{c_int, c_long, c_short, c_uint, c_ulong};
 use std::time::Duration;
 
 // eventfd is Linux-only; the flag values are the asm-generic ones (x86,
@@ -20,6 +22,10 @@ pub const POLLIN: c_short = 0x001;
 pub const POLLOUT: c_short = 0x004;
 const EFD_NONBLOCK: c_int = 0o4000;
 const EFD_CLOEXEC: c_int = 0o2_000_000;
+/// The same number on every architecture (added after the syscall tables
+/// were unified). glibc only wraps it from 2.36, so it goes through
+/// `syscall(2)`.
+const SYS_PIDFD_OPEN: c_long = 434;
 
 /// `struct pollfd`.
 #[repr(C)]
@@ -48,6 +54,7 @@ impl PollFd {
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn syscall(number: c_long, ...) -> c_long;
 }
 
 /// Block until one of `fds` is ready or `timeout` (`None`: never) has
@@ -64,6 +71,22 @@ pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// A descriptor that turns readable once process `pid` has exited (Linux
+/// 5.3+). It does not reap the process: that is still the parent's
+/// `wait`, and until then `pid` cannot be reused.
+#[allow(dead_code)] // damaris_serve supervises no processes
+pub fn pidfd_open(pid: u32) -> io::Result<OwnedFd> {
+    // SAFETY: pidfd_open takes a pid and a flags word, no pointers; it
+    // returns a new close-on-exec descriptor or -1.
+    let fd = unsafe { syscall(SYS_PIDFD_OPEN, pid as c_long, 0 as c_long) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` was just returned by pidfd_open and nothing else owns
+    // it; the `OwnedFd` closes it on drop.
+    Ok(unsafe { OwnedFd::from_raw_fd(fd as c_int) })
 }
 
 /// A nonblocking eventfd: readable while its counter is nonzero.

@@ -502,9 +502,9 @@ pub struct Architecture {
     /// rank over the socket transport.
     pub world: WorldKind,
     /// Seed-list rendezvous for the process world (`<world
-    /// seeds="host:port,…"/>`): ranks bootstrap via a registry on the
-    /// first seed instead of a shared directory. `None` keeps shared-dir
-    /// rendezvous. Ignored for the thread world.
+    /// seeds="host:port,…"/>`): the launching parent's registry listens
+    /// on the first seed and the mesh runs over TCP. `None` keeps the
+    /// Unix-socket rendezvous. Ignored for the thread world.
     pub seeds: Option<String>,
     /// How long a process-world peer link may stay silent before the peer
     /// is declared dead (`<world heartbeat_timeout_ms="…"/>`); `None`

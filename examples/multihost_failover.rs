@@ -1,12 +1,11 @@
 //! Multi-host rendezvous and failure survival, end to end:
 //!
-//! 1. The process world bootstraps from a **seed list** instead of a
-//!    shared directory — `<world seeds="host:port,…"/>` names a registry
-//!    endpoint, every rank dials it, registers its own data address, and
-//!    receives the full peer table back (rank 0 runs the registry
-//!    in-process). `"127.0.0.1:0"` below picks a free port; on a real
-//!    cluster the list names the head node, and no shared filesystem is
-//!    needed for rendezvous.
+//! 1. The process world bootstraps from a **seed list** over TCP instead
+//!    of Unix sockets — `<world seeds="host:port,…"/>` names where the
+//!    launching parent binds its registry; every rank dials it, registers
+//!    its own mesh address, and receives the full peer table back.
+//!    `"127.0.0.1:0"` below picks a free port, which the parent hands its
+//!    ranks; on a real cluster the list names the head node.
 //! 2. Every mesh link is **reliable**: it exchanges PING/PONG, sequenced
 //!    frames are retained until acked and retransmitted after a
 //!    reconnect, and a silent peer is declared dead after
