@@ -1,12 +1,8 @@
 //! E5 (§IV.D): compression in the dedicated cores' spare time.
 //!
 //! Paper anchor: "a 600 % compression ratio without any overhead on the
-//! simulation". Two parts:
-//!
-//! 1. real codecs on real CM1-proxy output (this machine),
-//! 2. the cluster model confirming zero simulation overhead at 9216 cores.
+//! simulation". Real codecs on real CM1-proxy output, on this machine.
 
-use cluster_sim::experiments::e5_compression_at_scale;
 use damaris_bench::{e5_real_compression, print_table};
 
 fn main() {
@@ -30,33 +26,4 @@ fn main() {
             &rows,
         );
     }
-
-    let (plain, compressed) = e5_compression_at_scale(3, 6.0, 42);
-    print_table(
-        "E5 — at 9216 cores in the cluster model (6:1 ratio applied)",
-        &["metric", "without compression", "with compression"],
-        &[
-            vec![
-                "simulation wall [s]".into(),
-                format!("{:.0}", plain.wall_seconds),
-                format!("{:.0}  (paper: unchanged)", compressed.wall_seconds),
-            ],
-            vec![
-                "bytes written per run".into(),
-                format!(
-                    "{:.0} GiB",
-                    plain.bytes_written as f64 / (1u64 << 30) as f64
-                ),
-                format!(
-                    "{:.0} GiB",
-                    compressed.bytes_written as f64 / (1u64 << 30) as f64
-                ),
-            ],
-            vec![
-                "dedicated idle".into(),
-                format!("{:.1} %", plain.dedicated_idle.unwrap_or(0.0) * 100.0),
-                format!("{:.1} %", compressed.dedicated_idle.unwrap_or(0.0) * 100.0),
-            ],
-        ],
-    );
 }

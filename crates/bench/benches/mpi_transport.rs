@@ -11,9 +11,7 @@
 //!   socket, demux, mailbox wakeup).
 //!
 //! Prints a table and records `BENCH_mpi_transport.json` at the workspace
-//! root. The `processes` post is what the cluster DES's assumed
-//! `UDS_POST_SECONDS` (in `cluster_sim::run`) stands for. Cross-world
-//! multipliers are recorded with an `_x` suffix — informational, never
+//! root. Cross-world multipliers are recorded with an `_x` suffix — informational, never
 //! gated: the socket-vs-memory gap is a property of the kernel and
 //! scheduler, too machine-dependent for a fixed threshold. Absolute `_ns` metrics gate only under
 //! `check_bench_regression.py --strict` (same-machine baselines).
@@ -111,10 +109,6 @@ fn main() {
         "mini-mpi transport: post / roundtrip latency (2 ranks, 64 B)",
         &["world", "post", "roundtrip"],
         &rows,
-    );
-    println!(
-        "\nDES constant UDS_POST_SECONDS (assumed 1.5e-7) against this run: {:.1e}",
-        uds_post * 1e-9
     );
 
     let json = format!(

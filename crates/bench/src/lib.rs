@@ -1,24 +1,20 @@
 //! # damaris-bench
 //!
-//! The experiment harness: one bench target per table/figure of the
-//! paper's evaluation, each printing `paper | measured` rows. Run all of
-//! them with `cargo bench`.
+//! Bench targets that time the real middleware on one node, each printing
+//! a table (run one with `cargo bench -p damaris_bench --bench <target>`).
+//! The end-to-end numbers live in `benchmark/`; these time one layer each.
 //!
-//! | target | paper claim |
+//! | target | what it measures |
 //! |---|---|
-//! | `e1_scalability` | §IV.A: 800 s / 70 % collective I/O, 3.5× speedup |
-//! | `e2_variability` | §IV.B: jitter hidden, writes ≈ 0.1 s at any scale |
-//! | `e3_throughput` | §IV.C: 0.5 / 1.7 / 10 GB/s |
-//! | `e4_idle_time` | §IV.D: dedicated cores 92–99 % idle |
-//! | `e5_compression` | §IV.D: 600 % ratio, zero simulation overhead |
-//! | `e6_scheduling` | §IV.D: smarter scheduling → 12.7 GB/s |
-//! | `e7_insitu` | §V.C.1: sync VisIt stalls, Damaris in-situ free |
-//! | `e8_backpressure` | §V.C.1: skip iterations instead of blocking |
+//! | `e5_compression` | §IV.D: the real codecs' ratio and speed on CM1-proxy data |
+//! | `e8_backpressure` | §V.C.1: skip iterations instead of blocking, on a live node |
 //! | `micro` (criterion) | shm / queue / codec / h5lite / collective latencies |
+//! | `mpi_transport` | mini-mpi post and roundtrip latency, threads against sockets |
+//! | `storage_path` | the `<store>` engine's write cost and throughput |
+//! | `serve_fanout` | the streaming tier's fan-out to many subscribers |
 //!
-//! This library provides the shared table renderer plus the experiments
-//! that exercise the *real* middleware rather than the cluster model
-//! (E5 on real CM1 data, E8 on a live node).
+//! This library provides the shared table renderer plus the E5 and E8
+//! experiments.
 
 use std::sync::Arc;
 use std::time::Instant;

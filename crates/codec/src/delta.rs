@@ -32,12 +32,6 @@ impl Codec for XorDelta {
         format!("xor-delta{}", self.width)
     }
 
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(input, &mut out);
-        out
-    }
-
     fn encode_into(&self, input: &[u8], out: &mut Vec<u8>) {
         let w = self.width;
         out.clear();
@@ -62,13 +56,19 @@ impl Codec for XorDelta {
         }
     }
 
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::new();
-        self.decode_into(input, &mut out)?;
-        Ok(out)
+    fn max_encoded_len(&self, n: usize) -> usize {
+        n
     }
 
-    fn decode_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    fn decode_bounded(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<(), CodecError> {
+        if input.len() > limit {
+            return Err(crate::over_limit(&self.name(), limit));
+        }
         out.clear();
         out.extend_from_slice(input);
         with_width!(self.width, accumulate(out));

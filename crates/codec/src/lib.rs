@@ -126,33 +126,60 @@ pub trait Codec: Send + Sync {
     /// metadata.
     fn name(&self) -> String;
 
-    /// Compress/transform `input`.
-    fn encode(&self, input: &[u8]) -> Vec<u8>;
-
     /// Compress/transform `input` into `out`, reusing `out`'s capacity.
     ///
     /// `out` is cleared first; its allocation is kept, so a caller that
     /// feeds same-sized blocks through a long-lived buffer (the storage
     /// pipeline's per-variable scratch) stops allocating once capacity has
-    /// been established. The default implementation falls back to
-    /// [`Codec::encode`] and copies; the built-in codecs override it to
-    /// write in place.
-    fn encode_into(&self, input: &[u8], out: &mut Vec<u8>) {
-        out.clear();
-        let encoded = self.encode(input);
-        out.extend_from_slice(&encoded);
+    /// been established.
+    fn encode_into(&self, input: &[u8], out: &mut Vec<u8>);
+
+    /// Compress/transform `input`.
+    fn encode(&self, input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(input, &mut out);
+        out
     }
 
-    /// Invert [`Codec::encode`]. Errors on corrupt input; never panics.
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError>;
+    /// The most bytes [`Codec::encode`] can produce from `input_len` bytes
+    /// (saturating). A decoder whose output must be `n` bytes therefore
+    /// reads at most `max_encoded_len(n)` bytes of valid input.
+    fn max_encoded_len(&self, input_len: usize) -> usize;
 
     /// Invert [`Codec::encode`] into `out`, reusing `out`'s capacity as
-    /// [`Codec::encode_into`] does. On an error `out` holds unspecified
-    /// bytes. The default implementation falls back to [`Codec::decode`].
-    fn decode_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
-        *out = self.decode(input)?;
-        Ok(())
+    /// [`Codec::encode_into`] does, and fail once the output would pass
+    /// `limit` bytes: a few bytes of run-length code can name gigabytes,
+    /// so a reader of untrusted input passes the length it expects. Errors
+    /// on corrupt input; never panics. On an error `out` holds unspecified
+    /// bytes.
+    fn decode_bounded(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<(), CodecError>;
+
+    /// Invert [`Codec::encode`]. Errors on corrupt input; never panics.
+    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+        let mut out = Vec::new();
+        self.decode_into(input, &mut out)?;
+        Ok(out)
     }
+
+    /// [`Codec::decode`] into `out`, reusing `out`'s capacity as
+    /// [`Codec::encode_into`] does. On an error `out` holds unspecified
+    /// bytes.
+    fn decode_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+        self.decode_bounded(input, out, usize::MAX)
+    }
+}
+
+/// What a [`Codec::decode_bounded`] returns once its output would pass
+/// `limit` bytes.
+fn over_limit(codec: &str, limit: usize) -> CodecError {
+    CodecError::new(format!(
+        "{codec}: decoded output passes its {limit}-byte bound"
+    ))
 }
 
 /// Compression ratio as the paper quotes it: original ÷ compressed

@@ -40,12 +40,6 @@ impl Codec for Lzss {
         "lzss".to_string()
     }
 
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(input.len() / 2 + 16);
-        self.encode_into(input, &mut out);
-        out
-    }
-
     fn encode_into(&self, input: &[u8], out: &mut Vec<u8>) {
         let n = input.len();
         out.clear();
@@ -148,8 +142,19 @@ impl Codec for Lzss {
         });
     }
 
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::with_capacity(input.len() * 2);
+    fn max_encoded_len(&self, n: usize) -> usize {
+        // All literals: one flag byte per eight; a match is never longer
+        // than the bytes it stands for.
+        n.saturating_add(n.div_ceil(8))
+    }
+
+    fn decode_bounded(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<(), CodecError> {
+        out.clear();
         let mut i = 0;
         while i < input.len() {
             let flags = input[i];
@@ -159,6 +164,9 @@ impl Codec for Lzss {
                     break;
                 }
                 if flags & (1 << bit) == 0 {
+                    if out.len() == limit {
+                        return Err(crate::over_limit("lzss", limit));
+                    }
                     out.push(input[i]);
                     i += 1;
                 } else {
@@ -176,6 +184,9 @@ impl Codec for Lzss {
                             out.len()
                         )));
                     }
+                    if len > limit - out.len() {
+                        return Err(crate::over_limit("lzss", limit));
+                    }
                     let start = out.len() - off;
                     for k in 0..len {
                         let b = out[start + k];
@@ -184,7 +195,7 @@ impl Codec for Lzss {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 

@@ -142,6 +142,7 @@ impl Pipeline {
         scratch
             .ping_pong(input, self.stages.iter(), |stage, src, dst| {
                 stage.encode_into(src, dst);
+                debug_assert!(dst.len() <= stage.max_encoded_len(src.len()));
                 Ok(())
             })
             .expect("encoding cannot fail");
@@ -157,14 +158,27 @@ impl Pipeline {
     /// `scratch`, and a reader that decodes chunk after chunk through one
     /// scratch (`h5lite`'s `FileReader`) allocates nothing per chunk once
     /// the buffers have grown.
+    ///
+    /// The result may be at most `limit` bytes (the raw length a reader
+    /// expects), and every stage stops with an error once its output passes
+    /// the most that the stages before it can encode `limit` bytes into, so
+    /// no input, however hostile its spec and bytes, makes a buffer larger.
     pub fn decode_with<'a>(
         &self,
         input: &[u8],
+        limit: usize,
         scratch: &'a mut EncodeScratch,
     ) -> Result<&'a [u8], CodecError> {
-        scratch.ping_pong(input, self.stages.iter().rev(), |stage, src, dst| {
-            stage.decode_into(src, dst)
-        })?;
+        let bound = |i: usize| {
+            self.stages[..i]
+                .iter()
+                .fold(limit, |n, stage| stage.max_encoded_len(n))
+        };
+        scratch.ping_pong(
+            input,
+            self.stages.iter().enumerate().rev(),
+            |(i, stage), src, dst| stage.decode_bounded(src, dst, bound(i)),
+        )?;
         Ok(scratch.result())
     }
 }
@@ -196,14 +210,14 @@ impl EncodeScratch {
     /// roles are fixed by position, so across calls with one pipeline each
     /// buffer always receives the same stages and keeps the capacity they
     /// need.
-    fn ping_pong<'s>(
+    fn ping_pong<S>(
         &mut self,
         input: &[u8],
-        mut stages: impl Iterator<Item = &'s Box<dyn Codec>>,
-        apply: impl Fn(&dyn Codec, &[u8], &mut Vec<u8>) -> Result<(), CodecError>,
+        mut stages: impl Iterator<Item = S>,
+        apply: impl Fn(S, &[u8], &mut Vec<u8>) -> Result<(), CodecError>,
     ) -> Result<(), CodecError> {
         let first = stages.next().expect("from_spec rejects an empty pipeline");
-        apply(first.as_ref(), input, &mut self.a)?;
+        apply(first, input, &mut self.a)?;
         self.in_a = true;
         for stage in stages {
             let (src, dst) = if self.in_a {
@@ -211,7 +225,7 @@ impl EncodeScratch {
             } else {
                 (&self.b, &mut self.a)
             };
-            apply(stage.as_ref(), src, dst)?;
+            apply(stage, src, dst)?;
             self.in_a = !self.in_a;
         }
         Ok(())
@@ -248,16 +262,30 @@ impl Codec for Pipeline {
         self.spec.clone()
     }
 
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
+    // The trait's buffers are handed over from a fresh scratch; callers
+    // that want reuse keep an `EncodeScratch` and call the `_with` methods.
+    fn encode_into(&self, input: &[u8], out: &mut Vec<u8>) {
         let mut scratch = EncodeScratch::new();
         self.encode_with(input, &mut scratch);
-        std::mem::take(scratch.result())
+        *out = std::mem::take(scratch.result());
     }
 
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+    fn max_encoded_len(&self, n: usize) -> usize {
+        self.stages
+            .iter()
+            .fold(n, |n, stage| stage.max_encoded_len(n))
+    }
+
+    fn decode_bounded(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<(), CodecError> {
         let mut scratch = EncodeScratch::new();
-        self.decode_with(input, &mut scratch)?;
-        Ok(std::mem::take(scratch.result()))
+        self.decode_with(input, limit, &mut scratch)?;
+        *out = std::mem::take(scratch.result());
+        Ok(())
     }
 }
 
@@ -430,11 +458,15 @@ mod tests {
         let blocks = [cm1_like_field(4 * 1024), smooth_field(4 * 1024)];
         let mut scratch = EncodeScratch::new();
         let packed: Vec<Vec<u8>> = blocks.iter().map(|b| p.encode(b)).collect();
-        assert_eq!(p.decode_with(&packed[0], &mut scratch).unwrap(), blocks[0]);
+        assert_eq!(
+            p.decode_with(&packed[0], blocks[0].len(), &mut scratch)
+                .unwrap(),
+            blocks[0]
+        );
         let cap = scratch.capacity_bytes();
         for _ in 0..4 {
             for (enc, raw) in packed.iter().zip(&blocks) {
-                assert_eq!(p.decode_with(enc, &mut scratch).unwrap(), raw);
+                assert_eq!(p.decode_with(enc, raw.len(), &mut scratch).unwrap(), raw);
             }
         }
         assert_eq!(
@@ -442,7 +474,7 @@ mod tests {
             cap,
             "same-sized blocks: no growth"
         );
-        assert!(p.decode_with(&[128], &mut scratch).is_err());
+        assert!(p.decode_with(&[128], usize::MAX, &mut scratch).is_err());
     }
 
     #[test]

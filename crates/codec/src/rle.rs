@@ -78,19 +78,13 @@ impl Codec for Rle {
         "rle".to_string()
     }
 
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(input, &mut out);
-        out
-    }
-
     fn encode_into(&self, input: &[u8], out: &mut Vec<u8>) {
         out.clear();
         let n = input.len();
         // The worst case (no run anywhere), reserved once: the output then
         // never grows as a field becomes less compressible over a run, and
         // the pushes below never reallocate.
-        out.reserve(n + n / MAX_BLOCK + 2);
+        out.reserve(self.max_encoded_len(n));
         let mut i = 0;
         while i < n {
             let run = run_len(input, i);
@@ -109,36 +103,43 @@ impl Codec for Rle {
         }
     }
 
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::with_capacity(input.len() * 2);
-        self.decode_into(input, &mut out)?;
-        Ok(out)
+    fn max_encoded_len(&self, n: usize) -> usize {
+        // One control byte per literal block of at most MAX_BLOCK bytes; a
+        // block cut short by a run is paid back by that run.
+        n.saturating_add(n / MAX_BLOCK + 2)
     }
 
-    fn decode_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    fn decode_bounded(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<(), CodecError> {
         out.clear();
         let mut i = 0;
         while i < input.len() {
             let c = input[i];
             i += 1;
-            match c {
-                0..=127 => {
-                    let len = c as usize + 1;
-                    if i + len > input.len() {
-                        return Err(CodecError::new("rle: truncated literal block"));
-                    }
-                    out.extend_from_slice(&input[i..i + len]);
-                    i += len;
-                }
+            let len = match c {
+                0..=127 => c as usize + 1,
                 128 => return Err(CodecError::new("rle: reserved control byte 128")),
-                129..=255 => {
-                    let len = 257 - c as usize;
-                    let b = *input
-                        .get(i)
-                        .ok_or_else(|| CodecError::new("rle: truncated run"))?;
-                    i += 1;
-                    out.resize(out.len() + len, b);
+                129..=255 => 257 - c as usize,
+            };
+            if len > limit - out.len() {
+                return Err(crate::over_limit("rle", limit));
+            }
+            if c < 128 {
+                if i + len > input.len() {
+                    return Err(CodecError::new("rle: truncated literal block"));
                 }
+                out.extend_from_slice(&input[i..i + len]);
+                i += len;
+            } else {
+                let b = *input
+                    .get(i)
+                    .ok_or_else(|| CodecError::new("rle: truncated run"))?;
+                i += 1;
+                out.resize(out.len() + len, b);
             }
         }
         Ok(())

@@ -39,23 +39,23 @@ impl Codec for Shuffle {
         format!("shuffle{}", self.width)
     }
 
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(input, &mut out);
-        out
-    }
-
     fn encode_into(&self, input: &[u8], out: &mut Vec<u8>) {
         shuffle::<false>(self.width, input, out);
     }
 
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::new();
-        self.decode_into(input, &mut out)?;
-        Ok(out)
+    fn max_encoded_len(&self, n: usize) -> usize {
+        n
     }
 
-    fn decode_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    fn decode_bounded(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<(), CodecError> {
+        if input.len() > limit {
+            return Err(crate::over_limit(&self.name(), limit));
+        }
         unshuffle::<false>(self.width, input, out);
         Ok(())
     }
@@ -74,23 +74,23 @@ impl Codec for DeltaShuffle {
         format!("xor-delta{0},shuffle{0}", self.width)
     }
 
-    fn encode(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode_into(input, &mut out);
-        out
-    }
-
     fn encode_into(&self, input: &[u8], out: &mut Vec<u8>) {
         shuffle::<true>(self.width, input, out);
     }
 
-    fn decode(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut out = Vec::new();
-        self.decode_into(input, &mut out)?;
-        Ok(out)
+    fn max_encoded_len(&self, n: usize) -> usize {
+        n
     }
 
-    fn decode_into(&self, input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
+    fn decode_bounded(
+        &self,
+        input: &[u8],
+        out: &mut Vec<u8>,
+        limit: usize,
+    ) -> Result<(), CodecError> {
+        if input.len() > limit {
+            return Err(crate::over_limit(&self.name(), limit));
+        }
         unshuffle::<true>(self.width, input, out);
         Ok(())
     }

@@ -85,7 +85,10 @@ fn check(input: &[u8], table: &[(&str, usize, u64)]) {
         assert_eq!((enc.len(), fnv1a(&enc)), (len, hash), "spec {spec}");
         assert_eq!(p.encode_with(input, &mut scratch), enc, "spec {spec}");
         assert_eq!(p.decode(&enc).unwrap(), input, "spec {spec}");
-        assert_eq!(p.decode_with(&enc, &mut scratch).unwrap(), input);
+        assert_eq!(
+            p.decode_with(&enc, input.len(), &mut scratch).unwrap(),
+            input
+        );
     }
 }
 

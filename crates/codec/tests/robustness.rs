@@ -138,4 +138,28 @@ proptest! {
         let mut scratch = EncodeScratch::new();
         prop_assert_eq!(p.encode_with(&data, &mut scratch), &enc[..]);
     }
+
+    /// A valid encoding with bytes flipped, inserted or cut off decodes
+    /// to an error or to at most the bound it was given, and never panics.
+    #[test]
+    fn mutated_encodings_decode_within_the_bound_or_fail(
+        spec in spec_strategy(),
+        data in input_strategy(),
+        edits in proptest::collection::vec((0u8..3, any::<usize>(), any::<u8>()), 1..6),
+    ) {
+        let p = Pipeline::from_spec(&spec).unwrap();
+        let mut enc = p.encode(&data);
+        for (kind, at, byte) in edits {
+            let at = at % (enc.len() + 1);
+            match kind {
+                0 if at < enc.len() => enc[at] ^= byte | 1,
+                1 => enc.insert(at, byte),
+                _ => enc.truncate(at),
+            }
+        }
+        let mut scratch = EncodeScratch::new();
+        if let Ok(out) = p.decode_with(&enc, data.len(), &mut scratch) {
+            prop_assert!(out.len() <= data.len());
+        }
+    }
 }

@@ -75,9 +75,8 @@ pub fn file_per_process(
 /// The communication volume matches real two-phase I/O (every byte moves
 /// at least once); the final single-writer step stands in for the
 /// shared-file extent writes that `h5lite`'s write-once format cannot
-/// express — the *performance* of concurrent shared-file writes is modeled
-/// by `pfs-sim`/`cluster-sim`, while this function provides bit-exact
-/// output for correctness comparisons.
+/// express. This function provides bit-exact output for correctness
+/// comparisons, not the performance of concurrent shared-file writes.
 pub fn collective(
     comm: &Comm,
     dir: &Path,

@@ -466,6 +466,20 @@ fn amr_config(world: &str, clients: usize, buffer: usize, skip: &str) -> Configu
     Configuration::from_str(&xml).expect("amr config is valid")
 }
 
+/// splitmix64: a few lines of deterministic generator, all the AMR driver
+/// needs to give every write its own size.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
 /// The generic AMR driver: every (client, iteration) writes a *different*
 /// block size, derived from a seeded RNG (deterministic across worlds:
 /// the seed is a pure function of `input` and the client id, both
@@ -473,9 +487,8 @@ fn amr_config(world: &str, clients: usize, buffer: usize, skip: &str) -> Configu
 /// path (`write` with a differently-sized slice each call) and the
 /// zero-copy `alloc_sized` → fill → commit path.
 fn amr_sim<H: SimHandle>(h: &mut H, input: &[u8]) -> Vec<u8> {
-    use rand::{rngs::StdRng, RngCore, SeedableRng};
     let iterations = u64::from(input[0]);
-    let mut rng = StdRng::seed_from_u64(u64::from(input[1]) ^ 0xA3_5C0DE ^ ((h.id() as u64) << 32));
+    let mut rng = SplitMix64(u64::from(input[1]) ^ 0xA3_5C0DE ^ ((h.id() as u64) << 32));
     let density = h.var_id("density").expect("declared variable resolves");
     let mut out = Vec::new();
     for it in 0..iterations {

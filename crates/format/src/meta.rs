@@ -267,8 +267,10 @@ impl FileMeta {
                 },
                 1 => {
                     let rows_per_chunk = d.u64()?;
+                    // A count is not trusted past the 16 bytes per entry
+                    // that the footer can hold.
                     let n = d.u32()? as usize;
-                    let mut chunks = Vec::with_capacity(n);
+                    let mut chunks = Vec::with_capacity(n.min(bytes.len() / 16));
                     for _ in 0..n {
                         chunks.push((d.u64()?, d.u64()?));
                     }

@@ -100,22 +100,37 @@ impl<R: Read + Seek> FileReader<R> {
     }
 
     /// Append the decoded bytes of the extent `[offset, +len)`, which the
-    /// caller has checked against the file size, to `out`.
+    /// caller has checked against the file size, to `out`. They must be
+    /// `raw_len` bytes ([`extent_raw_len`]), and the decode stops as soon
+    /// as it would produce more.
     fn read_extent(
         &mut self,
         (offset, len): (u64, u64),
+        raw_len: u64,
         pipeline: Option<&Pipeline>,
         out: &mut Vec<u8>,
     ) -> H5Result<()> {
+        let wrong_len = |got: usize| {
+            H5Error::Corrupt(format!(
+                "extent at {offset} holds {got} bytes, expected {raw_len}"
+            ))
+        };
         self.r.seek(SeekFrom::Start(offset))?;
         let Some(p) = pipeline else {
+            if len != raw_len {
+                return Err(wrong_len(len as usize));
+            }
             let start = out.len();
             out.resize(start + len as usize, 0);
             return Ok(self.r.read_exact(&mut out[start..])?);
         };
         self.stored.resize(len as usize, 0);
         self.r.read_exact(&mut self.stored)?;
-        out.extend_from_slice(p.decode_with(&self.stored, &mut self.scratch)?);
+        let raw = p.decode_with(&self.stored, raw_len as usize, &mut self.scratch)?;
+        if raw.len() as u64 != raw_len {
+            return Err(wrong_len(raw.len()));
+        }
+        out.extend_from_slice(raw);
         Ok(())
     }
 
@@ -142,17 +157,10 @@ impl<R: Read + Seek> FileReader<R> {
                 )));
             }
         }
-        if ds.byte_size() > file_size.saturating_mul(1024) {
-            // Even with extreme compression a dataset cannot plausibly
-            // expand this far; the shape is corrupt.
-            return Err(H5Error::Corrupt(format!(
-                "dataset '{path}' declares {} bytes in a {file_size}-byte file",
-                ds.byte_size()
-            )));
-        }
+        check_size(&ds, path, file_size)?;
         let mut out = Vec::with_capacity(ds.byte_size() as usize);
-        for extent in extents {
-            self.read_extent(extent, pipeline.as_ref(), &mut out)?;
+        for (k, extent) in extents.into_iter().enumerate() {
+            self.read_extent(extent, extent_raw_len(&ds, k), pipeline.as_ref(), &mut out)?;
         }
         if out.len() as u64 != ds.byte_size() {
             return Err(H5Error::Corrupt(format!(
@@ -259,6 +267,7 @@ impl<R: Read + Seek> FileReader<R> {
                     Some(Pipeline::from_spec(&ds.codec_spec)?)
                 };
                 let file_size = self.r.seek(SeekFrom::End(0))?;
+                check_size(&ds, path, file_size)?;
                 let first_chunk = (row_start / rows_per_chunk) as usize;
                 let last_chunk = ((row_start + row_count - 1) / rows_per_chunk) as usize;
                 if last_chunk >= chunks.len() {
@@ -266,16 +275,19 @@ impl<R: Read + Seek> FileReader<R> {
                         "dataset '{path}' chunk table too short for its shape"
                     )));
                 }
+                let wanted = first_chunk..=last_chunk;
                 let mut assembled = Vec::with_capacity(
-                    ((last_chunk - first_chunk + 1) as u64 * rows_per_chunk * row_bytes) as usize,
+                    wanted.clone().map(|k| extent_raw_len(&ds, k)).sum::<u64>() as usize,
                 );
-                for &(offset, len) in &chunks[first_chunk..=last_chunk] {
+                for k in wanted {
+                    let (offset, len) = chunks[k];
                     if offset.checked_add(len).is_none_or(|end| end > file_size) {
                         return Err(H5Error::Corrupt(format!(
                             "dataset '{path}' chunk extent exceeds the file"
                         )));
                     }
-                    self.read_extent((offset, len), pipeline.as_ref(), &mut assembled)?;
+                    let raw_len = extent_raw_len(&ds, k);
+                    self.read_extent((offset, len), raw_len, pipeline.as_ref(), &mut assembled)?;
                 }
                 // Trim to the requested window inside the assembled chunks.
                 let skip = (row_start - first_chunk as u64 * rows_per_chunk) * row_bytes;
@@ -347,6 +359,35 @@ impl<R: Read + Seek> FileReader<R> {
         }
         out
     }
+}
+
+/// Reject a dataset that declares more bytes than its file can hold:
+/// even with extreme compression nothing plausibly expands 1024-fold, so
+/// the shape is corrupt, and nothing is allocated for it.
+fn check_size(ds: &DatasetMeta, path: &str, file_size: u64) -> H5Result<()> {
+    if ds.byte_size() > file_size.saturating_mul(1024) {
+        return Err(H5Error::Corrupt(format!(
+            "dataset '{path}' declares {} bytes in a {file_size}-byte file",
+            ds.byte_size()
+        )));
+    }
+    Ok(())
+}
+
+/// Decoded length of extent `k` of `ds`, known from its shape alone: the
+/// whole dataset when contiguous, else `rows_per_chunk` rows, the last
+/// chunk holding what is left.
+fn extent_raw_len(ds: &DatasetMeta, k: usize) -> u64 {
+    let total = ds.byte_size();
+    let Layout::Chunked { rows_per_chunk, .. } = &ds.layout else {
+        return total;
+    };
+    let row_elems = ds.shape.get(1..).unwrap_or_default().iter();
+    let row_bytes = row_elems.fold(ds.dtype.size_bytes() as u64, |n, &s| n.saturating_mul(s));
+    let chunk = rows_per_chunk.saturating_mul(row_bytes).max(1);
+    total
+        .saturating_sub(chunk.saturating_mul(k as u64))
+        .min(chunk)
 }
 
 #[cfg(test)]

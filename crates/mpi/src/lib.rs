@@ -22,9 +22,8 @@
 //! ## Why not real MPI?
 //!
 //! The paper ran on Kraken's Cray MPT. Offline, the `rsmpi` bindings require
-//! a system MPI that does not exist here; more importantly, the experiments
-//! at 9216 ranks are replayed by the `cluster-sim` discrete-event simulator
-//! anyway. What the *middleware* needs from MPI — identity, grouping, and
+//! a system MPI that does not exist here, and what is measured is one node.
+//! What the *middleware* needs from MPI — identity, grouping, and
 //! collective data movement with the right volumes — is preserved exactly.
 //! The socket world closes the remaining credibility gap for single-node
 //! claims: Damaris clients and dedicated cores are separate MPI *processes*

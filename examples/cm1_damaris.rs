@@ -200,8 +200,8 @@ fn main() {
     baseline_run("file-per-process", base.join("fpp"));
     baseline_run("collective", base.join("collective"));
     println!(
-        "\nNote: at laptop scale the file system is a local disk — the paper's\n\
-         contention effects live in the cluster model (see `cargo bench`).\n\
+        "\nNote: at laptop scale the file system is a local disk, so the paper's\n\
+         file-system contention at 576-9216 cores is not reproduced here.\n\
          What this example demonstrates for real: the sim-visible write cost\n\
          of Damaris stays at shared-memory speed and does not include any\n\
          file I/O, while both baselines block the simulation for every dump."

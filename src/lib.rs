@@ -28,9 +28,6 @@
 //! * [`serve`] — the subscriber streaming tier: completed iterations served
 //!   live over TCP to many concurrent consumers (`<serve listen="…"/>`).
 //! * [`apps`] — CM1-like and Nek5000-like proxy applications.
-//! * [`pfs`] — a queueing model of a Lustre-like parallel file system.
-//! * [`cluster`] — a discrete-event simulator that replays the paper's
-//!   evaluation at 576–9216 cores, with its I/O schedulers.
 //!
 //! ## Quickstart
 //!
@@ -75,7 +72,6 @@
 //! assert_eq!(stats.iterations_seen(), 4);
 //! ```
 
-pub use cluster_sim as cluster;
 pub use codec;
 pub use damaris_core as core;
 pub use damaris_serve as serve;
@@ -83,5 +79,4 @@ pub use damaris_shm as shm;
 pub use damaris_xml as xml;
 pub use h5lite as h5;
 pub use mini_mpi as mpi;
-pub use pfs_sim as pfs;
 pub use sim_apps as apps;
